@@ -1,6 +1,6 @@
 """Non-binary quasi-cyclic LDPC code construction and validation toolkit."""
 
-from .gf import Field, NonPrimitivePolyError, field_new, min_lambda
+from .gf import Field, NonPrimitivePolyError, min_lambda
 from .protograph import (
     CycleRecord,
     DegreeProfile,
@@ -30,6 +30,7 @@ from .lift import (
     QcCode,
     ShiftCollisionError,
     UnsupportedStructureError,
+    WalkTable,
     binary_ace_spectrum,
     expand,
     expand_binary,

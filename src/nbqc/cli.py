@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -24,6 +23,7 @@ from .io_formats import (
 from .lift import (
     AceConstraint,
     QcCode,
+    WalkTable,
     binary_ace_spectrum,
     nb_ace_spectrum,
 )
@@ -33,7 +33,11 @@ from .optimize import (
     assign_shifts,
     spectrum_search,
 )
-from .protograph import enumerate_closed_walks, from_base_matrix
+from .protograph import (
+    WalkEnumerationOverflow,
+    enumerate_closed_walks,
+    from_base_matrix,
+)
 from .simulate import SimConfig, run_campaign
 
 EXIT_OK = 0
@@ -101,8 +105,10 @@ def _build_parser() -> _Parser:
     m.add_argument("--max-iters", type=int, default=80)
     m.add_argument("--seed", type=int, required=True)
     m.add_argument("--mode", choices=["zero", "random"], default="zero")
+    # a string default goes through type=int, so a bad NBQC_WORKERS is an
+    # input error like a bad --workers
     m.add_argument("--workers", type=int,
-                   default=int(os.environ.get("NBQC_WORKERS", "1")))
+                   default=os.environ.get("NBQC_WORKERS", "1"))
     m.add_argument("--out", "-o", required=True,
                    help="output prefix; writes <prefix>.csv and <prefix>.json")
 
@@ -135,6 +141,8 @@ def _cmd_construct(args) -> int:
         field = Field(args.q.bit_length() - 1, args.poly)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
+    if args.Z < 1:
+        raise CliInputError("--Z must be >= 1")
     lam = args.lambda_mult
     if lam is None:
         lam = min_lambda(args.q, args.Z)
@@ -142,12 +150,15 @@ def _cmd_construct(args) -> int:
         raise CliInputError(
             f"lambda={lam} violates (q-1) | lambda*Z for q={args.q}, Z={args.Z}"
         )
-    cfg = OptimizerConfig(
-        rng_seed=args.seed,
-        max_sweeps=args.max_sweeps,
-        max_restarts=args.max_restarts,
-        edge_order_policy=args.edge_order,
-    )
+    try:
+        cfg = OptimizerConfig(
+            rng_seed=args.seed,
+            max_sweeps=args.max_sweeps,
+            max_restarts=args.max_restarts,
+            edge_order_policy=args.edge_order,
+        )
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
     ace_b = _parse_constraint(args.ace_b)
     ace_nb = _parse_constraint(args.ace_nb)
     if (ace_b is None) != (ace_nb is None):
@@ -170,9 +181,8 @@ def _cmd_construct(args) -> int:
                     "binary one"
                 )
         depth = max(ace_b.depth, ace_nb.depth)
-        walks = enumerate_closed_walks(proto, depth)
-        walks_b = [w for w in walks if w.length <= ace_b.depth]
-        shift_res = assign_shifts(proto, args.Z, ace_b, cfg, walks=walks_b)
+        walks = WalkTable(proto, enumerate_closed_walks(proto, depth))
+        shift_res = assign_shifts(proto, args.Z, ace_b, cfg, walks=walks)
         if not shift_res.success:
             raise ConstraintFailure("shift-assignment",
                                     shift_res.to_json_dict())
@@ -182,7 +192,7 @@ def _cmd_construct(args) -> int:
             raise ConstraintFailure("label-assignment",
                                     label_res.to_json_dict())
         code = code.with_labels(label_res.assignment)
-        achieved_b = binary_ace_spectrum(code, ace_b.depth, walks=walks_b)
+        achieved_b = binary_ace_spectrum(code, ace_b.depth, walks=walks)
         achieved_nb = nb_ace_spectrum(code, ace_nb.depth, walks=walks)
 
     desc = build_descriptor(code, args.seed, achieved_b, achieved_nb)
@@ -202,9 +212,9 @@ def _load_code(path) -> QcCode:
 
 
 def _cmd_spectrum(args) -> int:
-    code = _load_code(args.code)
     if args.depth < 2 or args.depth % 2:
         raise CliInputError("--depth must be an even integer >= 2")
+    code = _load_code(args.code)
     if args.nb:
         if code.labels is None:
             raise CliInputError("descriptor carries no labels; "
@@ -221,12 +231,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise CliInputError("--workers must be >= 1")
     code = _load_code(args.code)
-    snr_points = []
-    for tok in args.snr.split(","):
-        tok = tok.strip().lower()
-        snr_points.append(math.inf if tok == "inf" else float(tok))
     try:
+        snr_points = [float(tok) for tok in args.snr.split(",")]
         cfg = SimConfig(
             snr_points_db=tuple(snr_points),
             max_frames=args.max_frames,
@@ -273,7 +282,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CliInputError as exc:
+    # an unwritable output path and a walk count past the record cap are
+    # input errors like a malformed argument
+    except (CliInputError, OSError, WalkEnumerationOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConstraintFailure as exc:

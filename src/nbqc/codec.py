@@ -95,32 +95,46 @@ class SparseGfMatrix:
         )
 
 
-def rank(matrix: SparseGfMatrix) -> int:
-    """Gaussian-elimination rank over GF(q), pivoting on first nonzeros."""
-    f = matrix.field
-    rows = [dict(r) for r in matrix.rows if r]
-    rnk = 0
-    while rows:
-        lead, idx = min((min(r), i) for i, r in enumerate(rows))
-        pivot = rows.pop(idx)
-        rnk += 1
-        inv = f.inv(pivot[lead])
-        remaining = []
-        for r in rows:
-            if lead in r:
-                factor = f.mul(r.pop(lead), inv)
-                for c, v in pivot.items():
-                    if c == lead:
-                        continue
-                    nv = f.add(r.get(c, 0), f.mul(factor, v))
+def _echelon(H: SparseGfMatrix) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form over GF(q): pivot column -> reduced row.
+
+    Rows are taken in order; each is cleared of the known pivots and
+    normalized on its first surviving column, which then leaves every
+    earlier pivot row.  The pivot's own coefficient (1) is not stored.
+    """
+    f = H.field
+    pivots: dict[int, dict[int, int]] = {}
+    for r in (dict(row) for row in H.rows):
+        # eliminate known pivots, then normalize on the first survivor
+        for c in sorted(set(r) & set(pivots)):
+            factor = r.pop(c)
+            for pc, pv in pivots[c].items():
+                nv = f.add(r.get(pc, 0), f.mul(factor, pv))
+                if nv:
+                    r[pc] = nv
+                else:
+                    r.pop(pc, None)
+        if not r:
+            continue
+        lead = min(r)
+        inv = f.inv(r.pop(lead))
+        reduced = {c: f.mul(inv, v) for c, v in r.items()}
+        for c, prow in pivots.items():
+            if lead in prow:
+                factor = prow.pop(lead)
+                for rc, rv in reduced.items():
+                    nv = f.add(prow.get(rc, 0), f.mul(factor, rv))
                     if nv:
-                        r[c] = nv
+                        prow[rc] = nv
                     else:
-                        r.pop(c, None)
-            if r:
-                remaining.append(r)
-        rows = remaining
-    return rnk
+                        prow.pop(rc, None)
+        pivots[lead] = reduced
+    return pivots
+
+
+def rank(matrix: SparseGfMatrix) -> int:
+    """Rank over GF(q): the pivot count of the reduced echelon form."""
+    return len(_echelon(matrix))
 
 
 def is_full_rank(matrix: SparseGfMatrix) -> bool:
@@ -136,37 +150,10 @@ class Encoder:
     """
 
     def __init__(self, H: SparseGfMatrix):
-        f = H.field
-        rows = [dict(r) for r in H.rows]
-        pivots: dict[int, dict[int, int]] = {}
-        for r in rows:
-            # eliminate known pivots, then normalize on the first survivor
-            for c in sorted(set(r) & set(pivots)):
-                factor = r.pop(c)
-                for pc, pv in pivots[c].items():
-                    nv = f.add(r.get(pc, 0), f.mul(factor, pv))
-                    if nv:
-                        r[pc] = nv
-                    else:
-                        r.pop(pc, None)
-            if not r:
-                continue
-            lead = min(r)
-            inv = f.inv(r.pop(lead))
-            reduced = {c: f.mul(inv, v) for c, v in r.items()}
-            for c, prow in pivots.items():
-                if lead in prow:
-                    factor = prow.pop(lead)
-                    for rc, rv in reduced.items():
-                        nv = f.add(prow.get(rc, 0), f.mul(factor, rv))
-                        if nv:
-                            prow[rc] = nv
-                        else:
-                            prow.pop(rc, None)
-            pivots[lead] = reduced
+        pivots = _echelon(H)
         if len(pivots) < H.n_rows:
             raise RankDeficiencyError(len(pivots), H.n_rows)
-        self.field = f
+        self.field = H.field
         self.n = H.n_cols
         self.m = H.n_rows
         self.parity_positions = sorted(pivots)
@@ -328,7 +315,8 @@ class QspaDecoder:
         n, q = self.H.n_cols, self.q
         if priors.shape != (n, q):
             raise ValueError(f"priors must have shape ({n}, {q})")
-        if np.any(priors < 0) or np.any(np.abs(priors.sum(axis=1) - 1.0) > 1e-6):
+        if (not np.all(np.isfinite(priors)) or np.any(priors < 0)
+                or np.any(np.abs(priors.sum(axis=1) - 1.0) > 1e-6)):
             raise ValueError("priors must be normalized probability vectors")
         if max_iters < 1:
             raise ValueError("max_iters must be >= 1")

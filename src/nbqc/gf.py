@@ -174,11 +174,6 @@ class Field:
         return f"Field(r={self.r}, poly={bin(self.primitive_poly)})"
 
 
-def field_new(r: int, primitive_poly: int | None = None) -> Field:
-    """Build a GF(2^r) field descriptor (alias for the constructor)."""
-    return Field(r, primitive_poly)
-
-
 def min_lambda(q: int, Z: int) -> int:
     """Smallest lam >= 1 such that (q-1) divides lam*Z."""
     if Z < 1:

@@ -2,8 +2,9 @@
 
 The descriptor is the canonical JSON form of a QC code plus metadata
 (creation seed, achieved spectra, tool version).  Loading is fail-closed:
-the achieved spectra stored in a descriptor are recomputed and must match,
-so a corrupted or hand-edited file cannot silently misreport code quality.
+the achieved spectra stored in a descriptor are recomputed, from one walk
+enumeration at the deepest stored depth, and must match, so a corrupted or
+hand-edited file cannot silently misreport code quality.
 
 The alist export is the usual sparse binary format (dimensions, max
 degrees, per-node degrees, 1-based per-node index lists).  The non-binary
@@ -26,6 +27,7 @@ from .lift import (
     expand,
     expand_binary,
     nb_ace_spectrum,
+    walk_table,
 )
 from .protograph import read_base_matrix_text, write_base_matrix_text
 
@@ -85,7 +87,7 @@ def save_descriptor(path, desc: dict) -> None:
     )
 
 
-def load_descriptor(path, verify: bool = True) -> tuple[QcCode, dict]:
+def load_descriptor(path) -> tuple[QcCode, dict]:
     """Load a descriptor and re-verify its achieved-spectra claims."""
     try:
         desc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -96,34 +98,32 @@ def load_descriptor(path, verify: bool = True) -> tuple[QcCode, dict]:
     except (KeyError, TypeError) as exc:
         raise DescriptorError(f"descriptor missing field: {exc}") from exc
     meta = desc.get("metadata", {})
-    if verify:
-        _verify_metadata(code, meta)
+    _verify_metadata(code, meta)
     return code, meta
 
 
 def _verify_metadata(code: QcCode, meta: dict) -> None:
-    claimed = meta.get("achieved_binary")
-    if claimed is not None:
-        stored = AceSpectrum.from_json_list(claimed["values"])
-        if stored.depth != claimed["depth"]:
-            raise DescriptorError("achieved_binary depth disagrees with values")
-        actual = binary_ace_spectrum(code, stored.depth)
-        if actual != stored:
-            raise DescriptorError(
-                f"stored binary spectrum {stored.format()} does not re-verify "
-                f"(actual {actual.format()})"
-            )
-    claimed = meta.get("achieved_nb")
-    if claimed is not None:
-        if code.labels is None:
+    """Recompute every stored spectrum from one walk enumeration."""
+    claims = []
+    for key, kind, spectrum in (("achieved_binary", "binary", binary_ace_spectrum),
+                                ("achieved_nb", "NB", nb_ace_spectrum)):
+        claimed = meta.get(key)
+        if claimed is None:
+            continue
+        if key == "achieved_nb" and code.labels is None:
             raise DescriptorError("achieved_nb stored for an unlabeled code")
         stored = AceSpectrum.from_json_list(claimed["values"])
         if stored.depth != claimed["depth"]:
-            raise DescriptorError("achieved_nb depth disagrees with values")
-        actual = nb_ace_spectrum(code, stored.depth)
+            raise DescriptorError(f"{key} depth disagrees with values")
+        claims.append((kind, spectrum, stored))
+    if not claims:
+        return
+    walks = walk_table(code.proto, max(stored.depth for *_, stored in claims))
+    for kind, spectrum, stored in claims:
+        actual = spectrum(code, stored.depth, walks=walks)
         if actual != stored:
             raise DescriptorError(
-                f"stored NB spectrum {stored.format()} does not re-verify "
+                f"stored {kind} spectrum {stored.format()} does not re-verify "
                 f"(actual {actual.format()})"
             )
 

@@ -21,14 +21,26 @@ O * (alternating sum of label exponents) != 0 mod (q-1); for cycles induced
 by simple minimal protograph cycles this is the classical statement, and
 lifts of simple minimal base cycles are chordless automatically.  Cycles
 with chorded supports are conservatively never canceled.
+
+All of this walk algebra runs on one compiled form of a walk list,
+:class:`WalkTable`: a padded edge-id row per walk with its length, ACE,
+simple-minimal flag and signed edge coefficients.  The total shift and the
+alternating label sum are the same linear functional of per-edge values;
+one vectorised kernel turns a shift vector into total shifts, cycle orders
+and realizability for many walks at once, and spectra are a group-by-min
+over lifted lengths.  Only the chordless test for realized walks that
+revisit a node still runs walk by walk.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .codec import SparseGfMatrix
 from .gf import Field, min_lambda
@@ -101,10 +113,6 @@ class AceSpectrum:
 
     def __getitem__(self, length: int) -> float:
         return self.values[length]
-
-    def min_update(self, length: int, ace: float) -> None:
-        if self.values[length] > ace:
-            self.values[length] = ace
 
     def lengths(self):
         return range(2, self.depth + 1, 2)
@@ -282,50 +290,170 @@ class LiftedCycleClass:
     realized: bool
     canceled: bool | None
 
-    @property
-    def lifted_length(self) -> int:
-        return self.lifted_len
+
+_CHUNK = 256  # walks per kernel block; bounds the (block, width) temporaries
 
 
-def _signed_partials(record: CycleRecord, shifts: dict[int, int]):
-    """Per-visit partial shift sums and the signed total.
+class WalkTable:
+    """Compiled form of an enumerated walk list.
 
-    Edge at position p is traversed check-to-variable for even p (sign +1)
-    and variable-to-check for odd p (sign -1).  partials[p] is the
-    accumulated sum when the p-th node of the traversal is visited.
+    ``rows[i]`` holds the edge ids of walk i padded with ``n_edges``.  The
+    edge at position p is traversed check-to-variable for even p (sign +1)
+    and variable-to-check for odd p (sign -1); the node visited before it is
+    its check for even p and its variable for odd p, so node ids follow
+    from the rows and are not stored.  ``coef[i, j]`` is the signed count
+    of the edge at position j over the whole walk, kept at the edge's first
+    position only: applied to shifts it gives the total shift, applied to
+    label exponents the alternating label sum.
     """
-    partials = [0] * len(record.edge_seq)
-    acc = 0
-    for p, e in enumerate(record.edge_seq):
-        partials[p] = acc
-        acc += shifts[e] if p % 2 == 0 else -shifts[e]
-    return partials, acc
+
+    def __init__(self, proto: Protograph, records):
+        self.proto = proto
+        self.records = list(records)
+        n, n_edges = len(self.records), proto.n_edges
+        self.length = np.fromiter((r.length for r in self.records), np.int32, n)
+        self.ace = np.fromiter((r.ace for r in self.records), np.int32, n)
+        self.simple_minimal = np.fromiter(
+            (r.is_simple_minimal for r in self.records), bool, n)
+        width = int(self.length.max(initial=2))
+        dtype = np.int16 if n_edges < np.iinfo(np.int16).max else np.int32
+        self.rows = np.full((n, width), n_edges, dtype=dtype)
+        self.rows[np.arange(width) < self.length[:, None]] = np.fromiter(
+            itertools.chain.from_iterable(r.edge_seq for r in self.records),
+            dtype, int(self.length.sum()))
+        self._parity = np.arange(width) % 2
+        self._sign = 1 - 2 * self._parity
+        self._pairs = np.nonzero(np.triu(self._parity[:, None] == self._parity, 1))
+        self._node_of = np.array([proto.edge_check + [-1],
+                                  proto.edge_var + [-1]], dtype=dtype)
+        self.coef = np.empty(self.rows.shape, np.int8)
+        for sl in self._blocks():
+            prefix, first = self._edge_prefix(self.rows[sl])
+            self.coef[sl] = np.where(first, prefix[:, :, -1], 0)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def _blocks(self):
+        return (slice(lo, lo + _CHUNK) for lo in range(0, len(self), _CHUNK))
+
+    def subset(self, keep: np.ndarray) -> "WalkTable":
+        """The walks selected by a boolean mask, in table order."""
+        sub = WalkTable.__new__(WalkTable)
+        sub.__dict__.update(self.__dict__)
+        sub.records = [rec for rec, k in zip(self.records, keep) if k]
+        for name in ("rows", "length", "ace", "simple_minimal", "coef"):
+            setattr(sub, name, getattr(self, name)[keep])
+        return sub
+
+    def upto(self, depth: int) -> "WalkTable":
+        """The walks of length at most ``depth``."""
+        keep = self.length <= depth
+        return self if keep.all() else self.subset(keep)
+
+    def _same_node(self, rows) -> np.ndarray:
+        """Per position pair of equal parity: both visit one base node."""
+        nodes = self._node_of[self._parity, rows]
+        p1, p2 = self._pairs
+        return (nodes[:, p1] == nodes[:, p2]) & (nodes[:, p1] >= 0)
+
+    def _edge_prefix(self, rows):
+        """Signed count of each position's edge before every position.
+
+        ``prefix[i, j, p]`` counts the edge at position j over positions
+        < p (p runs to the width, so the last entry is the whole walk);
+        ``first[i, j]`` marks the edge's first position in the row.
+        """
+        sign = np.where(rows < self.proto.n_edges, self._sign, 0).astype(np.int8)
+        same = rows[:, :, None] == rows[:, None, :]
+        inclusive = np.cumsum(same * sign[:, None, :], axis=2, dtype=np.int8)
+        prefix = np.concatenate(
+            [np.zeros(inclusive.shape[:2] + (1,), np.int8), inclusive], axis=2)
+        return prefix, ~np.tril(same, -1).any(axis=2)
+
+    def shift_dependence(self):
+        """Where the edge at its first position can change a walk's lift.
+
+        ``depends`` is True where the edge moves the total shift or the
+        partial-sum difference between two visits of one node, the
+        quantities that decide cycle order and realizability;
+        ``revisits`` marks the walks that visit some node twice.
+        """
+        depends = np.zeros(self.rows.shape, bool)
+        revisits = np.zeros(len(self), bool)
+        p1, p2 = self._pairs
+        for sl in self._blocks():
+            rows = self.rows[sl]
+            prefix, first = self._edge_prefix(rows)
+            same = self._same_node(rows)
+            moved = ((prefix[:, :, p2] != prefix[:, :, p1])
+                     & same[:, None, :]).any(axis=2)
+            depends[sl] = first & ((prefix[:, :, -1] != 0) | moved)
+            revisits[sl] = same.any(axis=1)
+        return depends, revisits
+
+    def totals(self, values: np.ndarray, ids=slice(None)) -> np.ndarray:
+        """The signed sum of per-edge ``values`` around each walk."""
+        return (self.coef[ids] * np.append(values, 0)[self.rows[ids]]).sum(axis=1)
+
+    def partials(self, rows, shifts: np.ndarray):
+        """Partial shift sums before each position, and the walk totals.
+
+        ``shifts`` holds the shift at every position of ``rows`` (0 on
+        padding).
+        """
+        signed = shifts * self._sign
+        inclusive = np.cumsum(signed, axis=1)
+        return inclusive - signed, inclusive[:, -1]
+
+    def lift_rows(self, rows, shifts: np.ndarray, Z: int):
+        """Total shift mod Z and realizability of walks given as rows.
+
+        The lift of a walk with total shift d is realized when no two
+        visits of one base node land on the same copy, i.e. their partial
+        sums differ modulo gcd(Z, d).
+        """
+        partial, total = self.partials(rows, shifts)
+        d = total % Z
+        residue = partial % np.gcd(d, Z)[:, None]
+        p1, p2 = self._pairs
+        clash = self._same_node(rows) & (residue[:, p1] == residue[:, p2])
+        return d, ~clash.any(axis=1)
+
+    def lift(self, shifts: np.ndarray, Z: int):
+        """Total shift mod Z and realizability of every walk."""
+        d = np.empty(len(self), np.int64)
+        realized = np.empty(len(self), bool)
+        ext = np.append(shifts, 0)
+        for sl in self._blocks():
+            rows = self.rows[sl]
+            d[sl], realized[sl] = self.lift_rows(rows, ext[rows], Z)
+        return d, realized
 
 
-def _is_realized(record: CycleRecord, partials, g: int) -> bool:
-    """No two visits of one base node may share a copy modulo gcd(Z, d)."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for p in range(len(record.edge_seq)):
-        node = record.check_seq[p // 2] if p % 2 == 0 else record.var_seq[p // 2]
-        groups.setdefault((p % 2, node), []).append(p)
-    for positions in groups.values():
-        if len(positions) < 2:
-            continue
-        residues = {partials[p] % g for p in positions}
-        if len(residues) < len(positions):
-            return False
-    return True
+def walk_table(proto: Protograph, depth: int, walks=None) -> WalkTable:
+    """The closed walks up to ``depth`` as a table.
+
+    ``walks`` may be None (enumerate them), a list of records (compile
+    it) or a table already compiled (returned as is).
+    """
+    if walks is None:
+        walks = enumerate_closed_walks(proto, depth)
+    return walks if isinstance(walks, WalkTable) else WalkTable(proto, walks)
 
 
-def _alternating_label_sum(record: CycleRecord, labels: dict[int, int]) -> int:
-    s = 0
-    for p, e in enumerate(record.edge_seq):
-        s += labels[e] if p % 2 == 0 else -labels[e]
-    return s
+def _edge_vector(values: dict[int, int]) -> np.ndarray:
+    return np.fromiter((values[e] for e in range(len(values))), np.int64,
+                       len(values))
 
 
-def _lift_chordless(record: CycleRecord, code: QcCode, partials, d: int,
-                    g: int) -> bool:
+def lift_walks(table: WalkTable, code: QcCode):
+    """Total shift, cycle order and realizability of every walk's lift."""
+    d, realized = table.lift(_edge_vector(code.shifts), code.Z)
+    return d, code.Z // np.gcd(d, code.Z), realized
+
+
+def _lift_chordless(record: CycleRecord, code: QcCode, partials, d: int) -> bool:
     """Minimality of the realized lifted cycles in the lifted graph.
 
     Builds one lifted cycle's vertex support and counts the edge copies
@@ -334,7 +462,7 @@ def _lift_chordless(record: CycleRecord, code: QcCode, partials, d: int,
     every induced copy, so the variable side needs no separate pass.
     """
     proto, Z = code.proto, code.Z
-    order = Z // g
+    order = Z // math.gcd(Z, d)
     check_copies: set[tuple[int, int]] = set()
     var_copies: set[tuple[int, int]] = set()
     for t in range(order):
@@ -357,48 +485,65 @@ def _lift_chordless(record: CycleRecord, code: QcCode, partials, d: int,
     return True
 
 
-def lift_is_minimal(base: CycleRecord, code: QcCode) -> bool:
-    """Whether the realized lifts of a base walk are chordless in the lift.
+def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
+    """Whether the lifts of walks ``ids`` are chordless in the lift.
 
-    Lifts of simple minimal base cycles always are; other walks need the
-    explicit support check.  Only meaningful for realized lifts.
+    ``d`` holds the total shifts of every walk in the table.  Lifts of
+    simple minimal base cycles always are; the other walks take the
+    explicit support check, one walk at a time.  Only meaningful for
+    realized lifts.
     """
-    if base.is_simple_minimal:
-        return True
-    partials, signed_total = _signed_partials(base, code.shifts)
-    d = signed_total % code.Z
-    g = math.gcd(code.Z, d)
-    return _lift_chordless(base, code, partials, d, g)
+    ids = np.asarray(ids, dtype=np.int64)
+    minimal = table.simple_minimal[ids]
+    if minimal.all():
+        return minimal
+    shifts = np.append(_edge_vector(code.shifts), 0)
+    for k in np.flatnonzero(~minimal):
+        i = ids[k]
+        rows = table.rows[i:i + 1]
+        partial, _ = table.partials(rows, shifts[rows])
+        minimal[k] = _lift_chordless(table.records[i], code,
+                                     partial[0].tolist(), int(d[i]))
+    return minimal
+
+
+def lift_is_minimal(base: CycleRecord, code: QcCode) -> bool:
+    """Whether the realized lifts of a base walk are chordless in the lift."""
+    table = WalkTable(code.proto, [base])
+    d, _order, _realized = lift_walks(table, code)
+    return bool(lifts_minimal(table, code, [0], d)[0])
+
+
+def _canceled(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
+    """Cancellation of the lifts of realized walks ``ids``.
+
+    A lift is canceled when it is chordless and O * (alternating label
+    sum) is nonzero mod (q-1).
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    order = code.Z // np.gcd(d[ids], code.Z)
+    sums = table.totals(_edge_vector(code.labels), ids)
+    canceled = (order * sums) % (code.field.q - 1) != 0
+    canceled[canceled] = lifts_minimal(table, code, ids[canceled], d)
+    return canceled
 
 
 def lift_cycle(base: CycleRecord, code: QcCode) -> LiftedCycleClass:
     """Order, multiplicity, realizability and cancellation of a walk's lift."""
-    Z = code.Z
-    partials, signed_total = _signed_partials(base, code.shifts)
-    d = signed_total % Z
-    g = math.gcd(Z, d)
-    order = Z // g
-    realized = _is_realized(base, partials, g)
-    canceled: bool | None = None
+    table = WalkTable(code.proto, [base])
+    d, order, realized = lift_walks(table, code)
+    order = int(order[0])
+    canceled = None
     if code.labels is not None:
-        minimal = realized and (
-            base.is_simple_minimal
-            or _lift_chordless(base, code, partials, d, g)
-        )
-        if minimal:
-            qm1 = code.field.q - 1
-            s = _alternating_label_sum(base, code.labels)
-            canceled = (order * s) % qm1 != 0
-        else:
-            canceled = False
+        canceled = bool(_canceled(table, code, np.flatnonzero(realized), d).any())
     return LiftedCycleClass(
         base=base,
-        total_shift=d,
+        total_shift=int(d[0]),
         order=order,
-        count=g,
+        count=code.Z // order,
         lifted_len=base.length * order,
         lifted_ace=base.ace * order,
-        realized=realized,
+        realized=bool(realized[0]),
         canceled=canceled,
     )
 
@@ -463,43 +608,36 @@ def frc_lifted(base: CycleRecord, code: QcCode) -> bool:
         )
     if code.labels is None:
         raise ValueError("code has no label assignment")
-    lc = lift_cycle(base, code)
-    qm1 = code.field.q - 1
-    s = _alternating_label_sum(base, code.labels)
-    return (lc.order * s) % qm1 != 0
+    return lift_cycle(base, code).canceled
 
 
 def _spectrum(code: QcCode, depth: int, walks, skip_canceled: bool) -> AceSpectrum:
-    spectrum = AceSpectrum(depth)
-    for rec in walks:
-        lc = lift_cycle(rec, code)
-        if not lc.realized or lc.lifted_len > depth:
-            continue
-        if skip_canceled and lc.canceled:
-            continue
-        spectrum.min_update(lc.lifted_len, lc.lifted_ace)
-    return spectrum
+    """Group-by-min of lifted ACE over the realized lifts within ``depth``."""
+    table = walk_table(code.proto, depth, walks).upto(depth)
+    d, order, realized = lift_walks(table, code)
+    lifted_len = table.length * order
+    ids = np.flatnonzero(realized & (lifted_len <= depth))
+    if skip_canceled:
+        ids = ids[~_canceled(table, code, ids, d)]
+    best = np.full(depth // 2 + 1, INF)
+    np.minimum.at(best, lifted_len[ids] // 2, table.ace[ids] * order[ids])
+    return AceSpectrum(depth, {2 * i: int(v) for i, v in enumerate(best)
+                               if i and v != INF})
 
 
-def binary_ace_spectrum(
-    code: QcCode, depth: int, walks=None, max_records: int | None = None
-) -> AceSpectrum:
-    """Minimum lifted-cycle ACE per even length, labels ignored."""
-    if walks is None:
-        kwargs = {} if max_records is None else {"max_records": max_records}
-        walks = enumerate_closed_walks(code.proto, depth, **kwargs)
+def binary_ace_spectrum(code: QcCode, depth: int, walks=None) -> AceSpectrum:
+    """Minimum lifted-cycle ACE per even length, labels ignored.
+
+    ``walks`` is a record list or a :class:`WalkTable`; walks longer than
+    ``depth`` are ignored, and None enumerates them.
+    """
     return _spectrum(code, depth, walks, skip_canceled=False)
 
 
-def nb_ace_spectrum(
-    code: QcCode, depth: int, walks=None, max_records: int | None = None
-) -> AceSpectrum:
+def nb_ace_spectrum(code: QcCode, depth: int, walks=None) -> AceSpectrum:
     """Like the binary spectrum, but canceled cycles leave the minimum."""
     if code.labels is None:
         raise ValueError("NB spectrum requires a label assignment")
-    if walks is None:
-        kwargs = {} if max_records is None else {"max_records": max_records}
-        walks = enumerate_closed_walks(code.proto, depth, **kwargs)
     return _spectrum(code, depth, walks, skip_canceled=True)
 
 

@@ -1,13 +1,20 @@
 """ACE-constrained shift and label assignment by iterative edge sweeps.
 
 Both stages share one skeleton: collect the problematic base walks (those a
-bad assignment could turn into short low-ACE lifted cycles), start from a
-seeded random assignment, then repeatedly scan the edges and give each edge
-the candidate value that minimizes the number of still-violating walks.
+bad assignment could turn into short low-ACE lifted cycles) as a walk
+table, start from a seeded random assignment, then repeatedly scan the
+edges and give each edge the candidate value that minimizes the number of
+still-violating walks.
 The shift stage works on cyclic shifts in [0, Z-1]; the label stage works
 on exponents in [0, q-2] with the full-rank cancellation condition deciding
 violations.  Restarts redraw the initial assignment (and the edge order,
 under the shuffled policy).
+
+Each walk carries one linear functional of the per-edge values, its total
+shift or its alternating label sum, so a tracker moves every walk through
+an edge by coefficient times change, for all candidate values at once.
+The shift tracker re-lifts only walks that revisit a node, and only for
+candidates whose cycle order already violates.
 
 Success is never taken from internal bookkeeping alone: a reported success
 re-verifies the achieved spectrum through the lifting module.
@@ -21,13 +28,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gf import Field
-from .lift import (
+from .lift import (  # lift_cycle, lift_is_minimal: traced by perfbench/spans.py
     AceConstraint,
     QcCode,
+    WalkTable,
     binary_ace_spectrum,
     lift_cycle,
     lift_is_minimal,
+    lift_walks,
+    lifts_minimal,
     nb_ace_spectrum,
+    walk_table,
 )
 from .protograph import CycleRecord, Protograph, enumerate_closed_walks
 
@@ -48,18 +59,13 @@ class OptimizerConfig:
 
 @dataclass
 class ProblemSet:
-    """Problematic walks plus the edge -> walk membership index."""
+    """Problematic walks as a compiled walk table."""
 
-    cycles: list[CycleRecord]
-    index: dict[int, list[int]]
+    table: WalkTable
 
-    @classmethod
-    def from_cycles(cls, cycles: list[CycleRecord]) -> "ProblemSet":
-        index: dict[int, list[int]] = {}
-        for i, rec in enumerate(cycles):
-            for e in sorted(set(rec.edge_seq)):
-                index.setdefault(e, []).append(i)
-        return cls(cycles, index)
+    @property
+    def cycles(self) -> list[CycleRecord]:
+        return self.table.records
 
 
 @dataclass
@@ -81,11 +87,29 @@ class OptimizeResult:
         }
 
 
+def _violates(lifted_len, lifted_ace, constraint: AceConstraint) -> np.ndarray:
+    """Lifted lengths within the constraint depth with ACE below it there."""
+    depth = constraint.depth
+    thr = np.full(depth // 2 + 1, -1.0)
+    for ll in constraint.lengths():
+        thr[ll // 2] = constraint.values[ll]
+    ok = lifted_len <= depth
+    return ok & (lifted_ace < thr[np.minimum(lifted_len, depth) // 2])
+
+
+def _order_violations(table: WalkTable, orders: np.ndarray,
+                      constraint: AceConstraint) -> np.ndarray:
+    """(walks, orders): a lift of that cycle order violates the constraint."""
+    unique = sorted(set(orders.tolist()))
+    return np.stack([_violates(table.length * o, table.ace * o, constraint)
+                     for o in unique], axis=1)[:, np.searchsorted(unique, orders)]
+
+
 def find_problematic_binary(
     proto: Protograph,
     Z: int,
     constraint: AceConstraint,
-    walks: list[CycleRecord] | None = None,
+    walks=None,
 ) -> ProblemSet:
     """Base walks that some shift assignment could turn into violations.
 
@@ -94,196 +118,151 @@ def find_problematic_binary(
     constraint depth with lifted ACE below the constraint there.  All other
     walks satisfy the constraint under every assignment.
     """
-    if walks is None:
-        walks = enumerate_closed_walks(proto, constraint.depth)
-    divisors = [o for o in range(1, Z + 1) if Z % o == 0]
-    problematic = []
-    for rec in walks:
-        for o in divisors:
-            ll = rec.length * o
-            if ll > constraint.depth:
-                continue
-            if rec.ace * o < constraint.values[ll]:
-                problematic.append(rec)
-                break
-    return ProblemSet.from_cycles(problematic)
+    table = walk_table(proto, constraint.depth, walks)
+    divisors = np.array([o for o in range(1, Z + 1) if Z % o == 0])
+    return ProblemSet(table.subset(
+        _order_violations(table, divisors, constraint).any(axis=1)))
 
 
-def _walk_signs(rec: CycleRecord) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.array(rec.edge_seq, dtype=np.int64)
-    signs = np.array([1 if p % 2 == 0 else -1 for p in range(rec.length)],
-                     dtype=np.int64)
-    return edges, signs
+def _incidence(table: WalkTable, depends: np.ndarray):
+    """Edge -> (walk ids, coefficients) over the marked first positions."""
+    walk, pos = np.nonzero(depends)
+    edges, coefs = table.rows[walk, pos], table.coef[walk, pos].astype(np.int64)
+    return {int(e): (walk[edges == e], coefs[edges == e])
+            for e in np.flatnonzero(np.bincount(edges))}
 
 
-def _node_groups(rec: CycleRecord) -> list[list[int]]:
-    """Edge-sequence positions grouped by repeated base node."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for p in range(rec.length):
-        node = rec.check_seq[p // 2] if p % 2 == 0 else rec.var_seq[p // 2]
-        groups.setdefault((p % 2, node), []).append(p)
-    return [ps for ps in groups.values() if len(ps) >= 2]
+class _Tracker:
+    """Incremental violation counting over one linear functional per walk.
 
+    Walk i carries ``cur[i]``, its functional of the per-edge values modulo
+    ``mod[i]``; moving edge e by delta moves it by coef[i, e] * delta.
+    ``by_edge[e]`` holds the walks whose violation can depend on edge e.
+    Subclasses set the functional in ``reset`` and say in ``_violates``
+    when a walk violates.
+    """
 
-def _pair_functionals(rec: CycleRecord) -> list[dict[int, int]]:
-    """Edge coefficient maps of the partial-sum difference of each node pair."""
-    edges, signs = _walk_signs(rec)
-    funcs = []
-    for group in _node_groups(rec):
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                p1, p2 = group[a], group[b]
-                coef: dict[int, int] = {}
-                for p in range(p1, p2):
-                    e = int(edges[p])
-                    coef[e] = coef.get(e, 0) + int(signs[p])
-                funcs.append({e: c for e, c in coef.items() if c})
-    return funcs
+    n_permanent = 0
 
-
-class _ShiftTracker:
-    """Incremental violation counting for the shift stage."""
-
-    def __init__(self, cycles: list[CycleRecord], Z: int,
-                 constraint: AceConstraint):
-        self.Z = Z
-        self.n = len(cycles)
-        self.cycles = cycles
-        gcd_by_d = np.array([math.gcd(Z, d) for d in range(Z)], dtype=np.int64)
-        order_by_d = Z // gcd_by_d
-        self.gcd_by_d = gcd_by_d
-
-        # violation-by-total-shift lookup (length/ACE part only)
-        depth = constraint.depth
-        thr = np.full(depth // 2 + 1, -1.0)
-        for ll in constraint.lengths():
-            thr[ll // 2] = constraint.values[ll]
-        self.viol_by_d = np.zeros((self.n, Z), dtype=bool)
-        self.coef: list[dict[int, int]] = []
-        self.pairs: list[list[dict[int, int]]] = []
-        for i, rec in enumerate(cycles):
-            ll = rec.length * order_by_d
-            ok = ll <= depth
-            t = np.where(ok, thr[np.minimum(ll, depth) // 2], -1.0)
-            self.viol_by_d[i] = ok & (rec.ace * order_by_d < t)
-            edges, signs = _walk_signs(rec)
-            cmap: dict[int, int] = {}
-            for e, s in zip(edges.tolist(), signs.tolist()):
-                cmap[e] = cmap.get(e, 0) + s
-            self.coef.append({e: c for e, c in cmap.items() if c})
-            self.pairs.append(_pair_functionals(rec))
-
-        # per-edge incidence split into a fast path (no node collisions to
-        # track) and a slow path
-        self.simple_ids: dict[int, np.ndarray] = {}
-        self.simple_coefs: dict[int, np.ndarray] = {}
-        self.slow_ids: dict[int, list[int]] = {}
-        touched: dict[int, set[int]] = {}
-        for i, rec in enumerate(cycles):
-            dep = set(self.coef[i])
-            for f in self.pairs[i]:
-                dep |= set(f)
-            for e in dep:
-                touched.setdefault(e, set()).add(i)
-        for e, ids in touched.items():
-            fast, slow = [], []
-            for i in sorted(ids):
-                (slow if self.pairs[i] else fast).append(i)
-            if fast:
-                self.simple_ids[e] = np.array(fast, dtype=np.int64)
-                self.simple_coefs[e] = np.array(
-                    [self.coef[i].get(e, 0) for i in fast], dtype=np.int64
-                )
-            if slow:
-                self.slow_ids[e] = slow
-
-        self.d_cur = np.zeros(self.n, dtype=np.int64)
-        self.pair_vals: list[list[int]] = [[] for _ in range(self.n)]
-        self.violated = np.zeros(self.n, dtype=bool)
+    def __init__(self, table: WalkTable, mod: np.ndarray, depends: np.ndarray,
+                 n_values: int):
+        self.table = table
+        self.n = len(table)
+        self.mod = mod
+        self.n_values = n_values
+        self.by_edge = _incidence(table, depends)
         self.total = 0
-        self._shifts: np.ndarray | None = None
 
-    def reset(self, shifts: np.ndarray) -> None:
-        self._shifts = shifts
-        for i, rec in enumerate(self.cycles):
-            edges, signs = _walk_signs(rec)
-            self.d_cur[i] = int(np.dot(signs, shifts[edges])) % self.Z
-            self.pair_vals[i] = [
-                sum(c * int(shifts[e]) for e, c in f.items())
-                for f in self.pairs[i]
-            ]
-            self.violated[i] = self._violates(i, self.d_cur[i], self.pair_vals[i])
-        self.total = int(self.violated.sum())
-
-    def _violates(self, i: int, d: int, pvals: list[int]) -> bool:
-        if not self.viol_by_d[i, d]:
-            return False
-        g = int(self.gcd_by_d[d])
-        return all(pv % g != 0 for pv in pvals)
+    def _violates(self, ids, cur, e, cand) -> np.ndarray:
+        raise NotImplementedError
 
     def eval_edge(self, e: int) -> tuple[int, np.ndarray] | None:
-        """Violation count among affected cycles, per candidate shift."""
-        fast = self.simple_ids.get(e)
-        slow = self.slow_ids.get(e)
-        if fast is None and slow is None:
+        """Violation count among affected walks, per candidate value."""
+        hit = self.by_edge.get(e)
+        if hit is None:
             return None
-        x = int(self._shifts[e])
-        counts = np.zeros(self.Z, dtype=np.int64)
-        for y in range(self.Z):
-            delta = y - x
-            cnt = 0
-            if fast is not None:
-                d_new = (self.d_cur[fast] + self.simple_coefs[e] * delta) % self.Z
-                cnt += int(self.viol_by_d[fast, d_new].sum())
-            if slow is not None:
-                for i in slow:
-                    d_new = (self.d_cur[i] + self.coef[i].get(e, 0) * delta) % self.Z
-                    pv = [
-                        v + f.get(e, 0) * delta
-                        for v, f in zip(self.pair_vals[i], self.pairs[i])
-                    ]
-                    cnt += self._violates(i, int(d_new), pv)
-            counts[y] = cnt
-        return x, counts
+        ids, coefs = hit
+        x = int(self.values[e])
+        cand = np.arange(self.n_values)
+        cur = (self.cur[ids, None] + coefs[:, None] * (cand - x)) % self.mod[ids, None]
+        return x, self._violates(ids, cur, e, cand).sum(axis=0)
 
     def apply(self, e: int, y: int) -> None:
-        x = int(self._shifts[e])
+        x = int(self.values[e])
         if y == x:
             return
-        delta = y - x
-        self._shifts[e] = y
-        fast = self.simple_ids.get(e)
-        if fast is not None:
-            d_new = (self.d_cur[fast] + self.simple_coefs[e] * delta) % self.Z
-            self.d_cur[fast] = d_new
-            new_viol = self.viol_by_d[fast, d_new]
-            self.total += int(new_viol.sum()) - int(self.violated[fast].sum())
-            self.violated[fast] = new_viol
-        for i in self.slow_ids.get(e, ()):
-            self.d_cur[i] = (self.d_cur[i] + self.coef[i].get(e, 0) * delta) % self.Z
-            self.pair_vals[i] = [
-                v + f.get(e, 0) * delta
-                for v, f in zip(self.pair_vals[i], self.pairs[i])
-            ]
-            new_v = self._violates(i, int(self.d_cur[i]), self.pair_vals[i])
-            self.total += int(new_v) - int(self.violated[i])
-            self.violated[i] = new_v
+        self.values[e] = y
+        if e not in self.by_edge:
+            return
+        ids, coefs = self.by_edge[e]
+        cur = (self.cur[ids] + coefs * (y - x)) % self.mod[ids]
+        self.cur[ids] = cur
+        new_viol = self._violates(ids, cur[:, None], e, np.array([y]))[:, 0]
+        self.total += int(new_viol.sum()) - int(self.violated[ids].sum())
+        self.violated[ids] = new_viol
 
     def worst_violated(self) -> dict | None:
         if self.total == 0:
             return None
-        best = None
-        for i in np.flatnonzero(self.violated):
-            rec = self.cycles[int(i)]
-            key = (rec.length, rec.ace, rec.edge_seq)
-            if best is None or key < best[0]:
-                best = (key, int(self.d_cur[int(i)]))
-        (length, ace, _), d = best
-        return {"length": length, "ace": ace, "total_shift": d}
+        recs = self.table.records
+        i = min(np.flatnonzero(self.violated).tolist(),
+                key=lambda i: (recs[i].length, recs[i].ace, recs[i].edge_seq))
+        return {"length": recs[i].length, "ace": recs[i].ace,
+                "total_shift": int(self.total_shift[i])}
 
 
-def _sweep(tracker, order: np.ndarray, values: np.ndarray,
-           max_sweeps: int, history: list | None) -> int:
+class _ShiftTracker(_Tracker):
+    """Shift stage: the functional is the total shift modulo Z.
+
+    A walk violates when its cycle order puts the lift within the
+    constraint with too little ACE and the lift is realized.  Total shifts
+    move incrementally; only walks that revisit a node are re-lifted, and
+    only for candidates whose order already violates.
+    """
+
+    def __init__(self, table: WalkTable, Z: int, constraint: AceConstraint):
+        depends, self.revisits = table.shift_dependence()
+        super().__init__(table, np.full(len(table), Z), depends, Z)
+        self.Z = Z
+        self.viol_by_d = _order_violations(table, Z // np.gcd(np.arange(Z), Z),
+                                           constraint)
+
+    def reset(self, shifts: np.ndarray) -> None:
+        self.values = shifts
+        d, realized = self.table.lift(shifts, self.Z)
+        self.cur = self.total_shift = d  # one array: apply moves both
+        self.violated = self.viol_by_d[np.arange(self.n), d] & realized
+        self.total = int(self.violated.sum())
+
+    def _violates(self, ids, d, e, cand) -> np.ndarray:
+        viol = self.viol_by_d[ids[:, None], d]
+        w, j = np.nonzero(viol & self.revisits[ids, None])
+        if w.size:
+            rows = self.table.rows[ids[w]]
+            shifts = np.where(rows == e, cand[j, None],
+                              np.append(self.values, 0)[rows])
+            viol[w, j] = self.table.lift_rows(rows, shifts, self.Z)[1]
+        return viol
+
+
+class _LabelTracker(_Tracker):
+    """Label stage: the functional is the alternating label-exponent sum.
+
+    Shifts are frozen, so the problematic walks are those whose realized
+    lifts fall within the constraint with too little ACE.  A problematic
+    lift of order O stays uncanceled (violates) while the sum is 0 modulo
+    (q-1)/gcd(q-1, O).  Lifts with chorded supports (or a modulus of 1, as
+    over GF(2)) can never be canceled and count as permanent violations.
+    """
+
+    def __init__(self, code: QcCode, table: WalkTable,
+                 constraint: AceConstraint):
+        table = table.upto(constraint.depth)
+        d, order, realized = lift_walks(table, code)
+        problem = realized & _violates(table.length * order,
+                                       table.ace * order, constraint)
+        ids = np.flatnonzero(problem)
+        q = code.field.q
+        m = (q - 1) // np.gcd(q - 1, order[ids])
+        cancelable = lifts_minimal(table, code, ids, d) & (m > 1)
+        table = table.subset(problem)
+        super().__init__(table, np.where(cancelable, m, 1),
+                         (table.coef != 0) & cancelable[:, None], q - 1)
+        self.n_permanent = int((~cancelable).sum())
+        self.total_shift = d[ids]
+
+    def reset(self, labels: np.ndarray) -> None:
+        self.values = labels
+        self.cur = self.table.totals(labels) % self.mod
+        self.violated = self.cur == 0
+        self.total = int(self.violated.sum())
+
+    def _violates(self, ids, cur, e, cand) -> np.ndarray:
+        return cur == 0
+
+
+def _sweep(tracker, order: np.ndarray, max_sweeps: int,
+           history: list | None) -> int:
     """Edge sweeps until clean, converged, or the sweep cap; returns sweeps."""
     sweeps = 0
     for _ in range(max_sweeps):
@@ -297,7 +276,6 @@ def _sweep(tracker, order: np.ndarray, values: np.ndarray,
                 best_y = int(np.argmin(counts))  # argmin takes the smallest tie
                 if best_y != x:
                     tracker.apply(e, best_y)
-                    values[e] = best_y
                     changed = True
             if history is not None:
                 history.append(tracker.total)
@@ -306,168 +284,88 @@ def _sweep(tracker, order: np.ndarray, values: np.ndarray,
     return sweeps
 
 
-def assign_shifts(
-    proto: Protograph,
-    Z: int,
-    constraint: AceConstraint,
-    cfg: OptimizerConfig,
-    walks: list[CycleRecord] | None = None,
-    history: list | None = None,
-) -> OptimizeResult:
-    """Search shift assignments whose lifted binary spectrum meets the constraint."""
-    if walks is None:
-        walks = enumerate_closed_walks(proto, constraint.depth)
-    problem = find_problematic_binary(proto, Z, constraint, walks)
-    tracker = _ShiftTracker(problem.cycles, Z, constraint)
-    rng = np.random.default_rng(cfg.rng_seed)
-    n_edges = proto.n_edges
+def _optimize(tracker: _Tracker, n_edges: int, cfg: OptimizerConfig,
+              history: list | None) -> OptimizeResult:
+    """Seeded restarts of edge sweeps, shared by both stages.
 
+    Each restart draws the initial values, then the edge order.  With
+    permanent violations no assignment can succeed, so a single restart
+    produces the best-effort failure report.
+    """
+    rng = np.random.default_rng(cfg.rng_seed)
+    restarts = 1 if tracker.n_permanent > 0 else cfg.max_restarts
     best: tuple[int, np.ndarray, dict | None] | None = None
     sweeps_total = 0
-    for restart in range(1, cfg.max_restarts + 1):
-        shifts = rng.integers(0, Z, size=n_edges, dtype=np.int64)
+    for restart in range(1, restarts + 1):
+        values = rng.integers(0, tracker.n_values, size=n_edges, dtype=np.int64)
         order = (
             rng.permutation(n_edges)
             if cfg.edge_order_policy == "shuffled"
             else np.arange(n_edges)
         )
-        tracker.reset(shifts)
-        if tracker.total > 0:
-            sweeps_total += _sweep(tracker, order, shifts,
-                                   cfg.max_sweeps, history)
+        tracker.reset(values)  # the tracker moves ``values`` in place
+        if tracker.total > 0 and tracker.n_permanent < tracker.n:
+            sweeps_total += _sweep(tracker, order, cfg.max_sweeps, history)
         if tracker.total == 0:
-            result = OptimizeResult(
+            return OptimizeResult(
                 success=True,
-                assignment={e: int(shifts[e]) for e in range(n_edges)},
+                assignment={e: int(values[e]) for e in range(n_edges)},
                 residual=0,
                 sweeps_used=sweeps_total,
                 restarts_used=restart,
                 worst_cycle=None,
             )
-            _verify_binary(proto, Z, result.assignment, constraint, walks)
-            return result
         if best is None or tracker.total < best[0]:
-            best = (tracker.total, shifts.copy(), tracker.worst_violated())
-    residual, shifts, worst = best
+            best = (tracker.total, values.copy(), tracker.worst_violated())
+    residual, values, worst = best
     return OptimizeResult(
         success=False,
-        assignment={e: int(shifts[e]) for e in range(n_edges)},
+        assignment={e: int(values[e]) for e in range(n_edges)},
         residual=residual,
         sweeps_used=sweeps_total,
-        restarts_used=cfg.max_restarts,
+        restarts_used=restarts,
         worst_cycle=worst,
     )
 
 
-def _verify_binary(proto, Z, shifts, constraint, walks) -> None:
-    code = QcCode(proto, Z, Field(1), shifts)
-    achieved = binary_ace_spectrum(code, constraint.depth, walks=walks)
+def _check_success(kind: str, achieved: AceConstraint,
+                   constraint: AceConstraint) -> None:
     if not achieved.achieves(constraint):
         raise RuntimeError(
-            "internal bookkeeping error: reported success but spectrum "
-            f"{achieved.format()} misses the constraint {constraint.format()}"
+            f"internal bookkeeping error: reported success but {kind} "
+            f"spectrum {achieved.format()} misses {constraint.format()}"
         )
 
 
-class _LabelTracker:
-    """Incremental violation counting for the label stage.
+def assign_shifts(
+    proto: Protograph,
+    Z: int,
+    constraint: AceConstraint,
+    cfg: OptimizerConfig,
+    walks=None,
+    history: list | None = None,
+) -> OptimizeResult:
+    """Search shift assignments whose lifted binary spectrum meets the constraint.
 
-    Violation of a problematic cycle means its lift stays uncanceled: the
-    alternating exponent sum is 0 modulo (q-1)/gcd(q-1, O).  Cycles whose
-    lifts have chorded supports (or a modulus of 1, as over GF(2)) can
-    never be canceled and count as permanent violations.
+    ``walks`` is a record list or a :class:`WalkTable`; walks longer than
+    the constraint depth are ignored, and None enumerates them.
     """
-
-    def __init__(self, items: list[tuple[CycleRecord, int, int, bool]], q: int):
-        # items: (record, order, total_shift, lift_minimal) per cycle
-        self.q = q
-        self.items = items
-        self.n = len(items)
-        self.mod = np.ones(self.n, dtype=np.int64)
-        self.coef: list[dict[int, int]] = []
-        self.permanent = np.zeros(self.n, dtype=bool)
-        for i, (rec, order, _d, minimal) in enumerate(items):
-            m = (q - 1) // math.gcd(q - 1, order) if q > 2 else 1
-            cancelable = minimal and m > 1
-            self.mod[i] = m if cancelable else 1
-            self.permanent[i] = not cancelable
-            edges, signs = _walk_signs(rec)
-            cmap: dict[int, int] = {}
-            for e, s in zip(edges.tolist(), signs.tolist()):
-                cmap[e] = cmap.get(e, 0) + s
-            self.coef.append({e: c for e, c in cmap.items() if c})
-
-        self.by_edge: dict[int, np.ndarray] = {}
-        self.by_edge_coefs: dict[int, np.ndarray] = {}
-        touched: dict[int, list[int]] = {}
-        for i in range(self.n):
-            if self.permanent[i]:
-                continue
-            for e, c in self.coef[i].items():
-                touched.setdefault(e, []).append(i)
-        for e, ids in touched.items():
-            self.by_edge[e] = np.array(ids, dtype=np.int64)
-            self.by_edge_coefs[e] = np.array(
-                [self.coef[i][e] for i in ids], dtype=np.int64
-            )
-
-        self.n_permanent = int(self.permanent.sum())
-        self.s_cur = np.zeros(self.n, dtype=np.int64)
-        self.violated = np.zeros(self.n, dtype=bool)
-        self.total = 0
-        self._labels: np.ndarray | None = None
-
-    def reset(self, labels: np.ndarray) -> None:
-        self._labels = labels
-        for i, (rec, _o, _d, _minimal) in enumerate(self.items):
-            edges, signs = _walk_signs(rec)
-            self.s_cur[i] = int(np.dot(signs, labels[edges])) % self.mod[i]
-        self.violated = self.permanent | (self.s_cur % self.mod == 0)
-        self.total = int(self.violated.sum())
-
-    def eval_edge(self, e: int):
-        ids = self.by_edge.get(e)
-        if ids is None:
-            return None
-        x = int(self._labels[e])
-        coefs = self.by_edge_coefs[e]
-        n_cand = self.q - 1
-        counts = np.zeros(n_cand, dtype=np.int64)
-        for y in range(n_cand):
-            s_new = (self.s_cur[ids] + coefs * (y - x)) % self.mod[ids]
-            counts[y] = int((s_new == 0).sum())
-        return x, counts
-
-    def apply(self, e: int, y: int) -> None:
-        x = int(self._labels[e])
-        if y == x:
-            return
-        self._labels[e] = y
-        ids = self.by_edge[e]
-        s_new = (self.s_cur[ids] + self.by_edge_coefs[e] * (y - x)) % self.mod[ids]
-        self.s_cur[ids] = s_new
-        new_viol = s_new == 0
-        self.total += int(new_viol.sum()) - int(self.violated[ids].sum())
-        self.violated[ids] = new_viol
-
-    def worst_violated(self) -> dict | None:
-        if self.total == 0:
-            return None
-        best = None
-        for i in np.flatnonzero(self.violated):
-            rec, _o, d, _minimal = self.items[int(i)]
-            key = (rec.length, rec.ace, rec.edge_seq)
-            if best is None or key < best[0]:
-                best = (key, d)
-        (length, ace, _), d = best
-        return {"length": length, "ace": ace, "total_shift": d}
+    table = walk_table(proto, constraint.depth, walks)
+    problem = find_problematic_binary(proto, Z, constraint, table)
+    result = _optimize(_ShiftTracker(problem.table, Z, constraint),
+                       proto.n_edges, cfg, history)
+    if result.success:
+        code = QcCode(proto, Z, Field(1), result.assignment)
+        _check_success("binary", binary_ace_spectrum(
+            code, constraint.depth, walks=table), constraint)
+    return result
 
 
 def assign_labels(
     code: QcCode,
     constraint_nb: AceConstraint,
     cfg: OptimizerConfig,
-    walks: list[CycleRecord] | None = None,
+    walks=None,
     history: list | None = None,
 ) -> OptimizeResult:
     """Search label exponents whose NB spectrum meets the constraint.
@@ -477,67 +375,14 @@ def assign_labels(
     cancellation hypothesis (chorded lift support) the search cannot
     succeed and a single best-effort restart produces the failure report.
     """
-    proto = code.proto
-    q = code.field.q
-    if walks is None:
-        walks = enumerate_closed_walks(proto, constraint_nb.depth)
-    items = []
-    for rec in walks:
-        lc = lift_cycle(rec, code)
-        if not lc.realized or lc.lifted_len > constraint_nb.depth:
-            continue
-        if lc.lifted_ace < constraint_nb.values[lc.lifted_len]:
-            items.append((rec, lc.order, lc.total_shift,
-                          lift_is_minimal(rec, code)))
-    tracker = _LabelTracker(items, q)
-    rng = np.random.default_rng(cfg.rng_seed)
-    n_edges = proto.n_edges
-    restart_cap = 1 if tracker.n_permanent > 0 else cfg.max_restarts
-
-    best: tuple[int, np.ndarray, dict | None] | None = None
-    sweeps_total = 0
-    for restart in range(1, restart_cap + 1):
-        labels = rng.integers(0, q - 1, size=n_edges, dtype=np.int64)
-        order = (
-            rng.permutation(n_edges)
-            if cfg.edge_order_policy == "shuffled"
-            else np.arange(n_edges)
-        )
-        tracker.reset(labels)
-        if tracker.total > 0 and tracker.n_permanent < tracker.n:
-            sweeps_total += _sweep(tracker, order, labels,
-                                   cfg.max_sweeps, history)
-        if tracker.total == 0:
-            result = OptimizeResult(
-                success=True,
-                assignment={e: int(labels[e]) for e in range(n_edges)},
-                residual=0,
-                sweeps_used=sweeps_total,
-                restarts_used=restart,
-                worst_cycle=None,
-            )
-            achieved = nb_ace_spectrum(
-                code.with_labels(result.assignment), constraint_nb.depth,
-                walks=walks,
-            )
-            if not achieved.achieves(constraint_nb):
-                raise RuntimeError(
-                    "internal bookkeeping error: reported success but NB "
-                    f"spectrum {achieved.format()} misses "
-                    f"{constraint_nb.format()}"
-                )
-            return result
-        if best is None or tracker.total < best[0]:
-            best = (tracker.total, labels.copy(), tracker.worst_violated())
-    residual, labels, worst = best
-    return OptimizeResult(
-        success=False,
-        assignment={e: int(labels[e]) for e in range(n_edges)},
-        residual=residual,
-        sweeps_used=sweeps_total,
-        restarts_used=restart_cap,
-        worst_cycle=worst,
-    )
+    table = walk_table(code.proto, constraint_nb.depth, walks)
+    result = _optimize(_LabelTracker(code, table, constraint_nb),
+                       code.proto.n_edges, cfg, history)
+    if result.success:
+        _check_success("NB", nb_ace_spectrum(
+            code.with_labels(result.assignment), constraint_nb.depth,
+            walks=table), constraint_nb)
+    return result
 
 
 @dataclass
@@ -593,7 +438,7 @@ def spectrum_search(
     """
     if max_depth < 2 or max_depth % 2:
         raise ValueError("max_depth must be even and >= 2")
-    walks = enumerate_closed_walks(proto, max_depth)
+    walks = WalkTable(proto, enumerate_closed_walks(proto, max_depth))
     depth = min(4, max_depth)
 
     attempt_idx = 0
@@ -603,18 +448,16 @@ def spectrum_search(
         attempt_idx += 1
         sub = replace(cfg, rng_seed=(cfg.rng_seed * 1_000_003 + attempt_idx)
                       % (1 << 63))
-        wb = [w for w in walks if w.length <= tb.depth]
-        wnb = [w for w in walks if w.length <= tnb.depth]
-        rs = assign_shifts(proto, Z, tb, sub, walks=wb)
+        rs = assign_shifts(proto, Z, tb, sub, walks=walks)
         if not rs.success:
             return None
         code = QcCode(proto, Z, field, rs.assignment, None, lambda_mult)
-        rl = assign_labels(code, tnb, sub, walks=wnb)
+        rl = assign_labels(code, tnb, sub, walks=walks)
         if not rl.success:
             return None
         code = code.with_labels(rl.assignment)
-        achieved_b = binary_ace_spectrum(code, tb.depth, walks=wb)
-        achieved_nb = nb_ace_spectrum(code, tnb.depth, walks=wnb)
+        achieved_b = binary_ace_spectrum(code, tb.depth, walks=walks)
+        achieved_nb = nb_ace_spectrum(code, tnb.depth, walks=walks)
         return SearchCandidate(achieved_b, achieved_nb, code)
 
     current = attempt(AceConstraint.all_zero(depth), AceConstraint.all_zero(depth))
@@ -634,10 +477,9 @@ def spectrum_search(
                 adopted = attempt(tb, _raise_to(current.nb, tb))
         if adopted is None and current.binary.depth + 2 <= max_depth:
             new_depth = current.binary.depth + 2
-            wd = [w for w in walks if w.length <= new_depth]
             adopted = SearchCandidate(
-                binary_ace_spectrum(current.code, new_depth, walks=wd),
-                nb_ace_spectrum(current.code, new_depth, walks=wd),
+                binary_ace_spectrum(current.code, new_depth, walks=walks),
+                nb_ace_spectrum(current.code, new_depth, walks=walks),
                 current.code,
             )
         if adopted is None:

@@ -38,6 +38,10 @@ class SimConfig:
         self.snr_points_db = tuple(float(s) for s in self.snr_points_db)
         if not self.snr_points_db:
             raise ValueError("need at least one SNR point")
+        for s in self.snr_points_db:
+            if math.isnan(s) or s == -math.inf:
+                raise ValueError(f"SNR point {s} is not a channel; "
+                                 "only +inf (noiseless) may be infinite")
         if self.min_block_errors < 1:
             raise ValueError("min_block_errors must be >= 1")
         if self.max_frames < 1:
@@ -227,13 +231,12 @@ def run_campaign(code: QcCode, cfg: SimConfig, workers: int = 1) -> SimResult:
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    info_positions = None
-    if cfg.mode == TRANSMIT_RANDOM:
-        # builds the echelon form up front: aborts with the rank report
-        # before any frames and records the systematic permutation
-        info_positions = Encoder(expand(code)).info_positions
+    # built up front: a rank-deficient code aborts with the rank report
+    # before any frames, and the encoder records the systematic permutation
+    evaluator = _FrameEvaluator(code, cfg)
+    info_positions = (evaluator.encoder.info_positions
+                      if evaluator.encoder is not None else None)
     if workers == 1:
-        evaluator = _FrameEvaluator(code, cfg)
         points = [
             _run_point(snr, cfg, lambda frames, s=snr: map(
                 evaluator.eval, [s] * len(frames), frames))

@@ -329,3 +329,96 @@ def test_gf2_end_to_end(tmp_path, proto_file, capsys):
     ])
     assert rc == EXIT_OK
     assert ",5,0," in (tmp_path / "bsim.csv").read_text()
+
+
+def _bad_input_argv(tmp_path, desc):
+    construct = ["construct", "--proto", str(tmp_path / "proto.txt"),
+                 "--q", "16", "--ace-b", "inf,inf", "--ace-nb", "inf,inf",
+                 "--seed", "1"]
+    simulate = ["simulate", str(desc), "--max-frames", "2", "--seed", "1"]
+    out = str(tmp_path / "x.json")
+    nowhere = str(tmp_path / "missing-dir" / "x")
+    return {
+        "Z0": construct + ["--Z", "0", "--out", out],
+        "max-sweeps0": construct + ["--Z", "3", "--max-sweeps", "0",
+                                    "--out", out],
+        "max-restarts0": construct + ["--Z", "3", "--max-restarts", "0",
+                                      "--out", out],
+        "overflow": construct + ["--Z", "3", "--out", out],
+        "construct-out": construct + ["--Z", "3", "--out", nowhere],
+        "snr-abc": simulate + ["--snr", "abc", "--out", out],
+        "snr-nan": simulate + ["--snr", "nan", "--out", out],
+        "snr-minus-inf": simulate + ["--snr=-inf", "--out", out],
+        "workers0": simulate + ["--snr", "inf", "--workers", "0",
+                                "--out", out],
+        "env-workers": simulate + ["--snr", "inf", "--out", out],
+        "simulate-out": simulate + ["--snr", "inf", "--out", nowhere],
+        "export-out": ["export", str(desc), "--format", "alist",
+                       "--out", nowhere],
+        "spectrum-depth": ["spectrum", str(desc), "--depth", "5"],
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "Z0", "max-sweeps0", "max-restarts0", "overflow", "construct-out",
+    "snr-abc", "snr-nan", "snr-minus-inf", "workers0", "env-workers",
+    "simulate-out", "export-out", "spectrum-depth",
+])
+def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
+                                         monkeypatch, case):
+    import nbqc.cli
+    from nbqc.protograph import WalkEnumerationOverflow
+
+    desc = construct_toy(tmp_path, proto_file)
+    capsys.readouterr()
+    if case == "env-workers":
+        monkeypatch.setenv("NBQC_WORKERS", "two")
+    if case == "overflow":
+        def overflow(*args, **kwargs):
+            raise WalkEnumerationOverflow("more than 5 closed-walk classes")
+        monkeypatch.setattr(nbqc.cli, "enumerate_closed_walks", overflow)
+    assert main(_bad_input_argv(tmp_path, desc)[case]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_walk_enumerations_per_command(tmp_path, proto_file, capsys,
+                                       monkeypatch):
+    import importlib
+    import pkgutil
+
+    import nbqc
+    from nbqc import protograph
+
+    original = protograph.enumerate_closed_walks
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs["max_len"])
+        return original(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(nbqc.__path__):
+        module = importlib.import_module(f"nbqc.{info.name}")
+        if getattr(module, "enumerate_closed_walks", None) is original:
+            monkeypatch.setattr(module, "enumerate_closed_walks", counting)
+
+    def count(argv):
+        calls.clear()
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        return len(calls)
+
+    # binary claims depth 4, NB depth 6: load-verify enumerates once, at 6
+    desc = tmp_path / "code.json"
+    assert count([
+        "construct", "--proto", str(proto_file), "--Z", "3", "--q", "16",
+        "--ace-b", "inf,inf", "--ace-nb", "inf,inf,inf",
+        "--seed", "5", "--out", str(desc),
+    ]) == 1
+    assert count(["spectrum", str(desc), "--depth", "4"]) == 2
+    assert calls == [6, 4]
+    assert count(["simulate", str(desc), "--snr", "inf", "--max-frames", "1",
+                  "--seed", "1", "--out", str(tmp_path / "sim")]) == 1
+    calls.clear()
+    assert main(["spectrum", str(desc), "--depth", "5"]) == EXIT_INPUT
+    assert calls == []

@@ -154,6 +154,15 @@ def test_decoder_rejects_bad_priors(gf4):
         qspa_decode(H, bad, 5)
 
 
+def test_decoder_rejects_non_finite_priors(gf4):
+    H = _toy_H(gf4)
+    for value in (np.nan, np.inf):
+        bad = np.full((4, 4), 0.25)
+        bad[1, 2] = value
+        with pytest.raises(ValueError):
+            qspa_decode(H, bad, 5)
+
+
 def test_decoder_uniform_priors_deterministic(gf4):
     H = _toy_H(gf4)
     priors = np.full((4, 4), 0.25)

@@ -3,15 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
+from nbqc.gf import Field
 from nbqc.lift import (
     AceConstraint,
     INF,
     QcCode,
+    WalkTable,
     binary_ace_spectrum,
+    lift_cycle,
     nb_ace_spectrum,
 )
 from nbqc.optimize import (
     OptimizerConfig,
+    _LabelTracker,
+    _ShiftTracker,
     assign_labels,
     assign_shifts,
     find_problematic_binary,
@@ -33,16 +38,13 @@ def test_config_validation():
 
 def test_problem_set_empty_for_zero_constraint(square22):
     ps = find_problematic_binary(square22, 3, AceConstraint.all_zero(4))
-    assert ps.cycles == [] and ps.index == {}
+    assert ps.cycles == []
 
 
 def test_problem_set_contains_low_ace_cycle(square22):
     ps = find_problematic_binary(square22, 3, AceConstraint(4, {4: 1}))
     assert len(ps.cycles) == 1
     assert ps.cycles[0].length == 4
-    # membership index covers each edge of the cycle
-    assert sorted(ps.index) == sorted(ps.cycles[0].edge_seq)
-    assert all(ps.index[e] == [0] for e in ps.index)
 
 
 def test_problem_set_divisor_analysis(square22):
@@ -276,3 +278,84 @@ def test_spectrum_search_reaches_reference_pair(ensemble1_matrix, gf16):
     target_nb = AceConstraint.parse("inf,inf,inf,inf,inf,4")
     assert res.best.binary.achieves(target_b)
     assert res.best.nb.achieves(target_nb)
+
+
+def _random_protograph(rng):
+    """Small base graph, parallel edges allowed, every variable degree >= 2,
+    at most 12 edges so a recount over every walk stays quick."""
+    while True:
+        m = rng.integers(0, 3, size=(int(rng.integers(2, 4)),
+                                     int(rng.integers(2, 5))))
+        if (m.sum(axis=0).min() >= 2 and m.sum(axis=1).min() >= 1
+                and m.sum() <= 12):
+            return from_base_matrix(m.tolist())
+
+
+def _violating(lc, constraint):
+    return (lc.realized and lc.lifted_len <= constraint.depth
+            and lc.lifted_ace < constraint.values[lc.lifted_len])
+
+
+def _check_tracker(tracker, values, recount, rng, n_values, n_steps=20):
+    """total matches a from-scratch recount after reset and every apply,
+    and eval_edge predicts the total each apply leaves."""
+    tracker.reset(values.copy())
+    assert tracker.total == recount(values)
+    for _ in range(n_steps):
+        e = int(rng.integers(len(values)))
+        y = int(rng.integers(n_values))
+        ev = tracker.eval_edge(e)
+        before = tracker.total
+        tracker.apply(e, y)
+        values[e] = y
+        assert tracker.total == recount(values)
+        if ev is None:
+            assert tracker.total == before
+        else:
+            x, counts = ev
+            assert tracker.total == before - counts[x] + counts[y]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_trackers_match_lift_cycle_recount(seed):
+    rng = np.random.default_rng(seed)
+    # the fixed graph reaches walks that cross one edge both ways around
+    # a revisited node, so that edge moves only a partial-sum difference
+    if seed < 12:
+        proto, depth = _random_protograph(rng), 6
+    else:
+        proto, depth = from_base_matrix([[2, 2], [1, 1]]), 10
+    Z = int(rng.integers(1, 9))
+    field = Field(int(rng.integers(1, 5)))
+    constraint = AceConstraint(depth, {
+        ll: INF if v > 3 else int(v)
+        for ll, v in zip(range(2, depth + 1, 2),
+                         rng.integers(0, 5, size=depth // 2))
+    })
+    walks = enumerate_closed_walks(proto, depth)
+
+    problem = find_problematic_binary(proto, Z, constraint, walks)
+
+    def shift_count(shifts):
+        code = QcCode(proto, Z, Field(1), dict(enumerate(shifts.tolist())))
+        return sum(_violating(lift_cycle(rec, code), constraint)
+                   for rec in problem.cycles)
+
+    _check_tracker(_ShiftTracker(problem.table, Z, constraint),
+                   rng.integers(0, Z, proto.n_edges), shift_count, rng, Z)
+
+    shifts = dict(enumerate(rng.integers(0, Z, proto.n_edges).tolist()))
+    code = QcCode(proto, Z, field, shifts)
+    tracker = _LabelTracker(code, WalkTable(proto, walks), constraint)
+    assert tracker.table.records == [
+        rec for rec in walks if _violating(lift_cycle(rec, code), constraint)
+    ]
+
+    def label_count(labels):
+        labeled = code.with_labels(dict(enumerate(labels.tolist())))
+        return sum(not lift_cycle(rec, labeled).canceled
+                   for rec in tracker.table.records)
+
+    q1 = field.q - 1
+    _check_tracker(tracker, rng.integers(0, q1, proto.n_edges), label_count,
+                   rng, q1)

@@ -33,6 +33,13 @@ def test_config_validation():
         SimConfig(snr_points_db=(1.0,), max_frames=10, mode="qam")
 
 
+def test_config_rejects_non_finite_snr_except_noiseless():
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            SimConfig(snr_points_db=(1.0, bad), max_frames=10)
+    assert SimConfig(snr_points_db=(math.inf,), max_frames=10)
+
+
 def test_noise_sigma_formula():
     assert noise_sigma(0.0, 0.5) == pytest.approx(1.0)
     assert noise_sigma(3.0103, 0.5) == pytest.approx(1 / math.sqrt(2), rel=1e-3)
@@ -154,6 +161,24 @@ def test_random_message_mode_runs_and_rank_reports(gf4):
                      seed=1, mode="random-message")
     with pytest.raises(RankDeficiencyError):
         run_campaign(bad, cfg2)
+
+
+def test_random_mode_builds_one_encoder(gf4, monkeypatch):
+    import nbqc.codec
+
+    builds = []
+    original = nbqc.codec.Encoder.__init__
+
+    def counting(self, H):
+        builds.append(H)
+        original(self, H)
+
+    monkeypatch.setattr(nbqc.codec.Encoder, "__init__", counting)
+    cfg = SimConfig(snr_points_db=(math.inf,), max_frames=3, seed=5,
+                    mode="random-message")
+    res = run_campaign(toy_code(gf4), cfg)
+    assert len(builds) == 1
+    assert res.info_positions is not None
 
 
 def test_bler_monotone_in_snr(gf4):
