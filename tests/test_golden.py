@@ -5,13 +5,24 @@ behaviour refactors must keep: descriptor bytes of both reference
 ensembles and of a greedy search, an NB spectrum JSON and campaign CSV/JSON
 in both transmission modes.  Spectra and campaigns read the committed
 descriptors, so a failure points at the stage that changed.
+
+``decoder_frames.json`` locks the decoder frame by frame where the campaign
+files lock only aggregate counts: iterations, convergence and a sha256 of
+the hard decision (and of the encoded word in random mode) per frame.
+Regenerate it with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nbqc.cli import EXIT_OK, main
+from nbqc.codec import Encoder, QspaDecoder
+from nbqc.lift import QcCode, expand
+from nbqc.simulate import _frame_rng, channel_priors
 
 from conftest import FIXTURES
 
@@ -68,3 +79,58 @@ def test_golden_campaign(tmp_path, capsys, name):
     for suffix in (".csv", ".json"):
         got = Path(f"{prefix}{suffix}").read_bytes()
         assert got == (GOLDEN / f"{name}{suffix}").read_bytes()
+
+
+# record name -> (descriptor, transmission mode, Eb/N0 in dB)
+DECODER_FRAMES = {
+    "gf16_zero_1.4dB": ("gf16_z9_seed1.json", "zero", 1.4),
+    "gf8_random_2.0dB": ("gf8_z21_seed1.json", "random", 2.0),
+}
+N_FRAMES = 24
+
+
+def _sha256(symbols) -> str:
+    return hashlib.sha256(np.asarray(symbols, dtype="<i8").tobytes()).hexdigest()
+
+
+def decoder_frames(seed: int = 1, max_iters: int = 80) -> dict:
+    """Per-frame decoder record of each entry of ``DECODER_FRAMES``."""
+    record = {}
+    for name, (desc, mode, snr) in sorted(DECODER_FRAMES.items()):
+        code = QcCode.from_json_dict(json.loads((GOLDEN / desc).read_text()))
+        H = expand(code)
+        rate = (H.n_cols - H.n_rows) / H.n_cols
+        decoder = QspaDecoder(H)
+        encoder = Encoder(H) if mode == "random" else None
+        frames = []
+        for frame in range(N_FRAMES):
+            rng = _frame_rng(seed, snr, frame)
+            if encoder is None:
+                tx = np.zeros(H.n_cols, dtype=np.int64)
+            else:
+                msg = rng.integers(0, code.field.q, size=encoder.message_length)
+                tx = encoder.encode(msg)
+            res = decoder.decode(channel_priors(tx, snr, rate, code.field, rng),
+                                 max_iters)
+            entry = {"iterations_used": res.iterations_used,
+                     "converged": res.converged,
+                     "hard_sha256": _sha256(res.hard_decision)}
+            if encoder is not None:
+                entry["word_sha256"] = _sha256(tx)
+            frames.append(entry)
+        record[name] = {"descriptor": desc, "mode": mode, "snr_db": snr,
+                        "seed": seed, "max_iters": max_iters, "frames": frames}
+    return record
+
+
+def _dump(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+def test_golden_decoder_frames():
+    expected = (GOLDEN / "decoder_frames.json").read_text()
+    assert _dump(decoder_frames()) == expected
+
+
+if __name__ == "__main__":
+    (GOLDEN / "decoder_frames.json").write_text(_dump(decoder_frames()))
