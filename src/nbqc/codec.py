@@ -4,6 +4,10 @@ The rank routine is the ground-truth oracle for the full-rank cancellation
 condition; the decoder is a probability-domain q-ary sum-product (flooding
 schedule) whose check-node updates run through the Walsh-Hadamard transform
 over the additive group of GF(2^r).
+
+Both work on tables built once per matrix: the decoder on one padded
+``(nodes, max degree)`` slot table per side (see :class:`QspaDecoder`), the
+encoder on a dense ``(parity, info)`` coefficient matrix.
 """
 
 from __future__ import annotations
@@ -160,7 +164,11 @@ class Encoder:
         self.info_positions = [
             c for c in range(H.n_cols) if c not in pivots
         ]
-        self._pivot_rows = [pivots[c] for c in self.parity_positions]
+        dense = np.zeros((self.m, self.n), dtype=np.int64)
+        for p, c in enumerate(self.parity_positions):
+            dense[p, list(pivots[c])] = list(pivots[c].values())
+        # reduced pivot rows hold info columns only
+        self._coef = dense[:, self.info_positions]
 
     @property
     def message_length(self) -> int:
@@ -171,20 +179,15 @@ class Encoder:
             raise ValueError(
                 f"message length {len(message)} != {self.message_length}"
             )
-        f = self.field
+        msg = np.asarray(message, dtype=np.int64)
+        if np.any((msg < 0) | (msg >= self.field.q)):
+            raise ValueError("message symbol out of field range")
         word = np.zeros(self.n, dtype=np.int64)
-        for pos, sym in zip(self.info_positions, message):
-            sym = int(sym)
-            if not 0 <= sym < f.q:
-                raise ValueError("message symbol out of field range")
-            word[pos] = sym
+        word[self.info_positions] = msg
         # char-2 field: c[pivot] = sum of row coefficients times info symbols
-        for pos, row in zip(self.parity_positions, self._pivot_rows):
-            s = 0
-            for c, v in row.items():
-                if word[c]:
-                    s ^= f.mul(v, int(word[c]))
-            word[pos] = s
+        word[self.parity_positions] = np.bitwise_xor.reduce(
+            self.field.mul_table[self._coef, msg], axis=1
+        )
         return word
 
 
@@ -219,20 +222,21 @@ def fwht(a: np.ndarray) -> np.ndarray:
 
 
 def _normalize(msgs: np.ndarray) -> np.ndarray:
-    """Scale message rows to sum 1; underflowed rows fall back to uniform."""
+    """Scale message rows to sum 1 in place; underflowed rows become uniform."""
     np.clip(msgs, 0.0, None, out=msgs)
     totals = msgs.sum(axis=-1, keepdims=True)
     dead = totals <= 0.0
     if np.any(dead):
-        msgs = np.where(dead, 1.0, msgs)
+        np.copyto(msgs, 1.0, where=dead)
         totals = msgs.sum(axis=-1, keepdims=True)
-    return msgs / totals
+    msgs /= totals
+    return msgs
 
 
 def _leave_one_out(stack: np.ndarray, head: np.ndarray | None = None) -> np.ndarray:
     """Products over axis 1 omitting each position, via prefix/suffix scans.
 
-    ``stack`` has shape (groups, deg, q); ``head`` (groups, 1, q) multiplies
+    ``stack`` has shape (nodes, slots, q); ``head`` (nodes, 1, q) multiplies
     every output (used for channel priors).  Avoids dividing by zeros.
     """
     g, deg, q = stack.shape
@@ -247,6 +251,17 @@ def _leave_one_out(stack: np.ndarray, head: np.ndarray | None = None) -> np.ndar
     return out
 
 
+def _slots(owner: np.ndarray, n_nodes: int, spare: int) -> np.ndarray:
+    """(n_nodes, max degree) table of each node's edge ids, ascending,
+    padded with ``spare``."""
+    order = np.argsort(owner, kind="stable")
+    deg = np.bincount(owner, minlength=n_nodes)
+    first = np.cumsum(deg) - deg
+    slots = np.full((n_nodes, deg.max()), spare, dtype=np.int64)
+    slots[owner[order], np.arange(len(owner)) - first[owner[order]]] = order
+    return slots
+
+
 class QspaDecoder:
     """Flooding q-ary sum-product decoder over a fixed parity-check matrix.
 
@@ -255,60 +270,41 @@ class QspaDecoder:
     constraint, and the inverse permutation is applied on the way back.
     Messages stay in the probability domain and are renormalized after
     every update.
+
+    Messages are stored one row per edge plus a spare row.  Each side has
+    a slot table of ``(nodes, max degree)`` edge ids, ascending and padded
+    with the spare row, so a half-iteration is one gather, one leave-one-out
+    product and one scatter.  Before a gather the spare row holds the
+    neutral factor: 1.0 for the variable-side products, the point mass at 0
+    (Hadamard spectrum 1.0) for the check side.  Pads only append exact
+    factors of 1.0, so every product equals the unpadded one.  The spare
+    row is scratch and never normalized.  Work scales with the slot
+    overhead, nodes x max degree / edges: 1.65 (variables) and 1.03
+    (checks) on the GF(16)/Z=9 reference code, 1.56 and 1.17 on GF(8)/Z=21.
     """
 
     def __init__(self, H: SparseGfMatrix):
         self.H = H
-        f = H.field
-        self.field = f
-        self.q = f.q
-        edges = [(i, c, v) for i, c, v in H.entries()]
-        if not edges:
+        self.field = H.field
+        self.q = H.field.q
+        edges = np.array(list(H.entries()), dtype=np.int64).reshape(-1, 3)
+        if not len(edges):
             raise ValueError("cannot decode an all-zero parity-check matrix")
         self.n_edges = len(edges)
-        self.e_check = np.array([e[0] for e in edges], dtype=np.int64)
-        self.e_var = np.array([e[1] for e in edges], dtype=np.int64)
-        self.e_label = np.array([e[2] for e in edges], dtype=np.int64)
-
-        mul = f.mul_table
-        sym = np.arange(self.q, dtype=np.int64)
-        inv_labels = np.array([f.inv(int(h)) for h in self.e_label], dtype=np.int64)
-        # to-check gather: msg_y[y] = msg_x[h^-1 * y]
-        self.to_check_idx = mul[inv_labels[:, None], sym[None, :]]
-        # from-check gather: msg_x[x] = conv[h * x]
-        self.from_check_idx = mul[self.e_label[:, None], sym[None, :]]
-
-        self.var_groups = self._group(self.e_var, H.n_cols)
-        self.check_groups = self._group(self.e_check, H.n_rows)
-        order = np.lexsort((np.arange(self.n_edges), self.e_check))
-        self.syn_order = order
-        sorted_checks = self.e_check[order]
-        # reduceat boundaries over nonempty checks only; empty rows are
-        # trivially satisfied and must not shift the segment starts
-        self.syn_starts = np.flatnonzero(
-            np.r_[True, sorted_checks[1:] != sorted_checks[:-1]]
-        )
-
-    @staticmethod
-    def _group(owner: np.ndarray, n_nodes: int):
-        """Bucket edge ids by node degree: list of (node_ids, (g, deg) edges)."""
-        by_node: list[list[int]] = [[] for _ in range(n_nodes)]
-        for e, node in enumerate(owner):
-            by_node[node].append(e)
-        by_deg: dict[int, list[int]] = {}
-        for node, es in enumerate(by_node):
-            by_deg.setdefault(len(es), []).append(node)
-        groups = []
-        for deg in sorted(by_deg):
-            nodes = np.array(by_deg[deg], dtype=np.int64)
-            eids = np.array([by_node[n] for n in by_deg[deg]], dtype=np.int64)
-            groups.append((nodes, eids))
-        return groups
+        self.e_check, self.e_var, self.e_label = edges.T
+        # from-check gather msg_x[x] = conv[h * x]; the to-check gather
+        # msg_y[y] = msg_x[h^-1 * y] is its inverse; the spare row has label 1
+        self.from_check_idx = self.field.mul_table[np.append(self.e_label, 1)]
+        self.to_check_idx = np.argsort(self.from_check_idx, axis=1)
+        self.var_slots = _slots(self.e_var, H.n_cols, self.n_edges)
+        self.check_slots = _slots(self.e_check, H.n_rows, self.n_edges)
+        # syndrome terms per check slot; pads multiply by label 0
+        self.syn_label = np.append(self.e_label, 0)[self.check_slots]
+        self.syn_var = np.append(self.e_var, 0)[self.check_slots]
 
     def syndrome_is_zero(self, hard: np.ndarray) -> bool:
-        prods = self.field.mul_table[self.e_label, hard[self.e_var]]
-        acc = np.bitwise_xor.reduceat(prods[self.syn_order], self.syn_starts)
-        return not np.any(acc)
+        prods = self.field.mul_table[self.syn_label, hard[self.syn_var]]
+        return not np.bitwise_xor.reduce(prods, axis=1).any()
 
     def decode(self, priors: np.ndarray, max_iters: int = 80) -> DecodeResult:
         priors = np.asarray(priors, dtype=np.float64)
@@ -321,27 +317,28 @@ class QspaDecoder:
         if max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
-        m_cv = np.full((self.n_edges, q), 1.0 / q)
-        m_vc = np.empty((self.n_edges, q))
-        posterior = np.empty((n, q))
+        spare = self.n_edges
+        m_cv = np.full((spare + 1, q), 1.0 / q)
+        m_cv[spare] = 1.0
+        m_vc = np.empty((spare + 1, q))
+        conv = np.zeros((spare + 1, q))
         for it in range(1, max_iters + 1):
-            for nodes, eids in self.var_groups:
-                inc = m_cv[eids]
-                head = priors[nodes][:, None, :]
-                m_vc[eids] = _normalize(_leave_one_out(inc, head))
-                posterior[nodes] = _normalize(head[:, 0, :] * inc.prod(axis=1))
+            inc = m_cv[self.var_slots]
+            m_vc[self.var_slots] = _leave_one_out(inc, priors[:, None, :])
+            _normalize(m_vc[:spare])
+            m_vc[spare] = np.arange(q) == 0
+            posterior = _normalize(priors * inc.prod(axis=1))
             hard = posterior.argmax(axis=1).astype(np.int64)
             if self.syndrome_is_zero(hard):
                 return DecodeResult(hard, True, it)
             if it == max_iters:
                 return DecodeResult(hard, False, it)
 
-            shifted = np.take_along_axis(m_vc, self.to_check_idx, axis=1)
-            conv = np.empty_like(shifted)
-            for _, eids in self.check_groups:
-                spec = fwht(shifted[eids])
-                conv[eids] = fwht(_leave_one_out(spec)) / q
-            m_cv = _normalize(np.take_along_axis(conv, self.from_check_idx, axis=1))
+            spec = fwht(np.take_along_axis(m_vc, self.to_check_idx, axis=1))
+            conv[self.check_slots] = _leave_one_out(spec[self.check_slots])
+            m_cv = np.take_along_axis(fwht(conv) / q, self.from_check_idx, axis=1)
+            _normalize(m_cv[:spare])
+            m_cv[spare] = 1.0
         raise AssertionError("unreachable")
 
 

@@ -102,7 +102,12 @@ class Field:
                 f"polynomial {bin(primitive_poly)} is not primitive: "
                 f"alpha^{self.q - 1} != 1",
             )
-        self._mul_table: np.ndarray | None = None
+        # q x q multiplication table for vectorized encoding and decoding
+        exp = np.array(self.exp_table, dtype=np.int64)
+        log = np.array(self.log_table, dtype=np.int64)
+        self.mul_table = np.zeros((self.q, self.q), dtype=np.int64)
+        self.mul_table[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (self.q - 1)]
+        self.mul_table.setflags(write=False)
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Carry-less multiply modulo the defining polynomial (no tables)."""
@@ -130,9 +135,6 @@ class Field:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self.exp_table[(-self.log_table[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow_alpha(self, e: int) -> int:
         """alpha^e for any signed integer exponent, reduced mod q-1."""
         return self.exp_table[e % (self.q - 1)]
@@ -141,24 +143,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("log of zero is undefined")
         return self.log_table[a]
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.q)
-
-    @property
-    def mul_table(self) -> np.ndarray:
-        """q x q multiplication table (lazy), for vectorized decoding."""
-        if self._mul_table is None:
-            t = np.zeros((self.q, self.q), dtype=np.int64)
-            for a in range(1, self.q):
-                for b in range(1, self.q):
-                    t[a, b] = self.mul(a, b)
-            t.setflags(write=False)
-            self._mul_table = t
-        return self._mul_table
 
     def __eq__(self, other) -> bool:
         return (

@@ -135,69 +135,78 @@ def _column_entries(H: SparseGfMatrix) -> list[list[tuple[int, int]]]:
     return cols
 
 
-def write_alist(H: SparseGfMatrix) -> str:
-    """Standard alist text of a binary matrix (indices 1-based)."""
+def _write_alist(H: SparseGfMatrix, header: str, entry) -> str:
+    """alist skeleton; ``entry(index, value)`` prints one list entry."""
     cols = _column_entries(H)
     col_deg = [len(c) for c in cols]
     row_deg = [len(r) for r in H.rows]
     lines = [
-        f"{H.n_cols} {H.n_rows}",
+        header,
         f"{max(col_deg)} {max(row_deg)}",
         " ".join(str(d) for d in col_deg),
         " ".join(str(d) for d in row_deg),
     ]
-    for entries in cols:
-        lines.append(" ".join(str(i + 1) for i, _ in entries))
-    for row in H.rows:
-        lines.append(" ".join(str(c + 1) for c, _ in row))
+    for entries in cols + H.rows:
+        lines.append(" ".join(entry(i, v) for i, v in entries))
     return "\n".join(lines) + "\n"
 
 
-def read_alist(text: str) -> SparseGfMatrix:
-    """Binary matrix from alist text; padding zeros are tolerated."""
-    tokens = text.split()
+def _read_alist(text: str, n_header: int, width: int):
+    """Header and real column entries of alist text.
+
+    Every list entry is ``width`` integers, a 1-based row index first; index
+    0 is padding.  Returns the header and ``(row, col, *rest)`` per entry,
+    row and column 0-based.  The row lists repeat the column lists and are
+    only skipped.
+    """
+    tokens = [int(t) for t in text.split()]
     pos = 0
 
     def take(k):
         nonlocal pos
-        vals = [int(t) for t in tokens[pos:pos + k]]
+        if pos + k > len(tokens):
+            raise ValueError("alist text ends early")
         pos += k
-        return vals
+        return tokens[pos - k:pos]
 
-    n, m = take(2)
+    header = take(n_header)
+    n, m = header[:2]
     take(2)  # max degrees, redundant
     col_deg = take(n)
     row_deg = take(m)
     entries = []
     for j in range(n):
-        rows_1b = take(col_deg[j])
-        for i in rows_1b:
-            if i:
-                entries.append((i - 1, j, 1))
+        flat = take(width * col_deg[j])
+        for k in range(0, len(flat), width):
+            i, *rest = flat[k:k + width]
+            if i == 0:
+                continue
+            if not 1 <= i <= m:
+                raise ValueError(f"row index {i} of column {j + 1} outside [1, {m}]")
+            entries.append((i - 1, j, *rest))
     for i in range(m):
-        take(row_deg[i])  # row lists are redundant with the column lists
-    return SparseGfMatrix.from_entries(m, n, entries, Field(1))
+        take(width * row_deg[i])
+    return header, entries
+
+
+def write_alist(H: SparseGfMatrix) -> str:
+    """Standard alist text of a binary matrix (indices 1-based)."""
+    return _write_alist(H, f"{H.n_cols} {H.n_rows}", lambda i, v: str(i + 1))
+
+
+def read_alist(text: str) -> SparseGfMatrix:
+    """Binary matrix from alist text; padding zeros are tolerated."""
+    (n, m), entries = _read_alist(text, 2, 1)
+    return SparseGfMatrix.from_entries(
+        m, n, [(i, j, 1) for i, j in entries], Field(1)
+    )
 
 
 def write_nb_alist(H: SparseGfMatrix) -> str:
     """Non-binary alist: header carries q, each index carries exponent+1."""
     f = H.field
-    cols = _column_entries(H)
-    col_deg = [len(c) for c in cols]
-    row_deg = [len(r) for r in H.rows]
-    lines = [
-        f"{H.n_cols} {H.n_rows} {f.q}",
-        f"{max(col_deg)} {max(row_deg)}",
-        " ".join(str(d) for d in col_deg),
-        " ".join(str(d) for d in row_deg),
-    ]
-    for entries in cols:
-        lines.append(
-            " ".join(f"{i + 1} {f.log_alpha(v) + 1}" for i, v in entries)
-        )
-    for i, row in enumerate(H.rows):
-        lines.append(" ".join(f"{c + 1} {f.log_alpha(v) + 1}" for c, v in row))
-    return "\n".join(lines) + "\n"
+    return _write_alist(H, f"{H.n_cols} {H.n_rows} {f.q}",
+                        lambda i, v: f"{i + 1} {f.log_alpha(v) + 1}")
 
 
 def read_nb_alist(text: str, field: Field | None = None) -> SparseGfMatrix:
@@ -207,32 +216,17 @@ def read_nb_alist(text: str, field: Field | None = None) -> SparseGfMatrix:
     field to decode exponents into the right polynomial basis (the default
     polynomial for r = log2(q) is assumed otherwise).
     """
-    tokens = text.split()
-    pos = 0
-
-    def take(k):
-        nonlocal pos
-        vals = [int(t) for t in tokens[pos:pos + k]]
-        pos += k
-        return vals
-
-    n, m, q = take(3)
+    (n, m, q), entries = _read_alist(text, 3, 2)
     if field is None:
         field = Field(q.bit_length() - 1)
     if field.q != q:
         raise ValueError(f"field size {field.q} does not match header q={q}")
-    take(2)
-    col_deg = take(n)
-    row_deg = take(m)
-    entries = []
-    for j in range(n):
-        pairs = take(2 * col_deg[j])
-        for i, val in zip(pairs[0::2], pairs[1::2]):
-            if i:
-                entries.append((i - 1, j, field.pow_alpha(val - 1)))
-    for i in range(m):
-        take(2 * row_deg[i])
-    return SparseGfMatrix.from_entries(m, n, entries, field)
+    for i, j, val in entries:
+        if not 1 <= val <= q - 1:
+            raise ValueError(f"value {val} of column {j + 1} outside [1, {q - 1}]")
+    return SparseGfMatrix.from_entries(
+        m, n, [(i, j, field.pow_alpha(val - 1)) for i, j, val in entries], field
+    )
 
 
 def write_base_matrix_pair(code: QcCode) -> str:

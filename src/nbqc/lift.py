@@ -216,10 +216,6 @@ class QcCode:
     def n_symbols(self) -> int:
         return self.proto.n_vars * self.Z
 
-    @property
-    def n_checks_expanded(self) -> int:
-        return self.proto.n_checks * self.Z
-
     def to_json_dict(self) -> dict:
         edges = []
         for e in range(self.proto.n_edges):
@@ -680,16 +676,10 @@ def expand(code: QcCode) -> SparseGfMatrix:
 
 
 def expand_binary(code: QcCode) -> SparseGfMatrix:
-    """Binary mother matrix of the expansion (same support, all-ones)."""
-    _check_collisions(code)
-    Z = code.Z
-    gf2 = Field(1)
-    entries = []
-    for e in range(code.proto.n_edges):
-        c, v = code.proto.edge_check[e], code.proto.edge_var[e]
-        d = code.shifts[e]
-        for i in range(Z):
-            entries.append((c * Z + i, v * Z + (i + d) % Z, 1))
-    return SparseGfMatrix.from_entries(
-        code.proto.n_checks * Z, code.proto.n_vars * Z, entries, gf2
-    )
+    """Binary mother matrix of the expansion (same support, all-ones).
+
+    This is the expansion of the same shifts over GF(2), where every
+    alpha power is 1.
+    """
+    zero = {e: 0 for e in range(code.proto.n_edges)}
+    return expand(QcCode(code.proto, code.Z, Field(1), code.shifts, zero))

@@ -80,12 +80,6 @@ class Protograph:
     def n_edges(self) -> int:
         return len(self.edge_check)
 
-    @property
-    def edges(self) -> list[tuple[int, int, int]]:
-        return [
-            (self.edge_check[e], self.edge_var[e], e) for e in range(self.n_edges)
-        ]
-
     def check_degree(self, c: int) -> int:
         return len(self.check_edges[c])
 

@@ -234,6 +234,29 @@ def test_nb_alist_value_convention(gf4):
     assert read_nb_alist(text, gf4) == H
 
 
+ALIST_HEAD = "2 2\n1 1\n1 1\n1 1\n"
+NB_ALIST_HEAD = "2 2 4\n1 1\n1 1\n1 1\n"
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_alist, ALIST_HEAD + "-1\n2\n1\n2\n"),
+    (read_alist, ALIST_HEAD + "3\n2\n1\n2\n"),
+    (read_alist, ALIST_HEAD + "1\n2\n1\n"),
+    (read_nb_alist, NB_ALIST_HEAD + "-1 1\n2 1\n1 1\n2 1\n"),
+    (read_nb_alist, NB_ALIST_HEAD + "3 1\n2 1\n1 1\n2 1\n"),
+    (read_nb_alist, NB_ALIST_HEAD + "1 0\n2 1\n1 1\n2 1\n"),
+    (read_nb_alist, NB_ALIST_HEAD + "1 4\n2 1\n1 1\n2 1\n"),
+    (read_nb_alist, NB_ALIST_HEAD + "1 7\n2 1\n1 1\n2 1\n"),
+], ids=["row-minus-1", "row-past-m", "truncated", "nb-row-minus-1",
+        "nb-row-past-m", "nb-value-0", "nb-value-q", "nb-value-wraps"])
+def test_alist_readers_reject_malformed_input(read, text):
+    valid = {read_alist: ALIST_HEAD + "1\n2\n1\n2\n",
+             read_nb_alist: NB_ALIST_HEAD + "1 1\n2 1\n1 1\n2 1\n"}[read]
+    assert read(valid).support() == {(0, 0), (1, 1)}
+    with pytest.raises(ValueError):
+        read(text)
+
+
 def test_binary_export_of_nb_code_equals_mother(tmp_path, proto_file, capsys):
     out = construct_toy(tmp_path, proto_file)
     capsys.readouterr()

@@ -1,3 +1,7 @@
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,8 +17,11 @@ from nbqc.codec import (
     rank,
 )
 from nbqc.gf import Field
+from nbqc.lift import QcCode, expand
 
 from oracles import dense_rank, map_decode
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def random_sparse(rng, m, n, field, density=0.4):
@@ -306,3 +313,83 @@ def test_qspa_with_unit_labels_equals_binary_spa(gf4):
         assert (res.hard_decision == hard_b).all()
         assert res.converged == conv_b
         assert res.iterations_used == it_b
+
+
+def _ragged_H(field):
+    """5x6 matrix with an empty check (row 2) and variable degrees 1..4."""
+    return SparseGfMatrix.from_entries(
+        5, 6,
+        [(0, 0, 1), (0, 2, 2), (0, 3, 3), (0, 5, 1),
+         (1, 1, 2), (1, 2, 1), (1, 3, 1),
+         (3, 2, 3), (3, 3, 2), (3, 4, 1),
+         (4, 1, 1), (4, 3, 3), (4, 4, 2), (4, 5, 3)],
+        field,
+    )
+
+
+def _codewords(H):
+    words = itertools.product(range(H.field.q), repeat=H.n_cols)
+    return [np.array(w) for w in words if not H.mul_vec(w).any()]
+
+
+def test_slot_layout_edge_cases(gf4):
+    # padded slots on both sides: an empty check, a degree-1 variable and
+    # variable degrees 1 to 4
+    H = _ragged_H(gf4)
+    decoder = QspaDecoder(H)
+    assert sorted(len(r) for r in H.rows) == [0, 3, 3, 4, 4]
+    assert sorted(np.bincount(decoder.e_var)) == [1, 2, 2, 2, 3, 4]
+    codewords = _codewords(H)
+    assert len(codewords) == 16
+    for cw in codewords:
+        priors = np.zeros((6, 4))
+        priors[np.arange(6), cw] = 1.0
+        res = decoder.decode(priors, 10)
+        assert res.converged and res.iterations_used == 1
+        assert (res.hard_decision == cw).all()
+        assert decoder.syndrome_is_zero(cw)
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        w = rng.integers(0, 4, size=6)
+        assert decoder.syndrome_is_zero(w) == (not H.mul_vec(w).any())
+
+
+def test_slot_layout_matches_map_mostly(gf4):
+    # the 4-cycles keep QSPA off MAP on some frames: at this noise level
+    # they agree on about 95 % of frames (about 90 % at the +2.2 used above)
+    H = _ragged_H(gf4)
+    dense = H.to_dense()
+    decoder = QspaDecoder(H)
+    codewords = _codewords(H)
+    rng = np.random.default_rng(43)
+    agree = 0
+    trials = 100
+    for _ in range(trials):
+        cw = codewords[rng.integers(len(codewords))]
+        logits = rng.normal(0, 1.2, size=(6, 4))
+        logits[np.arange(6), cw] += 2.4
+        priors = np.exp(logits)
+        priors /= priors.sum(axis=1, keepdims=True)
+        res = decoder.decode(priors, 40)
+        agree += (res.hard_decision == map_decode(dense, gf4, priors)).all()
+    assert agree / trials >= 0.9
+
+
+@pytest.mark.parametrize("desc", ["gf16_z9_seed1.json", "gf8_z21_seed1.json"])
+def test_encoder_on_reference_codes(desc):
+    code = QcCode.from_json_dict(json.loads((GOLDEN / desc).read_text()))
+    H = expand(code)
+    enc = Encoder(H)
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        msg = rng.integers(0, H.field.q, size=enc.message_length)
+        word = enc.encode(msg)
+        assert not H.mul_vec(word).any()
+        assert (word[enc.info_positions] == msg).all()
+
+
+def test_encoder_rejects_bad_messages(gf4):
+    enc = Encoder(_toy_H(gf4))
+    for msg in ([0, -1], [4, 0], [1], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            enc.encode(msg)

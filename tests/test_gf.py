@@ -156,6 +156,7 @@ def test_gf2_degenerate_field(gf2):
 
 def test_mul_table_matches_mul(gf8):
     t = gf8.mul_table
+    assert not t.flags.writeable
     for a in range(8):
         for b in range(8):
             assert t[a, b] == gf8.mul(a, b)
