@@ -43,6 +43,9 @@ from .simulate import SimConfig, run_campaign
 EXIT_OK = 0
 EXIT_CONSTRAINT = 2
 EXIT_INPUT = 3
+# the shift optimizer lists the divisors of Z one by one and keeps a
+# (walks, Z) residue table, so its time and memory grow linearly in Z
+MAX_Z = 1 << 16
 
 
 class CliInputError(Exception):
@@ -141,8 +144,8 @@ def _cmd_construct(args) -> int:
         field = Field(args.q.bit_length() - 1, args.poly)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    if args.Z < 1:
-        raise CliInputError("--Z must be >= 1")
+    if not 1 <= args.Z <= MAX_Z:
+        raise CliInputError(f"--Z must lie in [1, {MAX_Z}]")
     lam = args.lambda_mult
     if lam is None:
         lam = min_lambda(args.q, args.Z)

@@ -208,17 +208,30 @@ def fwht(a: np.ndarray) -> np.ndarray:
 
     Self-inverse up to a factor of q; diagonalizes convolution over the
     XOR group, which is exactly GF(2^r) addition.
+
+    The butterflies run symbol-major: the symbol axis goes first, the rest
+    is flattened, and each stage adds and subtracts whole rows, so every
+    numpy call runs over ``h x (size / q)`` contiguous values.  The stages
+    alternate between two buffers.  The result is a view with the symbol
+    axis last again; an input that is the transpose of a C-ordered
+    ``(q, ...)`` array is read without a copy.
     """
-    q = a.shape[-1]
-    out = np.array(a, dtype=np.float64, copy=True)
+    src = np.asarray(a, dtype=np.float64).T
+    q = src.shape[0]
+    rows = src.reshape(q, src.size // q)
+    if q == 1:
+        return rows.reshape(src.shape).T.copy()
+    bufs = [np.empty(rows.shape), np.empty(rows.shape)]
     h = 1
     while h < q:
-        shaped = out.reshape(a.shape[:-1] + (q // (2 * h), 2, h))
-        top = shaped[..., 0, :] + shaped[..., 1, :]
-        bot = shaped[..., 0, :] - shaped[..., 1, :]
-        out = np.stack([top, bot], axis=-2).reshape(a.shape)
+        pairs = rows.reshape(q // (2 * h), 2, -1)
+        out = bufs[0].reshape(pairs.shape)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+        rows = bufs[0]
+        bufs.reverse()
         h *= 2
-    return out
+    return rows.reshape(src.shape).T
 
 
 def _normalize(msgs: np.ndarray) -> np.ndarray:
@@ -233,32 +246,30 @@ def _normalize(msgs: np.ndarray) -> np.ndarray:
     return msgs
 
 
-def _leave_one_out(stack: np.ndarray, head: np.ndarray | None = None) -> np.ndarray:
-    """Products over axis 1 omitting each position, via prefix/suffix scans.
+def _leave_one_out(stack: np.ndarray) -> np.ndarray:
+    """Products over axis 0 omitting each slot, via prefix/suffix scans.
 
-    ``stack`` has shape (nodes, slots, q); ``head`` (nodes, 1, q) multiplies
-    every output (used for channel priors).  Avoids dividing by zeros.
+    ``stack`` has shape (slots, nodes, q), so each scan step multiplies
+    two contiguous (nodes, q) planes.  Avoids dividing by zeros.  The last
+    slot's output is its prefix times 1.0, the product of all other slots.
     """
-    g, deg, q = stack.shape
-    pref = np.ones((g, deg, q))
-    suf = np.ones((g, deg, q))
+    deg = len(stack)
+    pref = np.ones_like(stack)
+    suf = np.ones_like(stack)
     for i in range(1, deg):
-        pref[:, i] = pref[:, i - 1] * stack[:, i - 1]
-        suf[:, deg - 1 - i] = suf[:, deg - i] * stack[:, deg - i]
-    out = pref * suf
-    if head is not None:
-        out = out * head
-    return out
+        np.multiply(pref[i - 1], stack[i - 1], out=pref[i])
+        np.multiply(suf[deg - i], stack[deg - i], out=suf[deg - 1 - i])
+    return np.multiply(pref, suf, out=pref)
 
 
 def _slots(owner: np.ndarray, n_nodes: int, spare: int) -> np.ndarray:
-    """(n_nodes, max degree) table of each node's edge ids, ascending,
-    padded with ``spare``."""
+    """(max degree, n_nodes) table of each node's edge ids, ascending down
+    each column, padded with ``spare``."""
     order = np.argsort(owner, kind="stable")
     deg = np.bincount(owner, minlength=n_nodes)
     first = np.cumsum(deg) - deg
-    slots = np.full((n_nodes, deg.max()), spare, dtype=np.int64)
-    slots[owner[order], np.arange(len(owner)) - first[owner[order]]] = order
+    slots = np.full((deg.max(), n_nodes), spare, dtype=np.int64)
+    slots[np.arange(len(owner)) - first[owner[order]], owner[order]] = order
     return slots
 
 
@@ -271,31 +282,44 @@ class QspaDecoder:
     Messages stay in the probability domain and are renormalized after
     every update.
 
-    Messages are stored one row per edge plus a spare row.  Each side has
-    a slot table of ``(nodes, max degree)`` edge ids, ascending and padded
-    with the spare row, so a half-iteration is one gather, one leave-one-out
-    product and one scatter.  Before a gather the spare row holds the
-    neutral factor: 1.0 for the variable-side products, the point mass at 0
-    (Hadamard spectrum 1.0) for the check side.  Pads only append exact
-    factors of 1.0, so every product equals the unpadded one.  The spare
-    row is scratch and never normalized.  Work scales with the slot
-    overhead, nodes x max degree / edges: 1.65 (variables) and 1.03
-    (checks) on the GF(16)/Z=9 reference code, 1.56 and 1.17 on GF(8)/Z=21.
+    Messages are stored edge-major, one row per edge plus a spare row.
+    Each side has a slot-major table of ``(max degree, nodes)`` edge ids,
+    ascending down each column and padded with the spare row, so a
+    half-iteration is one gather into ``(slots, nodes, q)``, one
+    leave-one-out product over contiguous ``(nodes, q)`` planes and one
+    scatter.  Before a gather the spare row holds the neutral factor: 1.0
+    for the variable-side products, the point mass at 0 (Hadamard spectrum
+    1.0) for the check side.  Pads only append exact factors of 1.0, so
+    every product equals the unpadded one.  The spare row is scratch and
+    never normalized.  Work scales with the slot overhead, nodes x max
+    degree / edges: 1.65 (variables) and 1.03 (checks) on the GF(16)/Z=9
+    reference code, 1.56 and 1.17 on GF(8)/Z=21.
+
+    The check side runs symbol-major, ``(q, edges + 1)``: each label
+    permutation is one flat ``take`` whose indices also transpose between
+    the two orders, and the Hadamard butterflies of :func:`fwht` add whole
+    rows of edges.  Normalization and the posterior stay edge-major.
     """
 
     def __init__(self, H: SparseGfMatrix):
         self.H = H
         self.field = H.field
-        self.q = H.field.q
+        self.q = q = H.field.q
         edges = np.array(list(H.entries()), dtype=np.int64).reshape(-1, 3)
         if not len(edges):
             raise ValueError("cannot decode an all-zero parity-check matrix")
         self.n_edges = len(edges)
+        n_rows = self.n_edges + 1
         self.e_check, self.e_var, self.e_label = edges.T
         # from-check gather msg_x[x] = conv[h * x]; the to-check gather
         # msg_y[y] = msg_x[h^-1 * y] is its inverse; the spare row has label 1
-        self.from_check_idx = self.field.mul_table[np.append(self.e_label, 1)]
-        self.to_check_idx = np.argsort(self.from_check_idx, axis=1)
+        from_check = self.field.mul_table[np.append(self.e_label, 1)]
+        to_check = np.argsort(from_check, axis=1)
+        row = np.arange(n_rows)[:, None]
+        # flat indices: edge-major (edges + 1, q) -> symbol-major (q, edges + 1)
+        # on the way to the checks, and back on the way from them
+        self.to_check_flat = np.ascontiguousarray((row * q + to_check).T)
+        self.from_check_flat = from_check * n_rows + row
         self.var_slots = _slots(self.e_var, H.n_cols, self.n_edges)
         self.check_slots = _slots(self.e_check, H.n_rows, self.n_edges)
         # syndrome terms per check slot; pads multiply by label 0
@@ -304,7 +328,7 @@ class QspaDecoder:
 
     def syndrome_is_zero(self, hard: np.ndarray) -> bool:
         prods = self.field.mul_table[self.syn_label, hard[self.syn_var]]
-        return not np.bitwise_xor.reduce(prods, axis=1).any()
+        return not np.bitwise_xor.reduce(prods, axis=0).any()
 
     def decode(self, priors: np.ndarray, max_iters: int = 80) -> DecodeResult:
         priors = np.asarray(priors, dtype=np.float64)
@@ -321,22 +345,30 @@ class QspaDecoder:
         m_cv = np.full((spare + 1, q), 1.0 / q)
         m_cv[spare] = 1.0
         m_vc = np.empty((spare + 1, q))
-        conv = np.zeros((spare + 1, q))
+        point_mass = np.arange(q) == 0
+        # symbol-major in memory, so fwht reads it without a copy
+        conv = np.zeros((q, spare + 1)).T
         for it in range(1, max_iters + 1):
             inc = m_cv[self.var_slots]
-            m_vc[self.var_slots] = _leave_one_out(inc, priors[:, None, :])
+            ext = _leave_one_out(inc)
+            # ext[-1] is the product of all slots but the last, so this is
+            # the same sequential product as inc.prod(axis=0)
+            total = ext[-1] * inc[-1]
+            ext *= priors
+            m_vc[self.var_slots] = ext
             _normalize(m_vc[:spare])
-            m_vc[spare] = np.arange(q) == 0
-            posterior = _normalize(priors * inc.prod(axis=1))
+            m_vc[spare] = point_mass
+            posterior = _normalize(priors * total)
             hard = posterior.argmax(axis=1).astype(np.int64)
             if self.syndrome_is_zero(hard):
                 return DecodeResult(hard, True, it)
             if it == max_iters:
                 return DecodeResult(hard, False, it)
 
-            spec = fwht(np.take_along_axis(m_vc, self.to_check_idx, axis=1))
+            spec = fwht(m_vc.take(self.to_check_flat).T)
             conv[self.check_slots] = _leave_one_out(spec[self.check_slots])
-            m_cv = np.take_along_axis(fwht(conv) / q, self.from_check_idx, axis=1)
+            m_cv = fwht(conv).T.take(self.from_check_flat)
+            m_cv /= q
             _normalize(m_cv[:spare])
             m_cv[spare] = 1.0
         raise AssertionError("unreachable")

@@ -152,12 +152,12 @@ def _write_alist(H: SparseGfMatrix, header: str, entry) -> str:
 
 
 def _read_alist(text: str, n_header: int, width: int):
-    """Header and real column entries of alist text.
+    """Header and entries of alist text.
 
-    Every list entry is ``width`` integers, a 1-based row index first; index
-    0 is padding.  Returns the header and ``(row, col, *rest)`` per entry,
-    row and column 0-based.  The row lists repeat the column lists and are
-    only skipped.
+    Every list entry is ``width`` integers, a 1-based index first; index 0
+    is padding.  Returns the header and ``(row, col, *rest)`` per entry,
+    row and column 0-based.  An index may appear once per list, and the
+    row lists must hold the same entries as the column lists.
     """
     tokens = [int(t) for t in text.split()]
     pos = 0
@@ -169,23 +169,34 @@ def _read_alist(text: str, n_header: int, width: int):
         pos += k
         return tokens[pos - k:pos]
 
+    def node_lists(degrees, bound, kind):
+        """(node, other index, *rest) per real entry, both 0-based."""
+        out = []
+        for node, deg in enumerate(degrees):
+            flat = take(width * deg)
+            seen = set()
+            for k in range(0, len(flat), width):
+                i, *rest = flat[k:k + width]
+                if i == 0:
+                    continue
+                if not 1 <= i <= bound:
+                    raise ValueError(f"index {i} in {kind} {node + 1} "
+                                     f"outside [1, {bound}]")
+                if i in seen:
+                    raise ValueError(f"index {i} repeated in {kind} {node + 1}")
+                seen.add(i)
+                out.append((node, i - 1, *rest))
+        return out
+
     header = take(n_header)
     n, m = header[:2]
     take(2)  # max degrees, redundant
     col_deg = take(n)
     row_deg = take(m)
-    entries = []
-    for j in range(n):
-        flat = take(width * col_deg[j])
-        for k in range(0, len(flat), width):
-            i, *rest = flat[k:k + width]
-            if i == 0:
-                continue
-            if not 1 <= i <= m:
-                raise ValueError(f"row index {i} of column {j + 1} outside [1, {m}]")
-            entries.append((i - 1, j, *rest))
-    for i in range(m):
-        take(width * row_deg[i])
+    entries = [(i, j, *rest)
+               for j, i, *rest in node_lists(col_deg, m, "column")]
+    if sorted(node_lists(row_deg, n, "row")) != sorted(entries):
+        raise ValueError("row lists disagree with the column lists")
     return header, entries
 
 

@@ -51,6 +51,8 @@ class OptimizerConfig:
     edge_order_policy: str = "shuffled"
 
     def __post_init__(self):
+        if self.rng_seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.max_sweeps < 1 or self.max_restarts < 1:
             raise ValueError("iteration caps must be >= 1")
         if self.edge_order_policy not in ("fixed", "shuffled"):

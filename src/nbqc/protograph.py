@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 
 class WalkEnumerationOverflow(RuntimeError):
-    """Walk enumeration exceeded the configured record cap."""
+    """Walk enumeration exceeded the record cap or the walk-length limit."""
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,9 @@ def degree_profile(proto: Protograph) -> DegreeProfile:
 
 
 DEFAULT_WALK_CAP = 1_000_000
+# the DFS recurses once per walk edge; this stays well inside Python's
+# default recursion limit of 1000 frames
+MAX_WALK_LEN = 512
 
 
 def _canonical(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -208,10 +211,15 @@ def enumerate_closed_walks(
     One canonical representative per class under rotation and reversal, in
     deterministic (length, edge_seq) order.  Raises
     :class:`WalkEnumerationOverflow` when more than ``max_records`` classes
-    are found; the result is never silently truncated.
+    are found or ``max_len`` exceeds :data:`MAX_WALK_LEN`; the result is
+    never silently truncated.
     """
     if max_len < 2 or max_len % 2 != 0:
         raise ValueError("max_len must be an even integer >= 2")
+    if max_len > MAX_WALK_LEN:
+        raise WalkEnumerationOverflow(
+            f"walk length {max_len} exceeds the enumeration limit {MAX_WALK_LEN}"
+        )
     seen: set[tuple[int, ...]] = set()
     path: list[int] = []
 

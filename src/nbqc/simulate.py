@@ -23,6 +23,8 @@ from .lift import QcCode, expand
 
 TRANSMIT_ALL_ZERO = "all-zero"
 TRANSMIT_RANDOM = "random-message"
+# 10^(SNR/10) and the noise variance stay far inside the float range
+MAX_SNR_DB = 300.0
 
 
 @dataclass
@@ -42,12 +44,17 @@ class SimConfig:
             if math.isnan(s) or s == -math.inf:
                 raise ValueError(f"SNR point {s} is not a channel; "
                                  "only +inf (noiseless) may be infinite")
+            if math.isfinite(s) and abs(s) > MAX_SNR_DB:
+                raise ValueError(f"SNR point {s} dB is outside "
+                                 f"[-{MAX_SNR_DB}, {MAX_SNR_DB}]")
         if self.min_block_errors < 1:
             raise ValueError("min_block_errors must be >= 1")
         if self.max_frames < 1:
             raise ValueError("max_frames must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.mode not in (TRANSMIT_ALL_ZERO, TRANSMIT_RANDOM):
             raise ValueError(f"unknown transmission mode {self.mode!r}")
 

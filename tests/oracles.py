@@ -3,7 +3,10 @@
 Everything here deliberately avoids the production code paths it checks:
 dense elimination instead of sparse, node-sequence DFS on the expanded
 graph instead of base-walk projection, exhaustive codeword search instead
-of message passing.
+of message passing.  The decoder kernels are kept here in their first,
+node-major form (stacked butterflies, ``(nodes, slots, q)`` scans and the
+loop that used them) so the production kernels can be compared with them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from nbqc.codec import SparseGfMatrix
+from nbqc.codec import DecodeResult, SparseGfMatrix
 from nbqc.gf import Field
 from nbqc.lift import QcCode
 from nbqc.protograph import Protograph
@@ -356,3 +359,105 @@ def traverse_lifted_cycle_set(code: QcCode, base_edges: list[int]):
             visited_states.add(st)
         cycles.append((length, ace))
     return cycles
+
+
+def stacked_fwht(a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis, one stacked butterfly
+    stage at a time on ``(..., q // 2h, 2, h)`` views."""
+    q = a.shape[-1]
+    out = np.array(a, dtype=np.float64, copy=True)
+    h = 1
+    while h < q:
+        shaped = out.reshape(a.shape[:-1] + (q // (2 * h), 2, h))
+        top = shaped[..., 0, :] + shaped[..., 1, :]
+        bot = shaped[..., 0, :] - shaped[..., 1, :]
+        out = np.stack([top, bot], axis=-2).reshape(a.shape)
+        h *= 2
+    return out
+
+
+def node_major_leave_one_out(stack: np.ndarray, head=None) -> np.ndarray:
+    """Products over axis 1 of a ``(nodes, slots, q)`` stack omitting each
+    slot, times ``head`` ``(nodes, 1, q)`` when given."""
+    g, deg, q = stack.shape
+    pref = np.ones((g, deg, q))
+    suf = np.ones((g, deg, q))
+    for i in range(1, deg):
+        pref[:, i] = pref[:, i - 1] * stack[:, i - 1]
+        suf[:, deg - 1 - i] = suf[:, deg - i] * stack[:, deg - i]
+    out = pref * suf
+    if head is not None:
+        out = out * head
+    return out
+
+
+def _reference_normalize(msgs: np.ndarray) -> np.ndarray:
+    np.clip(msgs, 0.0, None, out=msgs)
+    totals = msgs.sum(axis=-1, keepdims=True)
+    dead = totals <= 0.0
+    if np.any(dead):
+        np.copyto(msgs, 1.0, where=dead)
+        totals = msgs.sum(axis=-1, keepdims=True)
+    msgs /= totals
+    return msgs
+
+
+def _node_major_slots(owner: np.ndarray, n_nodes: int, spare: int) -> np.ndarray:
+    order = np.argsort(owner, kind="stable")
+    deg = np.bincount(owner, minlength=n_nodes)
+    first = np.cumsum(deg) - deg
+    slots = np.full((n_nodes, deg.max()), spare, dtype=np.int64)
+    slots[owner[order], np.arange(len(owner)) - first[owner[order]]] = order
+    return slots
+
+
+def node_major_qspa(H: SparseGfMatrix, priors: np.ndarray, max_iters: int,
+                    normalized: list | None = None) -> DecodeResult:
+    """Flooding QSPA on ``(nodes, max degree)`` slot tables, edge-major
+    messages and the kernels above.
+
+    Every normalized array (variable-to-check messages, posterior,
+    check-to-variable messages, in that order per iteration) is appended
+    to ``normalized`` as a copy when a list is given.
+    """
+    field, q = H.field, H.field.q
+    edges = np.array(list(H.entries()), dtype=np.int64).reshape(-1, 3)
+    spare = len(edges)
+    e_check, e_var, e_label = edges.T
+    from_check_idx = field.mul_table[np.append(e_label, 1)]
+    to_check_idx = np.argsort(from_check_idx, axis=1)
+    var_slots = _node_major_slots(e_var, H.n_cols, spare)
+    check_slots = _node_major_slots(e_check, H.n_rows, spare)
+    syn_label = np.append(e_label, 0)[check_slots]
+    syn_var = np.append(e_var, 0)[check_slots]
+
+    def normalize(msgs):
+        out = _reference_normalize(msgs)
+        if normalized is not None:
+            normalized.append(out.copy())
+        return out
+
+    m_cv = np.full((spare + 1, q), 1.0 / q)
+    m_cv[spare] = 1.0
+    m_vc = np.empty((spare + 1, q))
+    conv = np.zeros((spare + 1, q))
+    for it in range(1, max_iters + 1):
+        inc = m_cv[var_slots]
+        m_vc[var_slots] = node_major_leave_one_out(inc, priors[:, None, :])
+        normalize(m_vc[:spare])
+        m_vc[spare] = np.arange(q) == 0
+        posterior = normalize(priors * inc.prod(axis=1))
+        hard = posterior.argmax(axis=1).astype(np.int64)
+        syndrome = np.bitwise_xor.reduce(
+            field.mul_table[syn_label, hard[syn_var]], axis=1)
+        if not syndrome.any():
+            return DecodeResult(hard, True, it)
+        if it == max_iters:
+            return DecodeResult(hard, False, it)
+        spec = stacked_fwht(np.take_along_axis(m_vc, to_check_idx, axis=1))
+        conv[check_slots] = node_major_leave_one_out(spec[check_slots])
+        m_cv = np.take_along_axis(stacked_fwht(conv) / q, from_check_idx,
+                                  axis=1)
+        normalize(m_cv[:spare])
+        m_cv[spare] = 1.0
+    raise AssertionError("unreachable")

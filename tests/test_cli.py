@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nbqc.cli import EXIT_CONSTRAINT, EXIT_INPUT, EXIT_OK, main
 from nbqc.codec import SparseGfMatrix
@@ -247,8 +250,12 @@ NB_ALIST_HEAD = "2 2 4\n1 1\n1 1\n1 1\n"
     (read_nb_alist, NB_ALIST_HEAD + "1 0\n2 1\n1 1\n2 1\n"),
     (read_nb_alist, NB_ALIST_HEAD + "1 4\n2 1\n1 1\n2 1\n"),
     (read_nb_alist, NB_ALIST_HEAD + "1 7\n2 1\n1 1\n2 1\n"),
+    (read_alist, "2 2\n2 1\n2 1\n1 1\n1 1\n2\n1\n2\n"),
+    (read_alist, ALIST_HEAD + "1\n2\n2\n1\n"),
+    (read_nb_alist, NB_ALIST_HEAD + "1 1\n2 1\n1 2\n2 1\n"),
 ], ids=["row-minus-1", "row-past-m", "truncated", "nb-row-minus-1",
-        "nb-row-past-m", "nb-value-0", "nb-value-q", "nb-value-wraps"])
+        "nb-row-past-m", "nb-value-0", "nb-value-q", "nb-value-wraps",
+        "row-repeated-in-column", "rows-disagree", "nb-row-values-disagree"])
 def test_alist_readers_reject_malformed_input(read, text):
     valid = {read_alist: ALIST_HEAD + "1\n2\n1\n2\n",
              read_nb_alist: NB_ALIST_HEAD + "1 1\n2 1\n1 1\n2 1\n"}[read]
@@ -363,29 +370,38 @@ def _bad_input_argv(tmp_path, desc):
     nowhere = str(tmp_path / "missing-dir" / "x")
     return {
         "Z0": construct + ["--Z", "0", "--out", out],
+        "Z-huge": construct + ["--Z", str((1 << 16) + 1), "--out", out],
         "max-sweeps0": construct + ["--Z", "3", "--max-sweeps", "0",
                                     "--out", out],
         "max-restarts0": construct + ["--Z", "3", "--max-restarts", "0",
                                       "--out", out],
         "overflow": construct + ["--Z", "3", "--out", out],
         "construct-out": construct + ["--Z", "3", "--out", nowhere],
+        "construct-seed-minus-1": construct + ["--Z", "3", "--seed", "-1",
+                                               "--out", out],
         "snr-abc": simulate + ["--snr", "abc", "--out", out],
         "snr-nan": simulate + ["--snr", "nan", "--out", out],
         "snr-minus-inf": simulate + ["--snr=-inf", "--out", out],
+        "snr-huge": simulate + ["--snr", "1e300", "--out", out],
         "workers0": simulate + ["--snr", "inf", "--workers", "0",
                                 "--out", out],
         "env-workers": simulate + ["--snr", "inf", "--out", out],
         "simulate-out": simulate + ["--snr", "inf", "--out", nowhere],
+        "simulate-seed-minus-1": simulate + ["--snr", "inf", "--seed", "-1",
+                                             "--out", out],
         "export-out": ["export", str(desc), "--format", "alist",
                        "--out", nowhere],
         "spectrum-depth": ["spectrum", str(desc), "--depth", "5"],
+        "spectrum-depth-huge": ["spectrum", str(desc), "--depth", "1000000"],
     }
 
 
 @pytest.mark.parametrize("case", [
-    "Z0", "max-sweeps0", "max-restarts0", "overflow", "construct-out",
-    "snr-abc", "snr-nan", "snr-minus-inf", "workers0", "env-workers",
-    "simulate-out", "export-out", "spectrum-depth",
+    "Z0", "Z-huge", "max-sweeps0", "max-restarts0", "overflow",
+    "construct-out", "construct-seed-minus-1", "snr-abc", "snr-nan",
+    "snr-minus-inf", "snr-huge", "workers0", "env-workers", "simulate-out",
+    "simulate-seed-minus-1", "export-out", "spectrum-depth",
+    "spectrum-depth-huge",
 ])
 def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
                                          monkeypatch, case):
@@ -445,3 +461,109 @@ def test_walk_enumerations_per_command(tmp_path, proto_file, capsys,
     calls.clear()
     assert main(["spectrum", str(desc), "--depth", "5"]) == EXIT_INPUT
     assert calls == []
+
+
+# Argument-vector fuzz: every command must end in exit 0, 2 or 3 and never
+# in an exception.  All values are valid except at most one, so the
+# commands get past parsing; the odd one is a negative, zero or huge number
+# or an odd token.  Caps on work (--max-frames, --max-iters, --max-sweeps,
+# --max-restarts) get no huge values, because a huge cap asks for that much
+# work.  Walk depths skip the range from 12 up to the enumeration's length
+# limit: there only the walk-record cap bounds the search, and the CLI does
+# not set that cap.  --workers stays at its default, so no process pool is
+# started.
+HUGE = [10**30, 2**63, 2**40, 1 << 16, (1 << 16) + 1]
+TOKENS = ["", "nan", "inf", "-inf", ",", "abc", "1.5", "0x10", "1e300",
+          "-1e300", "(inf,4)", "inf,,4", "4,inf,nan"]
+NEGATIVE_OR_ZERO = [-(10**30), -(2**63), -1, 0]
+WILD = st.one_of(st.integers(-3, 12), st.sampled_from(NEGATIVE_OR_ZERO + HUGE),
+                 st.sampled_from(TOKENS)).map(str)
+WILD_CAP = st.one_of(st.integers(-3, 5), st.sampled_from(NEGATIVE_OR_ZERO),
+                     st.sampled_from(TOKENS)).map(str)
+CAPS = ("max_sweeps", "max_restarts", "max_frames", "max_iters")
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _csv(entries, max_size):
+    return st.lists(st.sampled_from(entries), min_size=1,
+                    max_size=max_size).map(",".join)
+
+
+def _argv(head, tail, optional=(), **valid):
+    """``head``, one ``--name=value`` per option (so a value may start with
+    '-'), then ``tail``.  At most one value is wild; options named in
+    ``optional`` may be left out."""
+    names = list(valid)
+
+    def build(values, keep, bad_at, bad, bad_cap):
+        args = []
+        for k, (name, value) in enumerate(zip(names, values)):
+            if k == bad_at:
+                value = bad_cap if name in CAPS else bad
+            if keep[k] or name not in optional:
+                args.append(f"--{name.replace('_', '-')}={value}")
+        return [*head, *args, *tail]
+
+    n = len(names)
+    return st.builds(build, st.tuples(*valid.values()),
+                     st.lists(st.booleans(), min_size=n, max_size=n),
+                     st.integers(-n, n - 1), WILD, WILD_CAP)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    proto = tmp / "proto.txt"
+    proto.write_text(TOY_PROTO)
+    desc = construct_toy(tmp, proto)
+    return proto, desc, tmp
+
+
+def _fuzz_argv(proto, desc, tmp):
+    out = ["--out", str(tmp / "out")]
+    depth = st.sampled_from(["2", "4", "6", "8", "10"])
+    ace = _csv(["inf", "0", "1", "2", "4"], 5) | st.just("auto")
+    construct = _argv(
+        ["construct", "--proto", str(proto)], out,
+        Z=_ints(1, 12), q=st.sampled_from(["2", "4", "8", "16", "256"]),
+        ace_b=ace, ace_nb=ace, seed=_ints(0, 2**64), depth=depth,
+        poly=st.sampled_from(["0b111", "0b1011", "0b10011"]),
+        # 1785 = 3 * 5 * 7 * 17: a multiple of q - 1 for every q above
+        **{"lambda": st.sampled_from(["1785", "3570"])},
+        max_sweeps=_ints(1, 4), max_restarts=_ints(1, 4),
+        edge_order=st.sampled_from(["fixed", "shuffled"]),
+        optional=("depth", "poly", "lambda", "max_sweeps", "max_restarts",
+                  "edge_order"))
+    kind = st.sampled_from([[], ["--nb"], ["--binary"], ["--json"],
+                            ["--nb", "--json"], ["--nb", "--binary"]])
+    spectrum = st.tuples(_argv(["spectrum", str(desc)], [], depth=depth),
+                         kind).map(lambda t: t[0] + t[1])
+    export = _argv(["export", str(desc)], out, format=st.sampled_from(
+        ["alist", "nb-alist", "base-matrix"]))
+    simulate = _argv(
+        ["simulate", str(desc)], out,
+        snr=_csv(["inf", "-2", "0", "1.4", "3"], 3), max_frames=_ints(1, 2),
+        max_iters=_ints(1, 5), min_block_errors=_ints(1, 10**6),
+        seed=_ints(0, 2**64), mode=st.sampled_from(["zero", "random"]),
+        optional=("max_iters", "min_block_errors", "mode"))
+    return st.one_of(construct, spectrum, export, simulate)
+
+
+def test_fuzzed_argv_exit_codes(fuzz_files):
+    proto, desc, tmp = fuzz_files
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_fuzz_argv(proto, desc, tmp))
+    def run(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (EXIT_OK, EXIT_CONSTRAINT, EXIT_INPUT), argv
+        assert "Traceback" not in err.getvalue()
+
+    run()

@@ -10,6 +10,7 @@ from nbqc.codec import (
     QspaDecoder,
     RankDeficiencyError,
     SparseGfMatrix,
+    _leave_one_out,
     encode,
     fwht,
     is_full_rank,
@@ -18,8 +19,15 @@ from nbqc.codec import (
 )
 from nbqc.gf import Field
 from nbqc.lift import QcCode, expand
+from nbqc.simulate import _frame_rng, channel_priors
 
-from oracles import dense_rank, map_decode
+from oracles import (
+    dense_rank,
+    map_decode,
+    node_major_leave_one_out,
+    node_major_qspa,
+    stacked_fwht,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -128,6 +136,75 @@ def test_fwht_diagonalizes_xor_convolution(gf8):
         for y in range(8):
             conv[x ^ y] += a[x] * b[y]
     assert np.allclose(fwht(fwht(a) * fwht(b)) / 8, conv)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 256])
+def test_fwht_bitwise_equals_stacked_butterflies(q):
+    rng = np.random.default_rng(q)
+    for shape in [(q,), (7, q), (3, 5, q)]:
+        x = rng.standard_normal(shape)
+        out = fwht(x)
+        assert out.shape == x.shape
+        assert out.tobytes() == stacked_fwht(x).tobytes()
+        # a symbol-major input is read in place, never written
+        sym = np.ascontiguousarray(x.T).T
+        assert fwht(sym).tobytes() == out.tobytes()
+        assert sym.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("deg", range(1, 8))
+def test_leave_one_out_bitwise_equals_node_major(deg):
+    rng = np.random.default_rng(deg)
+    stack = rng.random((deg, 11, 8))
+    stack[rng.random(stack.shape) < 0.15] = 0.0  # exact zeros: no division
+    head = rng.random((11, 8))
+    ext = _leave_one_out(stack.copy())
+    node_major = stack.transpose(1, 0, 2)
+    ref = node_major_leave_one_out(node_major)
+    assert ext.transpose(1, 0, 2).tobytes() == ref.tobytes()
+    ref_head = node_major_leave_one_out(node_major, head[:, None, :])
+    assert (ext * head).transpose(1, 0, 2).tobytes() == ref_head.tobytes()
+    # the last output times the last slot is the sequential product
+    assert (ext[-1] * stack[-1]).tobytes() == node_major.prod(axis=1).tobytes()
+
+
+def _assert_normalized_like_node_major(decoder, frames, monkeypatch):
+    import nbqc.codec as codec_mod
+
+    seen = []
+    orig = codec_mod._normalize
+
+    def spy(msgs):
+        out = orig(msgs)
+        seen.append(out.copy())
+        return out
+
+    monkeypatch.setattr(codec_mod, "_normalize", spy)
+    for priors, max_iters in frames:
+        seen.clear()
+        ref = []
+        want = node_major_qspa(decoder.H, priors, max_iters, ref)
+        got = decoder.decode(priors, max_iters)
+        assert got.iterations_used == want.iterations_used
+        assert got.converged == want.converged
+        assert got.hard_decision.tobytes() == want.hard_decision.tobytes()
+        assert len(seen) == len(ref)
+        for a, b in zip(seen, ref):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("desc", ["gf16_z9_seed1.json", "gf8_z21_seed1.json"])
+def test_decoder_bitwise_equals_node_major_loop(desc, monkeypatch):
+    # every normalized message and posterior, iteration by iteration
+    code = QcCode.from_json_dict(json.loads((GOLDEN / desc).read_text()))
+    H = expand(code)
+    rate = (H.n_cols - H.n_rows) / H.n_cols
+    zero = np.zeros(H.n_cols, dtype=np.int64)
+    frames = [
+        (channel_priors(zero, snr, rate, code.field, _frame_rng(3, snr, f)), 80)
+        for snr in (0.6, 1.4, 2.0) for f in range(4)
+    ]
+    _assert_normalized_like_node_major(QspaDecoder(H), frames, monkeypatch)
 
 
 def _toy_H(field):
@@ -373,6 +450,16 @@ def test_slot_layout_matches_map_mostly(gf4):
         res = decoder.decode(priors, 40)
         agree += (res.hard_decision == map_decode(dense, gf4, priors)).all()
     assert agree / trials >= 0.9
+
+
+def test_slot_layout_bitwise_equals_node_major_loop(gf4, monkeypatch):
+    rng = np.random.default_rng(53)
+    frames = []
+    for _ in range(20):
+        priors = np.exp(rng.normal(0, 1.5, size=(6, 4)))
+        frames.append((priors / priors.sum(axis=1, keepdims=True), 15))
+    _assert_normalized_like_node_major(QspaDecoder(_ragged_H(gf4)), frames,
+                                       monkeypatch)
 
 
 @pytest.mark.parametrize("desc", ["gf16_z9_seed1.json", "gf8_z21_seed1.json"])
