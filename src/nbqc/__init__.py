@@ -38,6 +38,7 @@ from .lift import (
     frc_lifted,
     lift_cycle,
     nb_ace_spectrum,
+    walk_table,
 )
 from .optimize import (
     OptimizeResult,

@@ -21,11 +21,12 @@ from .io_formats import (
     save_descriptor,
 )
 from .lift import (
+    MAX_Z,
     AceConstraint,
     QcCode,
-    WalkTable,
     binary_ace_spectrum,
     nb_ace_spectrum,
+    walk_table,
 )
 from .optimize import (
     OptimizerConfig,
@@ -33,7 +34,7 @@ from .optimize import (
     assign_shifts,
     spectrum_search,
 )
-from .protograph import (
+from .protograph import (  # enumerate_closed_walks: traced by perfbench/spans.py
     WalkEnumerationOverflow,
     enumerate_closed_walks,
     from_base_matrix,
@@ -43,9 +44,6 @@ from .simulate import SimConfig, run_campaign
 EXIT_OK = 0
 EXIT_CONSTRAINT = 2
 EXIT_INPUT = 3
-# the shift optimizer lists the divisors of Z one by one and keeps a
-# (walks, Z) residue table, so its time and memory grow linearly in Z
-MAX_Z = 1 << 16
 
 
 class CliInputError(Exception):
@@ -183,20 +181,18 @@ def _cmd_construct(args) -> int:
                     "constraint; the NB spectrum can only dominate the "
                     "binary one"
                 )
-        depth = max(ace_b.depth, ace_nb.depth)
-        walks = WalkTable(proto, enumerate_closed_walks(proto, depth))
-        shift_res = assign_shifts(proto, args.Z, ace_b, cfg, walks=walks)
+        walk_table(proto, max(ace_b.depth, ace_nb.depth))  # one for both stages
+        shift_res = assign_shifts(proto, args.Z, ace_b, cfg)
         if not shift_res.success:
             raise ConstraintFailure("shift-assignment",
                                     shift_res.to_json_dict())
         code = QcCode(proto, args.Z, field, shift_res.assignment, None, lam)
-        label_res = assign_labels(code, ace_nb, cfg, walks=walks)
+        label_res = assign_labels(code, ace_nb, cfg)
         if not label_res.success:
             raise ConstraintFailure("label-assignment",
                                     label_res.to_json_dict())
         code = code.with_labels(label_res.assignment)
-        achieved_b = binary_ace_spectrum(code, ace_b.depth, walks=walks)
-        achieved_nb = nb_ace_spectrum(code, ace_nb.depth, walks=walks)
+        achieved_b, achieved_nb = shift_res.achieved, label_res.achieved
 
     desc = build_descriptor(code, args.seed, achieved_b, achieved_nb)
     save_descriptor(args.out, desc)

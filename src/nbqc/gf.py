@@ -65,9 +65,10 @@ class Field:
             raise ValueError(f"extension degree r={r} out of supported range [1, 8]")
         if primitive_poly is None:
             primitive_poly = DEFAULT_PRIMITIVE_POLYS[r]
-        if primitive_poly.bit_length() != r + 1:
+        if (not isinstance(primitive_poly, int)
+                or primitive_poly.bit_length() != r + 1):
             raise ValueError(
-                f"polynomial {bin(primitive_poly)} does not have degree {r}"
+                f"polynomial {primitive_poly!r} is not an integer of degree {r}"
             )
         self.r = r
         self.q = 1 << r

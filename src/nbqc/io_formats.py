@@ -4,7 +4,8 @@ The descriptor is the canonical JSON form of a QC code plus metadata
 (creation seed, achieved spectra, tool version).  Loading is fail-closed:
 the achieved spectra stored in a descriptor are recomputed, from one walk
 enumeration at the deepest stored depth, and must match, so a corrupted or
-hand-edited file cannot silently misreport code quality.
+hand-edited file cannot silently misreport code quality.  The table stays
+with the code's protograph, so no spectrum within that depth re-enumerates.
 
 The alist export is the usual sparse binary format (dimensions, max
 degrees, per-node degrees, 1-based per-node index lists).  The non-binary
@@ -98,6 +99,8 @@ def load_descriptor(path) -> tuple[QcCode, dict]:
     except (KeyError, TypeError) as exc:
         raise DescriptorError(f"descriptor missing field: {exc}") from exc
     meta = desc.get("metadata", {})
+    if not isinstance(meta, dict):
+        raise DescriptorError("metadata is not an object")
     _verify_metadata(code, meta)
     return code, meta
 
@@ -112,15 +115,18 @@ def _verify_metadata(code: QcCode, meta: dict) -> None:
             continue
         if key == "achieved_nb" and code.labels is None:
             raise DescriptorError("achieved_nb stored for an unlabeled code")
+        if not (isinstance(claimed, dict) and isinstance(claimed.get("values"), list)
+                and isinstance(claimed.get("depth"), int)):
+            raise DescriptorError(f"{key} needs an integer depth and a values list")
         stored = AceSpectrum.from_json_list(claimed["values"])
         if stored.depth != claimed["depth"]:
             raise DescriptorError(f"{key} depth disagrees with values")
         claims.append((kind, spectrum, stored))
     if not claims:
         return
-    walks = walk_table(code.proto, max(stored.depth for *_, stored in claims))
+    walk_table(code.proto, max(stored.depth for *_, stored in claims))
     for kind, spectrum, stored in claims:
-        actual = spectrum(code, stored.depth, walks=walks)
+        actual = spectrum(code, stored.depth)
         if actual != stored:
             raise DescriptorError(
                 f"stored {kind} spectrum {stored.format()} does not re-verify "

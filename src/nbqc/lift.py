@@ -29,7 +29,8 @@ alternating label sum are the same linear functional of per-edge values;
 one vectorised kernel turns a shift vector into total shifts, cycle orders
 and realizability for many walks at once, and spectra are a group-by-min
 over lifted lengths.  Only the chordless test for realized walks that
-revisit a node still runs walk by walk.
+revisit a node still runs walk by walk.  A protograph has one walk table,
+:func:`walk_table`, enumerated once at the deepest depth asked for.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ from .protograph import (
 )
 
 INF = math.inf
+# the shift optimizer keeps a (walks, Z) residue table and expansion
+# writes Z entries per base edge; codes from files and the CLI stay below
+MAX_Z = 1 << 16
 
 
 class ShiftCollisionError(ValueError):
@@ -138,7 +142,7 @@ class AceSpectrum:
 
     @classmethod
     def from_json_list(cls, vals) -> "AceSpectrum":
-        return cls.from_list([INF if v == "inf" else int(v) for v in vals])
+        return cls.from_list([INF if v == "inf" else v for v in vals])
 
     def format(self) -> str:
         return "(" + ",".join(
@@ -193,13 +197,13 @@ class QcCode:
         if sorted(shifts) != list(range(proto.n_edges)):
             raise ValueError("every edge needs exactly one shift")
         for e, d in shifts.items():
-            if not 0 <= d < Z:
-                raise ValueError(f"shift {d} of edge {e} outside [0, Z-1]")
+            if not isinstance(d, (int, np.integer)) or not 0 <= d < Z:
+                raise ValueError(f"shift {d} of edge {e} not an integer in [0, Z-1]")
         if labels is not None:
             if sorted(labels) != list(range(proto.n_edges)):
                 raise ValueError("labels must cover every edge or be absent")
             for e, rho in labels.items():
-                if not 0 <= rho <= field.q - 2:
+                if not isinstance(rho, (int, np.integer)) or not 0 <= rho <= field.q - 2:
                     raise ValueError(f"label exponent {rho} of edge {e} out of range")
         self.proto = proto
         self.Z = Z
@@ -239,6 +243,8 @@ class QcCode:
     def from_json_dict(cls, d: dict) -> "QcCode":
         field = Field(d["field"]["r"], d["field"].get("poly"))
         proto = from_base_matrix(d["base_matrix"])
+        if not isinstance(d["Z"], int) or not 1 <= d["Z"] <= MAX_Z:
+            raise ValueError(f"lifting order Z must be an integer in [1, {MAX_Z}]")
         edges = d["edges"]
         if len(edges) != proto.n_edges:
             raise ValueError("edge list length does not match base matrix")
@@ -427,15 +433,18 @@ class WalkTable:
         return d, realized
 
 
-def walk_table(proto: Protograph, depth: int, walks=None) -> WalkTable:
-    """The closed walks up to ``depth`` as a table.
+def walk_table(proto: Protograph, depth: int) -> WalkTable:
+    """The closed walks of ``proto`` up to at least ``depth``, as a table.
 
-    ``walks`` may be None (enumerate them), a list of records (compile
-    it) or a table already compiled (returned as is).
+    A protograph never changes, so its table is enumerated at most once
+    per instance, at the deepest depth asked for so far, and kept there.
+    It may hold longer walks; callers filter by length or with ``upto``.
     """
-    if walks is None:
-        walks = enumerate_closed_walks(proto, depth)
-    return walks if isinstance(walks, WalkTable) else WalkTable(proto, walks)
+    known, table = proto._walks
+    if known < depth:
+        table = WalkTable(proto, enumerate_closed_walks(proto, depth))
+        proto._walks = (depth, table)
+    return table
 
 
 def _edge_vector(values: dict[int, int]) -> np.ndarray:
@@ -463,12 +472,12 @@ def _lift_chordless(record: CycleRecord, code: QcCode, partials, d: int) -> bool
     var_copies: set[tuple[int, int]] = set()
     for t in range(order):
         off = (t * d) % Z
-        for p in range(record.length):
+        for p, e in enumerate(record.edge_seq):
             copy = (off + partials[p]) % Z
             if p % 2 == 0:
-                check_copies.add((record.check_seq[p // 2], copy))
+                check_copies.add((proto.edge_check[e], copy))
             else:
-                var_copies.add((record.var_seq[p // 2], copy))
+                var_copies.add((proto.edge_var[e], copy))
     for c, i in check_copies:
         cnt = 0
         for e in proto.check_edges[c]:
@@ -607,9 +616,9 @@ def frc_lifted(base: CycleRecord, code: QcCode) -> bool:
     return lift_cycle(base, code).canceled
 
 
-def _spectrum(code: QcCode, depth: int, walks, skip_canceled: bool) -> AceSpectrum:
+def _spectrum(code: QcCode, depth: int, skip_canceled: bool) -> AceSpectrum:
     """Group-by-min of lifted ACE over the realized lifts within ``depth``."""
-    table = walk_table(code.proto, depth, walks).upto(depth)
+    table = walk_table(code.proto, depth).upto(depth)
     d, order, realized = lift_walks(table, code)
     lifted_len = table.length * order
     ids = np.flatnonzero(realized & (lifted_len <= depth))
@@ -621,20 +630,16 @@ def _spectrum(code: QcCode, depth: int, walks, skip_canceled: bool) -> AceSpectr
                                if i and v != INF})
 
 
-def binary_ace_spectrum(code: QcCode, depth: int, walks=None) -> AceSpectrum:
-    """Minimum lifted-cycle ACE per even length, labels ignored.
-
-    ``walks`` is a record list or a :class:`WalkTable`; walks longer than
-    ``depth`` are ignored, and None enumerates them.
-    """
-    return _spectrum(code, depth, walks, skip_canceled=False)
+def binary_ace_spectrum(code: QcCode, depth: int) -> AceSpectrum:
+    """Minimum lifted-cycle ACE per even length, labels ignored."""
+    return _spectrum(code, depth, skip_canceled=False)
 
 
-def nb_ace_spectrum(code: QcCode, depth: int, walks=None) -> AceSpectrum:
+def nb_ace_spectrum(code: QcCode, depth: int) -> AceSpectrum:
     """Like the binary spectrum, but canceled cycles leave the minimum."""
     if code.labels is None:
         raise ValueError("NB spectrum requires a label assignment")
-    return _spectrum(code, depth, walks, skip_canceled=True)
+    return _spectrum(code, depth, skip_canceled=True)
 
 
 def _check_collisions(code: QcCode) -> None:

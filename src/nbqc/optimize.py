@@ -16,8 +16,10 @@ an edge by coefficient times change, for all candidate values at once.
 The shift tracker re-lifts only walks that revisit a node, and only for
 candidates whose cycle order already violates.
 
+Every stage reads the protograph's one walk table (``lift.walk_table``).
 Success is never taken from internal bookkeeping alone: a reported success
-re-verifies the achieved spectrum through the lifting module.
+re-verifies the achieved spectrum through the lifting module and carries it
+as ``OptimizeResult.achieved``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from .gf import Field
 from .lift import (  # lift_cycle, lift_is_minimal: traced by perfbench/spans.py
     AceConstraint,
+    AceSpectrum,
     QcCode,
     WalkTable,
     binary_ace_spectrum,
@@ -40,6 +43,7 @@ from .lift import (  # lift_cycle, lift_is_minimal: traced by perfbench/spans.py
     nb_ace_spectrum,
     walk_table,
 )
+# enumerate_closed_walks: traced by perfbench/spans.py
 from .protograph import CycleRecord, Protograph, enumerate_closed_walks
 
 
@@ -78,6 +82,7 @@ class OptimizeResult:
     sweeps_used: int
     restarts_used: int
     worst_cycle: dict | None
+    achieved: AceSpectrum | None = None  # a success's re-verified spectrum
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,7 +116,6 @@ def find_problematic_binary(
     proto: Protograph,
     Z: int,
     constraint: AceConstraint,
-    walks=None,
 ) -> ProblemSet:
     """Base walks that some shift assignment could turn into violations.
 
@@ -120,7 +124,7 @@ def find_problematic_binary(
     constraint depth with lifted ACE below the constraint there.  All other
     walks satisfy the constraint under every assignment.
     """
-    table = walk_table(proto, constraint.depth, walks)
+    table = walk_table(proto, constraint.depth)
     divisors = np.array([o for o in range(1, Z + 1) if Z % o == 0])
     return ProblemSet(table.subset(
         _order_violations(table, divisors, constraint).any(axis=1)))
@@ -330,12 +334,14 @@ def _optimize(tracker: _Tracker, n_edges: int, cfg: OptimizerConfig,
     )
 
 
-def _check_success(kind: str, achieved: AceConstraint,
-                   constraint: AceConstraint) -> None:
-    if not achieved.achieves(constraint):
+def _verify(result: OptimizeResult, kind: str, spectrum, code: QcCode,
+            constraint: AceConstraint) -> None:
+    """Recompute a success's spectrum; it must achieve the constraint."""
+    result.achieved = spectrum(code, constraint.depth)
+    if not result.achieved.achieves(constraint):
         raise RuntimeError(
-            f"internal bookkeeping error: reported success but {kind} "
-            f"spectrum {achieved.format()} misses {constraint.format()}"
+            f"internal bookkeeping error: reported success but {kind} spectrum "
+            f"{result.achieved.format()} misses {constraint.format()}"
         )
 
 
@@ -344,22 +350,15 @@ def assign_shifts(
     Z: int,
     constraint: AceConstraint,
     cfg: OptimizerConfig,
-    walks=None,
     history: list | None = None,
 ) -> OptimizeResult:
-    """Search shift assignments whose lifted binary spectrum meets the constraint.
-
-    ``walks`` is a record list or a :class:`WalkTable`; walks longer than
-    the constraint depth are ignored, and None enumerates them.
-    """
-    table = walk_table(proto, constraint.depth, walks)
-    problem = find_problematic_binary(proto, Z, constraint, table)
+    """Search shifts whose lifted binary spectrum meets the constraint."""
+    problem = find_problematic_binary(proto, Z, constraint)
     result = _optimize(_ShiftTracker(problem.table, Z, constraint),
                        proto.n_edges, cfg, history)
     if result.success:
-        code = QcCode(proto, Z, Field(1), result.assignment)
-        _check_success("binary", binary_ace_spectrum(
-            code, constraint.depth, walks=table), constraint)
+        _verify(result, "binary", binary_ace_spectrum,
+                QcCode(proto, Z, Field(1), result.assignment), constraint)
     return result
 
 
@@ -367,7 +366,6 @@ def assign_labels(
     code: QcCode,
     constraint_nb: AceConstraint,
     cfg: OptimizerConfig,
-    walks=None,
     history: list | None = None,
 ) -> OptimizeResult:
     """Search label exponents whose NB spectrum meets the constraint.
@@ -377,13 +375,12 @@ def assign_labels(
     cancellation hypothesis (chorded lift support) the search cannot
     succeed and a single best-effort restart produces the failure report.
     """
-    table = walk_table(code.proto, constraint_nb.depth, walks)
+    table = walk_table(code.proto, constraint_nb.depth)
     result = _optimize(_LabelTracker(code, table, constraint_nb),
                        code.proto.n_edges, cfg, history)
     if result.success:
-        _check_success("NB", nb_ace_spectrum(
-            code.with_labels(result.assignment), constraint_nb.depth,
-            walks=table), constraint_nb)
+        _verify(result, "NB", nb_ace_spectrum,
+                code.with_labels(result.assignment), constraint_nb)
     return result
 
 
@@ -440,7 +437,7 @@ def spectrum_search(
     """
     if max_depth < 2 or max_depth % 2:
         raise ValueError("max_depth must be even and >= 2")
-    walks = WalkTable(proto, enumerate_closed_walks(proto, max_depth))
+    walk_table(proto, max_depth)  # one enumeration for every attempt
     depth = min(4, max_depth)
 
     attempt_idx = 0
@@ -450,17 +447,15 @@ def spectrum_search(
         attempt_idx += 1
         sub = replace(cfg, rng_seed=(cfg.rng_seed * 1_000_003 + attempt_idx)
                       % (1 << 63))
-        rs = assign_shifts(proto, Z, tb, sub, walks=walks)
+        rs = assign_shifts(proto, Z, tb, sub)
         if not rs.success:
             return None
         code = QcCode(proto, Z, field, rs.assignment, None, lambda_mult)
-        rl = assign_labels(code, tnb, sub, walks=walks)
+        rl = assign_labels(code, tnb, sub)
         if not rl.success:
             return None
-        code = code.with_labels(rl.assignment)
-        achieved_b = binary_ace_spectrum(code, tb.depth, walks=walks)
-        achieved_nb = nb_ace_spectrum(code, tnb.depth, walks=walks)
-        return SearchCandidate(achieved_b, achieved_nb, code)
+        return SearchCandidate(rs.achieved, rl.achieved,
+                               code.with_labels(rl.assignment))
 
     current = attempt(AceConstraint.all_zero(depth), AceConstraint.all_zero(depth))
     if current is None:
@@ -480,8 +475,8 @@ def spectrum_search(
         if adopted is None and current.binary.depth + 2 <= max_depth:
             new_depth = current.binary.depth + 2
             adopted = SearchCandidate(
-                binary_ace_spectrum(current.code, new_depth, walks=walks),
-                nb_ace_spectrum(current.code, new_depth, walks=walks),
+                binary_ace_spectrum(current.code, new_depth),
+                nb_ace_spectrum(current.code, new_depth),
                 current.code,
             )
         if adopted is None:

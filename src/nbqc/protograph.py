@@ -26,17 +26,15 @@ class CycleRecord:
     """One canonical non-backtracking closed walk of the base graph.
 
     ``edge_seq`` is the canonical edge-id sequence; position 0 is traversed
-    check-to-variable and directions alternate from there.  ``check_seq`` and
-    ``var_seq`` hold the visited nodes in traversal order (checks before even
-    edges, variables before odd edges).  ``ace`` sums (deg(v) - 2) over
-    variable *visits*.  ``is_simple_minimal`` marks walks of length >= 4 with
-    no repeated node whose support induces no extra base edges; only those
-    are eligible for the algebraic full-rank cancellation test.
+    check-to-variable and directions alternate from there, so the node
+    visited before the edge at position p is its check for even p and its
+    variable for odd p.  ``ace`` sums (deg(v) - 2) over variable *visits*.
+    ``is_simple_minimal`` marks walks of length >= 4 with no repeated node
+    whose support induces no extra base edges; only those are eligible for
+    the algebraic full-rank cancellation test.
     """
 
     edge_seq: tuple[int, ...]
-    check_seq: tuple[int, ...]
-    var_seq: tuple[int, ...]
     ace: int
     is_simple_minimal: bool
 
@@ -75,6 +73,12 @@ class Protograph:
         for v, es in enumerate(self.var_edges):
             if not es:
                 raise ValueError(f"variable node {v} has degree 0")
+        # (depth, closed-walk table) kept by lift.walk_table
+        self._walks = (0, None)
+
+    def __getstate__(self):
+        # derived data stays out of pickles (simulation workers)
+        return {**self.__dict__, "_walks": (0, None)}
 
     @property
     def n_edges(self) -> int:
@@ -262,16 +266,9 @@ def enumerate_closed_walks(
 
 
 def _build_record(proto: Protograph, canon: tuple[int, ...]) -> CycleRecord:
-    checks = []
-    vars_ = []
-    for p, e in enumerate(canon):
-        if p % 2 == 0:
-            checks.append(proto.edge_check[e])
-            vars_.append(proto.edge_var[e])
-        else:
-            # odd edges are traversed variable-to-check; sanity: shared var
-            if proto.edge_var[e] != vars_[-1]:
-                raise AssertionError("canonical walk lost node consistency")
+    # the even (check-to-variable) edges meet every visited node once
+    checks = [proto.edge_check[e] for e in canon[0::2]]
+    vars_ = [proto.edge_var[e] for e in canon[0::2]]
     ace = sum(proto.var_degree(v) - 2 for v in vars_)
     simple = (
         len(canon) >= 4
@@ -279,13 +276,7 @@ def _build_record(proto: Protograph, canon: tuple[int, ...]) -> CycleRecord:
         and len(set(vars_)) == len(vars_)
     )
     minimal = simple and _support_is_chordless(proto, checks, vars_)
-    return CycleRecord(
-        edge_seq=canon,
-        check_seq=tuple(checks),
-        var_seq=tuple(vars_),
-        ace=ace,
-        is_simple_minimal=minimal,
-    )
+    return CycleRecord(edge_seq=canon, ace=ace, is_simple_minimal=minimal)
 
 
 def _support_is_chordless(proto: Protograph, checks, vars_) -> bool:

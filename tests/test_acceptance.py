@@ -164,9 +164,8 @@ def test_criterion_3_spectrum_oracle_equivalence():
     n = mismatches = 0
     while n < 50:
         code = _random_small_code(rng)
-        walks = enumerate_closed_walks(code.proto, depth)
-        got_b = binary_ace_spectrum(code, depth, walks=walks).values
-        got_nb = nb_ace_spectrum(code, depth, walks=walks).values
+        got_b = binary_ace_spectrum(code, depth).values
+        got_nb = nb_ace_spectrum(code, depth).values
         oracle = LiftedGraph(code)
         want_b = oracle.spectrum(depth, skip_canceled=False)
         want_nb = oracle.spectrum(depth, skip_canceled=True)
@@ -283,15 +282,13 @@ def _build_reference_pair():
     matrix = read_base_matrix(FIXTURES / "proto_gf16_z9.txt")
     proto = from_base_matrix(matrix)
     field = Field(4)
-    walks = enumerate_closed_walks(proto, 12)
-    walks_b = [w for w in walks if w.length <= 8]
     cfg = OptimizerConfig(rng_seed=1)
     shifts = assign_shifts(proto, 9, AceConstraint.parse("inf,inf,inf,4"),
-                           cfg, walks=walks_b)
+                           cfg)
     assert shifts.success
     mother = QcCode(proto, 9, field, shifts.assignment)
     labels = assign_labels(
-        mother, AceConstraint.parse("inf,inf,inf,inf,inf,4"), cfg, walks=walks
+        mother, AceConstraint.parse("inf,inf,inf,inf,inf,4"), cfg
     )
     assert labels.success
     tuned = mother.with_labels(labels.assignment)

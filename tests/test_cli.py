@@ -160,6 +160,29 @@ def test_descriptor_tampered_edges_fail(tmp_path, proto_file, capsys):
         load_descriptor(out)
 
 
+@pytest.mark.parametrize("damage", [
+    lambda d: d.update(metadata="x"),
+    lambda d: d.update(metadata=[]),
+    lambda d: d["metadata"].update(achieved_binary="x"),
+    lambda d: d["metadata"].update(achieved_binary={"depth": 10, "values": 5}),
+    lambda d: d["metadata"]["achieved_binary"].pop("depth"),
+    lambda d: d.update(field={"r": 3, "poly": "11"}),
+    lambda d: d["edges"][0].update(shift=1.5),
+    lambda d: d["edges"][0].update(rho=2.5),
+], ids=["metadata-str", "metadata-list", "achieved-str", "values-int",
+        "depth-missing", "poly-str", "shift-float", "rho-float"])
+def test_malformed_descriptor_exits_3_with_one_line(tmp_path, proto_file,
+                                                   capsys, damage):
+    out = construct_toy(tmp_path, proto_file)
+    capsys.readouterr()
+    desc = json.loads(out.read_text())
+    damage(desc)
+    out.write_text(json.dumps(desc))
+    assert main(["spectrum", str(out), "--depth", "4"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_simulate_command_noiseless_and_deterministic(tmp_path, proto_file,
                                                       capsys):
     out = construct_toy(tmp_path, proto_file)
@@ -361,6 +384,18 @@ def test_gf2_end_to_end(tmp_path, proto_file, capsys):
     assert ",5,0," in (tmp_path / "bsim.csv").read_text()
 
 
+def _huge_z_descriptor(desc, path):
+    """A metadata-free GF(8) copy of ``desc`` with Z far past the bound."""
+    obj = json.loads(desc.read_text())
+    del obj["metadata"]
+    obj.update(field={"r": 3, "poly": 0b1011}, Z=700_000_000_000)
+    obj["lambda"] = 1
+    for edge in obj["edges"]:
+        edge["rho"] %= 7
+    path.write_text(json.dumps(obj))
+    return path
+
+
 def _bad_input_argv(tmp_path, desc):
     construct = ["construct", "--proto", str(tmp_path / "proto.txt"),
                  "--q", "16", "--ace-b", "inf,inf", "--ace-nb", "inf,inf",
@@ -391,6 +426,9 @@ def _bad_input_argv(tmp_path, desc):
                                              "--out", out],
         "export-out": ["export", str(desc), "--format", "alist",
                        "--out", nowhere],
+        "export-Z-huge": ["export", str(_huge_z_descriptor(
+            desc, tmp_path / "huge.json")), "--format", "alist",
+            "--out", out],
         "spectrum-depth": ["spectrum", str(desc), "--depth", "5"],
         "spectrum-depth-huge": ["spectrum", str(desc), "--depth", "1000000"],
     }
@@ -400,12 +438,12 @@ def _bad_input_argv(tmp_path, desc):
     "Z0", "Z-huge", "max-sweeps0", "max-restarts0", "overflow",
     "construct-out", "construct-seed-minus-1", "snr-abc", "snr-nan",
     "snr-minus-inf", "snr-huge", "workers0", "env-workers", "simulate-out",
-    "simulate-seed-minus-1", "export-out", "spectrum-depth",
+    "simulate-seed-minus-1", "export-out", "export-Z-huge", "spectrum-depth",
     "spectrum-depth-huge",
 ])
 def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
                                          monkeypatch, case):
-    import nbqc.cli
+    import nbqc.lift
     from nbqc.protograph import WalkEnumerationOverflow
 
     desc = construct_toy(tmp_path, proto_file)
@@ -415,7 +453,7 @@ def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
     if case == "overflow":
         def overflow(*args, **kwargs):
             raise WalkEnumerationOverflow("more than 5 closed-walk classes")
-        monkeypatch.setattr(nbqc.cli, "enumerate_closed_walks", overflow)
+        monkeypatch.setattr(nbqc.lift, "enumerate_closed_walks", overflow)
     assert main(_bad_input_argv(tmp_path, desc)[case]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -454,8 +492,11 @@ def test_walk_enumerations_per_command(tmp_path, proto_file, capsys,
         "--ace-b", "inf,inf", "--ace-nb", "inf,inf,inf",
         "--seed", "5", "--out", str(desc),
     ]) == 1
-    assert count(["spectrum", str(desc), "--depth", "4"]) == 2
-    assert calls == [6, 4]
+    # the spectrum answers from load-verify's table unless it asks deeper
+    assert count(["spectrum", str(desc), "--depth", "4"]) == 1
+    assert calls == [6]
+    assert count(["spectrum", str(desc), "--depth", "8", "--nb"]) == 2
+    assert calls == [6, 8]
     assert count(["simulate", str(desc), "--snr", "inf", "--max-frames", "1",
                   "--seed", "1", "--out", str(tmp_path / "sim")]) == 1
     calls.clear()

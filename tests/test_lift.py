@@ -1,8 +1,13 @@
 import json
 import math
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import nbqc.lift
 
 from nbqc.codec import rank
 from nbqc.gf import Field, min_lambda
@@ -13,6 +18,7 @@ from nbqc.lift import (
     QcCode,
     ShiftCollisionError,
     UnsupportedStructureError,
+    WalkTable,
     binary_ace_spectrum,
     expand,
     expand_binary,
@@ -20,6 +26,7 @@ from nbqc.lift import (
     frc_lifted,
     lift_cycle,
     nb_ace_spectrum,
+    walk_table,
 )
 from nbqc.protograph import enumerate_closed_walks, from_base_matrix
 
@@ -431,3 +438,49 @@ def test_triple_parallel_cell_spectra_match_oracle(gf4):
         g = LiftedGraph(code)
         assert binary_ace_spectrum(code, 8).values == g.spectrum(8, False)
         assert nb_ace_spectrum(code, 8).values == g.spectrum(8, True)
+
+
+def _base_matrices():
+    """Small base matrices, parallel edges allowed, no empty row or column."""
+    shape = st.tuples(st.integers(1, 3), st.integers(2, 3))
+    return shape.flatmap(lambda mn: st.lists(
+        st.lists(st.integers(0, 2), min_size=mn[1], max_size=mn[1]),
+        min_size=mn[0], max_size=mn[0],
+    )).filter(lambda m: all(any(r) for r in m)
+              and all(any(c) for c in zip(*m)) and sum(map(sum, m)) <= 8)
+
+
+def _assert_same_walks(got: WalkTable, want: WalkTable):
+    """Equal records, rows and coefficients; ``got`` may pad wider."""
+    width = want.rows.shape[1]
+    assert got.records == want.records
+    assert np.array_equal(got.rows[:, :width], want.rows)
+    assert (got.rows[:, width:] == got.proto.n_edges).all()
+    assert np.array_equal(got.coef[:, :width], want.coef)
+    assert not got.coef[:, width:].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=_base_matrices(), shallow=st.sampled_from([2, 4, 6]),
+       extra=st.sampled_from([2, 4]))
+def test_walk_table_memo_matches_fresh_enumeration(rows, shallow, extra):
+    deep = shallow + extra
+    fresh = from_base_matrix(rows)
+    with mock.patch.object(nbqc.lift, "enumerate_closed_walks",
+                           wraps=enumerate_closed_walks) as counted:
+        table = walk_table(fresh, deep)
+        # a shallower request is answered from the deeper table
+        assert walk_table(fresh, shallow) is table
+        assert counted.call_count == 1
+        # derived data stays out of pickles sent to simulation workers
+        assert pickle.loads(pickle.dumps(fresh))._walks == (0, None)
+        _assert_same_walks(
+            table.upto(shallow),
+            WalkTable(fresh, enumerate_closed_walks(fresh, shallow)))
+        # a deeper request after a shallower one enumerates again
+        grown = from_base_matrix(rows)
+        first = walk_table(grown, shallow)
+        assert walk_table(grown, deep) is not first
+        assert counted.call_count == 3
+        _assert_same_walks(walk_table(grown, deep),
+                           WalkTable(grown, enumerate_closed_walks(grown, deep)))

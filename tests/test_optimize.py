@@ -184,24 +184,42 @@ def test_assign_labels_single_4cycle_matches_bruteforce(gf16, square22):
 def test_assign_labels_never_touches_shifts(ensemble1_matrix, gf16):
     proto = from_base_matrix(ensemble1_matrix)
     cfg = OptimizerConfig(rng_seed=6)
-    walks = enumerate_closed_walks(proto, 12)
-    walks_b = [w for w in walks if w.length <= 8]
     cons_b = AceConstraint.parse("inf,inf,inf,4")
-    shifts = assign_shifts(proto, 9, cons_b, cfg, walks=walks_b)
+    shifts = assign_shifts(proto, 9, cons_b, cfg)
     assert shifts.success
     code = QcCode(proto, 9, gf16, shifts.assignment)
-    before = binary_ace_spectrum(code, 12, walks=walks)
+    before = binary_ace_spectrum(code, 12)
     labels = assign_labels(
-        code, AceConstraint.parse("inf,inf,inf,inf,inf,4"), cfg, walks=walks
+        code, AceConstraint.parse("inf,inf,inf,inf,inf,4"), cfg
     )
     assert labels.success
     labeled = code.with_labels(labels.assignment)
-    assert binary_ace_spectrum(labeled, 12, walks=walks) == before
-    nb = nb_ace_spectrum(labeled, 12, walks=walks)
+    assert binary_ace_spectrum(labeled, 12) == before
+    nb = nb_ace_spectrum(labeled, 12)
     assert nb.achieves(AceConstraint.parse("inf,inf,inf,inf,inf,4"))
     # canceled cycles only ever leave the minimum
-    binary = binary_ace_spectrum(labeled, 12, walks=walks)
+    binary = binary_ace_spectrum(labeled, 12)
     assert all(nb.values[i] >= binary.values[i] for i in nb.lengths())
+
+
+def test_optimize_result_carries_verified_spectrum(gf4):
+    rows = [[1, 1, 1], [1, 1, 1]]
+    proto = from_base_matrix(rows)
+    cfg = OptimizerConfig(rng_seed=4)
+    shifts = assign_shifts(proto, 4, AceConstraint.all_zero(6), cfg)
+    code = QcCode(proto, 4, gf4, shifts.assignment)
+    labels = assign_labels(code, AceConstraint.all_zero(8), cfg)
+    assert shifts.success and labels.success
+    # recomputed on a protograph that has never enumerated its walks
+    fresh = QcCode(from_base_matrix(rows), 4, gf4, shifts.assignment,
+                   labels.assignment)
+    assert shifts.achieved == binary_ace_spectrum(fresh, 6)
+    assert labels.achieved == nb_ace_spectrum(fresh, 8)
+    assert any(v != INF for v in labels.achieved.to_list())
+    # a failure carries no spectrum
+    parallel = from_base_matrix([[2]])
+    failed = assign_shifts(parallel, 1, AceConstraint.parse("inf"), cfg)
+    assert not failed.success and failed.achieved is None
 
 
 def test_label_history_monotone(ensemble1_matrix, gf16):
@@ -234,10 +252,9 @@ def test_spectrum_search_toy_dominates_baseline(gf16):
     # exhaustive oracle at depth 4: some assignment avoids lifted 4-cycles,
     # so the search must have found tau_4 = inf on the binary side
     achievable_inf4 = False
-    walks = enumerate_closed_walks(proto, 4)
     for shifts in itertools.product(range(4), repeat=6):
         code = QcCode(proto, 4, gf16, dict(enumerate(shifts)))
-        if binary_ace_spectrum(code, 4, walks=walks).values[4] == INF:
+        if binary_ace_spectrum(code, 4).values[4] == INF:
             achievable_inf4 = True
             break
     assert achievable_inf4
@@ -334,7 +351,7 @@ def test_trackers_match_lift_cycle_recount(seed):
     })
     walks = enumerate_closed_walks(proto, depth)
 
-    problem = find_problematic_binary(proto, Z, constraint, walks)
+    problem = find_problematic_binary(proto, Z, constraint)
 
     def shift_count(shifts):
         code = QcCode(proto, Z, Field(1), dict(enumerate(shifts.tolist())))

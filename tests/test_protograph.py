@@ -138,20 +138,24 @@ def test_canonicalization_idempotence(theta23):
 def test_ace_recomputed_from_adjacency(ensemble1_matrix):
     p = from_base_matrix(ensemble1_matrix)
     for rec in enumerate_closed_walks(p, 8):
-        assert rec.ace == sum(p.var_degree(v) - 2 for v in rec.var_seq)
+        var_seq = [p.edge_var[e] for e in rec.edge_seq[0::2]]
+        assert rec.ace == sum(p.var_degree(v) - 2 for v in var_seq)
         assert rec.ace >= 0
         if rec.ace == 0:
-            assert all(p.var_degree(v) == 2 for v in rec.var_seq)
+            assert all(p.var_degree(v) == 2 for v in var_seq)
 
 
 def test_walk_structure_invariants(theta23):
-    for rec in enumerate_closed_walks(theta23, 8):
-        assert rec.length % 2 == 0
-        assert len(rec.check_seq) == rec.length // 2
-        assert len(rec.var_seq) == rec.length // 2
-        # non-backtracking including the wrap
-        for i in range(rec.length):
-            assert rec.edge_seq[i] != rec.edge_seq[(i + 1) % rec.length]
+    for p in (theta23, from_base_matrix([[2, 1], [1, 2]])):
+        for rec in enumerate_closed_walks(p, 8):
+            assert rec.length % 2 == 0
+            for i in range(rec.length):
+                e, nxt = rec.edge_seq[i], rec.edge_seq[(i + 1) % rec.length]
+                # non-backtracking including the wrap
+                assert e != nxt
+                # an even edge hands its variable on, an odd edge its check
+                side = p.edge_var if i % 2 == 0 else p.edge_check
+                assert side[e] == side[nxt]
 
 
 def test_simple_minimal_excludes_chorded_support():
