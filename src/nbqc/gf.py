@@ -24,6 +24,7 @@ doubles as alpha, and every edge label collapses to 1.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -61,11 +62,11 @@ class Field:
     """
 
     def __init__(self, r: int, primitive_poly: int | None = None):
-        if not 1 <= r <= 8:
-            raise ValueError(f"extension degree r={r} out of supported range [1, 8]")
+        if isinstance(r, bool) or not isinstance(r, Integral) or not 1 <= r <= 8:
+            raise ValueError(f"extension degree r={r!r} is not an integer in [1, 8]")
         if primitive_poly is None:
             primitive_poly = DEFAULT_PRIMITIVE_POLYS[r]
-        if (not isinstance(primitive_poly, int)
+        if (isinstance(primitive_poly, bool) or not isinstance(primitive_poly, int)
                 or primitive_poly.bit_length() != r + 1):
             raise ValueError(
                 f"polynomial {primitive_poly!r} is not an integer of degree {r}"

@@ -27,6 +27,7 @@ from .lift import (
     binary_ace_spectrum,
     expand,
     expand_binary,
+    is_integer,
     nb_ace_spectrum,
     walk_table,
 )
@@ -116,7 +117,7 @@ def _verify_metadata(code: QcCode, meta: dict) -> None:
         if key == "achieved_nb" and code.labels is None:
             raise DescriptorError("achieved_nb stored for an unlabeled code")
         if not (isinstance(claimed, dict) and isinstance(claimed.get("values"), list)
-                and isinstance(claimed.get("depth"), int)):
+                and is_integer(claimed.get("depth"))):
             raise DescriptorError(f"{key} needs an integer depth and a values list")
         stored = AceSpectrum.from_json_list(claimed["values"])
         if stored.depth != claimed["depth"]:

@@ -8,10 +8,11 @@ row i holds alpha^(rho + i*lambda).  A single global multiplier lambda with
 
 A base closed walk of length l with total (alternating) shift d lifts to
 gcd(Z, d) closed walks of length l * O, O = Z / gcd(Z, d).  For a simple
-base cycle these are always vertex-simple cycles; for a walk that revisits
-nodes they are cycles only when no two visits of the same node land on the
-same copy, which this module tests exactly.  ACE spectra of the lifted
-graph are computed from base walks through that projection.
+base cycle these are always vertex-simple cycles; for a walk that visits
+a node twice they are cycles only when no two visits of one node land on
+the same copy, i.e. when the shift sum between the visits is nonzero
+modulo gcd(Z, d).  ACE spectra of the lifted graph are computed from base walks
+through that projection.
 
 Cancellation: the full-rank condition applies to every cycle of the lifted
 graph that is simple and minimal there (no repeated vertices, no chords
@@ -24,13 +25,15 @@ with chorded supports are conservatively never canceled.
 
 All of this walk algebra runs on one compiled form of a walk list,
 :class:`WalkTable`: a padded edge-id row per walk with its length, ACE,
-simple-minimal flag and signed edge coefficients.  The total shift and the
-alternating label sum are the same linear functional of per-edge values;
-one vectorised kernel turns a shift vector into total shifts, cycle orders
-and realizability for many walks at once, and spectra are a group-by-min
-over lifted lengths.  Only the chordless test for realized walks that
-revisit a node still runs walk by walk.  A protograph has one walk table,
-:func:`walk_table`, enumerated once at the deepest depth asked for.
+simple-minimal flag and signed edge coefficients, plus one coefficient row
+per pair of visits to one node.  Total shift, alternating label sum and
+pair shift sums are all linear functionals of per-edge values, so a shift
+vector gives total shifts, cycle orders and realizability
+(:func:`realized_lifts`) for many walks at once, and spectra are a
+group-by-min over lifted lengths.  Only the chordless test for realized
+walks that revisit a node still runs walk by walk.  A protograph has one
+walk table, :func:`walk_table`, enumerated once at the deepest depth asked
+for.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -53,9 +57,19 @@ from .protograph import (
 )
 
 INF = math.inf
-# the shift optimizer keeps a (walks, Z) residue table and expansion
-# writes Z entries per base edge; codes from files and the CLI stay below
+# the shift optimizer tries all Z shifts per edge and expansion writes Z
+# entries per base edge; every code and shift search stays below
 MAX_Z = 1 << 16
+
+
+def is_integer(x) -> bool:
+    """An integer that is not a bool (JSON ``true`` loads as one)."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def check_lifting_order(Z) -> None:
+    if not is_integer(Z) or not 1 <= Z <= MAX_Z:
+        raise ValueError(f"lifting order Z must be an integer in [1, {MAX_Z}]")
 
 
 class ShiftCollisionError(ValueError):
@@ -91,7 +105,7 @@ class AceSpectrum:
     def _check_value(v):
         if v == INF:
             return
-        if not isinstance(v, (int, float)) or v != int(v) or v < 0:
+        if not (is_integer(v) or isinstance(v, float)) or v != int(v) or v < 0:
             raise ValueError(f"spectrum values are nonnegative integers or inf: {v}")
 
     @classmethod
@@ -126,7 +140,7 @@ class AceSpectrum:
             raise ValueError(
                 f"spectrum depth {self.depth} < constraint depth {constraint.depth}"
             )
-        return all(self.values[i] >= constraint.values[i] for i in constraint.lengths())
+        return self.dominates(constraint)
 
     def dominates(self, other: "AceSpectrum") -> bool:
         """Componentwise >= on the other's indices with at least as much depth."""
@@ -179,8 +193,7 @@ class QcCode:
         labels: dict[int, int] | None = None,
         lambda_mult: int | None = None,
     ):
-        if Z < 1:
-            raise ValueError("lifting order Z must be >= 1")
+        check_lifting_order(Z)
         for v in range(proto.n_vars):
             if proto.var_degree(v) < 2:
                 raise ValueError(
@@ -189,7 +202,8 @@ class QcCode:
                 )
         if lambda_mult is None:
             lambda_mult = min_lambda(field.q, Z)
-        if lambda_mult < 1 or (lambda_mult * Z) % (field.q - 1) != 0:
+        if (not is_integer(lambda_mult) or lambda_mult < 1
+                or (lambda_mult * Z) % (field.q - 1) != 0):
             raise ValueError(
                 f"lambda={lambda_mult} violates (q-1) | lambda*Z "
                 f"(q={field.q}, Z={Z})"
@@ -197,14 +211,14 @@ class QcCode:
         if sorted(shifts) != list(range(proto.n_edges)):
             raise ValueError("every edge needs exactly one shift")
         for e, d in shifts.items():
-            if not isinstance(d, (int, np.integer)) or not 0 <= d < Z:
+            if not is_integer(d) or not 0 <= d < Z:
                 raise ValueError(f"shift {d} of edge {e} not an integer in [0, Z-1]")
         if labels is not None:
             if sorted(labels) != list(range(proto.n_edges)):
                 raise ValueError("labels must cover every edge or be absent")
             for e, rho in labels.items():
-                if not isinstance(rho, (int, np.integer)) or not 0 <= rho <= field.q - 2:
-                    raise ValueError(f"label exponent {rho} of edge {e} out of range")
+                if not is_integer(rho) or not 0 <= rho <= field.q - 2:
+                    raise ValueError(f"label exponent rho={rho} of edge {e} out of range")
         self.proto = proto
         self.Z = Z
         self.field = field
@@ -243,8 +257,6 @@ class QcCode:
     def from_json_dict(cls, d: dict) -> "QcCode":
         field = Field(d["field"]["r"], d["field"].get("poly"))
         proto = from_base_matrix(d["base_matrix"])
-        if not isinstance(d["Z"], int) or not 1 <= d["Z"] <= MAX_Z:
-            raise ValueError(f"lifting order Z must be an integer in [1, {MAX_Z}]")
         edges = d["edges"]
         if len(edges) != proto.n_edges:
             raise ValueError("edge list length does not match base matrix")
@@ -293,7 +305,7 @@ class LiftedCycleClass:
     canceled: bool | None
 
 
-_CHUNK = 256  # walks per kernel block; bounds the (block, width) temporaries
+_CHUNK = 256  # walks or pairs per kernel block; bounds the temporaries
 
 
 class WalkTable:
@@ -302,11 +314,15 @@ class WalkTable:
     ``rows[i]`` holds the edge ids of walk i padded with ``n_edges``.  The
     edge at position p is traversed check-to-variable for even p (sign +1)
     and variable-to-check for odd p (sign -1); the node visited before it is
-    its check for even p and its variable for odd p, so node ids follow
-    from the rows and are not stored.  ``coef[i, j]`` is the signed count
-    of the edge at position j over the whole walk, kept at the edge's first
-    position only: applied to shifts it gives the total shift, applied to
-    label exponents the alternating label sum.
+    its check for even p and its variable for odd p.  Everything a lift
+    depends on is a linear functional of the per-edge values, stored as the
+    signed count of each edge, kept at the edge's first position only:
+
+    * ``coef[i]`` counts over the whole walk: applied to shifts it gives the
+      total shift, applied to label exponents the alternating label sum;
+    * ``pair_coef[k]`` counts between two visits of one base node by walk
+      ``pair_walk[k]``: applied to shifts it gives the partial-sum
+      difference that decides whether the two visits land on one copy.
     """
 
     def __init__(self, proto: Protograph, records):
@@ -323,21 +339,31 @@ class WalkTable:
         self.rows[np.arange(width) < self.length[:, None]] = np.fromiter(
             itertools.chain.from_iterable(r.edge_seq for r in self.records),
             dtype, int(self.length.sum()))
-        self._parity = np.arange(width) % 2
-        self._sign = 1 - 2 * self._parity
-        self._pairs = np.nonzero(np.triu(self._parity[:, None] == self._parity, 1))
-        self._node_of = np.array([proto.edge_check + [-1],
-                                  proto.edge_var + [-1]], dtype=dtype)
+        parity = np.arange(width) % 2
+        sign = (1 - 2 * parity).astype(np.int8)
+        node_of = np.array([proto.edge_check + [-1], proto.edge_var + [-1]])
+        later = np.triu(parity[:, None] == parity, 1)  # same side, p1 < p2
         self.coef = np.empty(self.rows.shape, np.int8)
-        for sl in self._blocks():
-            prefix, first = self._edge_prefix(self.rows[sl])
-            self.coef[sl] = np.where(first, prefix[:, :, -1], 0)
+        walks, coefs = [np.empty(0, np.intp)], [np.empty((0, width), np.int8)]
+        for lo in range(0, n, _CHUNK):
+            rows = self.rows[lo:lo + _CHUNK]
+            same = rows[:, :, None] == rows[:, None, :]
+            first = ~np.tril(same, -1).any(axis=2)
+            # prefix[i, j, p]: the edge at position j, counted over positions < p
+            prefix = np.zeros(same.shape[:2] + (width + 1,), np.int8)
+            np.cumsum(same * np.where(rows < n_edges, sign, 0)[:, None, :],
+                      axis=2, dtype=np.int8, out=prefix[:, :, 1:])
+            self.coef[lo:lo + _CHUNK] = np.where(first, prefix[:, :, -1], 0)
+            nodes = node_of[parity, rows]
+            i, p1, p2 = np.nonzero((nodes[:, :, None] == nodes[:, None, :])
+                                   & later & (nodes >= 0)[:, :, None])
+            walks.append(i + lo)
+            coefs.append(np.where(first[i], prefix[i, :, p2] - prefix[i, :, p1], 0))
+        self.pair_walk = np.concatenate(walks)
+        self.pair_coef = np.concatenate(coefs)
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def _blocks(self):
-        return (slice(lo, lo + _CHUNK) for lo in range(0, len(self), _CHUNK))
 
     def subset(self, keep: np.ndarray) -> "WalkTable":
         """The walks selected by a boolean mask, in table order."""
@@ -346,6 +372,9 @@ class WalkTable:
         sub.records = [rec for rec, k in zip(self.records, keep) if k]
         for name in ("rows", "length", "ace", "simple_minimal", "coef"):
             setattr(sub, name, getattr(self, name)[keep])
+        kept = keep[self.pair_walk]
+        sub.pair_walk = (np.cumsum(keep) - 1)[self.pair_walk[kept]]
+        sub.pair_coef = self.pair_coef[kept]
         return sub
 
     def upto(self, depth: int) -> "WalkTable":
@@ -353,84 +382,39 @@ class WalkTable:
         keep = self.length <= depth
         return self if keep.all() else self.subset(keep)
 
-    def _same_node(self, rows) -> np.ndarray:
-        """Per position pair of equal parity: both visit one base node."""
-        nodes = self._node_of[self._parity, rows]
-        p1, p2 = self._pairs
-        return (nodes[:, p1] == nodes[:, p2]) & (nodes[:, p1] >= 0)
-
-    def _edge_prefix(self, rows):
-        """Signed count of each position's edge before every position.
-
-        ``prefix[i, j, p]`` counts the edge at position j over positions
-        < p (p runs to the width, so the last entry is the whole walk);
-        ``first[i, j]`` marks the edge's first position in the row.
-        """
-        sign = np.where(rows < self.proto.n_edges, self._sign, 0).astype(np.int8)
-        same = rows[:, :, None] == rows[:, None, :]
-        inclusive = np.cumsum(same * sign[:, None, :], axis=2, dtype=np.int8)
-        prefix = np.concatenate(
-            [np.zeros(inclusive.shape[:2] + (1,), np.int8), inclusive], axis=2)
-        return prefix, ~np.tril(same, -1).any(axis=2)
-
-    def shift_dependence(self):
-        """Where the edge at its first position can change a walk's lift.
-
-        ``depends`` is True where the edge moves the total shift or the
-        partial-sum difference between two visits of one node, the
-        quantities that decide cycle order and realizability;
-        ``revisits`` marks the walks that visit some node twice.
-        """
-        depends = np.zeros(self.rows.shape, bool)
-        revisits = np.zeros(len(self), bool)
-        p1, p2 = self._pairs
-        for sl in self._blocks():
-            rows = self.rows[sl]
-            prefix, first = self._edge_prefix(rows)
-            same = self._same_node(rows)
-            moved = ((prefix[:, :, p2] != prefix[:, :, p1])
-                     & same[:, None, :]).any(axis=2)
-            depends[sl] = first & ((prefix[:, :, -1] != 0) | moved)
-            revisits[sl] = same.any(axis=1)
-        return depends, revisits
+    def _sums(self, coef, walk, values: np.ndarray) -> np.ndarray:
+        """Coefficient rows applied to per-edge ``values`` along ``walk``."""
+        ext = np.append(values, 0)
+        return np.concatenate([np.zeros(0, np.int64)] + [
+            (coef[lo:lo + _CHUNK] * ext[self.rows[walk[lo:lo + _CHUNK]]]).sum(axis=1)
+            for lo in range(0, len(walk), _CHUNK)])
 
     def totals(self, values: np.ndarray, ids=slice(None)) -> np.ndarray:
         """The signed sum of per-edge ``values`` around each walk."""
-        return (self.coef[ids] * np.append(values, 0)[self.rows[ids]]).sum(axis=1)
-
-    def partials(self, rows, shifts: np.ndarray):
-        """Partial shift sums before each position, and the walk totals.
-
-        ``shifts`` holds the shift at every position of ``rows`` (0 on
-        padding).
-        """
-        signed = shifts * self._sign
-        inclusive = np.cumsum(signed, axis=1)
-        return inclusive - signed, inclusive[:, -1]
-
-    def lift_rows(self, rows, shifts: np.ndarray, Z: int):
-        """Total shift mod Z and realizability of walks given as rows.
-
-        The lift of a walk with total shift d is realized when no two
-        visits of one base node land on the same copy, i.e. their partial
-        sums differ modulo gcd(Z, d).
-        """
-        partial, total = self.partials(rows, shifts)
-        d = total % Z
-        residue = partial % np.gcd(d, Z)[:, None]
-        p1, p2 = self._pairs
-        clash = self._same_node(rows) & (residue[:, p1] == residue[:, p2])
-        return d, ~clash.any(axis=1)
+        ids = np.arange(len(self))[ids]
+        return self._sums(self.coef[ids], ids, values)
 
     def lift(self, shifts: np.ndarray, Z: int):
-        """Total shift mod Z and realizability of every walk."""
-        d = np.empty(len(self), np.int64)
-        realized = np.empty(len(self), bool)
-        ext = np.append(shifts, 0)
-        for sl in self._blocks():
-            rows = self.rows[sl]
-            d[sl], realized[sl] = self.lift_rows(rows, ext[rows], Z)
-        return d, realized
+        """Total shift, realizability and pair differences, all mod Z."""
+        d = self.totals(shifts) % Z
+        pairs = self._sums(self.pair_coef, self.pair_walk, shifts) % Z
+        return d, realized_lifts(np.gcd(d, Z), self.pair_walk, pairs), pairs
+
+
+def realized_lifts(gcd: np.ndarray, owner: np.ndarray,
+                   pair_values: np.ndarray) -> np.ndarray:
+    """Whether the lifts of walks consist of vertex-simple cycles.
+
+    ``gcd`` holds gcd(Z, total shift) per walk, along any further axes (one
+    per candidate shift, say).  ``pair_values`` holds the partial-sum
+    difference between two visits of one base node by walk ``owner[k]``,
+    along the same axes.  The visits land on one copy, and the lift is not
+    realized, when that difference is 0 modulo the gcd.
+    """
+    clash = np.nonzero(pair_values % gcd[owner] == 0)
+    ok = np.ones(gcd.shape, bool)
+    ok[(owner[clash[0]],) + clash[1:]] = False
+    return ok
 
 
 def walk_table(proto: Protograph, depth: int) -> WalkTable:
@@ -454,30 +438,31 @@ def _edge_vector(values: dict[int, int]) -> np.ndarray:
 
 def lift_walks(table: WalkTable, code: QcCode):
     """Total shift, cycle order and realizability of every walk's lift."""
-    d, realized = table.lift(_edge_vector(code.shifts), code.Z)
+    d, realized, _ = table.lift(_edge_vector(code.shifts), code.Z)
     return d, code.Z // np.gcd(d, code.Z), realized
 
 
-def _lift_chordless(record: CycleRecord, code: QcCode, partials, d: int) -> bool:
+def _lift_chordless(record: CycleRecord, code: QcCode, d: int) -> bool:
     """Minimality of the realized lifted cycles in the lifted graph.
 
-    Builds one lifted cycle's vertex support and counts the edge copies
-    induced inside it.  Exactly two per check copy means the induced
-    subgraph is the cycle itself: the check-side count already accounts for
-    every induced copy, so the variable side needs no separate pass.
+    Follows one lifted cycle's copy index around its vertex support and
+    counts the edge copies induced inside it.  Exactly two per check copy
+    means the induced subgraph is the cycle itself: the check-side count
+    already accounts for every induced copy, so the variable side needs no
+    separate pass.
     """
     proto, Z = code.proto, code.Z
-    order = Z // math.gcd(Z, d)
     check_copies: set[tuple[int, int]] = set()
     var_copies: set[tuple[int, int]] = set()
-    for t in range(order):
-        off = (t * d) % Z
+    copy = 0
+    for _ in range(Z // math.gcd(Z, d)):
         for p, e in enumerate(record.edge_seq):
-            copy = (off + partials[p]) % Z
             if p % 2 == 0:
                 check_copies.add((proto.edge_check[e], copy))
+                copy = (copy + code.shifts[e]) % Z
             else:
                 var_copies.add((proto.edge_var[e], copy))
+                copy = (copy - code.shifts[e]) % Z
     for c, i in check_copies:
         cnt = 0
         for e in proto.check_edges[c]:
@@ -500,15 +485,8 @@ def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
     """
     ids = np.asarray(ids, dtype=np.int64)
     minimal = table.simple_minimal[ids]
-    if minimal.all():
-        return minimal
-    shifts = np.append(_edge_vector(code.shifts), 0)
     for k in np.flatnonzero(~minimal):
-        i = ids[k]
-        rows = table.rows[i:i + 1]
-        partial, _ = table.partials(rows, shifts[rows])
-        minimal[k] = _lift_chordless(table.records[i], code,
-                                     partial[0].tolist(), int(d[i]))
+        minimal[k] = _lift_chordless(table.records[ids[k]], code, int(d[ids[k]]))
     return minimal
 
 
@@ -585,14 +563,10 @@ def frc_canonical(betas, field: Field) -> bool:
     True (the cycle is canceled) exactly when the product of odd-position
     labels differs from the product of even-position labels.
     """
-    betas = tuple(betas.betas if isinstance(betas, CanonicalCycleMatrix) else betas)
-    if len(betas) < 4 or len(betas) % 2 != 0:
-        raise ValueError("need an even number of labels, at least 4")
-    if any(b == 0 for b in betas):
-        raise ValueError("cycle labels must be nonzero")
-    odd = 1
-    even = 1
-    for i, b in enumerate(betas):
+    if not isinstance(betas, CanonicalCycleMatrix):
+        betas = CanonicalCycleMatrix(tuple(betas))  # validates the labels
+    odd = even = 1
+    for i, b in enumerate(betas.betas):
         if i % 2:
             odd = field.mul(odd, b)
         else:

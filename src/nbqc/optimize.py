@@ -10,11 +10,11 @@ on exponents in [0, q-2] with the full-rank cancellation condition deciding
 violations.  Restarts redraw the initial assignment (and the edge order,
 under the shuffled policy).
 
-Each walk carries one linear functional of the per-edge values, its total
-shift or its alternating label sum, so a tracker moves every walk through
-an edge by coefficient times change, for all candidate values at once.
-The shift tracker re-lifts only walks that revisit a node, and only for
-candidates whose cycle order already violates.
+A walk's label sum, its total shift and the shift difference between any
+two of its visits to one base node are linear functionals of the per-edge
+values, so a tracker moves them through an edge by coefficient times
+change, for all candidate values at once.  Cycle order and realizability
+follow from the moved values by the lifting module's rules.
 
 Every stage reads the protograph's one walk table (``lift.walk_table``).
 Success is never taken from internal bookkeeping alone: a reported success
@@ -36,11 +36,13 @@ from .lift import (  # lift_cycle, lift_is_minimal: traced by perfbench/spans.py
     QcCode,
     WalkTable,
     binary_ace_spectrum,
+    check_lifting_order,
     lift_cycle,
     lift_is_minimal,
     lift_walks,
     lifts_minimal,
     nb_ace_spectrum,
+    realized_lifts,
     walk_table,
 )
 # enumerate_closed_walks: traced by perfbench/spans.py
@@ -104,12 +106,17 @@ def _violates(lifted_len, lifted_ace, constraint: AceConstraint) -> np.ndarray:
     return ok & (lifted_ace < thr[np.minimum(lifted_len, depth) // 2])
 
 
+def _divisors(Z: int) -> np.ndarray:
+    """The divisors of Z in increasing order: the reachable cycle orders."""
+    small = [k for k in range(1, math.isqrt(Z) + 1) if Z % k == 0]
+    return np.array(sorted(set(small + [Z // k for k in small])))
+
+
 def _order_violations(table: WalkTable, orders: np.ndarray,
                       constraint: AceConstraint) -> np.ndarray:
     """(walks, orders): a lift of that cycle order violates the constraint."""
-    unique = sorted(set(orders.tolist()))
     return np.stack([_violates(table.length * o, table.ace * o, constraint)
-                     for o in unique], axis=1)[:, np.searchsorted(unique, orders)]
+                     for o in orders], axis=1)
 
 
 def find_problematic_binary(
@@ -124,28 +131,40 @@ def find_problematic_binary(
     constraint depth with lifted ACE below the constraint there.  All other
     walks satisfy the constraint under every assignment.
     """
+    check_lifting_order(Z)
     table = walk_table(proto, constraint.depth)
-    divisors = np.array([o for o in range(1, Z + 1) if Z % o == 0])
     return ProblemSet(table.subset(
-        _order_violations(table, divisors, constraint).any(axis=1)))
+        _order_violations(table, _divisors(Z), constraint).any(axis=1)))
 
 
 def _incidence(table: WalkTable, depends: np.ndarray):
-    """Edge -> (walk ids, coefficients) over the marked first positions."""
-    walk, pos = np.nonzero(depends)
-    edges, coefs = table.rows[walk, pos], table.coef[walk, pos].astype(np.int64)
-    return {int(e): (walk[edges == e], coefs[edges == e])
-            for e in np.flatnonzero(np.bincount(edges))}
+    """Edge -> (functional ids, coefficients, walk count, pair owners).
+
+    Functional f is walk f's total, then len(table) + k is pair k, for as
+    many rows as ``depends`` marks.  Per edge the walks come first, and a
+    pair's owner is its walk's index among them.
+    """
+    owner = np.concatenate([np.arange(len(table)), table.pair_walk])
+    f, pos = np.nonzero(depends)
+    edges = table.rows[owner[f], pos]
+    coefs = np.concatenate([table.coef, table.pair_coef])[f, pos].astype(np.int64)
+    by_edge = {}
+    for e in np.flatnonzero(np.bincount(edges)):
+        ids = f[edges == e]
+        walks = int(np.searchsorted(ids, len(table)))
+        by_edge[int(e)] = (ids, coefs[edges == e], walks,
+                           np.searchsorted(ids[:walks], owner[ids[walks:]]))
+    return by_edge
 
 
 class _Tracker:
-    """Incremental violation counting over one linear functional per walk.
+    """Incremental violation counting over linear functionals of the values.
 
-    Walk i carries ``cur[i]``, its functional of the per-edge values modulo
-    ``mod[i]``; moving edge e by delta moves it by coef[i, e] * delta.
-    ``by_edge[e]`` holds the walks whose violation can depend on edge e.
-    Subclasses set the functional in ``reset`` and say in ``_violates``
-    when a walk violates.
+    Functional f carries ``cur[f]`` modulo ``mod[f]``; moving edge e by delta
+    moves it by its coefficient on e times delta.  The first functionals
+    belong one to each walk; ``by_edge[e]`` (see ``_incidence``) holds those
+    that edge e can move.  Subclasses set the functionals in ``reset`` and
+    say in ``_violates`` which walks violate.
     """
 
     n_permanent = 0
@@ -159,7 +178,7 @@ class _Tracker:
         self.by_edge = _incidence(table, depends)
         self.total = 0
 
-    def _violates(self, ids, cur, e, cand) -> np.ndarray:
+    def _violates(self, hit, cur) -> np.ndarray:
         raise NotImplementedError
 
     def eval_edge(self, e: int) -> tuple[int, np.ndarray] | None:
@@ -167,11 +186,11 @@ class _Tracker:
         hit = self.by_edge.get(e)
         if hit is None:
             return None
-        ids, coefs = hit
+        ids, coefs, _, _ = hit
         x = int(self.values[e])
-        cand = np.arange(self.n_values)
-        cur = (self.cur[ids, None] + coefs[:, None] * (cand - x)) % self.mod[ids, None]
-        return x, self._violates(ids, cur, e, cand).sum(axis=0)
+        delta = np.arange(self.n_values) - x
+        cur = (self.cur[ids, None] + coefs[:, None] * delta) % self.mod[ids, None]
+        return x, self._violates(hit, cur).sum(axis=0)
 
     def apply(self, e: int, y: int) -> None:
         x = int(self.values[e])
@@ -180,12 +199,12 @@ class _Tracker:
         self.values[e] = y
         if e not in self.by_edge:
             return
-        ids, coefs = self.by_edge[e]
+        ids, coefs, walks, _ = hit = self.by_edge[e]
         cur = (self.cur[ids] + coefs * (y - x)) % self.mod[ids]
         self.cur[ids] = cur
-        new_viol = self._violates(ids, cur[:, None], e, np.array([y]))[:, 0]
-        self.total += int(new_viol.sum()) - int(self.violated[ids].sum())
-        self.violated[ids] = new_viol
+        new_viol = self._violates(hit, cur[:, None])[:, 0]
+        self.total += int(new_viol.sum()) - int(self.violated[ids[:walks]].sum())
+        self.violated[ids[:walks]] = new_viol
 
     def worst_violated(self) -> dict | None:
         if self.total == 0:
@@ -198,37 +217,37 @@ class _Tracker:
 
 
 class _ShiftTracker(_Tracker):
-    """Shift stage: the functional is the total shift modulo Z.
+    """Shift stage: the functionals are total shifts and pair values mod Z.
 
-    A walk violates when its cycle order puts the lift within the
-    constraint with too little ACE and the lift is realized.  Total shifts
-    move incrementally; only walks that revisit a node are re-lifted, and
-    only for candidates whose order already violates.
+    A walk violates when its cycle order (one order-table column per
+    divisor of Z) puts the lift within the constraint with too little ACE
+    and its pair values say the lift is realized.  An edge that moves a
+    walk's total or any of its pairs moves all of them.
     """
 
     def __init__(self, table: WalkTable, Z: int, constraint: AceConstraint):
-        depends, self.revisits = table.shift_dependence()
-        super().__init__(table, np.full(len(table), Z), depends, Z)
+        depends = table.coef != 0
+        np.logical_or.at(depends, table.pair_walk, table.pair_coef != 0)
+        super().__init__(table, np.full(len(table) + len(table.pair_walk), Z),
+                         np.concatenate([depends, depends[table.pair_walk]]), Z)
         self.Z = Z
-        self.viol_by_d = _order_violations(table, Z // np.gcd(np.arange(Z), Z),
-                                           constraint)
+        self.divisors = _divisors(Z)  # gcd(Z, d) of order-table column k
+        self.column = np.searchsorted(self.divisors, np.gcd(np.arange(Z), Z))
+        self.viol_by_order = _order_violations(table, Z // self.divisors, constraint)
 
     def reset(self, shifts: np.ndarray) -> None:
         self.values = shifts
-        d, realized = self.table.lift(shifts, self.Z)
-        self.cur = self.total_shift = d  # one array: apply moves both
-        self.violated = self.viol_by_d[np.arange(self.n), d] & realized
+        d, realized, pairs = self.table.lift(shifts, self.Z)
+        self.cur = np.concatenate([d, pairs])
+        self.total_shift = self.cur[:self.n]  # a view: apply moves both
+        self.violated = self.viol_by_order[np.arange(self.n), self.column[d]] & realized
         self.total = int(self.violated.sum())
 
-    def _violates(self, ids, d, e, cand) -> np.ndarray:
-        viol = self.viol_by_d[ids[:, None], d]
-        w, j = np.nonzero(viol & self.revisits[ids, None])
-        if w.size:
-            rows = self.table.rows[ids[w]]
-            shifts = np.where(rows == e, cand[j, None],
-                              np.append(self.values, 0)[rows])
-            viol[w, j] = self.table.lift_rows(rows, shifts, self.Z)[1]
-        return viol
+    def _violates(self, hit, cur) -> np.ndarray:
+        ids, _, walks, owner = hit
+        column = self.column[cur[:walks]]
+        return (self.viol_by_order[ids[:walks, None], column]
+                & realized_lifts(self.divisors[column], owner, cur[walks:]))
 
 
 class _LabelTracker(_Tracker):
@@ -263,7 +282,7 @@ class _LabelTracker(_Tracker):
         self.violated = self.cur == 0
         self.total = int(self.violated.sum())
 
-    def _violates(self, ids, cur, e, cand) -> np.ndarray:
+    def _violates(self, hit, cur) -> np.ndarray:
         return cur == 0
 
 

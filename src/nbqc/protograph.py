@@ -15,6 +15,7 @@ carries no extra information.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 
 class WalkEnumerationOverflow(RuntimeError):
@@ -120,8 +121,9 @@ def from_base_matrix(rows) -> Protograph:
     eid = 0
     for i, row in enumerate(rows):
         for j, mult in enumerate(row):
-            if mult < 0:
-                raise ValueError(f"negative entry at ({i}, {j})")
+            if isinstance(mult, bool) or not isinstance(mult, Integral) or mult < 0:
+                raise ValueError(f"base matrix entry {mult!r} at ({i}, {j}) "
+                                 "is not a nonnegative integer")
             for _ in range(mult):
                 edges.append((i, j, eid))
                 eid += 1

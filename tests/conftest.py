@@ -1,9 +1,6 @@
-import sys
 from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from nbqc.gf import Field
 from nbqc.protograph import from_base_matrix

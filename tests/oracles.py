@@ -361,6 +361,39 @@ def traverse_lifted_cycle_set(code: QcCode, base_edges: list[int]):
     return cycles
 
 
+def lifted_walk_is_simple(code: QcCode, edge_seq) -> bool:
+    """Whether every lifted cycle of one base closed walk is vertex-simple.
+
+    Follows the circulant index maps copy by copy, as
+    ``traverse_lifted_cycle_set`` does, around each lifted cycle and reports
+    whether some (node, copy) repeats within one of them.
+    """
+    proto, Z = code.proto, code.Z
+    started = set()
+    for z0 in range(Z):
+        if z0 in started:
+            continue
+        pos, copy = 0, z0
+        seen = set()
+        while True:
+            e = edge_seq[pos]
+            if pos % 2 == 0:
+                state = ("check", proto.edge_check[e], copy)
+                copy = (copy + code.shifts[e]) % Z
+            else:
+                state = ("var", proto.edge_var[e], copy)
+                copy = (copy - code.shifts[e]) % Z
+            if state in seen:
+                return False
+            seen.add(state)
+            pos = (pos + 1) % len(edge_seq)
+            if pos == 0:
+                if copy == z0:
+                    break
+                started.add(copy)
+    return True
+
+
 def stacked_fwht(a: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis, one stacked butterfly
     stage at a time on ``(..., q // 2h, 2, h)`` views."""

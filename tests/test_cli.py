@@ -160,19 +160,29 @@ def test_descriptor_tampered_edges_fail(tmp_path, proto_file, capsys):
         load_descriptor(out)
 
 
-@pytest.mark.parametrize("damage", [
-    lambda d: d.update(metadata="x"),
-    lambda d: d.update(metadata=[]),
-    lambda d: d["metadata"].update(achieved_binary="x"),
-    lambda d: d["metadata"].update(achieved_binary={"depth": 10, "values": 5}),
-    lambda d: d["metadata"]["achieved_binary"].pop("depth"),
-    lambda d: d.update(field={"r": 3, "poly": "11"}),
-    lambda d: d["edges"][0].update(shift=1.5),
-    lambda d: d["edges"][0].update(rho=2.5),
+@pytest.mark.parametrize("damage, field", [
+    (lambda d: d.update(metadata="x"), None),
+    (lambda d: d.update(metadata=[]), None),
+    (lambda d: d["metadata"].update(achieved_binary="x"), None),
+    (lambda d: d["metadata"].update(achieved_binary={"depth": 10, "values": 5}),
+     None),
+    (lambda d: d["metadata"]["achieved_binary"].pop("depth"), None),
+    (lambda d: d.update(field={"r": 3, "poly": "11"}), None),
+    (lambda d: d["edges"][0].update(shift=1.5), None),
+    (lambda d: d["edges"][0].update(rho=2.5), None),
+    # JSON true is a Python bool, which passes isinstance(x, int)
+    (lambda d: d.update(Z=True), "lifting order Z"),
+    (lambda d: d.update({"lambda": True}), "lambda"),
+    (lambda d: d["edges"][0].update(shift=True), "shift"),
+    (lambda d: d["base_matrix"][0].__setitem__(0, True), "base matrix"),
+    (lambda d: d["metadata"]["achieved_binary"].update(depth=True), "depth"),
+    (lambda d: d["metadata"]["achieved_binary"]["values"].__setitem__(0, True),
+     "value"),
 ], ids=["metadata-str", "metadata-list", "achieved-str", "values-int",
-        "depth-missing", "poly-str", "shift-float", "rho-float"])
+        "depth-missing", "poly-str", "shift-float", "rho-float", "Z-true",
+        "lambda-true", "shift-true", "base-true", "depth-true", "value-true"])
 def test_malformed_descriptor_exits_3_with_one_line(tmp_path, proto_file,
-                                                   capsys, damage):
+                                                   capsys, damage, field):
     out = construct_toy(tmp_path, proto_file)
     capsys.readouterr()
     desc = json.loads(out.read_text())
@@ -181,6 +191,8 @@ def test_malformed_descriptor_exits_3_with_one_line(tmp_path, proto_file,
     assert main(["spectrum", str(out), "--depth", "4"]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if field is not None:
+        assert field in err
 
 
 def test_simulate_command_noiseless_and_deterministic(tmp_path, proto_file,

@@ -25,6 +25,7 @@ from nbqc.lift import (
     frc_canonical,
     frc_lifted,
     lift_cycle,
+    lift_walks,
     nb_ace_spectrum,
     walk_table,
 )
@@ -33,6 +34,7 @@ from nbqc.protograph import enumerate_closed_walks, from_base_matrix
 from oracles import (
     LiftedGraph,
     lifted_cycle_matrix,
+    lifted_walk_is_simple,
     ring_protograph,
     traverse_lifted_cycle_set,
 )
@@ -357,6 +359,29 @@ def test_walk_lift_realizability_matches_oracle(gf4):
         assert nb_ace_spectrum(code, depth).values == g.spectrum(depth, True)
 
 
+@pytest.mark.parametrize("base, depth", [
+    ([[2, 2], [1, 1]], 10),
+    ([[2, 1], [1, 1]], 8),
+    ([[1, 1, 1], [1, 1, 1]], 8),
+])
+def test_walk_realized_flags_match_lifted_copy_oracle(base, depth, gf2):
+    # per walk, not through spectrum minima: a wrong flag on a walk whose
+    # lift is never the shortest would not show in any spectrum
+    proto = from_base_matrix(base)
+    table = walk_table(proto, depth).upto(depth)
+    rng = np.random.default_rng(depth * 10 + len(base[0]))
+    flags = set()
+    for _ in range(12):
+        Z = int(rng.integers(1, 13))
+        code = QcCode(proto, Z, gf2,
+                      {e: int(rng.integers(0, Z)) for e in range(proto.n_edges)})
+        realized = lift_walks(table, code)[2].tolist()
+        assert realized == [lifted_walk_is_simple(code, rec.edge_seq)
+                            for rec in table.records]
+        flags.update(realized)
+    assert flags == {False, True}
+
+
 # ---------------------------------------------------------------- expansion
 
 
@@ -451,13 +476,16 @@ def _base_matrices():
 
 
 def _assert_same_walks(got: WalkTable, want: WalkTable):
-    """Equal records, rows and coefficients; ``got`` may pad wider."""
+    """Equal records, rows, coefficients and pairs; ``got`` may pad wider."""
     width = want.rows.shape[1]
     assert got.records == want.records
     assert np.array_equal(got.rows[:, :width], want.rows)
     assert (got.rows[:, width:] == got.proto.n_edges).all()
     assert np.array_equal(got.coef[:, :width], want.coef)
     assert not got.coef[:, width:].any()
+    assert np.array_equal(got.pair_walk, want.pair_walk)
+    assert np.array_equal(got.pair_coef[:, :width], want.pair_coef)
+    assert not got.pair_coef[:, width:].any()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nbqc.optimize import (
     OptimizerConfig,
     _LabelTracker,
     _ShiftTracker,
+    _divisors,
     assign_labels,
     assign_shifts,
     find_problematic_binary,
@@ -56,6 +58,19 @@ def test_problem_set_divisor_analysis(square22):
         square22, 3, AceConstraint.parse("inf,inf,inf,inf,inf,inf")
     )
     assert len(ps12.cycles) == 1
+
+
+def test_divisors_are_the_cycle_orders():
+    for Z in list(range(1, 200)) + [65536, 2 * 3 * 5 * 7 * 11 * 13]:
+        assert _divisors(Z).tolist() == [o for o in range(1, Z + 1) if Z % o == 0]
+
+
+@pytest.mark.parametrize("Z", [0, 10**12, True, 2.0])
+def test_find_problematic_binary_rejects_bad_Z_at_once(theta23, Z):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="lifting order Z"):
+        find_problematic_binary(theta23, Z, AceConstraint.parse("inf,inf"))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_assign_shifts_trivial_constraint_zero_sweeps(square22):
