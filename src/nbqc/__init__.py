@@ -2,6 +2,7 @@
 
 from .gf import Field, NonPrimitivePolyError, min_lambda
 from .protograph import (
+    ClosedWalks,
     CycleRecord,
     DegreeProfile,
     Protograph,

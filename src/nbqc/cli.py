@@ -281,7 +281,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    # an unwritable output path and a walk count past the record cap are
+    # an unwritable output path and a walk search past the prefix cap are
     # input errors like a malformed argument
     except (CliInputError, OSError, WalkEnumerationOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)

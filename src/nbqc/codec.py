@@ -236,7 +236,7 @@ def fwht(a: np.ndarray) -> np.ndarray:
 
 def _normalize(msgs: np.ndarray) -> np.ndarray:
     """Scale message rows to sum 1 in place; underflowed rows become uniform."""
-    np.clip(msgs, 0.0, None, out=msgs)
+    np.maximum(msgs, 0.0, out=msgs)
     totals = msgs.sum(axis=-1, keepdims=True)
     dead = totals <= 0.0
     if np.any(dead):

@@ -39,7 +39,6 @@ for.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -50,6 +49,7 @@ import numpy as np
 from .codec import SparseGfMatrix
 from .gf import Field, min_lambda
 from .protograph import (
+    ClosedWalks,
     CycleRecord,
     Protograph,
     enumerate_closed_walks,
@@ -264,13 +264,13 @@ class QcCode:
         labels = {}
         has_labels = any("rho" in e for e in edges)
         for eid, entry in enumerate(edges):
-            if (
-                entry["check"] != proto.edge_check[eid]
-                or entry["var"] != proto.edge_var[eid]
-            ):
-                raise ValueError(
-                    f"edge {eid} endpoints do not match row-major base order"
-                )
+            for key, node in (("check", proto.edge_check[eid]),
+                              ("var", proto.edge_var[eid])):
+                if not is_integer(entry[key]) or entry[key] != node:
+                    raise ValueError(
+                        f"edge {eid} {key} {entry[key]!r} does not match "
+                        f"row-major base order ({node})"
+                    )
             shifts[eid] = entry["shift"]
             if has_labels:
                 if "rho" not in entry:
@@ -309,9 +309,11 @@ _CHUNK = 256  # walks or pairs per kernel block; bounds the temporaries
 
 
 class WalkTable:
-    """Compiled form of an enumerated walk list.
+    """Compiled form of enumerated walks (:class:`ClosedWalks`).
 
-    ``rows[i]`` holds the edge ids of walk i padded with ``n_edges``.  The
+    ``rows[i]`` holds the edge ids of walk i padded with ``n_edges``, beside
+    its ``length``, ``ace`` and ``simple_minimal`` flag, as enumerated;
+    ``records`` reads them back one :class:`CycleRecord` at a time.  The
     edge at position p is traversed check-to-variable for even p (sign +1)
     and variable-to-check for odd p (sign -1); the node visited before it is
     its check for even p and its variable for odd p.  Everything a lift
@@ -325,26 +327,18 @@ class WalkTable:
       difference that decides whether the two visits land on one copy.
     """
 
-    def __init__(self, proto: Protograph, records):
+    def __init__(self, proto: Protograph, walks: ClosedWalks):
         self.proto = proto
-        self.records = list(records)
-        n, n_edges = len(self.records), proto.n_edges
-        self.length = np.fromiter((r.length for r in self.records), np.int32, n)
-        self.ace = np.fromiter((r.ace for r in self.records), np.int32, n)
-        self.simple_minimal = np.fromiter(
-            (r.is_simple_minimal for r in self.records), bool, n)
-        width = int(self.length.max(initial=2))
-        dtype = np.int16 if n_edges < np.iinfo(np.int16).max else np.int32
-        self.rows = np.full((n, width), n_edges, dtype=dtype)
-        self.rows[np.arange(width) < self.length[:, None]] = np.fromiter(
-            itertools.chain.from_iterable(r.edge_seq for r in self.records),
-            dtype, int(self.length.sum()))
+        self.rows, self.length = walks.rows, walks.length
+        self.ace, self.simple_minimal = walks.ace, walks.simple_minimal
+        n, width = self.rows.shape
+        n_edges = proto.n_edges
         parity = np.arange(width) % 2
         sign = (1 - 2 * parity).astype(np.int8)
         node_of = np.array([proto.edge_check + [-1], proto.edge_var + [-1]])
         later = np.triu(parity[:, None] == parity, 1)  # same side, p1 < p2
         self.coef = np.empty(self.rows.shape, np.int8)
-        walks, coefs = [np.empty(0, np.intp)], [np.empty((0, width), np.int8)]
+        owners, coefs = [np.empty(0, np.intp)], [np.empty((0, width), np.int8)]
         for lo in range(0, n, _CHUNK):
             rows = self.rows[lo:lo + _CHUNK]
             same = rows[:, :, None] == rows[:, None, :]
@@ -357,19 +351,23 @@ class WalkTable:
             nodes = node_of[parity, rows]
             i, p1, p2 = np.nonzero((nodes[:, :, None] == nodes[:, None, :])
                                    & later & (nodes >= 0)[:, :, None])
-            walks.append(i + lo)
+            owners.append(i + lo)
             coefs.append(np.where(first[i], prefix[i, :, p2] - prefix[i, :, p1], 0))
-        self.pair_walk = np.concatenate(walks)
+        self.pair_walk = np.concatenate(owners)
         self.pair_coef = np.concatenate(coefs)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.length)
+
+    @property
+    def records(self) -> ClosedWalks:
+        """The walks as records, each built when it is read."""
+        return ClosedWalks(self.rows, self.length, self.ace, self.simple_minimal)
 
     def subset(self, keep: np.ndarray) -> "WalkTable":
         """The walks selected by a boolean mask, in table order."""
         sub = WalkTable.__new__(WalkTable)
         sub.__dict__.update(self.__dict__)
-        sub.records = [rec for rec, k in zip(self.records, keep) if k]
         for name in ("rows", "length", "ace", "simple_minimal", "coef"):
             setattr(sub, name, getattr(self, name)[keep])
         kept = keep[self.pair_walk]
@@ -485,14 +483,20 @@ def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
     """
     ids = np.asarray(ids, dtype=np.int64)
     minimal = table.simple_minimal[ids]
+    records = table.records
     for k in np.flatnonzero(~minimal):
-        minimal[k] = _lift_chordless(table.records[ids[k]], code, int(d[ids[k]]))
+        minimal[k] = _lift_chordless(records[ids[k]], code, int(d[ids[k]]))
     return minimal
+
+
+def _one_walk(proto: Protograph, base: CycleRecord) -> WalkTable:
+    return WalkTable(proto, ClosedWalks.from_rows(proto, [base.edge_seq],
+                                                  [base.length]))
 
 
 def lift_is_minimal(base: CycleRecord, code: QcCode) -> bool:
     """Whether the realized lifts of a base walk are chordless in the lift."""
-    table = WalkTable(code.proto, [base])
+    table = _one_walk(code.proto, base)
     d, _order, _realized = lift_walks(table, code)
     return bool(lifts_minimal(table, code, [0], d)[0])
 
@@ -513,7 +517,7 @@ def _canceled(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
 
 def lift_cycle(base: CycleRecord, code: QcCode) -> LiftedCycleClass:
     """Order, multiplicity, realizability and cancellation of a walk's lift."""
-    table = WalkTable(code.proto, [base])
+    table = _one_walk(code.proto, base)
     d, order, realized = lift_walks(table, code)
     order = int(order[0])
     canceled = None

@@ -46,7 +46,7 @@ from .lift import (  # lift_cycle, lift_is_minimal: traced by perfbench/spans.py
     walk_table,
 )
 # enumerate_closed_walks: traced by perfbench/spans.py
-from .protograph import CycleRecord, Protograph, enumerate_closed_walks
+from .protograph import ClosedWalks, Protograph, enumerate_closed_walks
 
 
 @dataclass
@@ -72,7 +72,7 @@ class ProblemSet:
     table: WalkTable
 
     @property
-    def cycles(self) -> list[CycleRecord]:
+    def cycles(self) -> ClosedWalks:
         return self.table.records
 
 
@@ -209,10 +209,12 @@ class _Tracker:
     def worst_violated(self) -> dict | None:
         if self.total == 0:
             return None
-        recs = self.table.records
-        i = min(np.flatnonzero(self.violated).tolist(),
-                key=lambda i: (recs[i].length, recs[i].ace, recs[i].edge_seq))
-        return {"length": recs[i].length, "ace": recs[i].ace,
+        t = self.table
+        ids = np.flatnonzero(self.violated)
+        # the shortest, then the least ACE, then the least edge sequence
+        i = ids[np.lexsort(np.vstack([t.rows[ids].T[::-1], t.ace[ids],
+                                      t.length[ids]]))[0]]
+        return {"length": int(t.length[i]), "ace": int(t.ace[i]),
                 "total_shift": int(self.total_shift[i])}
 
 

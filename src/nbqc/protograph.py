@@ -10,16 +10,29 @@ Walks are reported once per equivalence class under rotation and reversal,
 restricted to primitive (aperiodic) representatives: a walk that retraces a
 shorter closed walk lifts to retraced copies of the shorter walk's lift and
 carries no extra information.
+
+The enumeration is array work.  Each start edge grows its prefixes a level
+at a time through padded successor tables, and a closed word is kept when
+it is the least even rotation of itself and of its reversal and equals none
+of its proper even rotations, so every class appears once without a set of
+seen words.  The result, :class:`ClosedWalks`, holds padded edge rows with
+length, ACE and the simple-minimal flag as arrays and builds a
+:class:`CycleRecord` only for the walk asked for.  The work is capped by a
+count of the prefixes the enumeration would grow, taken before it grows
+any.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral
 
+import numpy as np
+
 
 class WalkEnumerationOverflow(RuntimeError):
-    """Walk enumeration exceeded the record cap or the walk-length limit."""
+    """Walk enumeration exceeded the prefix cap or the walk-length limit."""
 
 
 @dataclass(frozen=True)
@@ -171,54 +184,175 @@ def degree_profile(proto: Protograph) -> DegreeProfile:
     return DegreeProfile(lam, gam)
 
 
-DEFAULT_WALK_CAP = 1_000_000
-# the DFS recurses once per walk edge; this stays well inside Python's
-# default recursion limit of 1000 frames
+# enumeration stops with WalkEnumerationOverflow past this many prefixes;
+# both reference ensembles stay below it at depth 16
+DEFAULT_PREFIX_CAP = 1 << 24
+# the longest walk the enumeration accepts; rows are at most this wide
 MAX_WALK_LEN = 512
+_BLOCK = 4096  # prefixes or walks per array step; bounds the temporaries
 
 
-def _canonical(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Smallest even rotation over both traversal directions.
+def _edge_dtype(n_edges: int):
+    """The integer type of edge-id arrays, padded with ``n_edges``."""
+    return np.int16 if n_edges < np.iinfo(np.int16).max else np.int32
 
-    Even rotations preserve the check-start interpretation of the edge
-    sequence; reversal of a closed traversal is again check-start.  Odd
-    rotations belong to the variable-start reading of the same walk and are
-    covered through the reversed word.
+
+class ClosedWalks(Sequence):
+    """Closed walks held as arrays; indexing builds one :class:`CycleRecord`.
+
+    ``rows[i]`` holds the edge ids of walk i padded with the edge count,
+    beside its ``length``, ``ace`` and ``simple_minimal`` flag.  A list of
+    records with the same walks compares equal.
     """
-    n = len(word)
-    rev = word[::-1]
-    best = word
-    for base in (word, rev):
-        for i in range(0, n, 2):
-            cand = base[i:] + base[:i]
-            if cand < best:
-                best = cand
-    return best
+
+    def __init__(self, rows, length, ace, simple_minimal):
+        self.rows = rows
+        self.length = length
+        self.ace = ace
+        self.simple_minimal = simple_minimal
+
+    @classmethod
+    def from_rows(cls, proto: Protograph, rows, length) -> "ClosedWalks":
+        """Walks from padded check-start edge rows, with ACE and flags.
+
+        The even (check-to-variable) edges meet every visited node once,
+        so ACE sums (deg(v) - 2) over them.  A walk is simple when it has
+        length >= 4 and distinct checks and variables, and a simple walk is
+        minimal (chordless) when its support induces only its own
+        ``length`` edges, parallel copies counted: a twin of a walk edge is
+        a chord.
+        """
+        rows = np.asarray(rows, _edge_dtype(proto.n_edges))
+        length = np.asarray(length, np.int32)
+        # per edge id, the padding id last: its check and variable (-1) and
+        # the variable's ACE term (0)
+        check_of = np.array(proto.edge_check + [-1])
+        var_of = np.array(proto.edge_var + [-1])
+        ace_of = np.array([len(proto.var_edges[v]) - 2 for v in proto.edge_var]
+                          + [0])
+        cells = np.zeros((proto.n_checks + 1, proto.n_vars + 1), np.int32)
+        cells[:-1, :-1] = proto.base_matrix()
+        # a simple walk visits at most this many checks and variables
+        most = min(proto.n_checks, proto.n_vars)
+        ace = np.empty(len(length), np.int32)
+        minimal = np.zeros(len(length), bool)
+        for lo in range(0, len(length), _BLOCK):
+            even = rows[lo:lo + _BLOCK, 0::2]
+            n = length[lo:lo + _BLOCK]
+            ace[lo:lo + _BLOCK] = ace_of[even].sum(axis=1)
+            checks, vars_ = check_of[even], var_of[even]
+            simple = np.flatnonzero((n >= 4) & _distinct(checks) & _distinct(vars_))
+            induced = cells[checks[simple, :most, None], vars_[simple, None, :most]]
+            minimal[lo + simple] = induced.sum(axis=(1, 2)) == n[simple]
+        return cls(rows, length, ace, minimal)
+
+    def __len__(self) -> int:
+        return len(self.length)
+
+    def __getitem__(self, i: int) -> CycleRecord:
+        return CycleRecord(tuple(self.rows[i, :self.length[i]].tolist()),
+                           int(self.ace[i]), bool(self.simple_minimal[i]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
 
 
-def _is_periodic(word: tuple[int, ...]) -> bool:
-    """True when the word is a repetition of a shorter *closed* walk.
+def _distinct(nodes: np.ndarray) -> np.ndarray:
+    """Rows whose node ids (padding -1 aside) are pairwise distinct."""
+    nodes = np.sort(nodes, axis=1)
+    return ~((nodes[:, 1:] == nodes[:, :-1]) & (nodes[:, 1:] >= 0)).any(axis=1)
 
-    Only even periods count: an odd period does not split the word into
-    closed sub-walks of a bipartite graph.
+
+def _padded(lists, dtype) -> np.ndarray:
+    table = np.full((len(lists), max(map(len, lists), default=0)), -1, dtype)
+    for i, items in enumerate(lists):
+        table[i, :len(items)] = items
+    return table
+
+
+def _least_of_class(words: np.ndarray, e0: int) -> np.ndarray:
+    """Which closed words are the canonical representative of their class.
+
+    Every word starts with its least edge ``e0``.  A word is kept when it
+    is <= every even rotation of itself and of its reversal, and differs
+    from each of its proper even rotations (it is primitive: an odd period
+    does not split a bipartite walk into closed sub-walks, so only even
+    periods count).  Only a rotation that starts with ``e0`` can tie or
+    win.  Read from an even position p the word turns forward, and from an
+    odd p it is an even rotation of the reversal, read backward from p.
+    Each word is compared with those rotations one position at a time, for
+    as long as they tie.
     """
-    n = len(word)
-    for p in range(2, n, 2):
-        if n % p == 0 and all(word[i] == word[(i + p) % n] for i in range(n)):
-            return True
-    return False
+    n = words.shape[1]
+    w, p = np.nonzero(words[:, 1:] == e0)
+    p += 1
+    step = 1 - 2 * (p % 2)
+    keep = np.ones(len(words), bool)
+    for t in range(1, n):
+        mine, theirs = words[w, t], words[w, (p + step * t) % n]
+        keep[w[theirs < mine]] = False
+        tie = (theirs == mine) & keep[w]
+        w, p, step = w[tie], p[tie], step[tie]
+        if not len(w):
+            break
+    # a tie to the end is a proper even rotation equal to the word; a
+    # reversal cannot tie, as that needs two equal adjacent edges
+    keep[w] = False
+    return keep
+
+
+def _check_prefixes(proto: Protograph, follow, max_len: int, cap: int) -> None:
+    """Raise before an enumeration that would create more than ``cap`` prefixes.
+
+    Counts, level by level and for every start edge e0 at once, the
+    prefixes the enumeration grows: ``counts[e0, e]`` is the number ending
+    in edge e, moved on by the successor tables, restricted to edges >= e0
+    and, at the last level, to edges that close the word.
+    """
+    n = proto.n_edges
+    ids = np.arange(n)
+    edge_check = np.array(proto.edge_check)
+    allowed = ids >= ids[:, None]
+    closing = (edge_check == edge_check[:, None]) & (ids != ids[:, None])
+    moves = np.zeros((2, n, n), np.int64)
+    for parity, table in enumerate(follow):
+        e, slot = np.nonzero(table >= 0)
+        moves[parity, e, table[e, slot]] = 1
+    counts = np.eye(n, dtype=np.int64)
+    total = 0
+    for k in range(1, max_len):
+        counts = (counts @ moves[(k - 1) % 2]) * allowed
+        if k + 1 == max_len:
+            counts *= closing
+        total += int(counts.sum())
+        if total > cap:
+            raise WalkEnumerationOverflow(
+                f"closed-walk enumeration up to length {max_len} needs "
+                f"more than {cap} prefixes"
+            )
 
 
 def enumerate_closed_walks(
-    proto: Protograph, max_len: int, max_records: int = DEFAULT_WALK_CAP
-) -> list[CycleRecord]:
+    proto: Protograph, max_len: int, max_prefixes: int = DEFAULT_PREFIX_CAP
+) -> ClosedWalks:
     """All primitive non-backtracking closed walks of even length <= max_len.
 
     One canonical representative per class under rotation and reversal, in
-    deterministic (length, edge_seq) order.  Raises
-    :class:`WalkEnumerationOverflow` when more than ``max_records`` classes
-    are found or ``max_len`` exceeds :data:`MAX_WALK_LEN`; the result is
-    never silently truncated.
+    deterministic (length, edge_seq) order.  Each start edge e0 grows its
+    non-backtracking prefixes over edges >= e0 one level at a time, as
+    ``(prefixes, k)`` arrays in blocks of at most ``_BLOCK`` rows, depth
+    first, so the memory held does not grow with the depth.  The closed
+    words of each level are kept when they are the least even rotation of
+    themselves and their reversal and primitive (:func:`_least_of_class`),
+    so no set of seen words is needed.  Raises
+    :class:`WalkEnumerationOverflow`, before any prefix grows, when the
+    enumeration would create more than ``max_prefixes`` prefixes (classes
+    never outnumber prefixes), or when ``max_len`` exceeds
+    :data:`MAX_WALK_LEN`; the result is never silently truncated.
     """
     if max_len < 2 or max_len % 2 != 0:
         raise ValueError("max_len must be an even integer >= 2")
@@ -226,75 +360,55 @@ def enumerate_closed_walks(
         raise WalkEnumerationOverflow(
             f"walk length {max_len} exceeds the enumeration limit {MAX_WALK_LEN}"
         )
-    seen: set[tuple[int, ...]] = set()
-    path: list[int] = []
+    n_edges = proto.n_edges
+    dtype = _edge_dtype(n_edges)
+    edge_check = np.array(proto.edge_check)
+    # follow[p % 2][e]: the edges that may come after e at position p of a
+    # walk (from e's variable after an even p, from its check after an odd
+    # one), e itself left out, padded with -1
+    follow = [
+        _padded([[f for f in proto.var_edges[v] if f != e]
+                 for e, v in enumerate(proto.edge_var)], dtype),
+        _padded([[f for f in proto.check_edges[c] if f != e]
+                 for e, c in enumerate(proto.edge_check)], dtype),
+    ]
+    _check_prefixes(proto, follow, max_len, max_prefixes)
+    found: dict[int, list[np.ndarray]] = {}  # length -> canonical words
+    for e0 in range(n_edges):
+        c0 = proto.edge_check[e0]
+        stack = [np.full((1, 1), e0, dtype)]
+        while stack:
+            prefixes = stack.pop()
+            k = prefixes.shape[1]  # the position of the edge added now
+            nxt = follow[(k - 1) % 2][prefixes[:, -1]]
+            grow = nxt >= e0
+            if k % 2:  # back at a check: the word closes on c0, not via e0
+                closes = (edge_check[nxt] == c0) & (nxt != e0)
+                if k + 1 == max_len:
+                    grow &= closes
+            count = int(np.count_nonzero(grow))
+            grown = np.empty((count, k + 1), dtype)
+            grown[:, :k] = prefixes.take(np.nonzero(grow)[0], axis=0)
+            grown[:, k] = nxt[grow]
+            if k % 2:
+                words = grown[closes[grow]]
+                words = words[_least_of_class(words, e0)]
+                if len(words):
+                    found.setdefault(k + 1, []).append(words)
+            if k + 1 < max_len:
+                stack.extend(grown[lo:lo + _BLOCK] for lo in range(0, count, _BLOCK))
 
-    def register():
-        word = tuple(path)
-        if _is_periodic(word):
-            return
-        canon = _canonical(word)
-        if canon in seen:
-            return
-        seen.add(canon)
-        if len(seen) > max_records:
-            raise WalkEnumerationOverflow(
-                f"more than {max_records} closed-walk classes up to length "
-                f"{max_len}; raise max_records to proceed"
-            )
-
-    def dfs(node: int, at_var: bool, prev_edge: int, e0: int, c_start: int):
-        incident = proto.var_edges[node] if at_var else proto.check_edges[node]
-        room = len(path) + 1 < max_len
-        for e in incident:
-            if e < e0 or e == prev_edge:
-                continue
-            nxt = proto.edge_check[e] if at_var else proto.edge_var[e]
-            path.append(e)
-            if at_var and nxt == c_start and e != e0:
-                register()
-            if room:
-                dfs(nxt, not at_var, e, e0, c_start)
-            path.pop()
-
-    for e0 in range(proto.n_edges):
-        path.append(e0)
-        dfs(proto.edge_var[e0], True, e0, e0, proto.edge_check[e0])
-        path.pop()
-
-    records = [_build_record(proto, word) for word in seen]
-    records.sort(key=lambda rec: (rec.length, rec.edge_seq))
-    return records
-
-
-def _build_record(proto: Protograph, canon: tuple[int, ...]) -> CycleRecord:
-    # the even (check-to-variable) edges meet every visited node once
-    checks = [proto.edge_check[e] for e in canon[0::2]]
-    vars_ = [proto.edge_var[e] for e in canon[0::2]]
-    ace = sum(proto.var_degree(v) - 2 for v in vars_)
-    simple = (
-        len(canon) >= 4
-        and len(set(checks)) == len(checks)
-        and len(set(vars_)) == len(vars_)
-    )
-    minimal = simple and _support_is_chordless(proto, checks, vars_)
-    return CycleRecord(edge_seq=canon, ace=ace, is_simple_minimal=minimal)
-
-
-def _support_is_chordless(proto: Protograph, checks, vars_) -> bool:
-    """Every support node has exactly two edge endpoints inside the support.
-
-    Counts parallel copies individually, so a cycle running along one edge
-    of a parallel pair is not minimal (the twin is a chord).
-    """
-    cset, vset = set(checks), set(vars_)
-    for c in cset:
-        if sum(1 for e in proto.check_edges[c] if proto.edge_var[e] in vset) != 2:
-            return False
-    for v in vset:
-        if sum(1 for e in proto.var_edges[v] if proto.edge_check[e] in cset) != 2:
-            return False
-    return True
+    # (length, edge_seq) order: by length, then each length's words sorted
+    lengths = sorted(found)
+    length = np.repeat(np.array(lengths, np.int32),
+                       [sum(map(len, found[n])) for n in lengths])
+    rows = np.full((len(length), max(lengths, default=2)), n_edges, dtype)
+    lo = 0
+    for n in lengths:
+        words = np.concatenate(found.pop(n))
+        rows[lo:lo + len(words), :n] = words[np.lexsort(words.T[::-1])]
+        lo += len(words)
+    return ClosedWalks.from_rows(proto, rows, length)
 
 
 def read_base_matrix_text(text: str) -> list[list[int]]:

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the production code paths it checks:
 dense elimination instead of sparse, node-sequence DFS on the expanded
 graph instead of base-walk projection, exhaustive codeword search instead
-of message passing.  The decoder kernels are kept here in their first,
+of message passing.  The closed-walk enumerator is kept here in its first
+form, a recursive edge DFS that reduces every closed word to its least
+rotation and keeps a set of them.  The decoder kernels are kept here in their first,
 node-major form (stacked butterflies, ``(nodes, slots, q)`` scans and the
 loop that used them) so the production kernels can be compared with them
 bit for bit.
@@ -18,7 +20,7 @@ import numpy as np
 from nbqc.codec import DecodeResult, SparseGfMatrix
 from nbqc.gf import Field
 from nbqc.lift import QcCode
-from nbqc.protograph import Protograph
+from nbqc.protograph import CycleRecord, Protograph
 
 
 def ring_protograph(half: int) -> Protograph:
@@ -171,6 +173,134 @@ def count_closed_walks_by_node_dfs(n_checks: int, n_vars: int, max_len: int):
     for word in classes:
         counts[len(word)] = counts.get(len(word), 0) + 1
     return counts
+
+
+def _canonical(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Smallest even rotation over both traversal directions.
+
+    Even rotations preserve the check-start interpretation of the edge
+    sequence; reversal of a closed traversal is again check-start.  Odd
+    rotations belong to the variable-start reading of the same walk and are
+    covered through the reversed word.
+    """
+    n = len(word)
+    rev = word[::-1]
+    best = word
+    for base in (word, rev):
+        for i in range(0, n, 2):
+            cand = base[i:] + base[:i]
+            if cand < best:
+                best = cand
+    return best
+
+
+def _is_periodic(word: tuple[int, ...]) -> bool:
+    """True when the word is a repetition of a shorter *closed* walk.
+
+    Only even periods count: an odd period does not split the word into
+    closed sub-walks of a bipartite graph.
+    """
+    n = len(word)
+    for p in range(2, n, 2):
+        if n % p == 0 and all(word[i] == word[(i + p) % n] for i in range(n)):
+            return True
+    return False
+
+
+def _support_is_chordless(proto: Protograph, checks, vars_) -> bool:
+    """Every support node has exactly two edge endpoints inside the support.
+
+    Counts parallel copies individually, so a cycle running along one edge
+    of a parallel pair is not minimal (the twin is a chord).
+    """
+    cset, vset = set(checks), set(vars_)
+    for c in cset:
+        if sum(1 for e in proto.check_edges[c] if proto.edge_var[e] in vset) != 2:
+            return False
+    for v in vset:
+        if sum(1 for e in proto.var_edges[v] if proto.edge_check[e] in cset) != 2:
+            return False
+    return True
+
+
+def _build_record(proto: Protograph, canon: tuple[int, ...]) -> CycleRecord:
+    # the even (check-to-variable) edges meet every visited node once
+    checks = [proto.edge_check[e] for e in canon[0::2]]
+    vars_ = [proto.edge_var[e] for e in canon[0::2]]
+    ace = sum(proto.var_degree(v) - 2 for v in vars_)
+    simple = (
+        len(canon) >= 4
+        and len(set(checks)) == len(checks)
+        and len(set(vars_)) == len(vars_)
+    )
+    minimal = simple and _support_is_chordless(proto, checks, vars_)
+    return CycleRecord(edge_seq=canon, ace=ace, is_simple_minimal=minimal)
+
+
+def closed_walks_by_edge_dfs(proto: Protograph, max_len: int) -> list[CycleRecord]:
+    """Primitive non-backtracking closed walks by recursive edge DFS.
+
+    The first form of the package's enumerator: each start edge e0 grows
+    every non-backtracking prefix over edges >= e0 one edge per call, and
+    every closed word is reduced to the least of its even rotations and
+    reversals and kept in a set.  Records are in (length, edge_seq) order.
+    """
+    seen: set[tuple[int, ...]] = set()
+    path: list[int] = []
+
+    def dfs(node: int, at_var: bool, prev_edge: int, e0: int, c_start: int):
+        incident = proto.var_edges[node] if at_var else proto.check_edges[node]
+        room = len(path) + 1 < max_len
+        for e in incident:
+            if e < e0 or e == prev_edge:
+                continue
+            nxt = proto.edge_check[e] if at_var else proto.edge_var[e]
+            path.append(e)
+            if at_var and nxt == c_start and e != e0:
+                word = tuple(path)
+                if not _is_periodic(word):
+                    seen.add(_canonical(word))
+            if room:
+                dfs(nxt, not at_var, e, e0, c_start)
+            path.pop()
+
+    for e0 in range(proto.n_edges):
+        path.append(e0)
+        dfs(proto.edge_var[e0], True, e0, e0, proto.edge_check[e0])
+        path.pop()
+
+    records = [_build_record(proto, word) for word in seen]
+    records.sort(key=lambda rec: (rec.length, rec.edge_seq))
+    return records
+
+
+def count_prefixes_by_edge_dfs(proto: Protograph, max_len: int) -> int:
+    """Prefixes a level-wise closed-walk enumeration grows, counted by DFS.
+
+    Every non-backtracking edge sequence of length 2..max_len from a start
+    edge e0 over edges >= e0 counts, except that at length max_len only
+    the sequences that close on e0's check through an edge other than e0
+    count.
+    """
+    count = 0
+
+    def dfs(e: int, k: int, e0: int):
+        nonlocal count
+        at_var = k % 2 == 1  # the edge at position k - 1 ended at a variable
+        node = proto.edge_var[e] if at_var else proto.edge_check[e]
+        for f in (proto.var_edges if at_var else proto.check_edges)[node]:
+            if f == e or f < e0:
+                continue
+            if k + 1 == max_len and (
+                    proto.edge_check[f] != proto.edge_check[e0] or f == e0):
+                continue
+            count += 1
+            if k + 1 < max_len:
+                dfs(f, k + 1, e0)
+
+    for e0 in range(proto.n_edges):
+        dfs(e0, 1, e0)
+    return count
 
 
 class LiftedGraph:

@@ -178,9 +178,13 @@ def test_descriptor_tampered_edges_fail(tmp_path, proto_file, capsys):
     (lambda d: d["metadata"]["achieved_binary"].update(depth=True), "depth"),
     (lambda d: d["metadata"]["achieved_binary"]["values"].__setitem__(0, True),
      "value"),
+    # edge 3 joins check 1 and edge 1 variable 1, so True and 1.0 compare equal
+    (lambda d: d["edges"][3].update(check=True), "check"),
+    (lambda d: d["edges"][1].update(var=1.0), "var"),
 ], ids=["metadata-str", "metadata-list", "achieved-str", "values-int",
         "depth-missing", "poly-str", "shift-float", "rho-float", "Z-true",
-        "lambda-true", "shift-true", "base-true", "depth-true", "value-true"])
+        "lambda-true", "shift-true", "base-true", "depth-true", "value-true",
+        "check-true", "var-float"])
 def test_malformed_descriptor_exits_3_with_one_line(tmp_path, proto_file,
                                                    capsys, damage, field):
     out = construct_toy(tmp_path, proto_file)
@@ -471,6 +475,20 @@ def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_deep_constraint_exits_3_at_the_prefix_cap(tmp_path, proto_file,
+                                                   capsys):
+    # 25 binary entries ask for walks up to length 50: about 6.7e7 prefixes
+    # on the toy graph, past the enumeration's cap
+    argv = ["construct", "--proto", str(proto_file), "--Z", "3", "--q", "16",
+            "--ace-b", ",".join(["inf"] * 25), "--ace-nb", "inf,inf,inf",
+            "--seed", "5", "--out", str(tmp_path / "code.json")]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "prefixes" in err
+    assert not (tmp_path / "code.json").exists()
+
+
 def test_walk_enumerations_per_command(tmp_path, proto_file, capsys,
                                        monkeypatch):
     import importlib
@@ -521,9 +539,11 @@ def test_walk_enumerations_per_command(tmp_path, proto_file, capsys,
 # commands get past parsing; the odd one is a negative, zero or huge number
 # or an odd token.  Caps on work (--max-frames, --max-iters, --max-sweeps,
 # --max-restarts) get no huge values, because a huge cap asks for that much
-# work.  Walk depths skip the range from 12 up to the enumeration's length
-# limit: there only the walk-record cap bounds the search, and the CLI does
-# not set that cap.  --workers stays at its default, so no process pool is
+# work.  Walk depths run up to 12, or start at 48, where the toy graph needs
+# more walk prefixes than the enumeration's cap allows and the command is
+# refused before any prefix grows.  Between them the enumeration does
+# seconds of real work (1.3e7 prefixes at depth 46), so the fuzz leaves
+# those depths out.  --workers stays at its default, so no process pool is
 # started.
 HUGE = [10**30, 2**63, 2**40, 1 << 16, (1 << 16) + 1]
 TOKENS = ["", "nan", "inf", "-inf", ",", "abc", "1.5", "0x10", "1e300",
@@ -577,7 +597,8 @@ def fuzz_files(tmp_path_factory):
 
 def _fuzz_argv(proto, desc, tmp):
     out = ["--out", str(tmp / "out")]
-    depth = st.sampled_from(["2", "4", "6", "8", "10"])
+    depth = st.sampled_from(["2", "4", "6", "8", "10", "12", "48", "64",
+                             "512"])
     ace = _csv(["inf", "0", "1", "2", "4"], 5) | st.just("auto")
     construct = _argv(
         ["construct", "--proto", str(proto)], out,

@@ -124,6 +124,24 @@ def test_assign_shifts_failure_reports(square22):
     assert j["success"] is False and j["worst_cycle"]["length"] == 2
 
 
+def test_worst_violated_is_least_by_length_ace_and_edges():
+    # the 2-walks on edges (0, 1), (2, 3) and (5, 6) have ACE 2, 0 and 0,
+    # and every 2-walk violates: the least ACE, then the least edges decide
+    proto = from_base_matrix([[2, 2, 0], [1, 0, 2], [1, 0, 0]])
+    Z, constraint = 4, AceConstraint(8, dict.fromkeys((2, 4, 6, 8), 9))
+    tracker = _ShiftTracker(find_problematic_binary(proto, Z, constraint).table,
+                            Z, constraint)
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        tracker.reset(rng.integers(0, Z, proto.n_edges))
+        records = tracker.table.records
+        i = min(np.flatnonzero(tracker.violated), key=lambda i: (
+            records[i].length, records[i].ace, records[i].edge_seq))
+        assert tracker.worst_violated() == {
+            "length": records[i].length, "ace": records[i].ace,
+            "total_shift": int(tracker.total_shift[i])}
+
+
 def test_monotone_sweeps(ensemble1_matrix):
     proto = from_base_matrix(ensemble1_matrix)
     history = []

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbqc.protograph import (
     DegreeProfile,
@@ -10,7 +11,11 @@ from nbqc.protograph import (
     write_base_matrix_text,
 )
 
-from oracles import count_closed_walks_by_node_dfs
+from oracles import (
+    closed_walks_by_edge_dfs,
+    count_closed_walks_by_node_dfs,
+    count_prefixes_by_edge_dfs,
+)
 
 
 def test_from_base_matrix_multiplicity():
@@ -125,7 +130,7 @@ def test_no_2cycles_on_simple_graphs(theta23):
 
 
 def test_canonicalization_idempotence(theta23):
-    from nbqc.protograph import _canonical
+    from oracles import _canonical
 
     for rec in enumerate_closed_walks(theta23, 8):
         seq = rec.edge_seq
@@ -173,7 +178,56 @@ def test_simple_minimal_excludes_chorded_support():
 def test_overflow_guard_raises():
     p = from_base_matrix([[1, 1, 1, 1]] * 4)
     with pytest.raises(WalkEnumerationOverflow):
-        enumerate_closed_walks(p, 8, max_records=5)
+        enumerate_closed_walks(p, 8, max_prefixes=5)
+
+
+@pytest.mark.parametrize("rows, max_len", [
+    ([[1, 1, 1], [1, 1, 1]], 12), ([[3, 1], [0, 1]], 10), ([[2]], 2),
+    ([[2, 2], [1, 1]], 8), ([[1, 1, 1]] * 3, 8),
+])
+def test_prefix_cap_counts_every_prefix_grown(rows, max_len):
+    p = from_base_matrix(rows)
+    grown = count_prefixes_by_edge_dfs(p, max_len)
+    want = enumerate_closed_walks(p, max_len)
+    assert enumerate_closed_walks(p, max_len, max_prefixes=grown) == want
+    with pytest.raises(WalkEnumerationOverflow):
+        enumerate_closed_walks(p, max_len, max_prefixes=grown - 1)
+
+
+def test_prefix_cap_fails_before_a_deep_search():
+    # about 6.7e7 prefixes at depth 50: the cap refuses without growing any
+    p = from_base_matrix([[1, 1, 1], [1, 1, 1]])
+    with pytest.raises(WalkEnumerationOverflow, match="prefixes"):
+        enumerate_closed_walks(p, 50)
+
+
+def _multigraph_matrices():
+    """Base matrices up to 3x3 with cells up to 3, no empty row or column."""
+    shape = st.tuples(st.integers(1, 3), st.integers(1, 3))
+    return shape.flatmap(lambda mn: st.lists(
+        st.lists(st.integers(0, 3), min_size=mn[1], max_size=mn[1]),
+        min_size=mn[0], max_size=mn[0],
+    )).filter(lambda m: all(any(r) for r in m)
+              and all(any(c) for c in zip(*m)) and sum(map(sum, m)) <= 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_multigraph_matrices(), max_len=st.sampled_from([2, 4, 6, 8, 10]))
+def test_enumeration_matches_recursive_dfs_oracle(rows, max_len):
+    # edge words, their order, ACE and the simple-minimal flag, against the
+    # recursive DFS with its set of least rotations
+    p = from_base_matrix(rows)
+    assert list(enumerate_closed_walks(p, max_len)) == \
+        closed_walks_by_edge_dfs(p, max_len)
+
+
+def test_triple_cell_keeps_odd_period_words():
+    # three parallel edges traversed cyclically repeat with period 3, which
+    # does not split into closed walks: the word is primitive and kept
+    p = from_base_matrix([[3]])
+    walks = enumerate_closed_walks(p, 6)
+    assert (0, 1, 2, 0, 1, 2) in [w.edge_seq for w in walks]
+    assert walks == closed_walks_by_edge_dfs(p, 6)
 
 
 def test_enumeration_deterministic_order(ensemble1_matrix):
