@@ -2,11 +2,11 @@
 
 from .gf import Field, NonPrimitivePolyError, min_lambda
 from .protograph import (
-    ClosedWalks,
     CycleRecord,
     DegreeProfile,
     Protograph,
     WalkEnumerationOverflow,
+    WalkTable,
     degree_profile,
     enumerate_closed_walks,
     from_base_matrix,
@@ -31,7 +31,6 @@ from .lift import (
     QcCode,
     ShiftCollisionError,
     UnsupportedStructureError,
-    WalkTable,
     binary_ace_spectrum,
     expand,
     expand_binary,

@@ -12,7 +12,8 @@ import os
 import sys
 from pathlib import Path
 
-from .gf import Field, min_lambda
+from .codec import RankDeficiencyError
+from .gf import Field
 from .io_formats import (
     build_descriptor,
     export_code,
@@ -21,9 +22,9 @@ from .io_formats import (
     save_descriptor,
 )
 from .lift import (
-    MAX_Z,
     AceConstraint,
     QcCode,
+    ShiftCollisionError,
     binary_ace_spectrum,
     nb_ace_spectrum,
     walk_table,
@@ -140,17 +141,12 @@ def _cmd_construct(args) -> int:
         raise CliInputError(f"field size {args.q} is not a power of two")
     try:
         field = Field(args.q.bit_length() - 1, args.poly)
+        # the unshifted code checks Z, lambda and the protograph once,
+        # before any search
+        lam = QcCode(proto, args.Z, field, dict.fromkeys(range(proto.n_edges), 0),
+                     None, args.lambda_mult).lambda_mult
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    if not 1 <= args.Z <= MAX_Z:
-        raise CliInputError(f"--Z must lie in [1, {MAX_Z}]")
-    lam = args.lambda_mult
-    if lam is None:
-        lam = min_lambda(args.q, args.Z)
-    elif lam < 1 or (lam * args.Z) % (args.q - 1) != 0:
-        raise CliInputError(
-            f"lambda={lam} violates (q-1) | lambda*Z for q={args.q}, Z={args.Z}"
-        )
     try:
         cfg = OptimizerConfig(
             rng_seed=args.seed,
@@ -245,7 +241,10 @@ def _cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    result = run_campaign(code, cfg, workers=args.workers)
+    try:
+        result = run_campaign(code, cfg, workers=args.workers)
+    except (RankDeficiencyError, ShiftCollisionError) as exc:
+        raise CliInputError(str(exc)) from exc
     csv_path = Path(f"{args.out}.csv")
     json_path = Path(f"{args.out}.json")
     csv_path.write_text(result.to_csv(), encoding="utf-8")

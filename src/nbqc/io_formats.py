@@ -39,17 +39,23 @@ class DescriptorError(ValueError):
 
 
 def read_base_matrix(path) -> list[list[int]]:
-    """Base matrix from whitespace text or JSON (sniffed by content)."""
+    """Base matrix from whitespace text or JSON (sniffed by content).
+
+    JSON entries are returned as loaded; ``from_base_matrix`` rejects any
+    that is not a nonnegative integer.
+    """
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = json.loads(text)
         rows = obj["base_matrix"]
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            raise ValueError("base_matrix is not a list of rows")
         if len(rows) != obj["n_checks"] or any(
             len(r) != obj["n_vars"] for r in rows
         ):
             raise ValueError("base matrix JSON header contradicts matrix shape")
-        return [[int(x) for x in row] for row in rows]
+        return rows
     return read_base_matrix_text(text)
 
 

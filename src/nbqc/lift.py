@@ -23,12 +23,11 @@ by simple minimal protograph cycles this is the classical statement, and
 lifts of simple minimal base cycles are chordless automatically.  Cycles
 with chorded supports are conservatively never canceled.
 
-All of this walk algebra runs on one compiled form of a walk list,
-:class:`WalkTable`: a padded edge-id row per walk with its length, ACE,
-simple-minimal flag and signed edge coefficients, plus one coefficient row
-per pair of visits to one node.  Total shift, alternating label sum and
-pair shift sums are all linear functionals of per-edge values, so a shift
-vector gives total shifts, cycle orders and realizability
+This module only applies shifts and labels to the walk table that
+closed-walk enumeration returns (:class:`~nbqc.protograph.WalkTable`).
+Total shift, alternating label sum and pair shift sums are all linear
+functionals of per-edge values, which the table holds as coefficient rows,
+so a shift vector gives total shifts, cycle orders and realizability
 (:func:`realized_lifts`) for many walks at once, and spectra are a
 group-by-min over lifted lengths.  Only the chordless test for realized
 walks that revisit a node still runs walk by walk.  A protograph has one
@@ -49,9 +48,9 @@ import numpy as np
 from .codec import SparseGfMatrix
 from .gf import Field, min_lambda
 from .protograph import (
-    ClosedWalks,
     CycleRecord,
     Protograph,
+    WalkTable,
     enumerate_closed_walks,
     from_base_matrix,
 )
@@ -305,100 +304,6 @@ class LiftedCycleClass:
     canceled: bool | None
 
 
-_CHUNK = 256  # walks or pairs per kernel block; bounds the temporaries
-
-
-class WalkTable:
-    """Compiled form of enumerated walks (:class:`ClosedWalks`).
-
-    ``rows[i]`` holds the edge ids of walk i padded with ``n_edges``, beside
-    its ``length``, ``ace`` and ``simple_minimal`` flag, as enumerated;
-    ``records`` reads them back one :class:`CycleRecord` at a time.  The
-    edge at position p is traversed check-to-variable for even p (sign +1)
-    and variable-to-check for odd p (sign -1); the node visited before it is
-    its check for even p and its variable for odd p.  Everything a lift
-    depends on is a linear functional of the per-edge values, stored as the
-    signed count of each edge, kept at the edge's first position only:
-
-    * ``coef[i]`` counts over the whole walk: applied to shifts it gives the
-      total shift, applied to label exponents the alternating label sum;
-    * ``pair_coef[k]`` counts between two visits of one base node by walk
-      ``pair_walk[k]``: applied to shifts it gives the partial-sum
-      difference that decides whether the two visits land on one copy.
-    """
-
-    def __init__(self, proto: Protograph, walks: ClosedWalks):
-        self.proto = proto
-        self.rows, self.length = walks.rows, walks.length
-        self.ace, self.simple_minimal = walks.ace, walks.simple_minimal
-        n, width = self.rows.shape
-        n_edges = proto.n_edges
-        parity = np.arange(width) % 2
-        sign = (1 - 2 * parity).astype(np.int8)
-        node_of = np.array([proto.edge_check + [-1], proto.edge_var + [-1]])
-        later = np.triu(parity[:, None] == parity, 1)  # same side, p1 < p2
-        self.coef = np.empty(self.rows.shape, np.int8)
-        owners, coefs = [np.empty(0, np.intp)], [np.empty((0, width), np.int8)]
-        for lo in range(0, n, _CHUNK):
-            rows = self.rows[lo:lo + _CHUNK]
-            same = rows[:, :, None] == rows[:, None, :]
-            first = ~np.tril(same, -1).any(axis=2)
-            # prefix[i, j, p]: the edge at position j, counted over positions < p
-            prefix = np.zeros(same.shape[:2] + (width + 1,), np.int8)
-            np.cumsum(same * np.where(rows < n_edges, sign, 0)[:, None, :],
-                      axis=2, dtype=np.int8, out=prefix[:, :, 1:])
-            self.coef[lo:lo + _CHUNK] = np.where(first, prefix[:, :, -1], 0)
-            nodes = node_of[parity, rows]
-            i, p1, p2 = np.nonzero((nodes[:, :, None] == nodes[:, None, :])
-                                   & later & (nodes >= 0)[:, :, None])
-            owners.append(i + lo)
-            coefs.append(np.where(first[i], prefix[i, :, p2] - prefix[i, :, p1], 0))
-        self.pair_walk = np.concatenate(owners)
-        self.pair_coef = np.concatenate(coefs)
-
-    def __len__(self) -> int:
-        return len(self.length)
-
-    @property
-    def records(self) -> ClosedWalks:
-        """The walks as records, each built when it is read."""
-        return ClosedWalks(self.rows, self.length, self.ace, self.simple_minimal)
-
-    def subset(self, keep: np.ndarray) -> "WalkTable":
-        """The walks selected by a boolean mask, in table order."""
-        sub = WalkTable.__new__(WalkTable)
-        sub.__dict__.update(self.__dict__)
-        for name in ("rows", "length", "ace", "simple_minimal", "coef"):
-            setattr(sub, name, getattr(self, name)[keep])
-        kept = keep[self.pair_walk]
-        sub.pair_walk = (np.cumsum(keep) - 1)[self.pair_walk[kept]]
-        sub.pair_coef = self.pair_coef[kept]
-        return sub
-
-    def upto(self, depth: int) -> "WalkTable":
-        """The walks of length at most ``depth``."""
-        keep = self.length <= depth
-        return self if keep.all() else self.subset(keep)
-
-    def _sums(self, coef, walk, values: np.ndarray) -> np.ndarray:
-        """Coefficient rows applied to per-edge ``values`` along ``walk``."""
-        ext = np.append(values, 0)
-        return np.concatenate([np.zeros(0, np.int64)] + [
-            (coef[lo:lo + _CHUNK] * ext[self.rows[walk[lo:lo + _CHUNK]]]).sum(axis=1)
-            for lo in range(0, len(walk), _CHUNK)])
-
-    def totals(self, values: np.ndarray, ids=slice(None)) -> np.ndarray:
-        """The signed sum of per-edge ``values`` around each walk."""
-        ids = np.arange(len(self))[ids]
-        return self._sums(self.coef[ids], ids, values)
-
-    def lift(self, shifts: np.ndarray, Z: int):
-        """Total shift, realizability and pair differences, all mod Z."""
-        d = self.totals(shifts) % Z
-        pairs = self._sums(self.pair_coef, self.pair_walk, shifts) % Z
-        return d, realized_lifts(np.gcd(d, Z), self.pair_walk, pairs), pairs
-
-
 def realized_lifts(gcd: np.ndarray, owner: np.ndarray,
                    pair_values: np.ndarray) -> np.ndarray:
     """Whether the lifts of walks consist of vertex-simple cycles.
@@ -424,7 +329,7 @@ def walk_table(proto: Protograph, depth: int) -> WalkTable:
     """
     known, table = proto._walks
     if known < depth:
-        table = WalkTable(proto, enumerate_closed_walks(proto, depth))
+        table = enumerate_closed_walks(proto, depth)
         proto._walks = (depth, table)
     return table
 
@@ -434,9 +339,16 @@ def _edge_vector(values: dict[int, int]) -> np.ndarray:
                        len(values))
 
 
+def lift_shifts(table: WalkTable, shifts: np.ndarray, Z: int):
+    """Total shift, realizability and pair differences, all mod Z."""
+    d = table.totals(shifts) % Z
+    pairs = table.pair_totals(shifts) % Z
+    return d, realized_lifts(np.gcd(d, Z), table.pair_walk, pairs), pairs
+
+
 def lift_walks(table: WalkTable, code: QcCode):
     """Total shift, cycle order and realizability of every walk's lift."""
-    d, realized, _ = table.lift(_edge_vector(code.shifts), code.Z)
+    d, realized, _ = lift_shifts(table, _edge_vector(code.shifts), code.Z)
     return d, code.Z // np.gcd(d, code.Z), realized
 
 
@@ -483,20 +395,14 @@ def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
     """
     ids = np.asarray(ids, dtype=np.int64)
     minimal = table.simple_minimal[ids]
-    records = table.records
     for k in np.flatnonzero(~minimal):
-        minimal[k] = _lift_chordless(records[ids[k]], code, int(d[ids[k]]))
+        minimal[k] = _lift_chordless(table[ids[k]], code, int(d[ids[k]]))
     return minimal
-
-
-def _one_walk(proto: Protograph, base: CycleRecord) -> WalkTable:
-    return WalkTable(proto, ClosedWalks.from_rows(proto, [base.edge_seq],
-                                                  [base.length]))
 
 
 def lift_is_minimal(base: CycleRecord, code: QcCode) -> bool:
     """Whether the realized lifts of a base walk are chordless in the lift."""
-    table = _one_walk(code.proto, base)
+    table = WalkTable(code.proto, [base.edge_seq], [base.length])
     d, _order, _realized = lift_walks(table, code)
     return bool(lifts_minimal(table, code, [0], d)[0])
 
@@ -517,7 +423,7 @@ def _canceled(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
 
 def lift_cycle(base: CycleRecord, code: QcCode) -> LiftedCycleClass:
     """Order, multiplicity, realizability and cancellation of a walk's lift."""
-    table = _one_walk(code.proto, base)
+    table = WalkTable(code.proto, [base.edge_seq], [base.length])
     d, order, realized = lift_walks(table, code)
     order = int(order[0])
     canceled = None

@@ -34,11 +34,11 @@ from .lift import (  # lift_cycle, lift_is_minimal: traced by perfbench/spans.py
     AceConstraint,
     AceSpectrum,
     QcCode,
-    WalkTable,
     binary_ace_spectrum,
     check_lifting_order,
     lift_cycle,
     lift_is_minimal,
+    lift_shifts,
     lift_walks,
     lifts_minimal,
     nb_ace_spectrum,
@@ -46,7 +46,7 @@ from .lift import (  # lift_cycle, lift_is_minimal: traced by perfbench/spans.py
     walk_table,
 )
 # enumerate_closed_walks: traced by perfbench/spans.py
-from .protograph import ClosedWalks, Protograph, enumerate_closed_walks
+from .protograph import Protograph, WalkTable, enumerate_closed_walks
 
 
 @dataclass
@@ -67,13 +67,9 @@ class OptimizerConfig:
 
 @dataclass
 class ProblemSet:
-    """Problematic walks as a compiled walk table."""
+    """Problematic walks as a walk table."""
 
-    table: WalkTable
-
-    @property
-    def cycles(self) -> ClosedWalks:
-        return self.table.records
+    cycles: WalkTable
 
 
 @dataclass
@@ -239,7 +235,7 @@ class _ShiftTracker(_Tracker):
 
     def reset(self, shifts: np.ndarray) -> None:
         self.values = shifts
-        d, realized, pairs = self.table.lift(shifts, self.Z)
+        d, realized, pairs = lift_shifts(self.table, shifts, self.Z)
         self.cur = np.concatenate([d, pairs])
         self.total_shift = self.cur[:self.n]  # a view: apply moves both
         self.violated = self.viol_by_order[np.arange(self.n), self.column[d]] & realized
@@ -375,7 +371,7 @@ def assign_shifts(
 ) -> OptimizeResult:
     """Search shifts whose lifted binary spectrum meets the constraint."""
     problem = find_problematic_binary(proto, Z, constraint)
-    result = _optimize(_ShiftTracker(problem.table, Z, constraint),
+    result = _optimize(_ShiftTracker(problem.cycles, Z, constraint),
                        proto.n_edges, cfg, history)
     if result.success:
         _verify(result, "binary", binary_ace_spectrum,

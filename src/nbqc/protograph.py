@@ -15,11 +15,14 @@ The enumeration is array work.  Each start edge grows its prefixes a level
 at a time through padded successor tables, and a closed word is kept when
 it is the least even rotation of itself and of its reversal and equals none
 of its proper even rotations, so every class appears once without a set of
-seen words.  The result, :class:`ClosedWalks`, holds padded edge rows with
-length, ACE and the simple-minimal flag as arrays and builds a
-:class:`CycleRecord` only for the walk asked for.  The work is capped by a
-count of the prefixes the enumeration would grow, taken before it grows
-any.
+seen words.  The work is capped by a count of the prefixes the enumeration
+would grow, taken before it grows any.
+
+The result is the one form walks take from enumeration to the optimizer's
+trackers, a :class:`WalkTable`: padded edge rows with length, ACE, the
+simple-minimal flag and the signed edge coefficients per walk and per pair
+of visits to one node, all as arrays.  It builds a :class:`CycleRecord`
+only for the walk asked for.
 """
 
 from __future__ import annotations
@@ -189,7 +192,8 @@ def degree_profile(proto: Protograph) -> DegreeProfile:
 DEFAULT_PREFIX_CAP = 1 << 24
 # the longest walk the enumeration accepts; rows are at most this wide
 MAX_WALK_LEN = 512
-_BLOCK = 4096  # prefixes or walks per array step; bounds the temporaries
+_BLOCK = 4096  # prefixes per array step; bounds the temporaries
+_CHUNK = 256  # walks or pairs per table step; bounds the temporaries
 
 
 def _edge_dtype(n_edges: int):
@@ -197,54 +201,77 @@ def _edge_dtype(n_edges: int):
     return np.int16 if n_edges < np.iinfo(np.int16).max else np.int32
 
 
-class ClosedWalks(Sequence):
-    """Closed walks held as arrays; indexing builds one :class:`CycleRecord`.
+class WalkTable(Sequence):
+    """Closed walks as arrays; indexing builds one :class:`CycleRecord`.
 
     ``rows[i]`` holds the edge ids of walk i padded with the edge count,
-    beside its ``length``, ``ace`` and ``simple_minimal`` flag.  A list of
-    records with the same walks compares equal.
+    beside its ``length``, ``ace`` and ``simple_minimal`` flag.  The edge at
+    position p is traversed check-to-variable for even p (sign +1) and
+    variable-to-check for odd p (sign -1); the node visited before it is
+    its check for even p and its variable for odd p.  Everything a lift
+    depends on is a linear functional of the per-edge values, stored as the
+    signed count of each edge, kept at the edge's first position only:
+
+    * ``coef[i]`` counts over the whole walk: applied to shifts it gives the
+      total shift, applied to label exponents the alternating label sum;
+    * ``pair_coef[k]`` counts between two visits of one base node by walk
+      ``pair_walk[k]``: applied to shifts it gives the partial-sum
+      difference that decides whether the two visits land on one copy.
+
+    A list of records with the same walks compares equal.
     """
 
-    def __init__(self, rows, length, ace, simple_minimal):
-        self.rows = rows
-        self.length = length
-        self.ace = ace
-        self.simple_minimal = simple_minimal
+    def __init__(self, proto: Protograph, rows, length):
+        """Compile padded check-start edge rows of ``proto``.
 
-    @classmethod
-    def from_rows(cls, proto: Protograph, rows, length) -> "ClosedWalks":
-        """Walks from padded check-start edge rows, with ACE and flags.
-
-        The even (check-to-variable) edges meet every visited node once,
-        so ACE sums (deg(v) - 2) over them.  A walk is simple when it has
-        length >= 4 and distinct checks and variables, and a simple walk is
-        minimal (chordless) when its support induces only its own
-        ``length`` edges, parallel copies counted: a twin of a walk edge is
-        a chord.
+        ACE sums (deg(v) - 2) over the visited variables.  A walk is simple
+        when it has length >= 4 and distinct checks and variables, and a
+        simple walk is minimal (chordless) when its support induces only
+        its own ``length`` edges, parallel copies counted: a twin of a walk
+        edge is a chord.
         """
-        rows = np.asarray(rows, _edge_dtype(proto.n_edges))
-        length = np.asarray(length, np.int32)
-        # per edge id, the padding id last: its check and variable (-1) and
-        # the variable's ACE term (0)
-        check_of = np.array(proto.edge_check + [-1])
-        var_of = np.array(proto.edge_var + [-1])
-        ace_of = np.array([len(proto.var_edges[v]) - 2 for v in proto.edge_var]
-                          + [0])
+        self.rows = rows = np.asarray(rows, _edge_dtype(proto.n_edges))
+        self.length = length = np.asarray(length, np.int32)
+        n, width = rows.shape
+        parity = np.arange(width) % 2
+        sign = (1 - 2 * parity).astype(np.int8)
+        later = np.triu(parity[:, None] == parity, 1)  # same side, p1 < p2
+        earlier = np.tril(np.ones((width, width), bool), -1)  # [j, p]: p < j
+        # per edge id, the padding id last: its check and variable (-1);
+        # per node id, the padding id -1 last: a variable's ACE term and
+        # the base matrix cells (0)
+        node_of = np.array([proto.edge_check + [-1], proto.edge_var + [-1]])
+        ace_of = np.array([len(es) - 2 for es in proto.var_edges] + [0])
         cells = np.zeros((proto.n_checks + 1, proto.n_vars + 1), np.int32)
         cells[:-1, :-1] = proto.base_matrix()
         # a simple walk visits at most this many checks and variables
         most = min(proto.n_checks, proto.n_vars)
-        ace = np.empty(len(length), np.int32)
-        minimal = np.zeros(len(length), bool)
-        for lo in range(0, len(length), _BLOCK):
-            even = rows[lo:lo + _BLOCK, 0::2]
-            n = length[lo:lo + _BLOCK]
-            ace[lo:lo + _BLOCK] = ace_of[even].sum(axis=1)
-            checks, vars_ = check_of[even], var_of[even]
-            simple = np.flatnonzero((n >= 4) & _distinct(checks) & _distinct(vars_))
+        self.ace = np.empty(n, np.int32)
+        self.simple_minimal = np.zeros(n, bool)
+        self.coef = np.empty(rows.shape, np.int8)
+        owners, coefs = [np.empty(0, np.intp)], [np.empty((0, width), np.int8)]
+        for lo in range(0, n, _CHUNK):
+            block, k = rows[lo:lo + _CHUNK], length[lo:lo + _CHUNK]
+            # the node visited before each position, -1 on the padding
+            nodes = node_of[parity, block]
+            checks, vars_ = nodes[:, 0::2], nodes[:, 1::2]
+            self.ace[lo:lo + _CHUNK] = ace_of[vars_].sum(axis=1)
+            simple = np.flatnonzero((k >= 4) & _distinct(checks) & _distinct(vars_))
             induced = cells[checks[simple, :most, None], vars_[simple, None, :most]]
-            minimal[lo + simple] = induced.sum(axis=(1, 2)) == n[simple]
-        return cls(rows, length, ace, minimal)
+            self.simple_minimal[lo + simple] = induced.sum(axis=(1, 2)) == k[simple]
+            same = block[:, :, None] == block[:, None, :]
+            first = ~(same & earlier).any(axis=2)
+            # prefix[i, j, p]: the edge at position j, counted over positions < p
+            prefix = np.zeros(same.shape[:2] + (width + 1,), np.int8)
+            np.cumsum(same * np.where(nodes >= 0, sign, 0)[:, None, :],
+                      axis=2, dtype=np.int8, out=prefix[:, :, 1:])
+            self.coef[lo:lo + _CHUNK] = np.where(first, prefix[:, :, -1], 0)
+            i, p1, p2 = np.nonzero((nodes[:, :, None] == nodes[:, None, :])
+                                   & later & (nodes >= 0)[:, :, None])
+            owners.append(i + lo)
+            coefs.append(np.where(first[i], prefix[i, :, p2] - prefix[i, :, p1], 0))
+        self.pair_walk = np.concatenate(owners)
+        self.pair_coef = np.concatenate(coefs)
 
     def __len__(self) -> int:
         return len(self.length)
@@ -259,6 +286,37 @@ class ClosedWalks(Sequence):
         return list(self) == list(other)
 
     __hash__ = None
+
+    def subset(self, keep: np.ndarray) -> "WalkTable":
+        """The walks selected by a boolean mask, in table order."""
+        sub = WalkTable.__new__(WalkTable)
+        for name in ("rows", "length", "ace", "simple_minimal", "coef"):
+            setattr(sub, name, getattr(self, name)[keep])
+        kept = keep[self.pair_walk]
+        sub.pair_walk = (np.cumsum(keep) - 1)[self.pair_walk[kept]]
+        sub.pair_coef = self.pair_coef[kept]
+        return sub
+
+    def upto(self, depth: int) -> "WalkTable":
+        """The walks of length at most ``depth``."""
+        keep = self.length <= depth
+        return self if keep.all() else self.subset(keep)
+
+    def _sums(self, coef, walk, values: np.ndarray) -> np.ndarray:
+        """Coefficient rows applied to per-edge ``values`` along ``walk``."""
+        ext = np.append(values, 0)
+        return np.concatenate([np.zeros(0, np.int64)] + [
+            (coef[lo:lo + _CHUNK] * ext[self.rows[walk[lo:lo + _CHUNK]]]).sum(axis=1)
+            for lo in range(0, len(walk), _CHUNK)])
+
+    def totals(self, values: np.ndarray, ids=slice(None)) -> np.ndarray:
+        """The signed sum of per-edge ``values`` around each walk."""
+        ids = np.arange(len(self))[ids]
+        return self._sums(self.coef[ids], ids, values)
+
+    def pair_totals(self, values: np.ndarray) -> np.ndarray:
+        """The signed sum of per-edge ``values`` between each pair's visits."""
+        return self._sums(self.pair_coef, self.pair_walk, values)
 
 
 def _distinct(nodes: np.ndarray) -> np.ndarray:
@@ -338,7 +396,7 @@ def _check_prefixes(proto: Protograph, follow, max_len: int, cap: int) -> None:
 
 def enumerate_closed_walks(
     proto: Protograph, max_len: int, max_prefixes: int = DEFAULT_PREFIX_CAP
-) -> ClosedWalks:
+) -> WalkTable:
     """All primitive non-backtracking closed walks of even length <= max_len.
 
     One canonical representative per class under rotation and reversal, in
@@ -398,7 +456,16 @@ def enumerate_closed_walks(
             if k + 1 < max_len:
                 stack.extend(grown[lo:lo + _BLOCK] for lo in range(0, count, _BLOCK))
 
-    # (length, edge_seq) order: by length, then each length's words sorted
+    return WalkTable(proto, *_ordered_rows(found, n_edges, dtype))
+
+
+def _ordered_rows(found: dict, n_edges: int, dtype):
+    """Padded rows and lengths of the words ``found`` per length.
+
+    (length, edge_seq) order: by length, then each length's words sorted.
+    ``found`` is emptied as the rows fill, and no word array outlives the
+    call, so the table compile does not hold a copy of the walks.
+    """
     lengths = sorted(found)
     length = np.repeat(np.array(lengths, np.int32),
                        [sum(map(len, found[n])) for n in lengths])
@@ -408,7 +475,7 @@ def enumerate_closed_walks(
         words = np.concatenate(found.pop(n))
         rows[lo:lo + len(words), :n] = words[np.lexsort(words.T[::-1])]
         lo += len(words)
-    return ClosedWalks.from_rows(proto, rows, length)
+    return rows, length
 
 
 def read_base_matrix_text(text: str) -> list[list[int]]:

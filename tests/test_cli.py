@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nbqc.cli import EXIT_CONSTRAINT, EXIT_INPUT, EXIT_OK, main
 from nbqc.codec import SparseGfMatrix
+from nbqc.gf import Field
 from nbqc.io_formats import (
     DescriptorError,
     build_descriptor,
@@ -412,13 +413,38 @@ def _huge_z_descriptor(desc, path):
     return path
 
 
+def _gf2_descriptor(path, base, Z, shifts):
+    """A metadata-free GF(2) descriptor of ``base`` with ``shifts``."""
+    proto = from_base_matrix(base)
+    code = QcCode(proto, Z, Field(1), dict(enumerate(shifts)),
+                  dict.fromkeys(range(proto.n_edges), 0))
+    path.write_text(json.dumps(code.to_json_dict()))
+    return path
+
+
 def _bad_input_argv(tmp_path, desc):
     construct = ["construct", "--proto", str(tmp_path / "proto.txt"),
                  "--q", "16", "--ace-b", "inf,inf", "--ace-nb", "inf,inf",
                  "--seed", "1"]
+
+    def construct_on(name, text):
+        (tmp_path / name).write_text(text)
+        return (["construct", "--proto", str(tmp_path / name)] + construct[3:]
+                + ["--Z", "3", "--out", out])
+
+    def json_proto(name, matrix):
+        return construct_on(name, json.dumps(
+            {"n_checks": 2, "n_vars": 2, "base_matrix": matrix}))
+
     simulate = ["simulate", str(desc), "--max-frames", "2", "--seed", "1"]
     out = str(tmp_path / "x.json")
     nowhere = str(tmp_path / "missing-dir" / "x")
+    # every shift 0 stacks identities: rank 5 < 10 rows
+    rank_deficient = _gf2_descriptor(tmp_path / "rank.json", [[1] * 4] * 2, 5,
+                                     [0] * 8)
+    # the parallel edges 0 and 1 of cell (0, 0) share shift 1
+    collision = _gf2_descriptor(tmp_path / "collision.json",
+                                [[2, 1], [1, 1]], 3, [1, 1, 0, 0, 0])
     return {
         "Z0": construct + ["--Z", "0", "--out", out],
         "Z-huge": construct + ["--Z", str((1 << 16) + 1), "--out", out],
@@ -447,6 +473,16 @@ def _bad_input_argv(tmp_path, desc):
             "--out", out],
         "spectrum-depth": ["spectrum", str(desc), "--depth", "5"],
         "spectrum-depth-huge": ["spectrum", str(desc), "--depth", "1000000"],
+        "construct-degree-1": construct_on("deg1.txt", "1 1 1\n"),
+        "json-entry-float": json_proto("float.json", [[1, 1.7], [1, 1]]),
+        "json-entry-bool": json_proto("bool.json", [[True, 1], [1, 1]]),
+        "json-matrix-scalar": json_proto("scalar.json", 5),
+        "simulate-rank-deficient": ["simulate", str(rank_deficient), "--snr",
+                                    "inf", "--max-frames", "2", "--seed", "1",
+                                    "--mode", "random", "--out", out],
+        "simulate-collision": ["simulate", str(collision), "--snr", "inf",
+                               "--max-frames", "2", "--seed", "1",
+                               "--out", out],
     }
 
 
@@ -455,7 +491,9 @@ def _bad_input_argv(tmp_path, desc):
     "construct-out", "construct-seed-minus-1", "snr-abc", "snr-nan",
     "snr-minus-inf", "snr-huge", "workers0", "env-workers", "simulate-out",
     "simulate-seed-minus-1", "export-out", "export-Z-huge", "spectrum-depth",
-    "spectrum-depth-huge",
+    "spectrum-depth-huge", "construct-degree-1", "json-entry-float",
+    "json-entry-bool", "json-matrix-scalar", "simulate-rank-deficient",
+    "simulate-collision",
 ])
 def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
                                          monkeypatch, case):

@@ -18,7 +18,6 @@ from nbqc.lift import (
     QcCode,
     ShiftCollisionError,
     UnsupportedStructureError,
-    WalkTable,
     binary_ace_spectrum,
     expand,
     expand_binary,
@@ -29,7 +28,7 @@ from nbqc.lift import (
     nb_ace_spectrum,
     walk_table,
 )
-from nbqc.protograph import enumerate_closed_walks, from_base_matrix
+from nbqc.protograph import WalkTable, enumerate_closed_walks, from_base_matrix
 
 from oracles import (
     LiftedGraph,
@@ -377,7 +376,7 @@ def test_walk_realized_flags_match_lifted_copy_oracle(base, depth, gf2):
                       {e: int(rng.integers(0, Z)) for e in range(proto.n_edges)})
         realized = lift_walks(table, code)[2].tolist()
         assert realized == [lifted_walk_is_simple(code, rec.edge_seq)
-                            for rec in table.records]
+                            for rec in table]
         flags.update(realized)
     assert flags == {False, True}
 
@@ -475,12 +474,13 @@ def _base_matrices():
               and all(any(c) for c in zip(*m)) and sum(map(sum, m)) <= 8)
 
 
-def _assert_same_walks(got: WalkTable, want: WalkTable):
-    """Equal records, rows, coefficients and pairs; ``got`` may pad wider."""
+def _assert_same_walks(got: WalkTable, want: WalkTable, proto):
+    """Equal records, rows, coefficients and pairs; ``got`` may pad wider
+    with the edge count of ``proto``."""
     width = want.rows.shape[1]
-    assert got.records == want.records
+    assert got == want
     assert np.array_equal(got.rows[:, :width], want.rows)
-    assert (got.rows[:, width:] == got.proto.n_edges).all()
+    assert (got.rows[:, width:] == proto.n_edges).all()
     assert np.array_equal(got.coef[:, :width], want.coef)
     assert not got.coef[:, width:].any()
     assert np.array_equal(got.pair_walk, want.pair_walk)
@@ -502,13 +502,12 @@ def test_walk_table_memo_matches_fresh_enumeration(rows, shallow, extra):
         assert counted.call_count == 1
         # derived data stays out of pickles sent to simulation workers
         assert pickle.loads(pickle.dumps(fresh))._walks == (0, None)
-        _assert_same_walks(
-            table.upto(shallow),
-            WalkTable(fresh, enumerate_closed_walks(fresh, shallow)))
+        _assert_same_walks(table.upto(shallow),
+                           enumerate_closed_walks(fresh, shallow), fresh)
         # a deeper request after a shallower one enumerates again
         grown = from_base_matrix(rows)
         first = walk_table(grown, shallow)
         assert walk_table(grown, deep) is not first
         assert counted.call_count == 3
         _assert_same_walks(walk_table(grown, deep),
-                           WalkTable(grown, enumerate_closed_walks(grown, deep)))
+                           enumerate_closed_walks(grown, deep), grown)

@@ -9,7 +9,6 @@ from nbqc.lift import (
     AceConstraint,
     INF,
     QcCode,
-    WalkTable,
     binary_ace_spectrum,
     lift_cycle,
     nb_ace_spectrum,
@@ -129,16 +128,16 @@ def test_worst_violated_is_least_by_length_ace_and_edges():
     # and every 2-walk violates: the least ACE, then the least edges decide
     proto = from_base_matrix([[2, 2, 0], [1, 0, 2], [1, 0, 0]])
     Z, constraint = 4, AceConstraint(8, dict.fromkeys((2, 4, 6, 8), 9))
-    tracker = _ShiftTracker(find_problematic_binary(proto, Z, constraint).table,
+    tracker = _ShiftTracker(find_problematic_binary(proto, Z, constraint).cycles,
                             Z, constraint)
     rng = np.random.default_rng(7)
     for _ in range(6):
         tracker.reset(rng.integers(0, Z, proto.n_edges))
-        records = tracker.table.records
+        walks = tracker.table
         i = min(np.flatnonzero(tracker.violated), key=lambda i: (
-            records[i].length, records[i].ace, records[i].edge_seq))
+            walks[i].length, walks[i].ace, walks[i].edge_seq))
         assert tracker.worst_violated() == {
-            "length": records[i].length, "ace": records[i].ace,
+            "length": walks[i].length, "ace": walks[i].ace,
             "total_shift": int(tracker.total_shift[i])}
 
 
@@ -391,20 +390,20 @@ def test_trackers_match_lift_cycle_recount(seed):
         return sum(_violating(lift_cycle(rec, code), constraint)
                    for rec in problem.cycles)
 
-    _check_tracker(_ShiftTracker(problem.table, Z, constraint),
+    _check_tracker(_ShiftTracker(problem.cycles, Z, constraint),
                    rng.integers(0, Z, proto.n_edges), shift_count, rng, Z)
 
     shifts = dict(enumerate(rng.integers(0, Z, proto.n_edges).tolist()))
     code = QcCode(proto, Z, field, shifts)
-    tracker = _LabelTracker(code, WalkTable(proto, walks), constraint)
-    assert tracker.table.records == [
+    tracker = _LabelTracker(code, walks, constraint)
+    assert tracker.table == [
         rec for rec in walks if _violating(lift_cycle(rec, code), constraint)
     ]
 
     def label_count(labels):
         labeled = code.with_labels(dict(enumerate(labels.tolist())))
         return sum(not lift_cycle(rec, labeled).canceled
-                   for rec in tracker.table.records)
+                   for rec in tracker.table)
 
     q1 = field.q - 1
     _check_tracker(tracker, rng.integers(0, q1, proto.n_edges), label_count,

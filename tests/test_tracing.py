@@ -2,12 +2,18 @@
 
 ``perfbench/spans.py`` looks its bindings up by name when a traced pass
 starts, so a binding renamed or dropped from an ``nbqc`` module breaks
-``perfbench/run.py --trace 1`` while every other test still passes.
+``perfbench/run.py --trace 1`` while every other test still passes.  Its
+attribute extractors read the results of the calls they wrap, so a changed
+return type breaks them the same way.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from nbqc.lift import AceConstraint
+from nbqc.optimize import find_problematic_binary
+from nbqc.protograph import enumerate_closed_walks, from_base_matrix
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -33,3 +39,22 @@ def test_every_traced_binding_is_wrapped_and_restored():
             assert wrapped.__wrapped__ is original, (target.__name__, attr)
     for (target, attr), original in zip(targets, originals):
         assert target.__dict__[attr] is original, (target.__name__, attr)
+
+
+def _extractor(spans, attr):
+    return next(extract for _, name, _, extract in spans.FUNCTIONS
+                if name == attr)
+
+
+def test_extractors_read_real_results():
+    spans = _load_spans()
+    # K(3,3): nine 4-cycles of ACE 2 and six 6-cycles of ACE 3
+    proto = from_base_matrix([[1, 1, 1]] * 3)
+    walks = enumerate_closed_walks(proto, 6)
+    assert _extractor(spans, "enumerate_closed_walks")(
+        (proto, 6), {}, walks) == [6, sum(1 for _ in walks)] == [6, 15]
+    # only the 4-cycles can lift to a length with a nonzero bound
+    constraint = AceConstraint.parse("0,inf,0")
+    problem = find_problematic_binary(proto, 3, constraint)
+    assert _extractor(spans, "find_problematic_binary")(
+        (proto, 3, constraint), {}, problem) == 9
