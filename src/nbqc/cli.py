@@ -24,7 +24,6 @@ from .io_formats import (
 from .lift import (
     AceConstraint,
     QcCode,
-    ShiftCollisionError,
     binary_ace_spectrum,
     nb_ace_spectrum,
     walk_table,
@@ -165,8 +164,11 @@ def _cmd_construct(args) -> int:
     if ace_b is None:
         if args.depth < 2 or args.depth % 2:
             raise CliInputError("--depth must be an even integer >= 2")
-        search = spectrum_search(proto, args.Z, field, cfg, args.depth,
-                                 lambda_mult=lam)
+        try:
+            search = spectrum_search(proto, args.Z, field, cfg, args.depth,
+                                     lambda_mult=lam)
+        except ValueError as exc:
+            raise CliInputError(str(exc)) from exc
         code = search.best.code
         achieved_b, achieved_nb = search.best.binary, search.best.nb
     else:
@@ -243,7 +245,7 @@ def _cmd_simulate(args) -> int:
         raise CliInputError(str(exc)) from exc
     try:
         result = run_campaign(code, cfg, workers=args.workers)
-    except (RankDeficiencyError, ShiftCollisionError) as exc:
+    except RankDeficiencyError as exc:
         raise CliInputError(str(exc)) from exc
     csv_path = Path(f"{args.out}.csv")
     json_path = Path(f"{args.out}.json")

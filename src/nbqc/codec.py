@@ -5,9 +5,12 @@ condition; the decoder is a probability-domain q-ary sum-product (flooding
 schedule) whose check-node updates run through the Walsh-Hadamard transform
 over the additive group of GF(2^r).
 
-Both work on tables built once per matrix: the decoder on one padded
-``(nodes, max degree)`` slot table per side (see :class:`QspaDecoder`), the
-encoder on a dense ``(parity, info)`` coefficient matrix.
+Both work on tables built once per matrix.  The decoder numbers its edges
+variable-slot-major, so the variable update reads and writes contiguous
+blocks, keeps a padded ``(max degree, checks)`` slot table for the check
+update, and owns every message, scan and transform buffer an iteration
+uses (see :class:`QspaDecoder`).  The encoder works on a dense
+``(parity, info)`` coefficient matrix.
 """
 
 from __future__ import annotations
@@ -203,7 +206,30 @@ class DecodeResult:
     iterations_used: int
 
 
-def fwht(a: np.ndarray) -> np.ndarray:
+def _fwht_stages(a: np.ndarray, bufs) -> tuple[list, np.ndarray]:
+    """The butterfly stages of :func:`fwht` on ``a``, and its result.
+
+    ``a`` is the transpose of a C-ordered ``(q, ...)`` array.  Stage k
+    reads the previous stage's output (``a`` first) and writes
+    ``bufs[k % 2]``, two arrays of ``a``'s transposed shape; it is four
+    views, ``(top, bottom, out top, out bottom)``, of whole symbol rows.
+    The result is a view of the last buffer written, shaped like ``a``.
+    """
+    src = a.T
+    q = src.shape[0]
+    rows = src.reshape(q, src.size // q)
+    stages = []
+    h = 1
+    while h < q:
+        pairs = rows.reshape(q // (2 * h), 2, -1)
+        rows = bufs[len(stages) % 2].reshape(rows.shape)
+        out = rows.reshape(pairs.shape)
+        stages.append((pairs[:, 0], pairs[:, 1], out[:, 0], out[:, 1]))
+        h *= 2
+    return stages, rows.reshape(src.shape).T
+
+
+def fwht(a: np.ndarray, stages=None) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (length a power of 2).
 
     Self-inverse up to a factor of q; diagonalizes convolution over the
@@ -215,51 +241,49 @@ def fwht(a: np.ndarray) -> np.ndarray:
     alternate between two buffers.  The result is a view with the symbol
     axis last again; an input that is the transpose of a C-ordered
     ``(q, ...)`` array is read without a copy.
+
+    ``stages`` is a ``(butterflies, result)`` pair that
+    :func:`_fwht_stages` built once for ``a``'s buffer and two fixed
+    buffers, which may include that one; nothing is then allocated.
     """
-    src = np.asarray(a, dtype=np.float64).T
-    q = src.shape[0]
-    rows = src.reshape(q, src.size // q)
-    if q == 1:
-        return rows.reshape(src.shape).T.copy()
-    bufs = [np.empty(rows.shape), np.empty(rows.shape)]
-    h = 1
-    while h < q:
-        pairs = rows.reshape(q // (2 * h), 2, -1)
-        out = bufs[0].reshape(pairs.shape)
-        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
-        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
-        rows = bufs[0]
-        bufs.reverse()
-        h *= 2
-    return rows.reshape(src.shape).T
+    if stages is None:
+        a = np.asarray(a, dtype=np.float64)
+        if a.shape[-1] == 1:
+            return a.copy()
+        stages = _fwht_stages(a, [np.empty(a.T.shape), np.empty(a.T.shape)])
+    butterflies, result = stages
+    for top, bottom, out_top, out_bottom in butterflies:
+        np.add(top, bottom, out=out_top)
+        np.subtract(top, bottom, out=out_bottom)
+    return result
 
 
 def _normalize(msgs: np.ndarray) -> np.ndarray:
     """Scale message rows to sum 1 in place; underflowed rows become uniform."""
     np.maximum(msgs, 0.0, out=msgs)
     totals = msgs.sum(axis=-1, keepdims=True)
-    dead = totals <= 0.0
-    if np.any(dead):
-        np.copyto(msgs, 1.0, where=dead)
+    if not totals.min() > 0.0:  # one reduction when no row is dead
+        np.copyto(msgs, 1.0, where=totals <= 0.0)
         totals = msgs.sum(axis=-1, keepdims=True)
     msgs /= totals
     return msgs
 
 
-def _leave_one_out(stack: np.ndarray) -> np.ndarray:
+def _leave_one_out(stack: np.ndarray, pref: np.ndarray,
+                   suf: np.ndarray) -> np.ndarray:
     """Products over axis 0 omitting each slot, via prefix/suffix scans.
 
     ``stack`` has shape (slots, nodes, q), so each scan step multiplies
-    two contiguous (nodes, q) planes.  Avoids dividing by zeros.  The last
-    slot's output is its prefix times 1.0, the product of all other slots.
+    two contiguous (nodes, q) planes; ``pref`` and ``suf`` are buffers of
+    that shape whose boundary planes, ``pref[0]`` and ``suf[-1]``, hold
+    1.0 and are never written.  Avoids dividing by zeros.  The products
+    overwrite ``stack``, which is returned.
     """
     deg = len(stack)
-    pref = np.ones_like(stack)
-    suf = np.ones_like(stack)
     for i in range(1, deg):
         np.multiply(pref[i - 1], stack[i - 1], out=pref[i])
         np.multiply(suf[deg - i], stack[deg - i], out=suf[deg - 1 - i])
-    return np.multiply(pref, suf, out=pref)
+    return np.multiply(pref, suf, out=stack)
 
 
 def _slots(owner: np.ndarray, n_nodes: int, spare: int) -> np.ndarray:
@@ -282,23 +306,37 @@ class QspaDecoder:
     Messages stay in the probability domain and are renormalized after
     every update.
 
-    Messages are stored edge-major, one row per edge plus a spare row.
-    Each side has a slot-major table of ``(max degree, nodes)`` edge ids,
-    ascending down each column and padded with the spare row, so a
-    half-iteration is one gather into ``(slots, nodes, q)``, one
-    leave-one-out product over contiguous ``(nodes, q)`` planes and one
-    scatter.  Before a gather the spare row holds the neutral factor: 1.0
-    for the variable-side products, the point mass at 0 (Hadamard spectrum
-    1.0) for the check side.  Pads only append exact factors of 1.0, so
-    every product equals the unpadded one.  The spare row is scratch and
-    never normalized.  Work scales with the slot overhead, nodes x max
-    degree / edges: 1.65 (variables) and 1.03 (checks) on the GF(16)/Z=9
-    reference code, 1.56 and 1.17 on GF(8)/Z=21.
+    Messages are stored edge-major, one row per edge, with edges numbered
+    variable-slot-major: variables are sorted by degree (descending,
+    stable; ``var_order[k]`` is the variable at sorted position k), and
+    slot i (the i-th edge of a variable, in ``H.entries()`` order) of every
+    variable of degree > i is one contiguous block of rows, in sorted
+    order.  ``edge_order[k]`` is the ``H.entries()`` index of edge k.  The
+    variable half-iteration therefore reads and writes whole blocks: its
+    prefix and suffix scans multiply shrinking row prefixes of consecutive
+    blocks, with no gather, no scatter and no padding, and the posterior
+    of the variables of degree d is the last prefix of slot d - 1 times
+    that slot.
+
+    The check side keeps a padded ``(max degree, checks)`` slot table of
+    edge ids, gathered into ``(slots, checks, q)`` for one leave-one-out
+    product over contiguous planes and scattered back.  Pads point at a
+    spare column that holds the Hadamard spectrum of the point mass at 0
+    (all 1.0), so they only append exact factors of 1.0.  Work there
+    scales with the slot overhead, checks x max degree / edges: 1.03 on
+    the GF(16)/Z=9 reference code, 1.17 on GF(8)/Z=21.
 
     The check side runs symbol-major, ``(q, edges + 1)``: each label
-    permutation is one flat ``take`` whose indices also transpose between
-    the two orders, and the Hadamard butterflies of :func:`fwht` add whole
-    rows of edges.  Normalization and the posterior stay edge-major.
+    permutation is one flat ``take`` whose indices also renumber and
+    transpose between the two orders, and the Hadamard butterflies of
+    :func:`fwht` add whole rows of edges.  Normalization and the posterior
+    stay edge-major.
+
+    ``__init__`` builds every buffer and view an iteration uses, once:
+    messages, scan buffers, the two FWHT buffers and each butterfly stage.
+    They belong to the decoder, so :meth:`decode` is not reentrant: one
+    decoder decodes one frame at a time, and each simulation worker builds
+    its own.
     """
 
     def __init__(self, H: SparseGfMatrix):
@@ -308,9 +346,20 @@ class QspaDecoder:
         edges = np.array(list(H.entries()), dtype=np.int64).reshape(-1, 3)
         if not len(edges):
             raise ValueError("cannot decode an all-zero parity-check matrix")
-        self.n_edges = len(edges)
-        n_rows = self.n_edges + 1
-        self.e_check, self.e_var, self.e_label = edges.T
+        self.n_edges = spare = len(edges)
+        n_rows = spare + 1
+        # variable-slot-major numbering; blocks[i] counts the variables of
+        # degree > i, the rows of slot i
+        var_slots = _slots(edges[:, 1], H.n_cols, spare)
+        deg = np.bincount(edges[:, 1], minlength=H.n_cols)
+        self.var_order = np.argsort(-deg, kind="stable")
+        self.var_rank = np.argsort(self.var_order)
+        blocks = (deg[:, None] > np.arange(len(var_slots))).sum(axis=0)
+        self.edge_order = np.concatenate(
+            [var_slots[i, self.var_order[:b]] for i, b in enumerate(blocks)])
+        renumber = np.empty(n_rows, dtype=np.int64)
+        renumber[np.append(self.edge_order, spare)] = np.arange(n_rows)
+        self.e_check, self.e_var, self.e_label = edges[self.edge_order].T
         # from-check gather msg_x[x] = conv[h * x]; the to-check gather
         # msg_y[y] = msg_x[h^-1 * y] is its inverse; the spare row has label 1
         from_check = self.field.mul_table[np.append(self.e_label, 1)]
@@ -319,12 +368,51 @@ class QspaDecoder:
         # flat indices: edge-major (edges + 1, q) -> symbol-major (q, edges + 1)
         # on the way to the checks, and back on the way from them
         self.to_check_flat = np.ascontiguousarray((row * q + to_check).T)
-        self.from_check_flat = from_check * n_rows + row
-        self.var_slots = _slots(self.e_var, H.n_cols, self.n_edges)
-        self.check_slots = _slots(self.e_check, H.n_rows, self.n_edges)
+        self.from_check_flat = (from_check * n_rows + row)[:spare]
+        self.check_slots = renumber[_slots(edges[:, 0], H.n_rows, spare)]
         # syndrome terms per check slot; pads multiply by label 0
         self.syn_label = np.append(self.e_label, 0)[self.check_slots]
         self.syn_var = np.append(self.e_var, 0)[self.check_slots]
+
+        # variable side: block i of the (edges, q) arrays is slot i; the
+        # scan buffers' boundary rows (prefix block 0, and each suffix row
+        # past its variable's last slot) hold 1.0 and are never written
+        self._m_cv = m_cv = np.empty((spare, q))
+        self._m_vc = np.empty((n_rows, q))
+        self._m_vc[spare] = np.arange(q) == 0  # the point mass, never written
+        self._pref, self._suf = pref, suf = np.ones((spare, q)), np.ones((spare, q))
+        # degree-0 variables keep a product of 1.0
+        self._total = np.ones((H.n_cols, q))
+        ends = np.cumsum(blocks)
+        blk = [slice(e - b, e) for e, b in zip(ends, blocks)]
+        # (a, b, out) products, in order: the prefix scan up the slots, the
+        # suffix scan down them, and for the variables of degree d the
+        # product of all slots, prefix d - 1 times slot d - 1
+        last = np.append(blocks[1:], 0)  # degree > d + 1 ends degree d + 1
+        self._var_steps = (
+            [(pref[blk[i - 1]][:b], m_cv[blk[i - 1]][:b], pref[blk[i]])
+             for i, b in enumerate(blocks) if i]
+            + [(suf[blk[i + 1]], m_cv[blk[i + 1]], suf[blk[i]][:b])
+               for i, b in reversed(list(enumerate(blocks[1:])))]
+            + [(pref[s][lo:], m_cv[s][lo:], self._total[lo:b])
+               for s, lo, b in zip(blk, last, blocks) if lo < b])
+        self._posterior = np.empty((H.n_cols, q))
+        self._prior_edge = np.empty((spare, q))
+        self._prior_var = np.empty((H.n_cols, q))
+
+        # check side: two symbol-major FWHT buffers and the scan buffers;
+        # the label take fills ``sym``, its transform ends in one buffer and
+        # the check products go to the other, ``conv``
+        sym, other = np.zeros((q, n_rows)), np.zeros((q, n_rows))
+        self._sym = sym
+        self._fwd = _fwht_stages(sym.T, [other, sym])
+        spec, conv = (sym, other) if len(self._fwd[0]) % 2 == 0 else (other, sym)
+        self._conv = conv.T
+        self._back = _fwht_stages(self._conv, [spec, conv])
+        stack_shape = self.check_slots.shape + (q,)
+        self._stack = np.empty(stack_shape)
+        self._cpref = np.ones(stack_shape)
+        self._csuf = np.ones(stack_shape)
 
     def syndrome_is_zero(self, hard: np.ndarray) -> bool:
         prods = self.field.mul_table[self.syn_label, hard[self.syn_var]]
@@ -342,35 +430,32 @@ class QspaDecoder:
             raise ValueError("max_iters must be >= 1")
 
         spare = self.n_edges
-        m_cv = np.full((spare + 1, q), 1.0 / q)
-        m_cv[spare] = 1.0
-        m_vc = np.empty((spare + 1, q))
-        point_mass = np.arange(q) == 0
-        # symbol-major in memory, so fwht reads it without a copy
-        conv = np.zeros((q, spare + 1)).T
+        m_cv, m_vc, posterior = self._m_cv, self._m_vc[:spare], self._posterior
+        np.take(priors, self.e_var, axis=0, out=self._prior_edge)
+        np.take(priors, self.var_order, axis=0, out=self._prior_var)
+        m_cv.fill(1.0 / q)
         for it in range(1, max_iters + 1):
-            inc = m_cv[self.var_slots]
-            ext = _leave_one_out(inc)
-            # ext[-1] is the product of all slots but the last, so this is
-            # the same sequential product as inc.prod(axis=0)
-            total = ext[-1] * inc[-1]
-            ext *= priors
-            m_vc[self.var_slots] = ext
-            _normalize(m_vc[:spare])
-            m_vc[spare] = point_mass
-            posterior = _normalize(priors * total)
-            hard = posterior.argmax(axis=1).astype(np.int64)
+            for a, b, out in self._var_steps:
+                np.multiply(a, b, out=out)
+            np.multiply(self._pref, self._suf, out=m_vc)
+            m_vc *= self._prior_edge
+            _normalize(m_vc)
+            _normalize(np.multiply(self._prior_var, self._total, out=posterior))
+            hard = posterior.argmax(axis=1)[self.var_rank]
             if self.syndrome_is_zero(hard):
                 return DecodeResult(hard, True, it)
             if it == max_iters:
                 return DecodeResult(hard, False, it)
 
-            spec = fwht(m_vc.take(self.to_check_flat).T)
-            conv[self.check_slots] = _leave_one_out(spec[self.check_slots])
-            m_cv = fwht(conv).T.take(self.from_check_flat)
+            np.take(self._m_vc, self.to_check_flat, out=self._sym, mode="clip")
+            spec = fwht(self._sym.T, self._fwd)
+            np.take(spec, self.check_slots, axis=0, out=self._stack, mode="clip")
+            self._conv[self.check_slots] = _leave_one_out(
+                self._stack, self._cpref, self._csuf)
+            np.take(fwht(self._conv, self._back).T, self.from_check_flat,
+                    out=m_cv, mode="clip")
             m_cv /= q
-            _normalize(m_cv[:spare])
-            m_cv[spare] = 1.0
+            _normalize(m_cv)
         raise AssertionError("unreachable")
 
 

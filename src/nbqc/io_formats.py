@@ -2,7 +2,8 @@
 
 The descriptor is the canonical JSON form of a QC code plus metadata
 (creation seed, achieved spectra, tool version).  Loading is fail-closed:
-the achieved spectra stored in a descriptor are recomputed, from one walk
+parallel edges with equal shifts are rejected, as they have no expansion,
+and the achieved spectra stored in a descriptor are recomputed, from one walk
 enumeration at the deepest stored depth, and must match, so a corrupted or
 hand-edited file cannot silently misreport code quality.  The table stays
 with the code's protograph, so no spectrum within that depth re-enumerates.
@@ -24,6 +25,8 @@ from .gf import Field
 from .lift import (
     AceSpectrum,
     QcCode,
+    ShiftCollisionError,
+    _check_collisions,
     binary_ace_spectrum,
     expand,
     expand_binary,
@@ -96,7 +99,8 @@ def save_descriptor(path, desc: dict) -> None:
 
 
 def load_descriptor(path) -> tuple[QcCode, dict]:
-    """Load a descriptor and re-verify its achieved-spectra claims."""
+    """Load a descriptor, reject colliding shifts and re-verify its
+    achieved-spectra claims."""
     try:
         desc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -105,6 +109,10 @@ def load_descriptor(path) -> tuple[QcCode, dict]:
         code = QcCode.from_json_dict(desc)
     except (KeyError, TypeError) as exc:
         raise DescriptorError(f"descriptor missing field: {exc}") from exc
+    try:
+        _check_collisions(code)
+    except ShiftCollisionError as exc:
+        raise DescriptorError(str(exc)) from exc
     meta = desc.get("metadata", {})
     if not isinstance(meta, dict):
         raise DescriptorError("metadata is not an object")

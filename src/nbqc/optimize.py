@@ -93,13 +93,18 @@ class OptimizeResult:
 
 
 def _violates(lifted_len, lifted_ace, constraint: AceConstraint) -> np.ndarray:
-    """Lifted lengths within the constraint depth with ACE below it there."""
+    """Lifted lengths within the constraint depth with ACE below it there.
+
+    Lifted length 2 violates under every constraint: it is the order-1
+    lift of two parallel edges with equal shifts, which collide.
+    """
     depth = constraint.depth
     thr = np.full(depth // 2 + 1, -1.0)
     for ll in constraint.lengths():
         thr[ll // 2] = constraint.values[ll]
     ok = lifted_len <= depth
-    return ok & (lifted_ace < thr[np.minimum(lifted_len, depth) // 2])
+    return ok & ((lifted_ace < thr[np.minimum(lifted_len, depth) // 2])
+                 | (lifted_len == 2))
 
 
 def _divisors(Z: int) -> np.ndarray:
@@ -454,6 +459,12 @@ def spectrum_search(
     """
     if max_depth < 2 or max_depth % 2:
         raise ValueError("max_depth must be even and >= 2")
+    # parallel edges need distinct shifts; with that, the unconstrained
+    # attempt succeeds in its first sweep
+    most = max(max(row) for row in proto.base_matrix())
+    if most > Z:
+        raise ValueError(f"a base cell holds {most} parallel edges, "
+                         f"more than the Z={Z} distinct shifts")
     walk_table(proto, max_depth)  # one enumeration for every attempt
     depth = min(4, max_depth)
 

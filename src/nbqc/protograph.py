@@ -22,11 +22,15 @@ The result is the one form walks take from enumeration to the optimizer's
 trackers, a :class:`WalkTable`: padded edge rows with length, ACE, the
 simple-minimal flag and the signed edge coefficients per walk and per pair
 of visits to one node, all as arrays.  It builds a :class:`CycleRecord`
-only for the walk asked for.
+only for the walk asked for.  The node arrays a compile reads are built
+once per protograph and the position masks once per row width, so a
+one-row table (as ``lift.lift_cycle`` compiles) costs little more than
+its row.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral
@@ -95,7 +99,9 @@ class Protograph:
 
     def __getstate__(self):
         # derived data stays out of pickles (simulation workers)
-        return {**self.__dict__, "_walks": (0, None)}
+        state = {**self.__dict__, "_walks": (0, None)}
+        state.pop("node_arrays", None)
+        return state
 
     @property
     def n_edges(self) -> int:
@@ -112,6 +118,22 @@ class Protograph:
         for e in range(self.n_edges):
             m[self.edge_check[e]][self.edge_var[e]] += 1
         return m
+
+    @functools.cached_property
+    def node_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The node tables a walk-table compile reads, built once.
+
+        Per edge id, the padding id last: its check and variable (-1).  Per
+        node id, the padding id -1 last: a variable's ACE term and the base
+        matrix cells (0).  Read-only.
+        """
+        node_of = np.array([self.edge_check + [-1], self.edge_var + [-1]])
+        ace_of = np.array([len(es) - 2 for es in self.var_edges] + [0])
+        cells = np.zeros((self.n_checks + 1, self.n_vars + 1), np.int32)
+        cells[:-1, :-1] = self.base_matrix()
+        for a in (node_of, ace_of, cells):
+            a.flags.writeable = False
+        return node_of, ace_of, cells
 
     def __repr__(self) -> str:
         return (
@@ -196,6 +218,20 @@ _BLOCK = 4096  # prefixes per array step; bounds the temporaries
 _CHUNK = 256  # walks or pairs per table step; bounds the temporaries
 
 
+@functools.lru_cache(maxsize=8)
+def _position_masks(width: int):
+    """Per row width: each position's parity and sign, the same-side
+    position pairs ``later[p1, p2]`` with p1 < p2, and the strict lower
+    triangle ``earlier[j, p]``, p < j.  Read-only."""
+    parity = np.arange(width) % 2
+    sign = (1 - 2 * parity).astype(np.int8)
+    later = np.triu(parity[:, None] == parity, 1)
+    earlier = np.tril(np.ones((width, width), bool), -1)
+    for a in (parity, sign, later, earlier):
+        a.flags.writeable = False
+    return parity, sign, later, earlier
+
+
 def _edge_dtype(n_edges: int):
     """The integer type of edge-id arrays, padded with ``n_edges``."""
     return np.int16 if n_edges < np.iinfo(np.int16).max else np.int32
@@ -233,17 +269,8 @@ class WalkTable(Sequence):
         self.rows = rows = np.asarray(rows, _edge_dtype(proto.n_edges))
         self.length = length = np.asarray(length, np.int32)
         n, width = rows.shape
-        parity = np.arange(width) % 2
-        sign = (1 - 2 * parity).astype(np.int8)
-        later = np.triu(parity[:, None] == parity, 1)  # same side, p1 < p2
-        earlier = np.tril(np.ones((width, width), bool), -1)  # [j, p]: p < j
-        # per edge id, the padding id last: its check and variable (-1);
-        # per node id, the padding id -1 last: a variable's ACE term and
-        # the base matrix cells (0)
-        node_of = np.array([proto.edge_check + [-1], proto.edge_var + [-1]])
-        ace_of = np.array([len(es) - 2 for es in proto.var_edges] + [0])
-        cells = np.zeros((proto.n_checks + 1, proto.n_vars + 1), np.int32)
-        cells[:-1, :-1] = proto.base_matrix()
+        parity, sign, later, earlier = _position_masks(width)
+        node_of, ace_of, cells = proto.node_arrays
         # a simple walk visits at most this many checks and variables
         most = min(proto.n_checks, proto.n_vars)
         self.ace = np.empty(n, np.int32)

@@ -445,6 +445,9 @@ def _bad_input_argv(tmp_path, desc):
     # the parallel edges 0 and 1 of cell (0, 0) share shift 1
     collision = _gf2_descriptor(tmp_path / "collision.json",
                                 [[2, 1], [1, 1]], 3, [1, 1, 0, 0, 0])
+    # three parallel edges cannot take distinct shifts with Z=2
+    parallel = tmp_path / "parallel.txt"
+    parallel.write_text("3 1\n1 1\n")
     return {
         "Z0": construct + ["--Z", "0", "--out", out],
         "Z-huge": construct + ["--Z", str((1 << 16) + 1), "--out", out],
@@ -483,6 +486,13 @@ def _bad_input_argv(tmp_path, desc):
         "simulate-collision": ["simulate", str(collision), "--snr", "inf",
                                "--max-frames", "2", "--seed", "1",
                                "--out", out],
+        "spectrum-collision": ["spectrum", str(collision), "--depth", "4"],
+        "export-collision": ["export", str(collision), "--format",
+                             "base-matrix", "--out", out],
+        "auto-parallel-over-Z": ["construct", "--proto", str(parallel),
+                                 "--Z", "2", "--q", "4", "--ace-b", "auto",
+                                 "--ace-nb", "auto", "--seed", "1",
+                                 "--out", out],
     }
 
 
@@ -493,7 +503,8 @@ def _bad_input_argv(tmp_path, desc):
     "simulate-seed-minus-1", "export-out", "export-Z-huge", "spectrum-depth",
     "spectrum-depth-huge", "construct-degree-1", "json-entry-float",
     "json-entry-bool", "json-matrix-scalar", "simulate-rank-deficient",
-    "simulate-collision",
+    "simulate-collision", "spectrum-collision", "export-collision",
+    "auto-parallel-over-Z",
 ])
 def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
                                          monkeypatch, case):

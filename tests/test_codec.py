@@ -158,7 +158,11 @@ def test_leave_one_out_bitwise_equals_node_major(deg):
     stack = rng.random((deg, 11, 8))
     stack[rng.random(stack.shape) < 0.15] = 0.0  # exact zeros: no division
     head = rng.random((11, 8))
-    ext = _leave_one_out(stack.copy())
+    pref, suf = np.ones_like(stack), np.ones_like(stack)
+    ext = _leave_one_out(stack.copy(), pref, suf)
+    # the boundary planes stay 1.0, so the buffers can be used again
+    assert (pref[0] == 1.0).all() and (suf[-1] == 1.0).all()
+    assert _leave_one_out(stack.copy(), pref, suf).tobytes() == ext.tobytes()
     node_major = stack.transpose(1, 0, 2)
     ref = node_major_leave_one_out(node_major)
     assert ext.transpose(1, 0, 2).tobytes() == ref.tobytes()
@@ -189,8 +193,15 @@ def _assert_normalized_like_node_major(decoder, frames, monkeypatch):
         assert got.converged == want.converged
         assert got.hard_decision.tobytes() == want.hard_decision.tobytes()
         assert len(seen) == len(ref)
-        for a, b in zip(seen, ref):
-            assert a.tobytes() == b.tobytes()
+        # per iteration: variable-to-check messages and check-to-variable
+        # messages, one row per edge in the decoder's numbering, and the
+        # posterior, one row per variable in its sorted order; each goes
+        # back to H.entries() edge order or node order before comparing
+        for k, (a, b) in enumerate(zip(seen, ref)):
+            order = decoder.var_order if k % 3 == 1 else decoder.edge_order
+            back = np.empty_like(a)
+            back[order] = a
+            assert back.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("desc", ["gf16_z9_seed1.json", "gf8_z21_seed1.json"])
@@ -460,6 +471,50 @@ def test_slot_layout_bitwise_equals_node_major_loop(gf4, monkeypatch):
         frames.append((priors / priors.sum(axis=1, keepdims=True), 15))
     _assert_normalized_like_node_major(QspaDecoder(_ragged_H(gf4)), frames,
                                        monkeypatch)
+
+
+def test_slot_layout_degree_zero_variable(gf4, monkeypatch):
+    # an all-zero column: the variable has no slot at all, sorts last and
+    # its posterior is its prior
+    H = SparseGfMatrix.from_entries(
+        2, 4, [(0, 0, 1), (0, 1, 2), (0, 3, 3), (1, 1, 3), (1, 3, 1)], gf4)
+    decoder = QspaDecoder(H)
+    assert list(np.bincount(decoder.e_var, minlength=4)) == [1, 2, 0, 2]
+    assert decoder.var_order[-1] == 2
+    rng = np.random.default_rng(59)
+    frames = []
+    for _ in range(20):
+        priors = np.exp(rng.normal(0, 1.5, size=(4, 4)))
+        frames.append((priors / priors.sum(axis=1, keepdims=True), 15))
+    _assert_normalized_like_node_major(decoder, frames, monkeypatch)
+    for priors, max_iters in frames:
+        res = decoder.decode(priors, max_iters)
+        assert res.hard_decision[2] == priors[2].argmax()
+
+
+def test_decoder_reuse_is_stateless(gf4):
+    # the decoder's buffers carry nothing from one frame to the next, nor
+    # from a decode that raised on bad priors
+    H = _ragged_H(gf4)
+    decoder = QspaDecoder(H)
+    rng = np.random.default_rng(61)
+    a, b = (p / p.sum(axis=1, keepdims=True)
+            for p in np.exp(rng.normal(0, 1.5, size=(2, 6, 4))))
+
+    def run(priors):
+        res = decoder.decode(priors, 15)
+        return res.hard_decision.tobytes(), res.converged, res.iterations_used
+
+    first = run(a)
+    assert first[1:] == (False, 15)  # every iteration runs
+    assert run(b) != first
+    assert run(a) == first
+    with pytest.raises(ValueError):
+        decoder.decode(np.full((6, 4), 0.3), 15)
+    assert run(a) == first
+    fresh = QspaDecoder(H).decode(a, 15)
+    assert first == (fresh.hard_decision.tobytes(), fresh.converged,
+                     fresh.iterations_used)
 
 
 @pytest.mark.parametrize("desc", ["gf16_z9_seed1.json", "gf8_z21_seed1.json"])

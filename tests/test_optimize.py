@@ -9,6 +9,7 @@ from nbqc.lift import (
     AceConstraint,
     INF,
     QcCode,
+    _check_collisions,
     binary_ace_spectrum,
     lift_cycle,
     nb_ace_spectrum,
@@ -121,6 +122,26 @@ def test_assign_shifts_failure_reports(square22):
     assert res.worst_cycle == {"length": 2, "ace": 0, "total_shift": 0}
     j = res.to_json_dict()
     assert j["success"] is False and j["worst_cycle"]["length"] == 2
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_assign_shifts_never_collides_parallel_edges(seed):
+    # ACE 0 allows every lifted cycle, but an order-1 lift of two parallel
+    # edges is a collision, not a cycle: the search must not pick one
+    proto = from_base_matrix([[2, 1], [1, 1]])
+    res = assign_shifts(proto, 3, AceConstraint.parse("0,0"),
+                        OptimizerConfig(rng_seed=seed))
+    assert res.success
+    _check_collisions(QcCode(proto, 3, Field(1), res.assignment))
+
+
+def test_spectrum_search_rejects_more_parallel_edges_than_z(gf4):
+    proto = from_base_matrix([[3, 1], [1, 1]])
+    with pytest.raises(ValueError, match="3 parallel edges"):
+        spectrum_search(proto, 2, gf4, OptimizerConfig(rng_seed=1), max_depth=4)
+    res = spectrum_search(proto, 3, gf4, OptimizerConfig(rng_seed=1),
+                          max_depth=4)
+    _check_collisions(res.best.code)
 
 
 def test_worst_violated_is_least_by_length_ace_and_edges():
@@ -341,8 +362,10 @@ def _random_protograph(rng):
 
 
 def _violating(lc, constraint):
+    # lifted length 2 is two parallel edges with equal shifts: a collision
     return (lc.realized and lc.lifted_len <= constraint.depth
-            and lc.lifted_ace < constraint.values[lc.lifted_len])
+            and (lc.lifted_len == 2
+                 or lc.lifted_ace < constraint.values[lc.lifted_len]))
 
 
 def _check_tracker(tracker, values, recount, rng, n_values, n_steps=20):
