@@ -32,6 +32,7 @@ from .optimize import (
     OptimizerConfig,
     assign_labels,
     assign_shifts,
+    check_parallel_edges,
     spectrum_search,
 )
 from .protograph import (  # enumerate_closed_walks: traced by perfbench/spans.py
@@ -140,10 +141,11 @@ def _cmd_construct(args) -> int:
         raise CliInputError(f"field size {args.q} is not a power of two")
     try:
         field = Field(args.q.bit_length() - 1, args.poly)
-        # the unshifted code checks Z, lambda and the protograph once,
-        # before any search
+        # the unshifted code checks Z, lambda and the protograph, and no
+        # cell holds more parallel edges than Z: once, before any search
         lam = QcCode(proto, args.Z, field, dict.fromkeys(range(proto.n_edges), 0),
                      None, args.lambda_mult).lambda_mult
+        check_parallel_edges(proto, args.Z)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
     try:

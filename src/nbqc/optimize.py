@@ -16,6 +16,14 @@ values, so a tracker moves them through an edge by coefficient times
 change, for all candidate values at once.  Cycle order and realizability
 follow from the moved values by the lifting module's rules.
 
+The trackers keep their counts between sweep steps, as local search keeps
+the make and break counts of its candidate moves (WalkSAT; Selman, Kautz
+and Cohen 1994).  A row per walk and edge that moves it holds whether the
+walk violates at each candidate value of that edge, and each edge's count
+row sums its rows.  A sweep step takes the argmin of the edge's count row;
+a move re-evaluates only the rows that the moved walks have on other
+edges.
+
 Every stage reads the protograph's one walk table (``lift.walk_table``).
 Success is never taken from internal bookkeeping alone: a reported success
 re-verifies the achieved spectrum through the lifting module and carries it
@@ -138,74 +146,161 @@ def find_problematic_binary(
         _order_violations(table, _divisors(Z), constraint).any(axis=1)))
 
 
-def _incidence(table: WalkTable, depends: np.ndarray):
-    """Edge -> (functional ids, coefficients, walk count, pair owners).
+# rows times candidate values per evaluation step; bounds the temporaries
+_BLOCK = 1 << 14
 
-    Functional f is walk f's total, then len(table) + k is pair k, for as
-    many rows as ``depends`` marks.  Per edge the walks come first, and a
-    pair's owner is its walk's index among them.
-    """
-    owner = np.concatenate([np.arange(len(table)), table.pair_walk])
-    f, pos = np.nonzero(depends)
-    edges = table.rows[owner[f], pos]
-    coefs = np.concatenate([table.coef, table.pair_coef])[f, pos].astype(np.int64)
-    by_edge = {}
-    for e in np.flatnonzero(np.bincount(edges)):
-        ids = f[edges == e]
-        walks = int(np.searchsorted(ids, len(table)))
-        by_edge[int(e)] = (ids, coefs[edges == e], walks,
-                           np.searchsorted(ids[:walks], owner[ids[walks:]]))
-    return by_edge
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.arange(s, s + c)`` for each start s and count c, concatenated."""
+    ends = np.cumsum(counts)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(starts - ends + counts, counts))
 
 
 class _Tracker:
-    """Incremental violation counting over linear functionals of the values.
+    """Kept per-edge candidate counts over linear functionals of the values.
 
-    Functional f carries ``cur[f]`` modulo ``mod[f]``; moving edge e by delta
-    moves it by its coefficient on e times delta.  The first functionals
-    belong one to each walk; ``by_edge[e]`` (see ``_incidence``) holds those
-    that edge e can move.  Subclasses set the functionals in ``reset`` and
-    say in ``_violates`` which walks violate.
+    Functional f carries ``cur[f]`` modulo ``mod[f]``, a divisor of the
+    number of values V: walk f's total for f < n, then the walks' pair
+    values.  Moving an edge by delta moves a functional by its coefficient
+    on the edge times delta.
+
+    A row joins a walk to an edge that moves it (``depends``); rows are
+    kept edge by edge, each as (walk, edge, coefficient, ring row, term
+    count, first term).  With ``pairs`` a row's terms (functional,
+    coefficient, ring row) are the pair values of its walk.  Ring row k
+    holds coefficient k's multiples modulo V, so a functional at every
+    candidate value of the edge is one take plus a column, in [0, 2V).
+
+    ``viol[r, v]`` keeps whether row r's walk violates with the row's edge
+    at value v and every other edge as it is, and ``counts[e]`` sums edge
+    e's rows, so a sweep step reads one row of counts.  Moving edge e
+    leaves e's own rows valid; only the rows its walks have on other edges
+    are evaluated again, and their change is added to those edges' counts.
+    The counts are filled when a sweep first reads them.
+
+    Subclasses give the starting functionals and violations in ``_start``
+    and judge moved values in ``_judge``.
     """
 
     n_permanent = 0
 
     def __init__(self, table: WalkTable, mod: np.ndarray, depends: np.ndarray,
-                 n_values: int):
+                 n_values: int, pairs: bool):
         self.table = table
-        self.n = len(table)
+        self.n = n = len(table)
         self.mod = mod
-        self.n_values = n_values
-        self.by_edge = _incidence(table, depends)
+        self.n_values = V = n_values
+        self.steps = np.arange(V)
         self.total = 0
+        walk, pos = np.nonzero(depends)
+        edge = table.rows[walk, pos]
+        order = np.argsort(edge, kind="stable")
+        walk, pos, edge = walk[order], pos[order], edge[order]
+        n_pairs = (np.bincount(table.pair_walk, minlength=n) if pairs
+                   else np.zeros(n, np.intp))
+        per_row = n_pairs[walk]
+        pair = _ranges((np.cumsum(n_pairs) - n_pairs)[walk], per_row)
+        coef = table.coef[walk, pos]
+        term_coef = table.pair_coef[pair, np.repeat(pos, per_row)]
+        coefs, ring = np.unique(np.concatenate([coef, term_coef]),
+                                return_inverse=True)
+        self.ring = coefs[:, None].astype(np.intp) * self.steps % V
+        self.rows = np.stack([walk, edge, coef, ring[:len(walk)], per_row,
+                              np.cumsum(per_row) - per_row], axis=1)
+        self.terms = np.stack([n + pair, term_coef, ring[len(walk):]], axis=1)
+        n_edges = int(edge.max()) + 1 if len(edge) else 0
+        # the row of each walk on each edge, -1 where the edge does not move it
+        self.row_of = np.full((n, n_edges), -1, np.int32)
+        self.row_of[walk, edge] = np.arange(len(walk))
+        # per edge: its rows and their terms
+        ptr = np.searchsorted(edge, np.arange(n_edges + 1))
+        term_ptr = np.append(self.rows[:, 5], len(pair))[ptr].tolist()
+        ptr = ptr.tolist()
+        self.spans = [(ptr[e], ptr[e + 1], term_ptr[e], term_ptr[e + 1])
+                      if ptr[e] < ptr[e + 1] else None for e in range(n_edges)]
 
-    def _violates(self, hit, cur) -> np.ndarray:
+    def _start(self, values: np.ndarray):
         raise NotImplementedError
 
+    def _judge(self, rows, x, total) -> np.ndarray:
+        raise NotImplementedError
+
+    def reset(self, values: np.ndarray) -> None:
+        """Start from ``values``, which the tracker then moves in place."""
+        self.values = values
+        self.cur, self.violated = self._start(values)
+        self.total = int(self.violated.sum())
+        self.viol = self.counts = None
+
+    def _evaluate(self, rows: np.ndarray) -> np.ndarray:
+        """(rows, values): whether each row's walk violates with the row's
+        edge moved from its value x to each candidate value."""
+        walk, edge, coef, ring = rows[:, :4].T
+        x = self.values[edge]
+        # the walk's total at each candidate value, in [0, 2V)
+        total = self.ring.take(ring, axis=0)
+        total += ((self.cur[walk] - coef * x) % self.mod[walk])[:, None]
+        return self._judge(rows, x, total)
+
+    def _blocks(self, n: int):
+        """Slices of n rows, at most ``_BLOCK`` candidates at a time."""
+        step = max(1, _BLOCK // self.n_values)
+        return (slice(lo, lo + step) for lo in range(0, n, step))
+
+    def _update(self, ids, rows: np.ndarray) -> None:
+        """Evaluate ``rows`` (rows ``ids``) again and move the counts."""
+        new = self._evaluate(rows)
+        change = new.astype(np.int32)
+        change -= self.viol[ids]
+        cells = rows[:, 1] * self.n_values
+        np.add.at(self.counts.reshape(-1), (cells[:, None] + self.steps).ravel(),
+                  change.ravel())
+        self.viol[ids] = new
+
+    def _fill(self) -> None:
+        self.viol = np.zeros((len(self.rows), self.n_values), bool)
+        self.counts = np.zeros((len(self.spans), self.n_values), np.int32)
+        for b in self._blocks(len(self.rows)):
+            self._update(b, self.rows[b])
+
+    def _span(self, e: int):
+        return self.spans[e] if e < len(self.spans) else None
+
     def eval_edge(self, e: int) -> tuple[int, np.ndarray] | None:
-        """Violation count among affected walks, per candidate value."""
-        hit = self.by_edge.get(e)
-        if hit is None:
+        """Violation count among the walks edge e moves, per candidate value."""
+        if self._span(e) is None:
             return None
-        ids, coefs, _, _ = hit
-        x = int(self.values[e])
-        delta = np.arange(self.n_values) - x
-        cur = (self.cur[ids, None] + coefs[:, None] * delta) % self.mod[ids, None]
-        return x, self._violates(hit, cur).sum(axis=0)
+        if self.viol is None:
+            self._fill()
+        return int(self.values[e]), self.counts[e]
+
+    def _move(self, f, coef, delta: int) -> None:
+        self.cur[f] = (self.cur[f] + coef * delta) % self.mod[f]
 
     def apply(self, e: int, y: int) -> None:
         x = int(self.values[e])
         if y == x:
             return
+        span = self._span(e)
+        if span is not None and self.viol is None:
+            self._fill()
         self.values[e] = y
-        if e not in self.by_edge:
+        if span is None:
             return
-        ids, coefs, walks, _ = hit = self.by_edge[e]
-        cur = (self.cur[ids] + coefs * (y - x)) % self.mod[ids]
-        self.cur[ids] = cur
-        new_viol = self._violates(hit, cur[:, None])[:, 0]
-        self.total += int(new_viol.sum()) - int(self.violated[ids[:walks]].sum())
-        self.violated[ids[:walks]] = new_viol
+        lo, hi, t0, t1 = span
+        self.total += int(self.counts[e, y]) - int(self.counts[e, x])
+        walks = self.rows[lo:hi, 0]
+        self.violated[walks] = self.viol[lo:hi, y]
+        self._move(walks, self.rows[lo:hi, 2], y - x)
+        if t1 > t0:
+            self._move(self.terms[t0:t1, 0], self.terms[t0:t1, 1], y - x)
+        # the rows these walks have on other edges
+        others = self.row_of.take(walks, axis=0)
+        others[:, e] = -1
+        others = others[others >= 0]
+        for b in self._blocks(len(others)):
+            self._update(others[b], self.rows.take(others[b], axis=0))
 
     def worst_violated(self) -> dict | None:
         if self.total == 0:
@@ -232,25 +327,38 @@ class _ShiftTracker(_Tracker):
         depends = table.coef != 0
         np.logical_or.at(depends, table.pair_walk, table.pair_coef != 0)
         super().__init__(table, np.full(len(table) + len(table.pair_walk), Z),
-                         np.concatenate([depends, depends[table.pair_walk]]), Z)
+                         depends, Z, pairs=True)
         self.Z = Z
         self.divisors = _divisors(Z)  # gcd(Z, d) of order-table column k
-        self.column = np.searchsorted(self.divisors, np.gcd(np.arange(Z), Z))
-        self.viol_by_order = _order_violations(table, Z // self.divisors, constraint)
+        # the column of a total shift, for totals in [0, 2Z)
+        self.column = np.tile(np.searchsorted(self.divisors,
+                                              np.gcd(np.arange(Z), Z)), 2)
+        self.viol_by_order = _order_violations(table, Z // self.divisors,
+                                               constraint).ravel()
 
-    def reset(self, shifts: np.ndarray) -> None:
-        self.values = shifts
+    def _start(self, shifts: np.ndarray):
         d, realized, pairs = lift_shifts(self.table, shifts, self.Z)
-        self.cur = np.concatenate([d, pairs])
-        self.total_shift = self.cur[:self.n]  # a view: apply moves both
-        self.violated = self.viol_by_order[np.arange(self.n), self.column[d]] & realized
-        self.total = int(self.violated.sum())
+        cur = np.concatenate([d, pairs])
+        self.total_shift = cur[:self.n]  # a view: moves update both
+        return cur, realized & self.viol_by_order[
+            np.arange(self.n) * len(self.divisors) + self.column[d]]
 
-    def _violates(self, hit, cur) -> np.ndarray:
-        ids, _, walks, owner = hit
-        column = self.column[cur[:walks]]
-        return (self.viol_by_order[ids[:walks, None], column]
-                & realized_lifts(self.divisors[column], owner, cur[walks:]))
+    def _judge(self, rows, x, total) -> np.ndarray:
+        walk, per, first = rows[:, 0], rows[:, 4], rows[:, 5]
+        column = self.column.take(total)
+        viol = self.viol_by_order.take(
+            column + (walk * len(self.divisors))[:, None])
+        if not per.any():
+            return viol
+        # only the violating candidates need their pair values
+        r, v = np.nonzero(viol & (per > 0)[:, None])
+        owner = np.repeat(np.arange(len(r)), per[r])
+        f, coef, ring = self.terms.take(_ranges(first[r], per[r]), axis=0).T
+        pairs = ((self.cur[f] - coef * x[r[owner]]) % self.Z
+                 + self.ring[ring, v[owner]])
+        viol[r, v] = realized_lifts(self.divisors.take(column[r, v]), owner,
+                                    pairs)
+        return viol
 
 
 class _LabelTracker(_Tracker):
@@ -275,18 +383,20 @@ class _LabelTracker(_Tracker):
         cancelable = lifts_minimal(table, code, ids, d) & (m > 1)
         table = table.subset(problem)
         super().__init__(table, np.where(cancelable, m, 1),
-                         (table.coef != 0) & cancelable[:, None], q - 1)
+                         (table.coef != 0) & cancelable[:, None], q - 1,
+                         pairs=False)
         self.n_permanent = int((~cancelable).sum())
         self.total_shift = d[ids]
+        # walk * 2(q-1) + s: a label sum s in [0, 2(q-1)) leaves the walk
+        # uncanceled
+        self.zero = (np.arange(2 * (q - 1)) % self.mod[:, None] == 0).ravel()
 
-    def reset(self, labels: np.ndarray) -> None:
-        self.values = labels
-        self.cur = self.table.totals(labels) % self.mod
-        self.violated = self.cur == 0
-        self.total = int(self.violated.sum())
+    def _start(self, labels: np.ndarray):
+        cur = self.table.totals(labels) % self.mod
+        return cur, cur == 0
 
-    def _violates(self, hit, cur) -> np.ndarray:
-        return cur == 0
+    def _judge(self, rows, x, total) -> np.ndarray:
+        return self.zero.take(total + (rows[:, 0] * (2 * self.n_values))[:, None])
 
 
 def _sweep(tracker, order: np.ndarray, max_sweeps: int,
@@ -406,6 +516,17 @@ def assign_labels(
     return result
 
 
+def check_parallel_edges(proto: Protograph, Z: int) -> None:
+    """Parallel edges need distinct shifts, so a base cell holds at most Z.
+
+    No shift assignment can succeed otherwise, whatever the constraint.
+    """
+    most = max(max(row) for row in proto.base_matrix())
+    if most > Z:
+        raise ValueError(f"a base cell holds {most} parallel edges, "
+                         f"more than the Z={Z} distinct shifts")
+
+
 @dataclass
 class SearchCandidate:
     binary: AceConstraint
@@ -459,12 +580,9 @@ def spectrum_search(
     """
     if max_depth < 2 or max_depth % 2:
         raise ValueError("max_depth must be even and >= 2")
-    # parallel edges need distinct shifts; with that, the unconstrained
-    # attempt succeeds in its first sweep
-    most = max(max(row) for row in proto.base_matrix())
-    if most > Z:
-        raise ValueError(f"a base cell holds {most} parallel edges, "
-                         f"more than the Z={Z} distinct shifts")
+    # with distinct shifts available, the unconstrained attempt succeeds in
+    # its first sweep
+    check_parallel_edges(proto, Z)
     walk_table(proto, max_depth)  # one enumeration for every attempt
     depth = min(4, max_depth)
 

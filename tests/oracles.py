@@ -8,7 +8,9 @@ form, a recursive edge DFS that reduces every closed word to its least
 rotation and keeps a set of them.  The decoder kernels are kept here in their first,
 node-major form (stacked butterflies, ``(nodes, slots, q)`` scans and the
 loop that used them) so the production kernels can be compared with them
-bit for bit.
+bit for bit.  The optimizer's sweep is kept in its first form too: a
+tracker that re-evaluates every walk an edge moves, at every candidate
+value, each time the sweep visits the edge.
 """
 
 from __future__ import annotations
@@ -19,8 +21,12 @@ import numpy as np
 
 from nbqc.codec import DecodeResult, SparseGfMatrix
 from nbqc.gf import Field
-from nbqc.lift import QcCode
-from nbqc.protograph import CycleRecord, Protograph
+from nbqc.lift import (AceConstraint, QcCode, lift_shifts, lift_walks,
+                       lifts_minimal, realized_lifts, walk_table)
+from nbqc.optimize import (OptimizeResult, OptimizerConfig, _divisors,
+                           _order_violations, _violates,
+                           find_problematic_binary)
+from nbqc.protograph import CycleRecord, Protograph, WalkTable
 
 
 def ring_protograph(half: int) -> Protograph:
@@ -301,6 +307,195 @@ def count_prefixes_by_edge_dfs(proto: Protograph, max_len: int) -> int:
     for e0 in range(proto.n_edges):
         dfs(e0, 1, e0)
     return count
+
+
+def _incidence(table: WalkTable, depends: np.ndarray):
+    """Edge -> (functional ids, coefficients, walk count, pair owners).
+
+    Functional f is walk f's total, then len(table) + k is pair k, for as
+    many rows as ``depends`` marks.  Per edge the walks come first, and a
+    pair's owner is its walk's index among them.
+    """
+    owner = np.concatenate([np.arange(len(table)), table.pair_walk])
+    f, pos = np.nonzero(depends)
+    edges = table.rows[owner[f], pos]
+    coefs = np.concatenate([table.coef, table.pair_coef])[f, pos].astype(np.int64)
+    by_edge = {}
+    for e in np.flatnonzero(np.bincount(edges)):
+        ids = f[edges == e]
+        walks = int(np.searchsorted(ids, len(table)))
+        by_edge[int(e)] = (ids, coefs[edges == e], walks,
+                           np.searchsorted(ids[:walks], owner[ids[walks:]]))
+    return by_edge
+
+
+class EdgeTracker:
+    """Violation counts re-evaluated edge by edge, at every visit.
+
+    Functional f carries ``cur[f]`` modulo ``mod[f]``; ``by_edge[e]`` holds
+    the functionals edge e can move, and ``eval_edge`` moves them all to
+    every candidate value to count the violating walks.
+    """
+
+    n_permanent = 0
+
+    def __init__(self, table: WalkTable, mod: np.ndarray, depends: np.ndarray,
+                 n_values: int):
+        self.table = table
+        self.n = len(table)
+        self.mod = mod
+        self.n_values = n_values
+        self.by_edge = _incidence(table, depends)
+        self.total = 0
+
+    def eval_edge(self, e: int):
+        hit = self.by_edge.get(e)
+        if hit is None:
+            return None
+        ids, coefs, _, _ = hit
+        x = int(self.values[e])
+        delta = np.arange(self.n_values) - x
+        cur = (self.cur[ids, None] + coefs[:, None] * delta) % self.mod[ids, None]
+        return x, self._violates(hit, cur).sum(axis=0)
+
+    def apply(self, e: int, y: int) -> None:
+        x = int(self.values[e])
+        if y == x:
+            return
+        self.values[e] = y
+        if e not in self.by_edge:
+            return
+        ids, coefs, walks, _ = hit = self.by_edge[e]
+        cur = (self.cur[ids] + coefs * (y - x)) % self.mod[ids]
+        self.cur[ids] = cur
+        new_viol = self._violates(hit, cur[:, None])[:, 0]
+        self.total += int(new_viol.sum()) - int(self.violated[ids[:walks]].sum())
+        self.violated[ids[:walks]] = new_viol
+
+    def worst_violated(self) -> dict | None:
+        if self.total == 0:
+            return None
+        t = self.table
+        ids = np.flatnonzero(self.violated)
+        i = ids[np.lexsort(np.vstack([t.rows[ids].T[::-1], t.ace[ids],
+                                      t.length[ids]]))[0]]
+        return {"length": int(t.length[i]), "ace": int(t.ace[i]),
+                "total_shift": int(self.total_shift[i])}
+
+
+class EdgeShiftTracker(EdgeTracker):
+    def __init__(self, table: WalkTable, Z: int, constraint: AceConstraint):
+        depends = table.coef != 0
+        np.logical_or.at(depends, table.pair_walk, table.pair_coef != 0)
+        super().__init__(table, np.full(len(table) + len(table.pair_walk), Z),
+                         np.concatenate([depends, depends[table.pair_walk]]), Z)
+        self.Z = Z
+        self.divisors = _divisors(Z)
+        self.column = np.searchsorted(self.divisors, np.gcd(np.arange(Z), Z))
+        self.viol_by_order = _order_violations(table, Z // self.divisors, constraint)
+
+    def reset(self, shifts: np.ndarray) -> None:
+        self.values = shifts
+        d, realized, pairs = lift_shifts(self.table, shifts, self.Z)
+        self.cur = np.concatenate([d, pairs])
+        self.total_shift = self.cur[:self.n]
+        self.violated = self.viol_by_order[np.arange(self.n), self.column[d]] & realized
+        self.total = int(self.violated.sum())
+
+    def _violates(self, hit, cur) -> np.ndarray:
+        ids, _, walks, owner = hit
+        column = self.column[cur[:walks]]
+        return (self.viol_by_order[ids[:walks, None], column]
+                & realized_lifts(self.divisors[column], owner, cur[walks:]))
+
+
+class EdgeLabelTracker(EdgeTracker):
+    def __init__(self, code: QcCode, table: WalkTable,
+                 constraint: AceConstraint):
+        table = table.upto(constraint.depth)
+        d, order, realized = lift_walks(table, code)
+        problem = realized & _violates(table.length * order,
+                                       table.ace * order, constraint)
+        ids = np.flatnonzero(problem)
+        q = code.field.q
+        m = (q - 1) // np.gcd(q - 1, order[ids])
+        cancelable = lifts_minimal(table, code, ids, d) & (m > 1)
+        table = table.subset(problem)
+        super().__init__(table, np.where(cancelable, m, 1),
+                         (table.coef != 0) & cancelable[:, None], q - 1)
+        self.n_permanent = int((~cancelable).sum())
+        self.total_shift = d[ids]
+
+    def reset(self, labels: np.ndarray) -> None:
+        self.values = labels
+        self.cur = self.table.totals(labels) % self.mod
+        self.violated = self.cur == 0
+        self.total = int(self.violated.sum())
+
+    def _violates(self, hit, cur) -> np.ndarray:
+        return cur == 0
+
+
+def _sweep_by_edge(tracker, order, max_sweeps: int, history) -> int:
+    sweeps = 0
+    for _ in range(max_sweeps):
+        sweeps += 1
+        changed = False
+        for e in order:
+            e = int(e)
+            ev = tracker.eval_edge(e)
+            if ev is not None:
+                x, counts = ev
+                best_y = int(np.argmin(counts))
+                if best_y != x:
+                    tracker.apply(e, best_y)
+                    changed = True
+            if history is not None:
+                history.append(tracker.total)
+        if tracker.total == 0 or not changed:
+            break
+    return sweeps
+
+
+def _optimize_by_edge(tracker: EdgeTracker, n_edges: int,
+                      cfg: OptimizerConfig, history) -> OptimizeResult:
+    """Seeded restarts: initial values, then the edge order, per restart."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    restarts = 1 if tracker.n_permanent > 0 else cfg.max_restarts
+    best = None
+    sweeps_total = 0
+    for restart in range(1, restarts + 1):
+        values = rng.integers(0, tracker.n_values, size=n_edges, dtype=np.int64)
+        order = (rng.permutation(n_edges)
+                 if cfg.edge_order_policy == "shuffled" else np.arange(n_edges))
+        tracker.reset(values)
+        if tracker.total > 0 and tracker.n_permanent < tracker.n:
+            sweeps_total += _sweep_by_edge(tracker, order, cfg.max_sweeps,
+                                           history)
+        if tracker.total == 0:
+            return OptimizeResult(True, dict(enumerate(values.tolist())), 0,
+                                  sweeps_total, restart, None)
+        if best is None or tracker.total < best[0]:
+            best = (tracker.total, values.copy(), tracker.worst_violated())
+    residual, values, worst = best
+    return OptimizeResult(False, dict(enumerate(values.tolist())), residual,
+                          sweeps_total, restarts, worst)
+
+
+def assign_shifts_by_edge(proto: Protograph, Z: int, constraint: AceConstraint,
+                          cfg: OptimizerConfig, history=None) -> OptimizeResult:
+    """``optimize.assign_shifts`` on the per-edge evaluating tracker."""
+    problem = find_problematic_binary(proto, Z, constraint)
+    return _optimize_by_edge(EdgeShiftTracker(problem.cycles, Z, constraint),
+                             proto.n_edges, cfg, history)
+
+
+def assign_labels_by_edge(code: QcCode, constraint: AceConstraint,
+                          cfg: OptimizerConfig, history=None) -> OptimizeResult:
+    """``optimize.assign_labels`` on the per-edge evaluating tracker."""
+    table = walk_table(code.proto, constraint.depth)
+    return _optimize_by_edge(EdgeLabelTracker(code, table, constraint),
+                             code.proto.n_edges, cfg, history)
 
 
 class LiftedGraph:

@@ -91,10 +91,12 @@ def test_construct_rejects_nb_below_binary(tmp_path, proto_file):
 
 def test_construct_constraint_failure_exit_code(tmp_path, capsys):
     proto = tmp_path / "p.txt"
-    proto.write_text("2\n")  # two parallel edges, Z=1: uncancelable 2-cycle
+    # two parallel edges, Z=2: their lift always holds a 4-cycle of ACE 0
+    # (or a collision)
+    proto.write_text("2\n")
     rc = main([
-        "construct", "--proto", str(proto), "--Z", "1", "--q", "4",
-        "--ace-b", "inf", "--ace-nb", "inf",
+        "construct", "--proto", str(proto), "--Z", "2", "--q", "4",
+        "--ace-b", "inf,inf", "--ace-nb", "inf,inf",
         "--seed", "1", "--out", str(tmp_path / "x.json"),
     ])
     assert rc == EXIT_CONSTRAINT
@@ -448,6 +450,8 @@ def _bad_input_argv(tmp_path, desc):
     # three parallel edges cannot take distinct shifts with Z=2
     parallel = tmp_path / "parallel.txt"
     parallel.write_text("3 1\n1 1\n")
+    parallel22 = tmp_path / "parallel22.txt"
+    parallel22.write_text("2 2\n1 1\n")
     return {
         "Z0": construct + ["--Z", "0", "--out", out],
         "Z-huge": construct + ["--Z", str((1 << 16) + 1), "--out", out],
@@ -493,6 +497,10 @@ def _bad_input_argv(tmp_path, desc):
                                  "--Z", "2", "--q", "4", "--ace-b", "auto",
                                  "--ace-nb", "auto", "--seed", "1",
                                  "--out", out],
+        "fixed-parallel-over-Z": ["construct", "--proto", str(parallel22),
+                                  "--Z", "1", "--q", "4", "--ace-b", "0,0",
+                                  "--ace-nb", "0,0", "--seed", "1",
+                                  "--out", out],
     }
 
 
@@ -504,7 +512,7 @@ def _bad_input_argv(tmp_path, desc):
     "spectrum-depth-huge", "construct-degree-1", "json-entry-float",
     "json-entry-bool", "json-matrix-scalar", "simulate-rank-deficient",
     "simulate-collision", "spectrum-collision", "export-collision",
-    "auto-parallel-over-Z",
+    "auto-parallel-over-Z", "fixed-parallel-over-Z",
 ])
 def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
                                          monkeypatch, case):
@@ -522,6 +530,27 @@ def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
     assert main(_bad_input_argv(tmp_path, desc)[case]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ace", ["0,0", "auto"])
+def test_parallel_edges_over_z_exit_3_before_enumeration(tmp_path, capsys,
+                                                         monkeypatch, ace):
+    import nbqc.lift
+
+    def enumerate_closed_walks(*args, **kwargs):
+        raise AssertionError("enumerated walks")
+
+    monkeypatch.setattr(nbqc.lift, "enumerate_closed_walks",
+                        enumerate_closed_walks)
+    proto = tmp_path / "parallel.txt"
+    proto.write_text("2 2\n1 1\n")
+    argv = ["construct", "--proto", str(proto), "--Z", "1", "--q", "4",
+            "--ace-b", ace, "--ace-nb", ace, "--seed", "1",
+            "--out", str(tmp_path / "code.json")]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: a base cell holds 2 parallel edges, more than the Z=1 "
+        "distinct shifts\n")
 
 
 def test_deep_constraint_exits_3_at_the_prefix_cap(tmp_path, proto_file,

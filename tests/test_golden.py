@@ -9,19 +9,32 @@ descriptors, so a failure points at the stage that changed.
 ``decoder_frames.json`` locks the decoder frame by frame where the campaign
 files lock only aggregate counts: iterations, convergence and a sha256 of
 the hard decision (and of the encoded word in random mode) per frame.
-Regenerate it with ``PYTHONPATH=src python tests/test_golden.py``.
+
+``optimize_runs.json`` locks the optimizer decision by decision: every
+``assign_shifts`` and ``assign_labels`` call of a depth-12 greedy search
+on GF(16)/Z=9 (its result, assignment and a sha256 of its per-edge
+``history``), and the exit-2 report of a construction that fails.
+
+Regenerate both with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nbqc.cli import EXIT_OK, main
+import nbqc.optimize
+from nbqc.cli import EXIT_CONSTRAINT, EXIT_OK, main
 from nbqc.codec import Encoder, QspaDecoder
+from nbqc.gf import Field
+from nbqc.io_formats import read_base_matrix
 from nbqc.lift import QcCode, expand
+from nbqc.optimize import OptimizerConfig, spectrum_search
+from nbqc.protograph import from_base_matrix
 from nbqc.simulate import _frame_rng, channel_priors
 
 from conftest import FIXTURES
@@ -132,5 +145,62 @@ def test_golden_decoder_frames():
     assert _dump(decoder_frames()) == expected
 
 
+def _recorded(stage: str, fn, constraint_at: int, calls: list):
+    """``fn`` with each call's result and trajectory appended to ``calls``."""
+    def run(*args):
+        history = []
+        res = fn(*args, history=history)
+        calls.append({
+            "stage": stage,
+            "constraint": args[constraint_at].format(),
+            "result": res.to_json_dict(),
+            "assignment": [res.assignment[e] for e in sorted(res.assignment)],
+            "history_len": len(history),
+            "history_sha256": _sha256(history),
+        })
+        return res
+    return run
+
+
+FAILING_CONSTRUCT = ["--Z", "9", "--q", "16", "--ace-b", "inf,inf,inf,9",
+                     "--ace-nb", "inf,inf,inf,inf,inf,9",
+                     "--max-restarts", "2", "--max-sweeps", "3", "--seed", "1"]
+
+
+def optimize_runs(tmp_dir: Path) -> dict:
+    """Every optimizer call of a greedy search, and a failure report."""
+    calls = []
+    saved = nbqc.optimize.assign_shifts, nbqc.optimize.assign_labels
+    nbqc.optimize.assign_shifts = _recorded("shifts", saved[0], 2, calls)
+    nbqc.optimize.assign_labels = _recorded("labels", saved[1], 1, calls)
+    try:
+        proto = from_base_matrix(read_base_matrix(FIXTURES / "proto_gf16_z9.txt"))
+        spectrum_search(proto, 9, Field(4), OptimizerConfig(rng_seed=1),
+                        max_depth=12)
+    finally:
+        nbqc.optimize.assign_shifts, nbqc.optimize.assign_labels = saved
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        status = main(["construct", "--proto", str(FIXTURES / "proto_gf16_z9.txt"),
+                       *FAILING_CONSTRUCT,
+                       "--out", str(tmp_dir / "failed.json")])
+    return {"search": {"Z": 9, "q": 16, "seed": 1, "max_depth": 12,
+                       "calls": calls},
+            "failing_construct": {"proto": "proto_gf16_z9.txt",
+                                  "argv": FAILING_CONSTRUCT, "exit": status,
+                                  "stderr": err.getvalue()}}
+
+
+def test_golden_optimize_runs(tmp_path):
+    record = optimize_runs(tmp_path)
+    assert record["failing_construct"]["exit"] == EXIT_CONSTRAINT
+    assert _dump(record) == (GOLDEN / "optimize_runs.json").read_text()
+
+
 if __name__ == "__main__":
+    import tempfile
+
     (GOLDEN / "decoder_frames.json").write_text(_dump(decoder_frames()))
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN / "optimize_runs.json").write_text(_dump(optimize_runs(Path(tmp))))

@@ -1,9 +1,15 @@
 import itertools
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import nbqc.cli
+import nbqc.optimize
+from nbqc.cli import EXIT_CONSTRAINT, main
 from nbqc.gf import Field
 from nbqc.lift import (
     AceConstraint,
@@ -26,7 +32,8 @@ from nbqc.optimize import (
 )
 from nbqc.protograph import enumerate_closed_walks, from_base_matrix
 
-from oracles import ring_protograph
+from oracles import (assign_labels_by_edge, assign_shifts_by_edge,
+                     ring_protograph)
 
 
 def test_config_validation():
@@ -142,6 +149,40 @@ def test_spectrum_search_rejects_more_parallel_edges_than_z(gf4):
     res = spectrum_search(proto, 3, gf4, OptimizerConfig(rng_seed=1),
                           max_depth=4)
     _check_collisions(res.best.code)
+
+
+def test_large_z_failure_report_and_memory(tmp_path, capsys, monkeypatch):
+    # the shift tracker holds no Z x Z table and no int64 (rows, Z)
+    # temporary, so at Z=4096 its peak stays far below the per-edge
+    # tracker's; the same command at Z=65536 reports the same failure
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return assign_shifts(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(nbqc.cli, "assign_shifts", traced)
+    proto = tmp_path / "parallel.txt"
+    proto.write_text("2 2\n1 1\n")
+    argv = ["construct", "--proto", str(proto), "--Z", "4096", "--q", "4",
+            "--ace-b", "9,9,9,9", "--ace-nb", "9,9,9,9", "--seed", "1",
+            "--max-restarts", "2", "--max-sweeps", "3",
+            "--out", str(tmp_path / "code.json")]
+    assert main(argv) == EXIT_CONSTRAINT
+    assert capsys.readouterr().err == (
+        "error: shift-assignment constraint not achieved\n"
+        '{"residual": 1, "restarts_used": 2, "stage": "shift-assignment", '
+        '"success": false, "sweeps_used": 4, "worst_cycle": '
+        '{"ace": 1, "length": 2, "total_shift": 0}}\n')
+    # 35 741 771 bytes: the tracemalloc peak of this assign_shifts call with
+    # the per-edge evaluating tracker (oracles.EdgeShiftTracker), traced
+    # the same way after the walks were enumerated, on CPython 3.11.7 with
+    # numpy 2.4.6
+    assert len(peaks) == 1 and peaks[0] <= 35_741_771
 
 
 def test_worst_violated_is_least_by_length_ace_and_edges():
@@ -368,12 +409,32 @@ def _violating(lc, constraint):
                  or lc.lifted_ace < constraint.values[lc.lifted_len]))
 
 
-def _check_tracker(tracker, values, recount, rng, n_values, n_steps=20):
+def _check_tracker(tracker, values, recount, rng, n_values, count_steps,
+                   n_steps=20):
     """total matches a from-scratch recount after reset and every apply,
-    and eval_edge predicts the total each apply leaves."""
+    and eval_edge predicts the total each apply leaves.  After reset and
+    the first ``count_steps`` applies (each check costs a recount per edge
+    and value), every edge's kept count row moves the total as a recount
+    with the edge at each value does."""
+
+    def check_counts():
+        for e in range(len(values)):
+            ev = tracker.eval_edge(e)
+            moved = values.copy()
+            for v in range(n_values):
+                moved[e] = v
+                expect = recount(moved)
+                if ev is None:
+                    assert expect == tracker.total
+                else:
+                    x, counts = ev
+                    assert x == values[e]
+                    assert tracker.total - counts[x] + counts[v] == expect
+
     tracker.reset(values.copy())
     assert tracker.total == recount(values)
-    for _ in range(n_steps):
+    check_counts()
+    for step in range(n_steps):
         e = int(rng.integers(len(values)))
         y = int(rng.integers(n_values))
         ev = tracker.eval_edge(e)
@@ -386,6 +447,30 @@ def _check_tracker(tracker, values, recount, rng, n_values, n_steps=20):
         else:
             x, counts = ev
             assert tracker.total == before - counts[x] + counts[y]
+        if step < count_steps:
+            check_counts()
+
+
+def _memo_recount(walks, code_of, violates):
+    """Walks of ``walks`` whose lift_cycle ``violates`` in ``code_of(values)``.
+
+    Each walk's verdict is kept per values on its own edges, so a recount
+    lifts only the walks whose edges changed."""
+    walks = list(walks)
+    seen = {}
+
+    def recount(values):
+        code = None
+        total = 0
+        for i, rec in enumerate(walks):
+            key = (i, *values[list(rec.edge_seq)].tolist())
+            if key not in seen:
+                if code is None:
+                    code = code_of(dict(enumerate(values.tolist())))
+                seen[key] = bool(violates(lift_cycle(rec, code)))
+            total += seen[key]
+        return total
+    return recount
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -393,10 +478,12 @@ def test_trackers_match_lift_cycle_recount(seed):
     rng = np.random.default_rng(seed)
     # the fixed graph reaches walks that cross one edge both ways around
     # a revisited node, so that edge moves only a partial-sum difference
+    # the count rows are recounted after reset and the first count_steps
+    # applies; each recount of the depth-10 graph lifts many more walks
     if seed < 12:
-        proto, depth = _random_protograph(rng), 6
+        proto, depth, count_steps = _random_protograph(rng), 6, 5
     else:
-        proto, depth = from_base_matrix([[2, 2], [1, 1]]), 10
+        proto, depth, count_steps = from_base_matrix([[2, 2], [1, 1]]), 10, 2
     Z = int(rng.integers(1, 9))
     field = Field(int(rng.integers(1, 5)))
     constraint = AceConstraint(depth, {
@@ -408,13 +495,12 @@ def test_trackers_match_lift_cycle_recount(seed):
 
     problem = find_problematic_binary(proto, Z, constraint)
 
-    def shift_count(shifts):
-        code = QcCode(proto, Z, Field(1), dict(enumerate(shifts.tolist())))
-        return sum(_violating(lift_cycle(rec, code), constraint)
-                   for rec in problem.cycles)
-
+    shift_count = _memo_recount(
+        problem.cycles, lambda shifts: QcCode(proto, Z, Field(1), shifts),
+        lambda lc: _violating(lc, constraint))
     _check_tracker(_ShiftTracker(problem.cycles, Z, constraint),
-                   rng.integers(0, Z, proto.n_edges), shift_count, rng, Z)
+                   rng.integers(0, Z, proto.n_edges), shift_count, rng, Z,
+                   count_steps=count_steps)
 
     shifts = dict(enumerate(rng.integers(0, Z, proto.n_edges).tolist()))
     code = QcCode(proto, Z, field, shifts)
@@ -423,11 +509,59 @@ def test_trackers_match_lift_cycle_recount(seed):
         rec for rec in walks if _violating(lift_cycle(rec, code), constraint)
     ]
 
-    def label_count(labels):
-        labeled = code.with_labels(dict(enumerate(labels.tolist())))
-        return sum(not lift_cycle(rec, labeled).canceled
-                   for rec in tracker.table)
-
+    label_count = _memo_recount(tracker.table, code.with_labels,
+                                lambda lc: not lc.canceled)
     q1 = field.q - 1
     _check_tracker(tracker, rng.integers(0, q1, proto.n_edges), label_count,
-                   rng, q1)
+                   rng, q1, count_steps=count_steps)
+
+
+def _constraint(draw, depth):
+    return AceConstraint(depth, {
+        ll: draw(st.sampled_from([0, 1, 2, 3, 4, INF]))
+        for ll in range(2, depth + 1, 2)})
+
+
+def _same_run(run, oracle, *args):
+    """The kept-count and the per-edge evaluating optimizer agree on the
+    result, the assignment and every sweep step's total."""
+    history, expected = [], []
+    res = run(*args, history=history)
+    ref = oracle(*args, history=expected)
+    assert res.to_json_dict() == ref.to_json_dict()
+    assert res.assignment == ref.assignment
+    assert history == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_optimizers_match_per_edge_oracle(data):
+    draw = data.draw
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    matrix = np.array(draw(st.lists(st.integers(0, 3),
+                                    min_size=n_rows * n_cols,
+                                    max_size=n_rows * n_cols)))
+    matrix = matrix.reshape(n_rows, n_cols)
+    # every variable needs degree >= 2 to be lifted
+    assume(matrix.sum(axis=1).min() >= 1 and matrix.sum(axis=0).min() >= 2)
+    proto = from_base_matrix(matrix.tolist())
+    # keep the walk tables small: depth 6 only on sparse matrices
+    depth = draw(st.sampled_from([2, 4, 6] if matrix.sum() <= 10 else [2, 4]))
+    Z = draw(st.integers(1, 12))
+    cfg = OptimizerConfig(
+        rng_seed=draw(st.integers(0, 2**32)),
+        max_sweeps=draw(st.integers(1, 5)),
+        max_restarts=draw(st.integers(1, 4)),
+        edge_order_policy=draw(st.sampled_from(["fixed", "shuffled"])))
+    # blocks of a few candidates split every fill and re-evaluation, as a
+    # large Z does
+    block = draw(st.sampled_from([nbqc.optimize._BLOCK, 7]))
+    with mock.patch.object(nbqc.optimize, "_BLOCK", block):
+        _same_run(assign_shifts, assign_shifts_by_edge, proto, Z,
+                  _constraint(draw, depth), cfg)
+        field = Field(draw(st.integers(1, 4)))
+        shifts = draw(st.lists(st.integers(0, Z - 1), min_size=proto.n_edges,
+                               max_size=proto.n_edges))
+        code = QcCode(proto, Z, field, dict(enumerate(shifts)))
+        _same_run(assign_labels, assign_labels_by_edge, code,
+                  _constraint(draw, depth), cfg)
