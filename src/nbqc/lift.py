@@ -25,14 +25,14 @@ with chorded supports are conservatively never canceled.
 
 This module only applies shifts and labels to the walk table that
 closed-walk enumeration returns (:class:`~nbqc.protograph.WalkTable`).
-Total shift, alternating label sum and pair shift sums are all linear
-functionals of per-edge values, which the table holds as coefficient rows,
-so a shift vector gives total shifts, cycle orders and realizability
-(:func:`realized_lifts`) for many walks at once, and spectra are a
-group-by-min over lifted lengths.  Only the chordless test for realized
-walks that revisit a node still runs walk by walk.  A protograph has one
-walk table, :func:`walk_table`, enumerated once at the deepest depth asked
-for.
+Total shift, alternating label sum, the shift sum between two visits of one
+node and the copy offset a chord would join are all differences of per-walk
+prefix sums of the per-edge values, read at visit positions.  So one shift
+vector gives total shifts, cycle orders, realizability and minimality for
+many walks at once, each of the last two decided by one rule
+(:func:`realized_lifts`), and spectra are a group-by-min over lifted
+lengths.  A protograph has one walk table, :func:`walk_table`, enumerated
+once at the deepest depth asked for.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .protograph import (
 )
 
 INF = math.inf
+_BLOCK = 1024  # walks per shift-lifting step; bounds the temporaries
 # the shift optimizer tries all Z shifts per edge and expansion writes Z
 # entries per base edge; every code and shift search stays below
 MAX_Z = 1 << 16
@@ -312,7 +313,8 @@ def realized_lifts(gcd: np.ndarray, owner: np.ndarray,
     per candidate shift, say).  ``pair_values`` holds the partial-sum
     difference between two visits of one base node by walk ``owner[k]``,
     along the same axes.  The visits land on one copy, and the lift is not
-    realized, when that difference is 0 modulo the gcd.
+    realized, when that difference is 0 modulo the gcd.  The same rule over
+    chord values decides minimality (:func:`lifts_minimal`).
     """
     clash = np.nonzero(pair_values % gcd[owner] == 0)
     ok = np.ones(gcd.shape, bool)
@@ -341,9 +343,22 @@ def _edge_vector(values: dict[int, int]) -> np.ndarray:
 
 def lift_shifts(table: WalkTable, shifts: np.ndarray, Z: int):
     """Total shift, realizability and pair differences, all mod Z."""
-    d = table.totals(shifts) % Z
-    pairs = table.pair_totals(shifts) % Z
-    return d, realized_lifts(np.gcd(d, Z), table.pair_walk, pairs), pairs
+    d = np.empty(len(table), np.int64)
+    realized = np.empty(len(table), bool)
+    pairs = np.empty(len(table.pair_walk), np.int32)
+    # a block of walks at a time bounds the temporaries; bounds[b] is the
+    # first pair of block b (keys in the pairs' dtype, so none is cast)
+    starts = np.arange(0, len(table) + _BLOCK, _BLOCK, table.pair_walk.dtype)
+    bounds = np.searchsorted(table.pair_walk, starts).tolist()
+    for b, lo in enumerate(starts[:-1].tolist()):
+        walks = slice(lo, lo + _BLOCK)
+        sums = table.prefix_sums(shifts, walks)
+        d[walks] = sums[:, -1] % Z
+        k = slice(bounds[b], bounds[b + 1])
+        w = table.pair_walk[k] - lo
+        pairs[k] = (sums[w, table.p2[k]] - sums[w, table.p1[k]]) % Z
+        realized[walks] = realized_lifts(np.gcd(d[walks], Z), w, pairs[k])
+    return d, realized, pairs
 
 
 def lift_walks(table: WalkTable, code: QcCode):
@@ -352,52 +367,20 @@ def lift_walks(table: WalkTable, code: QcCode):
     return d, code.Z // np.gcd(d, code.Z), realized
 
 
-def _lift_chordless(record: CycleRecord, code: QcCode, d: int) -> bool:
-    """Minimality of the realized lifted cycles in the lifted graph.
-
-    Follows one lifted cycle's copy index around its vertex support and
-    counts the edge copies induced inside it.  Exactly two per check copy
-    means the induced subgraph is the cycle itself: the check-side count
-    already accounts for every induced copy, so the variable side needs no
-    separate pass.
-    """
-    proto, Z = code.proto, code.Z
-    check_copies: set[tuple[int, int]] = set()
-    var_copies: set[tuple[int, int]] = set()
-    copy = 0
-    for _ in range(Z // math.gcd(Z, d)):
-        for p, e in enumerate(record.edge_seq):
-            if p % 2 == 0:
-                check_copies.add((proto.edge_check[e], copy))
-                copy = (copy + code.shifts[e]) % Z
-            else:
-                var_copies.add((proto.edge_var[e], copy))
-                copy = (copy - code.shifts[e]) % Z
-    for c, i in check_copies:
-        cnt = 0
-        for e in proto.check_edges[c]:
-            if (proto.edge_var[e], (i + code.shifts[e]) % Z) in var_copies:
-                cnt += 1
-                if cnt > 2:
-                    return False
-        if cnt != 2:
-            return False
-    return True
-
-
 def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
     """Whether the lifts of walks ``ids`` are chordless in the lift.
 
-    ``d`` holds the total shifts of every walk in the table.  Lifts of
-    simple minimal base cycles always are; the other walks take the
-    explicit support check, one walk at a time.  Only meaningful for
-    realized lifts.
+    ``d`` holds the total shifts of every walk in the table.  A chord
+    (:meth:`~nbqc.protograph.WalkTable.chords`) is present when its copy
+    offset matches its edge's shift modulo gcd(Z, d), the rule that decides
+    realizability.  Only meaningful for realized lifts.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    minimal = table.simple_minimal[ids]
-    for k in np.flatnonzero(~minimal):
-        minimal[k] = _lift_chordless(table[ids[k]], code, int(d[ids[k]]))
-    return minimal
+    ids = np.asarray(ids, np.int64)
+    k, a, b, edge = table.chords(code.proto, ids)
+    shifts = _edge_vector(code.shifts)
+    sums = table.prefix_sums(shifts, ids)
+    values = sums[k, b] - sums[k, a] - shifts[edge]
+    return realized_lifts(np.gcd(d[ids], code.Z), k, values)
 
 
 def lift_is_minimal(base: CycleRecord, code: QcCode) -> bool:
@@ -415,7 +398,7 @@ def _canceled(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
     """
     ids = np.asarray(ids, dtype=np.int64)
     order = code.Z // np.gcd(d[ids], code.Z)
-    sums = table.totals(_edge_vector(code.labels), ids)
+    sums = table.prefix_sums(_edge_vector(code.labels), ids)[:, -1]
     canceled = (order * sums) % (code.field.q - 1) != 0
     canceled[canceled] = lifts_minimal(table, code, ids[canceled], d)
     return canceled

@@ -13,8 +13,10 @@ under the shuffled policy).
 A walk's label sum, its total shift and the shift difference between any
 two of its visits to one base node are linear functionals of the per-edge
 values, so a tracker moves them through an edge by coefficient times
-change, for all candidate values at once.  Cycle order and realizability
-follow from the moved values by the lifting module's rules.
+change, for all candidate values at once.  Each tracker reads those
+coefficients off the rows of its own walks when it is built.  Cycle order
+and realizability follow from the moved values by the lifting module's
+rules.
 
 The trackers keep their counts between sweep steps, as local search keeps
 the make and break counts of its candidate moves (WalkSAT; Selman, Kautz
@@ -54,7 +56,7 @@ from .lift import (  # lift_cycle, lift_is_minimal: traced by perfbench/spans.py
     walk_table,
 )
 # enumerate_closed_walks: traced by perfbench/spans.py
-from .protograph import Protograph, WalkTable, enumerate_closed_walks
+from .protograph import Protograph, WalkTable, _ranges, enumerate_closed_walks
 
 
 @dataclass
@@ -150,11 +152,21 @@ def find_problematic_binary(
 _BLOCK = 1 << 14
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``np.arange(s, s + c)`` for each start s and count c, concatenated."""
-    ends = np.cumsum(counts)
-    return (np.arange(ends[-1] if len(ends) else 0)
-            + np.repeat(starts - ends + counts, counts))
+def _edge_counts(table: WalkTable):
+    """Each edge on each walk, in (edge, walk) order: the walk, the edge
+    and its signed count over the walk's positions before p, for every p
+    up to the row width (the last column counts the whole walk)."""
+    n, width = table.rows.shape
+    walk, pos = np.nonzero(np.arange(width) < table.length[:, None])
+    edge = table.rows[walk, pos]
+    # return_index also keeps numpy.ma (1.4 MiB of RSS) from being imported
+    _, first = np.unique(edge.astype(np.int64) * n + walk, return_index=True)
+    walk, edge = walk[first], edge[first]
+    sign = np.where(np.arange(width) % 2, -1, 1).astype(np.int16)
+    counted = np.zeros((len(walk), width + 1), np.int16)
+    np.cumsum((table.rows[walk] == edge[:, None]) * sign, axis=1,
+              dtype=np.int16, out=counted[:, 1:])
+    return walk, edge, counted
 
 
 class _Tracker:
@@ -163,14 +175,17 @@ class _Tracker:
     Functional f carries ``cur[f]`` modulo ``mod[f]``, a divisor of the
     number of values V: walk f's total for f < n, then the walks' pair
     values.  Moving an edge by delta moves a functional by its coefficient
-    on the edge times delta.
+    on the edge times delta: the edge's signed count over the walk, or over
+    the positions between the pair's two visits.
 
-    A row joins a walk to an edge that moves it (``depends``); rows are
-    kept edge by edge, each as (walk, edge, coefficient, ring row, term
-    count, first term).  With ``pairs`` a row's terms (functional,
-    coefficient, ring row) are the pair values of its walk.  Ring row k
-    holds coefficient k's multiples modulo V, so a functional at every
-    candidate value of the edge is one take plus a column, in [0, 2V).
+    A row joins a walk to an edge that moves it; rows are kept edge by
+    edge, each as (walk, edge, coefficient, ring row, term count, first
+    term).  With ``pairs`` a row's terms (functional, coefficient, ring
+    row) are the pair values of its walk.  A row is kept when its edge
+    moves the walk's total or a term, and its walk is ``live`` (all walks
+    are by default).  Ring row k holds coefficient k's multiples modulo V,
+    so a functional at every candidate value of the edge is one take plus
+    a column, in [0, 2V).
 
     ``viol[r, v]`` keeps whether row r's walk violates with the row's edge
     at value v and every other edge as it is, and ``counts[e]`` sums edge
@@ -185,30 +200,36 @@ class _Tracker:
 
     n_permanent = 0
 
-    def __init__(self, table: WalkTable, mod: np.ndarray, depends: np.ndarray,
-                 n_values: int, pairs: bool):
+    def __init__(self, table: WalkTable, mod: np.ndarray, n_values: int,
+                 pairs: bool, live=None):
         self.table = table
         self.n = n = len(table)
         self.mod = mod
         self.n_values = V = n_values
         self.steps = np.arange(V)
         self.total = 0
-        walk, pos = np.nonzero(depends)
-        edge = table.rows[walk, pos]
-        order = np.argsort(edge, kind="stable")
-        walk, pos, edge = walk[order], pos[order], edge[order]
+        walk, edge, counted = _edge_counts(table)
+        factor = counted[:, -1]
         n_pairs = (np.bincount(table.pair_walk, minlength=n) if pairs
                    else np.zeros(n, np.intp))
         per_row = n_pairs[walk]
         pair = _ranges((np.cumsum(n_pairs) - n_pairs)[walk], per_row)
-        coef = table.coef[walk, pos]
-        term_coef = table.pair_coef[pair, np.repeat(pos, per_row)]
-        coefs, ring = np.unique(np.concatenate([coef, term_coef]),
-                                return_inverse=True)
-        self.ring = coefs[:, None].astype(np.intp) * self.steps % V
-        self.rows = np.stack([walk, edge, coef, ring[:len(walk)], per_row,
+        owner = np.repeat(np.arange(len(walk)), per_row)
+        term_factor = (counted[owner, table.p2[pair]]
+                       - counted[owner, table.p1[pair]])
+        moves = factor != 0
+        np.logical_or.at(moves, owner, term_factor != 0)
+        if live is not None:
+            moves &= live[walk]
+        walk, edge, factor, per_row = (a[moves] for a in
+                                       (walk, edge, factor, per_row))
+        pair, term_factor = pair[moves[owner]], term_factor[moves[owner]]
+        factors, ring = np.unique(np.concatenate([factor, term_factor]),
+                                  return_inverse=True)
+        self.ring = factors[:, None].astype(np.intp) * self.steps % V
+        self.rows = np.stack([walk, edge, factor, ring[:len(walk)], per_row,
                               np.cumsum(per_row) - per_row], axis=1)
-        self.terms = np.stack([n + pair, term_coef, ring[len(walk):]], axis=1)
+        self.terms = np.stack([n + pair, term_factor, ring[len(walk):]], axis=1)
         n_edges = int(edge.max()) + 1 if len(edge) else 0
         # the row of each walk on each edge, -1 where the edge does not move it
         self.row_of = np.full((n, n_edges), -1, np.int32)
@@ -236,11 +257,11 @@ class _Tracker:
     def _evaluate(self, rows: np.ndarray) -> np.ndarray:
         """(rows, values): whether each row's walk violates with the row's
         edge moved from its value x to each candidate value."""
-        walk, edge, coef, ring = rows[:, :4].T
+        walk, edge, factor, ring = rows[:, :4].T
         x = self.values[edge]
         # the walk's total at each candidate value, in [0, 2V)
         total = self.ring.take(ring, axis=0)
-        total += ((self.cur[walk] - coef * x) % self.mod[walk])[:, None]
+        total += ((self.cur[walk] - factor * x) % self.mod[walk])[:, None]
         return self._judge(rows, x, total)
 
     def _blocks(self, n: int):
@@ -275,8 +296,8 @@ class _Tracker:
             self._fill()
         return int(self.values[e]), self.counts[e]
 
-    def _move(self, f, coef, delta: int) -> None:
-        self.cur[f] = (self.cur[f] + coef * delta) % self.mod[f]
+    def _move(self, f, factor, delta: int) -> None:
+        self.cur[f] = (self.cur[f] + factor * delta) % self.mod[f]
 
     def apply(self, e: int, y: int) -> None:
         x = int(self.values[e])
@@ -324,10 +345,8 @@ class _ShiftTracker(_Tracker):
     """
 
     def __init__(self, table: WalkTable, Z: int, constraint: AceConstraint):
-        depends = table.coef != 0
-        np.logical_or.at(depends, table.pair_walk, table.pair_coef != 0)
         super().__init__(table, np.full(len(table) + len(table.pair_walk), Z),
-                         depends, Z, pairs=True)
+                         Z, pairs=True)
         self.Z = Z
         self.divisors = _divisors(Z)  # gcd(Z, d) of order-table column k
         # the column of a total shift, for totals in [0, 2Z)
@@ -353,8 +372,8 @@ class _ShiftTracker(_Tracker):
         # only the violating candidates need their pair values
         r, v = np.nonzero(viol & (per > 0)[:, None])
         owner = np.repeat(np.arange(len(r)), per[r])
-        f, coef, ring = self.terms.take(_ranges(first[r], per[r]), axis=0).T
-        pairs = ((self.cur[f] - coef * x[r[owner]]) % self.Z
+        f, factor, ring = self.terms.take(_ranges(first[r], per[r]), axis=0).T
+        pairs = ((self.cur[f] - factor * x[r[owner]]) % self.Z
                  + self.ring[ring, v[owner]])
         viol[r, v] = realized_lifts(self.divisors.take(column[r, v]), owner,
                                     pairs)
@@ -382,9 +401,8 @@ class _LabelTracker(_Tracker):
         m = (q - 1) // np.gcd(q - 1, order[ids])
         cancelable = lifts_minimal(table, code, ids, d) & (m > 1)
         table = table.subset(problem)
-        super().__init__(table, np.where(cancelable, m, 1),
-                         (table.coef != 0) & cancelable[:, None], q - 1,
-                         pairs=False)
+        super().__init__(table, np.where(cancelable, m, 1), q - 1,
+                         pairs=False, live=cancelable)
         self.n_permanent = int((~cancelable).sum())
         self.total_shift = d[ids]
         # walk * 2(q-1) + s: a label sum s in [0, 2(q-1)) leaves the walk
@@ -392,7 +410,7 @@ class _LabelTracker(_Tracker):
         self.zero = (np.arange(2 * (q - 1)) % self.mod[:, None] == 0).ravel()
 
     def _start(self, labels: np.ndarray):
-        cur = self.table.totals(labels) % self.mod
+        cur = self.table.prefix_sums(labels)[:, -1] % self.mod
         return cur, cur == 0
 
     def _judge(self, rows, x, total) -> np.ndarray:

@@ -19,13 +19,14 @@ seen words.  The work is capped by a count of the prefixes the enumeration
 would grow, taken before it grows any.
 
 The result is the one form walks take from enumeration to the optimizer's
-trackers, a :class:`WalkTable`: padded edge rows with length, ACE, the
-simple-minimal flag and the signed edge coefficients per walk and per pair
-of visits to one node, all as arrays.  It builds a :class:`CycleRecord`
-only for the walk asked for.  The node arrays a compile reads are built
-once per protograph and the position masks once per row width, so a
-one-row table (as ``lift.lift_cycle`` compiles) costs little more than
-its row.
+trackers, a :class:`WalkTable`: padded edge rows with length, ACE and the
+simple-minimal flag per walk, and each pair of visits to one node as visit
+positions, all as arrays.  Every quantity a lift depends on is a difference
+of two per-walk prefix sums of the edge values, read at visit positions.
+It builds a :class:`CycleRecord` only for the walk asked for.  The node
+arrays a compile reads are built once per protograph and the position
+masks once per row width, so a one-row table (as ``lift.lift_cycle``
+compiles) costs little more than its row.
 """
 
 from __future__ import annotations
@@ -120,20 +121,26 @@ class Protograph:
         return m
 
     @functools.cached_property
-    def node_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def node_arrays(self) -> tuple[np.ndarray, ...]:
         """The node tables a walk-table compile reads, built once.
 
         Per edge id, the padding id last: its check and variable (-1).  Per
-        node id, the padding id -1 last: a variable's ACE term and the base
-        matrix cells (0).  Read-only.
+        node id, the padding id -1 last: a variable's ACE term, the base
+        matrix cells (0) and each cell's edge ids (padded with -1).
+        Read-only.
         """
         node_of = np.array([self.edge_check + [-1], self.edge_var + [-1]])
         ace_of = np.array([len(es) - 2 for es in self.var_edges] + [0])
         cells = np.zeros((self.n_checks + 1, self.n_vars + 1), np.int32)
         cells[:-1, :-1] = self.base_matrix()
-        for a in (node_of, ace_of, cells):
+        cell_edges = np.full(cells.shape + (cells.max(),), -1, np.int32)
+        filled = np.zeros_like(cells)
+        for e, (c, v) in enumerate(zip(self.edge_check, self.edge_var)):
+            cell_edges[c, v, filled[c, v]] = e
+            filled[c, v] += 1
+        for a in (node_of, ace_of, cells, cell_edges):
             a.flags.writeable = False
-        return node_of, ace_of, cells
+        return node_of, ace_of, cells, cell_edges
 
     def __repr__(self) -> str:
         return (
@@ -215,21 +222,18 @@ DEFAULT_PREFIX_CAP = 1 << 24
 # the longest walk the enumeration accepts; rows are at most this wide
 MAX_WALK_LEN = 512
 _BLOCK = 4096  # prefixes per array step; bounds the temporaries
-_CHUNK = 256  # walks or pairs per table step; bounds the temporaries
+_CHUNK = 256  # walks per table step; bounds the temporaries
 
 
 @functools.lru_cache(maxsize=8)
 def _position_masks(width: int):
-    """Per row width: each position's parity and sign, the same-side
-    position pairs ``later[p1, p2]`` with p1 < p2, and the strict lower
-    triangle ``earlier[j, p]``, p < j.  Read-only."""
+    """Per row width: each position's parity and the same-side position
+    pairs ``later[p1, p2]`` with p1 < p2.  Read-only."""
     parity = np.arange(width) % 2
-    sign = (1 - 2 * parity).astype(np.int8)
     later = np.triu(parity[:, None] == parity, 1)
-    earlier = np.tril(np.ones((width, width), bool), -1)
-    for a in (parity, sign, later, earlier):
+    for a in (parity, later):
         a.flags.writeable = False
-    return parity, sign, later, earlier
+    return parity, later
 
 
 def _edge_dtype(n_edges: int):
@@ -243,16 +247,21 @@ class WalkTable(Sequence):
     ``rows[i]`` holds the edge ids of walk i padded with the edge count,
     beside its ``length``, ``ace`` and ``simple_minimal`` flag.  The edge at
     position p is traversed check-to-variable for even p (sign +1) and
-    variable-to-check for odd p (sign -1); the node visited before it is
-    its check for even p and its variable for odd p.  Everything a lift
-    depends on is a linear functional of the per-edge values, stored as the
-    signed count of each edge, kept at the edge's first position only:
+    variable-to-check for odd p (sign -1); the node visited before it, visit
+    p, is its check for even p and its variable for odd p.
 
-    * ``coef[i]`` counts over the whole walk: applied to shifts it gives the
-      total shift, applied to label exponents the alternating label sum;
-    * ``pair_coef[k]`` counts between two visits of one base node by walk
-      ``pair_walk[k]``: applied to shifts it gives the partial-sum
-      difference that decides whether the two visits land on one copy.
+    Everything a lift depends on is read from the per-walk prefix sums of
+    per-edge values (:meth:`prefix_sums`), ``P[i, p]`` the signed sum over
+    the positions before p.  Applied to shifts, ``P[i, p]`` is the copy
+    index of visit p relative to visit 0, so
+
+    * ``P[i, -1]`` is the total shift, and over label exponents the
+      alternating label sum (padding adds 0);
+    * pair k, two visits ``p1[k] < p2[k]`` of one base node by walk
+      ``pair_walk[k]``, lands on one copy when ``P[w, p2] - P[w, p1]`` is 0
+      modulo the lift's gcd;
+    * a chord (:meth:`chords`) joins two visits of the lift when
+      ``P[w, b] - P[w, a]`` equals its edge's shift there.
 
     A list of records with the same walks compares equal.
     """
@@ -269,14 +278,14 @@ class WalkTable(Sequence):
         self.rows = rows = np.asarray(rows, _edge_dtype(proto.n_edges))
         self.length = length = np.asarray(length, np.int32)
         n, width = rows.shape
-        parity, sign, later, earlier = _position_masks(width)
-        node_of, ace_of, cells = proto.node_arrays
+        parity, later = _position_masks(width)
+        node_of, ace_of, cells, _ = proto.node_arrays
         # a simple walk visits at most this many checks and variables
         most = min(proto.n_checks, proto.n_vars)
         self.ace = np.empty(n, np.int32)
         self.simple_minimal = np.zeros(n, bool)
-        self.coef = np.empty(rows.shape, np.int8)
-        owners, coefs = [np.empty(0, np.intp)], [np.empty((0, width), np.int8)]
+        pairs = ([np.empty(0, np.int32)], [np.empty(0, np.int16)],
+                 [np.empty(0, np.int16)])
         for lo in range(0, n, _CHUNK):
             block, k = rows[lo:lo + _CHUNK], length[lo:lo + _CHUNK]
             # the node visited before each position, -1 on the padding
@@ -286,19 +295,12 @@ class WalkTable(Sequence):
             simple = np.flatnonzero((k >= 4) & _distinct(checks) & _distinct(vars_))
             induced = cells[checks[simple, :most, None], vars_[simple, None, :most]]
             self.simple_minimal[lo + simple] = induced.sum(axis=(1, 2)) == k[simple]
-            same = block[:, :, None] == block[:, None, :]
-            first = ~(same & earlier).any(axis=2)
-            # prefix[i, j, p]: the edge at position j, counted over positions < p
-            prefix = np.zeros(same.shape[:2] + (width + 1,), np.int8)
-            np.cumsum(same * np.where(nodes >= 0, sign, 0)[:, None, :],
-                      axis=2, dtype=np.int8, out=prefix[:, :, 1:])
-            self.coef[lo:lo + _CHUNK] = np.where(first, prefix[:, :, -1], 0)
-            i, p1, p2 = np.nonzero((nodes[:, :, None] == nodes[:, None, :])
-                                   & later & (nodes >= 0)[:, :, None])
-            owners.append(i + lo)
-            coefs.append(np.where(first[i], prefix[i, :, p2] - prefix[i, :, p1], 0))
-        self.pair_walk = np.concatenate(owners)
-        self.pair_coef = np.concatenate(coefs)
+            same = (nodes[:, :, None] == nodes[:, None, :]) & later & (nodes >= 0)[:, :, None]
+            i, p1, p2 = np.unravel_index(np.flatnonzero(same), same.shape)
+            _extend(pairs, (i + lo, p1, p2))
+        self.pair_walk, self.p1, self.p2 = _joined(pairs)
+        self._chords = None
+        self._upto = {}
 
     def __len__(self) -> int:
         return len(self.length)
@@ -314,36 +316,124 @@ class WalkTable(Sequence):
 
     __hash__ = None
 
+    def prefix_sums(self, values: np.ndarray, ids=slice(None)) -> np.ndarray:
+        """``P[k, p]``: per-edge ``values`` summed with each position's sign
+        over the positions before p of walk ``ids[k]`` (every walk by
+        default), shape ``(walks, width + 1)``.
+
+        Values are integers below 2^22 in magnitude (shifts below
+        ``lift.MAX_Z``, label exponents), so every sum fits int32.
+        """
+        ext = np.append(np.asarray(values, np.int32), np.int32(0))
+        rows = self.rows[ids]
+        sums = np.zeros((len(rows), rows.shape[1] + 1), np.int32)
+        sums[:, 1:] = ext[rows]
+        sums[:, 2::2] *= -1
+        np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
+        return sums
+
+    def chords(self, proto: Protograph, ids: np.ndarray):
+        """The chords of the lifts of walks ``ids``, as ``(k, a, b, edge)``
+        with k the walk's index in ``ids``; every walk's are compiled on
+        first use and kept.
+
+        A chord joins check visit a to variable visit b by a base edge
+        other than the walk's own two at a, and is present in the lift when
+        ``P[b] - P[a]`` equals the edge's shift modulo the lift's gcd.  (An
+        own edge of a reaches another visit of its variable only where that
+        visit and the edge's own one land on one copy, which a realized
+        lift rules out.)  A simple minimal walk has no chords.
+        """
+        if self._chords is None:
+            self._chords = self._compile_chords(proto)
+        start, *columns = self._chords
+        count, picked = _picked(start, ids)
+        return (np.repeat(np.arange(len(ids)), count),
+                *(c[picked] for c in columns))
+
+    def _compile_chords(self, proto: Protograph):
+        """``(start, a, b, edge)``: walk i's chords at ``start[i]`` to
+        ``start[i + 1]``."""
+        width = self.rows.shape[1]
+        parity, _ = _position_masks(width)
+        node_of, _, _, cell_edges = proto.node_arrays
+        start = np.zeros(len(self) + 1, np.int32)
+        found = ([np.empty(0, np.int16)], [np.empty(0, np.int16)],
+                 [np.empty(0, self.rows.dtype)])
+        ids = np.flatnonzero(~self.simple_minimal)
+        for lo in range(0, len(ids), _CHUNK):
+            walk = ids[lo:lo + _CHUNK]
+            block, k = self.rows[walk], self.length[walk, None]
+            nodes = node_of[parity, block]
+            # edges[w, i, j]: the base edges from check visit 2i to variable
+            # visit 2j + 1, less the walk's edges at positions 2i and 2i - 1
+            edges = cell_edges[nodes[:, 0::2, None], nodes[:, None, 1::2]]
+            before = np.take_along_axis(block, (np.arange(0, width, 2) - 1) % k, 1)
+            for own in (block[:, 0::2], before):
+                edges[edges == own[:, :, None, None]] = -1
+            hit = np.flatnonzero(edges >= 0)
+            w, i, j, _ = np.unravel_index(hit, edges.shape)
+            start[walk + 1] = np.bincount(w, minlength=len(walk))
+            _extend(found, (2 * i, 2 * j + 1, edges.ravel()[hit]))
+        np.cumsum(start, out=start)
+        return (start, *_joined(found))
+
     def subset(self, keep: np.ndarray) -> "WalkTable":
-        """The walks selected by a boolean mask, in table order."""
+        """The walks selected by a boolean mask, in table order; pairs and
+        compiled chords keep their positions under the new walk ids."""
         sub = WalkTable.__new__(WalkTable)
-        for name in ("rows", "length", "ace", "simple_minimal", "coef"):
+        for name in ("rows", "length", "ace", "simple_minimal"):
             setattr(sub, name, getattr(self, name)[keep])
         kept = keep[self.pair_walk]
-        sub.pair_walk = (np.cumsum(keep) - 1)[self.pair_walk[kept]]
-        sub.pair_coef = self.pair_coef[kept]
+        sub.pair_walk = (np.cumsum(keep, dtype=np.int32) - 1)[self.pair_walk[kept]]
+        sub.p1, sub.p2 = self.p1[kept], self.p2[kept]
+        sub._chords = None
+        if self._chords is not None:
+            start, *columns = self._chords
+            count, picked = _picked(start, np.flatnonzero(keep))
+            sub._chords = (np.append(0, np.cumsum(count)),
+                           *(c[picked] for c in columns))
+        sub._upto = {}
         return sub
 
     def upto(self, depth: int) -> "WalkTable":
-        """The walks of length at most ``depth``."""
+        """The walks of length at most ``depth``, one kept table per depth."""
         keep = self.length <= depth
-        return self if keep.all() else self.subset(keep)
+        if keep.all():
+            return self
+        if depth not in self._upto:
+            self._upto[depth] = self.subset(keep)
+        return self._upto[depth]
 
-    def _sums(self, coef, walk, values: np.ndarray) -> np.ndarray:
-        """Coefficient rows applied to per-edge ``values`` along ``walk``."""
-        ext = np.append(values, 0)
-        return np.concatenate([np.zeros(0, np.int64)] + [
-            (coef[lo:lo + _CHUNK] * ext[self.rows[walk[lo:lo + _CHUNK]]]).sum(axis=1)
-            for lo in range(0, len(walk), _CHUNK)])
 
-    def totals(self, values: np.ndarray, ids=slice(None)) -> np.ndarray:
-        """The signed sum of per-edge ``values`` around each walk."""
-        ids = np.arange(len(self))[ids]
-        return self._sums(self.coef[ids], ids, values)
+def _extend(columns, blocks) -> None:
+    """Append each block to its column's list, in the column's dtype."""
+    for column, block in zip(columns, blocks):
+        column.append(block.astype(column[0].dtype))
 
-    def pair_totals(self, values: np.ndarray) -> np.ndarray:
-        """The signed sum of per-edge ``values`` between each pair's visits."""
-        return self._sums(self.pair_coef, self.pair_walk, values)
+
+def _joined(columns) -> list[np.ndarray]:
+    """Each column's blocks joined, one column at a time, so the blocks of
+    a column are freed before the next column is joined."""
+    joined = []
+    for column in columns:
+        joined.append(np.concatenate(column))
+        column.clear()
+    return joined
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.arange(s, s + c)`` for each start s and count c, concatenated."""
+    ends = np.cumsum(counts)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(starts - ends + counts, counts))
+
+
+def _picked(start: np.ndarray, ids: np.ndarray):
+    """The record counts and record indices of walks ``ids`` in records
+    kept walk by walk, walk i's at ``start[i]`` to ``start[i + 1]``."""
+    count = start[ids + 1] - start[ids]
+    return count, _ranges(start[ids], count)
 
 
 def _distinct(nodes: np.ndarray) -> np.ndarray:
@@ -490,18 +580,20 @@ def _ordered_rows(found: dict, n_edges: int, dtype):
     """Padded rows and lengths of the words ``found`` per length.
 
     (length, edge_seq) order: by length, then each length's words sorted.
-    ``found`` is emptied as the rows fill, and no word array outlives the
-    call, so the table compile does not hold a copy of the walks.
+    ``found`` is emptied as the rows fill, and each length is sorted in its
+    rows, so no word array outlives the call and none is joined first.
     """
     lengths = sorted(found)
     length = np.repeat(np.array(lengths, np.int32),
                        [sum(map(len, found[n])) for n in lengths])
     rows = np.full((len(length), max(lengths, default=2)), n_edges, dtype)
-    lo = 0
+    hi = 0
     for n in lengths:
-        words = np.concatenate(found.pop(n))
-        rows[lo:lo + len(words), :n] = words[np.lexsort(words.T[::-1])]
-        lo += len(words)
+        lo = hi
+        for words in found.pop(n):
+            rows[hi:hi + len(words), :n] = words
+            hi += len(words)
+        rows[lo:hi] = rows[lo:hi][np.lexsort(rows[lo:hi, :n].T[::-1])]
     return rows, length
 
 

@@ -10,12 +10,17 @@ node-major form (stacked butterflies, ``(nodes, slots, q)`` scans and the
 loop that used them) so the production kernels can be compared with them
 bit for bit.  The optimizer's sweep is kept in its first form too: a
 tracker that re-evaluates every walk an edge moves, at every candidate
-value, each time the sweep visits the edge.
+value, each time the sweep visits the edge, over coefficient rows counted
+position by position (:func:`coefficient_rows`).  The minimality of a
+realized lift is kept in its first form as well, a walk around one lifted
+cycle's copies that counts the edge copies its support induces
+(:func:`lift_chordless`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -309,17 +314,76 @@ def count_prefixes_by_edge_dfs(proto: Protograph, max_len: int) -> int:
     return count
 
 
-def _incidence(table: WalkTable, depends: np.ndarray):
+def coefficient_rows(table: WalkTable):
+    """Signed edge counts per walk and per pair of visits, position by
+    position.
+
+    ``coef[i, p]`` counts the edge at position p of walk i with each
+    position's sign (+1 even, -1 odd) over the whole walk, and
+    ``pair_coef[k, p]`` over the positions ``p1[k]`` to ``p2[k] - 1`` of
+    walk ``pair_walk[k]``; each count sits at the edge's first position.
+    """
+    coef = np.zeros(table.rows.shape, np.int64)
+    pair_coef = np.zeros((len(table.pair_walk), table.rows.shape[1]), np.int64)
+
+    def count(i: int, lo: int, hi: int, out: np.ndarray) -> None:
+        edges = table.rows[i].tolist()
+        for p in range(lo, hi):
+            out[edges.index(edges[p])] += 1 if p % 2 == 0 else -1
+
+    for i in range(len(table)):
+        count(i, 0, int(table.length[i]), coef[i])
+    for k, (i, p1, p2) in enumerate(zip(table.pair_walk.tolist(),
+                                        table.p1.tolist(), table.p2.tolist())):
+        count(i, p1, p2, pair_coef[k])
+    return coef, pair_coef
+
+
+def lift_chordless(record: CycleRecord, code: QcCode, d: int) -> bool:
+    """Minimality of the realized lifted cycles in the lifted graph.
+
+    Follows one lifted cycle's copy index around its vertex support and
+    counts the edge copies induced inside it.  Exactly two per check copy
+    means the induced subgraph is the cycle itself: the check-side count
+    already accounts for every induced copy, so the variable side needs no
+    separate pass.
+    """
+    proto, Z = code.proto, code.Z
+    check_copies: set[tuple[int, int]] = set()
+    var_copies: set[tuple[int, int]] = set()
+    copy = 0
+    for _ in range(Z // math.gcd(Z, d)):
+        for p, e in enumerate(record.edge_seq):
+            if p % 2 == 0:
+                check_copies.add((proto.edge_check[e], copy))
+                copy = (copy + code.shifts[e]) % Z
+            else:
+                var_copies.add((proto.edge_var[e], copy))
+                copy = (copy - code.shifts[e]) % Z
+    for c, i in check_copies:
+        cnt = 0
+        for e in proto.check_edges[c]:
+            if (proto.edge_var[e], (i + code.shifts[e]) % Z) in var_copies:
+                cnt += 1
+                if cnt > 2:
+                    return False
+        if cnt != 2:
+            return False
+    return True
+
+
+def _incidence(table: WalkTable, depends: np.ndarray, coef_rows: np.ndarray):
     """Edge -> (functional ids, coefficients, walk count, pair owners).
 
     Functional f is walk f's total, then len(table) + k is pair k, for as
-    many rows as ``depends`` marks.  Per edge the walks come first, and a
-    pair's owner is its walk's index among them.
+    many rows as ``depends`` marks, with coefficients ``coef_rows``.  Per
+    edge the walks come first, and a pair's owner is its walk's index
+    among them.
     """
     owner = np.concatenate([np.arange(len(table)), table.pair_walk])
     f, pos = np.nonzero(depends)
     edges = table.rows[owner[f], pos]
-    coefs = np.concatenate([table.coef, table.pair_coef])[f, pos].astype(np.int64)
+    coefs = coef_rows[f, pos]
     by_edge = {}
     for e in np.flatnonzero(np.bincount(edges)):
         ids = f[edges == e]
@@ -340,12 +404,12 @@ class EdgeTracker:
     n_permanent = 0
 
     def __init__(self, table: WalkTable, mod: np.ndarray, depends: np.ndarray,
-                 n_values: int):
+                 n_values: int, coef_rows: np.ndarray):
         self.table = table
         self.n = len(table)
         self.mod = mod
         self.n_values = n_values
-        self.by_edge = _incidence(table, depends)
+        self.by_edge = _incidence(table, depends, coef_rows)
         self.total = 0
 
     def eval_edge(self, e: int):
@@ -385,10 +449,12 @@ class EdgeTracker:
 
 class EdgeShiftTracker(EdgeTracker):
     def __init__(self, table: WalkTable, Z: int, constraint: AceConstraint):
-        depends = table.coef != 0
-        np.logical_or.at(depends, table.pair_walk, table.pair_coef != 0)
+        coef, pair_coef = coefficient_rows(table)
+        depends = coef != 0
+        np.logical_or.at(depends, table.pair_walk, pair_coef != 0)
         super().__init__(table, np.full(len(table) + len(table.pair_walk), Z),
-                         np.concatenate([depends, depends[table.pair_walk]]), Z)
+                         np.concatenate([depends, depends[table.pair_walk]]), Z,
+                         np.concatenate([coef, pair_coef]))
         self.Z = Z
         self.divisors = _divisors(Z)
         self.column = np.searchsorted(self.divisors, np.gcd(np.arange(Z), Z))
@@ -421,14 +487,17 @@ class EdgeLabelTracker(EdgeTracker):
         m = (q - 1) // np.gcd(q - 1, order[ids])
         cancelable = lifts_minimal(table, code, ids, d) & (m > 1)
         table = table.subset(problem)
+        self.coef, _ = coefficient_rows(table)
         super().__init__(table, np.where(cancelable, m, 1),
-                         (table.coef != 0) & cancelable[:, None], q - 1)
+                         (self.coef != 0) & cancelable[:, None], q - 1,
+                         self.coef)
         self.n_permanent = int((~cancelable).sum())
         self.total_shift = d[ids]
 
     def reset(self, labels: np.ndarray) -> None:
         self.values = labels
-        self.cur = self.table.totals(labels) % self.mod
+        sums = (self.coef * np.append(labels, 0)[self.table.rows]).sum(axis=1)
+        self.cur = sums % self.mod
         self.violated = self.cur == 0
         self.total = int(self.violated.sum())
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import nbqc.lift
 
@@ -24,14 +24,19 @@ from nbqc.lift import (
     frc_canonical,
     frc_lifted,
     lift_cycle,
+    lift_shifts,
     lift_walks,
+    lifts_minimal,
     nb_ace_spectrum,
+    realized_lifts,
     walk_table,
 )
 from nbqc.protograph import WalkTable, enumerate_closed_walks, from_base_matrix
 
 from oracles import (
     LiftedGraph,
+    coefficient_rows,
+    lift_chordless,
     lifted_cycle_matrix,
     lifted_walk_is_simple,
     ring_protograph,
@@ -381,6 +386,64 @@ def test_walk_realized_flags_match_lifted_copy_oracle(base, depth, gf2):
     assert flags == {False, True}
 
 
+@pytest.mark.parametrize("block", [nbqc.lift._BLOCK, 7])
+def test_lift_shifts_blocks_match_whole_table_prefix_sums(ensemble2_matrix,
+                                                          block):
+    # lift_shifts reads prefix sums a block of walks at a time; 7-walk
+    # blocks split the pairs of many walks across block boundaries
+    proto = from_base_matrix(ensemble2_matrix)
+    table = walk_table(proto, 10)
+    shifts = np.random.default_rng(block).integers(0, 21, proto.n_edges)
+    sums = table.prefix_sums(shifts)
+    pairs = (sums[table.pair_walk, table.p2] - sums[table.pair_walk, table.p1]) % 21
+    with mock.patch.object(nbqc.lift, "_BLOCK", block):
+        d, realized, got = lift_shifts(table, shifts, 21)
+    assert len(table) > nbqc.lift._BLOCK
+    assert np.array_equal(d, sums[:, -1] % 21)
+    assert np.array_equal(got, pairs)
+    assert np.array_equal(realized, realized_lifts(np.gcd(d, 21), table.pair_walk,
+                                                   pairs))
+
+
+def _assert_minimality_matches_oracle(table: WalkTable, code: QcCode):
+    d, _, realized = lift_walks(table, code)
+    ids = np.flatnonzero(realized)
+    assert lifts_minimal(table, code, ids, d).tolist() == [
+        lift_chordless(table[i], code, int(d[i])) for i in ids]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compiled_minimality_matches_chordless_oracle(data):
+    # cells up to 3: a parallel twin of a walk edge is a chord of the lift
+    # when its shift agrees with the walk's copy offset mod gcd(Z, d)
+    draw = data.draw
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    matrix = np.array(draw(st.lists(st.integers(0, 3),
+                                    min_size=n_rows * n_cols,
+                                    max_size=n_rows * n_cols)))
+    matrix = matrix.reshape(n_rows, n_cols)
+    assume(matrix.sum(axis=1).min() >= 1 and matrix.sum(axis=0).min() >= 2)
+    proto = from_base_matrix(matrix.tolist())
+    depth = draw(st.sampled_from([4, 6, 8] if matrix.sum() <= 8 else [4]))
+    Z = draw(st.integers(1, 12))
+    shifts = draw(st.lists(st.integers(0, Z - 1), min_size=proto.n_edges,
+                           max_size=proto.n_edges))
+    code = QcCode(proto, Z, Field(1), dict(enumerate(shifts)))
+    table = enumerate_closed_walks(proto, depth)
+    _assert_minimality_matches_oracle(table, code)
+    # subsets of a table with compiled chords carry them over, renumbered
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    keep = rng.random(len(table)) < 0.5
+    for sub in (table.upto(depth - 2), table.subset(keep)):
+        _assert_minimality_matches_oracle(sub, code)
+        every = np.arange(len(sub))
+        fresh = WalkTable(proto, sub.rows, sub.length).chords(proto, every)
+        for carried, compiled in zip(sub.chords(proto, every), fresh):
+            assert np.array_equal(carried, compiled)
+    assert table.upto(depth - 2) is table.upto(depth - 2)
+
+
 # ---------------------------------------------------------------- expansion
 
 
@@ -475,17 +538,23 @@ def _base_matrices():
 
 
 def _assert_same_walks(got: WalkTable, want: WalkTable, proto):
-    """Equal records, rows, coefficients and pairs; ``got`` may pad wider
-    with the edge count of ``proto``."""
+    """Equal records, rows and pairs; ``got`` may pad wider with the edge
+    count of ``proto``.  Totals and pair values read from prefix sums of
+    random values equal the position-by-position coefficient rows."""
     width = want.rows.shape[1]
     assert got == want
     assert np.array_equal(got.rows[:, :width], want.rows)
     assert (got.rows[:, width:] == proto.n_edges).all()
-    assert np.array_equal(got.coef[:, :width], want.coef)
-    assert not got.coef[:, width:].any()
-    assert np.array_equal(got.pair_walk, want.pair_walk)
-    assert np.array_equal(got.pair_coef[:, :width], want.pair_coef)
-    assert not got.pair_coef[:, width:].any()
+    for name in ("pair_walk", "p1", "p2"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    values = np.random.default_rng(len(got)).integers(-9, 10, proto.n_edges)
+    on_rows = np.append(values, 0)[got.rows]
+    coef, pair_coef = coefficient_rows(got)
+    sums = got.prefix_sums(values)
+    assert np.array_equal(sums[:, -1], (coef * on_rows).sum(axis=1))
+    assert np.array_equal(
+        sums[got.pair_walk, got.p2] - sums[got.pair_walk, got.p1],
+        (pair_coef * on_rows[got.pair_walk]).sum(axis=1))
 
 
 @settings(max_examples=40, deadline=None)
