@@ -7,13 +7,14 @@ failure (the optimizer exhausted its caps), 3 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from pathlib import Path
 
 from .codec import RankDeficiencyError
-from .gf import Field
+from .gf import Field, checked_depth, checked_int
 from .io_formats import (
     build_descriptor,
     export_code,
@@ -56,6 +57,16 @@ class ConstraintFailure(Exception):
         super().__init__(f"{stage} constraint not achieved")
         self.stage = stage
         self.report = report
+
+
+@contextlib.contextmanager
+def _input_errors():
+    """A ValueError raised in the block, such as a failed check on a value
+    the user gave, is an input error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,24 +150,19 @@ def _cmd_construct(args) -> int:
         raise CliInputError(f"cannot load protograph: {exc}") from exc
     if args.q < 2 or args.q & (args.q - 1):
         raise CliInputError(f"field size {args.q} is not a power of two")
-    try:
+    with _input_errors():
         field = Field(args.q.bit_length() - 1, args.poly)
         # the unshifted code checks Z, lambda and the protograph, and no
         # cell holds more parallel edges than Z: once, before any search
         lam = QcCode(proto, args.Z, field, dict.fromkeys(range(proto.n_edges), 0),
                      None, args.lambda_mult).lambda_mult
         check_parallel_edges(proto, args.Z)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-    try:
         cfg = OptimizerConfig(
             rng_seed=args.seed,
             max_sweeps=args.max_sweeps,
             max_restarts=args.max_restarts,
             edge_order_policy=args.edge_order,
         )
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
     ace_b = _parse_constraint(args.ace_b)
     ace_nb = _parse_constraint(args.ace_nb)
     if (ace_b is None) != (ace_nb is None):
@@ -164,13 +170,10 @@ def _cmd_construct(args) -> int:
                             "or both explicit")
 
     if ace_b is None:
-        if args.depth < 2 or args.depth % 2:
-            raise CliInputError("--depth must be an even integer >= 2")
-        try:
+        with _input_errors():
+            checked_depth(args.depth, "--depth")
             search = spectrum_search(proto, args.Z, field, cfg, args.depth,
                                      lambda_mult=lam)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
         code = search.best.code
         achieved_b, achieved_nb = search.best.binary, search.best.nb
     else:
@@ -211,8 +214,8 @@ def _load_code(path) -> QcCode:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.depth < 2 or args.depth % 2:
-        raise CliInputError("--depth must be an even integer >= 2")
+    with _input_errors():
+        checked_depth(args.depth, "--depth")  # before load-verify enumerates
     code = _load_code(args.code)
     if args.nb:
         if code.labels is None:
@@ -230,10 +233,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.workers < 1:
-        raise CliInputError("--workers must be >= 1")
+    with _input_errors():
+        checked_int(args.workers, "--workers", 1)
     code = _load_code(args.code)
-    try:
+    with _input_errors():
         snr_points = [float(tok) for tok in args.snr.split(",")]
         cfg = SimConfig(
             snr_points_db=tuple(snr_points),
@@ -243,8 +246,6 @@ def _cmd_simulate(args) -> int:
             seed=args.seed,
             mode="all-zero" if args.mode == "zero" else "random-message",
         )
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
     try:
         result = run_campaign(code, cfg, workers=args.workers)
     except RankDeficiencyError as exc:
@@ -262,10 +263,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_export(args) -> int:
     code = _load_code(args.code)
-    try:
+    with _input_errors():
         text = export_code(code, args.format)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
     Path(args.out).write_text(text, encoding="utf-8")
     print(f"wrote {args.out}")
     return EXIT_OK

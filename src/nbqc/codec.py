@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import Field
+from .gf import Field, checked_int
 
 
 class RankDeficiencyError(ValueError):
@@ -426,8 +426,7 @@ class QspaDecoder:
         if (not np.all(np.isfinite(priors)) or np.any(priors < 0)
                 or np.any(np.abs(priors.sum(axis=1) - 1.0) > 1e-6)):
             raise ValueError("priors must be normalized probability vectors")
-        if max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        checked_int(max_iters, "max_iters", 1)
 
         spare = self.n_edges
         m_cv, m_vc, posterior = self._m_cv, self._m_vc[:spare], self._posterior

@@ -19,6 +19,10 @@ Default defining polynomials (conventional choices, one per degree):
 
 r=1 is the degenerate GF(2) case: the only nonzero element is 1, which
 doubles as alpha, and every edge label collapses to 1.
+
+This module sits below every other one, so it also holds the one rule for
+an integer that a caller or a file supplies (:func:`checked_int`) and the
+bound on the lifting order that every layer shares (:data:`MAX_Z`).
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ import math
 from numbers import Integral
 
 import numpy as np
+
+# the shift optimizer tries all Z shifts per edge and expansion writes Z
+# entries per base edge; every code and shift search stays below
+MAX_Z = 1 << 16
 
 DEFAULT_PRIMITIVE_POLYS: dict[int, int] = {
     1: 0b11,
@@ -38,6 +46,28 @@ DEFAULT_PRIMITIVE_POLYS: dict[int, int] = {
     7: 0b10001001,
     8: 0b100011101,
 }
+
+
+def checked_int(value, name: str, lo: int, hi: int | None = None):
+    """``value`` unchanged if it is an integer in [lo, hi] (no upper bound
+    when ``hi`` is None), else a ValueError naming it.
+
+    A bool is not an integer here, nor is an integral float: JSON ``true``
+    loads as a bool and ``1.0`` as a float, and neither is ever written.
+    """
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < lo or (hi is not None and value > hi)):
+        bound = "inf)" if hi is None else f"{hi}]"
+        raise ValueError(f"{name} {value!r} is not an integer in [{lo}, {bound}")
+    return value
+
+
+def checked_depth(value, name: str):
+    """``value`` unchanged if it is an even integer >= 2, a walk length or
+    spectrum depth, else a ValueError naming it."""
+    if checked_int(value, name, 2) % 2:
+        raise ValueError(f"{name} {value!r} is not even")
+    return value
 
 
 class NonPrimitivePolyError(ValueError):
@@ -62,15 +92,11 @@ class Field:
     """
 
     def __init__(self, r: int, primitive_poly: int | None = None):
-        if isinstance(r, bool) or not isinstance(r, Integral) or not 1 <= r <= 8:
-            raise ValueError(f"extension degree r={r!r} is not an integer in [1, 8]")
+        checked_int(r, "extension degree r", 1, 8)
         if primitive_poly is None:
             primitive_poly = DEFAULT_PRIMITIVE_POLYS[r]
-        if (isinstance(primitive_poly, bool) or not isinstance(primitive_poly, int)
-                or primitive_poly.bit_length() != r + 1):
-            raise ValueError(
-                f"polynomial {primitive_poly!r} is not an integer of degree {r}"
-            )
+        # degree r: bit r is the top one
+        checked_int(primitive_poly, "polynomial", 1 << r, (1 << (r + 1)) - 1)
         self.r = r
         self.q = 1 << r
         self.primitive_poly = primitive_poly
@@ -162,6 +188,5 @@ class Field:
 
 def min_lambda(q: int, Z: int) -> int:
     """Smallest lam >= 1 such that (q-1) divides lam*Z."""
-    if Z < 1:
-        raise ValueError("lifting order must be >= 1")
+    checked_int(Z, "lifting order Z", 1)
     return (q - 1) // math.gcd(q - 1, Z)

@@ -1,8 +1,11 @@
 """Interchange formats: code descriptors, base matrices, alist exports.
 
 The descriptor is the canonical JSON form of a QC code plus metadata
-(creation seed, achieved spectra, tool version).  Loading is fail-closed:
-parallel edges with equal shifts are rejected, as they have no expansion,
+(creation seed, achieved spectra, tool version).  Loading is fail-closed.
+Every integer in it passes :func:`~nbqc.gf.checked_int`, so JSON ``true``
+and ``1.0`` are no integers, and a base cell of more edges than
+``gf.MAX_Z`` is refused before any edge is built.  Parallel edges with
+equal shifts are rejected, as they have no expansion,
 and the achieved spectra stored in a descriptor are recomputed, from one walk
 enumeration at the deepest stored depth, and must match, so a corrupted or
 hand-edited file cannot silently misreport code quality.  The table stays
@@ -21,7 +24,7 @@ from pathlib import Path
 
 from . import __version__ as _tool_version
 from .codec import SparseGfMatrix
-from .gf import Field
+from .gf import Field, checked_int
 from .lift import (
     AceSpectrum,
     QcCode,
@@ -30,7 +33,6 @@ from .lift import (
     binary_ace_spectrum,
     expand,
     expand_binary,
-    is_integer,
     nb_ace_spectrum,
     walk_table,
 )
@@ -54,10 +56,11 @@ def read_base_matrix(path) -> list[list[int]]:
         rows = obj["base_matrix"]
         if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
             raise ValueError("base_matrix is not a list of rows")
-        if len(rows) != obj["n_checks"] or any(
-            len(r) != obj["n_vars"] for r in rows
-        ):
-            raise ValueError("base matrix JSON header contradicts matrix shape")
+        # the header gives the shape of the rows; from_base_matrix rejects
+        # rows of unequal length
+        shape = (len(rows), len(rows[0]) if rows else 0)
+        for key, size in zip(("n_checks", "n_vars"), shape):
+            checked_int(obj[key], f"base matrix header {key}", size, size)
         return rows
     return read_base_matrix_text(text)
 
@@ -130,12 +133,11 @@ def _verify_metadata(code: QcCode, meta: dict) -> None:
             continue
         if key == "achieved_nb" and code.labels is None:
             raise DescriptorError("achieved_nb stored for an unlabeled code")
-        if not (isinstance(claimed, dict) and isinstance(claimed.get("values"), list)
-                and is_integer(claimed.get("depth"))):
-            raise DescriptorError(f"{key} needs an integer depth and a values list")
+        if not (isinstance(claimed, dict) and isinstance(claimed.get("values"), list)):
+            raise DescriptorError(f"{key} needs a depth and a values list")
         stored = AceSpectrum.from_json_list(claimed["values"])
-        if stored.depth != claimed["depth"]:
-            raise DescriptorError(f"{key} depth disagrees with values")
+        # the depth the values span, and no other
+        checked_int(claimed.get("depth"), f"{key} depth", stored.depth, stored.depth)
         claims.append((kind, spectrum, stored))
     if not claims:
         return
@@ -200,9 +202,7 @@ def _read_alist(text: str, n_header: int, width: int):
                 i, *rest = flat[k:k + width]
                 if i == 0:
                     continue
-                if not 1 <= i <= bound:
-                    raise ValueError(f"index {i} in {kind} {node + 1} "
-                                     f"outside [1, {bound}]")
+                checked_int(i, f"index in {kind} {node + 1}", 1, bound)
                 if i in seen:
                     raise ValueError(f"index {i} repeated in {kind} {node + 1}")
                 seen.add(i)
@@ -254,8 +254,7 @@ def read_nb_alist(text: str, field: Field | None = None) -> SparseGfMatrix:
     if field.q != q:
         raise ValueError(f"field size {field.q} does not match header q={q}")
     for i, j, val in entries:
-        if not 1 <= val <= q - 1:
-            raise ValueError(f"value {val} of column {j + 1} outside [1, {q - 1}]")
+        checked_int(val, f"value of column {j + 1}", 1, q - 1)
     return SparseGfMatrix.from_entries(
         m, n, [(i, j, field.pow_alpha(val - 1)) for i, j, val in entries], field
     )

@@ -41,12 +41,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .codec import SparseGfMatrix
-from .gf import Field, min_lambda
+from .gf import MAX_Z, Field, checked_depth, checked_int, min_lambda
 from .protograph import (
     CycleRecord,
     Protograph,
@@ -57,19 +56,6 @@ from .protograph import (
 
 INF = math.inf
 _BLOCK = 1024  # walks per shift-lifting step; bounds the temporaries
-# the shift optimizer tries all Z shifts per edge and expansion writes Z
-# entries per base edge; every code and shift search stays below
-MAX_Z = 1 << 16
-
-
-def is_integer(x) -> bool:
-    """An integer that is not a bool (JSON ``true`` loads as one)."""
-    return isinstance(x, Integral) and not isinstance(x, bool)
-
-
-def check_lifting_order(Z) -> None:
-    if not is_integer(Z) or not 1 <= Z <= MAX_Z:
-        raise ValueError(f"lifting order Z must be an integer in [1, {MAX_Z}]")
 
 
 class ShiftCollisionError(ValueError):
@@ -90,23 +76,15 @@ class AceSpectrum:
     """
 
     def __init__(self, depth: int, values=None):
-        if depth < 2 or depth % 2 != 0:
-            raise ValueError("depth must be an even integer >= 2")
-        self.depth = depth
+        self.depth = checked_depth(depth, "depth")
         self.values: dict[int, float] = {i: INF for i in range(2, depth + 1, 2)}
         if values is not None:
             for k, v in dict(values).items():
                 if k not in self.values:
                     raise ValueError(f"invalid spectrum index {k}")
-                self._check_value(v)
+                if v != INF:
+                    checked_int(v, "spectrum value", 0)
                 self.values[k] = v
-
-    @staticmethod
-    def _check_value(v):
-        if v == INF:
-            return
-        if not (is_integer(v) or isinstance(v, float)) or v != int(v) or v < 0:
-            raise ValueError(f"spectrum values are nonnegative integers or inf: {v}")
 
     @classmethod
     def from_list(cls, vals) -> "AceSpectrum":
@@ -156,7 +134,10 @@ class AceSpectrum:
 
     @classmethod
     def from_json_list(cls, vals) -> "AceSpectrum":
-        return cls.from_list([INF if v == "inf" else v for v in vals])
+        """Values as written: integers, and "inf" for no cycle (a JSON
+        ``Infinity`` loads as a float and is rejected)."""
+        return cls.from_list(
+            [INF if v == "inf" else checked_int(v, "spectrum value", 0) for v in vals])
 
     def format(self) -> str:
         return "(" + ",".join(
@@ -193,7 +174,7 @@ class QcCode:
         labels: dict[int, int] | None = None,
         lambda_mult: int | None = None,
     ):
-        check_lifting_order(Z)
+        checked_int(Z, "lifting order Z", 1, MAX_Z)
         for v in range(proto.n_vars):
             if proto.var_degree(v) < 2:
                 raise ValueError(
@@ -202,8 +183,7 @@ class QcCode:
                 )
         if lambda_mult is None:
             lambda_mult = min_lambda(field.q, Z)
-        if (not is_integer(lambda_mult) or lambda_mult < 1
-                or (lambda_mult * Z) % (field.q - 1) != 0):
+        if (checked_int(lambda_mult, "lambda", 1) * Z) % (field.q - 1) != 0:
             raise ValueError(
                 f"lambda={lambda_mult} violates (q-1) | lambda*Z "
                 f"(q={field.q}, Z={Z})"
@@ -211,14 +191,12 @@ class QcCode:
         if sorted(shifts) != list(range(proto.n_edges)):
             raise ValueError("every edge needs exactly one shift")
         for e, d in shifts.items():
-            if not is_integer(d) or not 0 <= d < Z:
-                raise ValueError(f"shift {d} of edge {e} not an integer in [0, Z-1]")
+            checked_int(d, f"shift of edge {e}", 0, Z - 1)
         if labels is not None:
             if sorted(labels) != list(range(proto.n_edges)):
                 raise ValueError("labels must cover every edge or be absent")
             for e, rho in labels.items():
-                if not is_integer(rho) or not 0 <= rho <= field.q - 2:
-                    raise ValueError(f"label exponent rho={rho} of edge {e} out of range")
+                checked_int(rho, f"label exponent rho of edge {e}", 0, field.q - 2)
         self.proto = proto
         self.Z = Z
         self.field = field
@@ -264,13 +242,10 @@ class QcCode:
         labels = {}
         has_labels = any("rho" in e for e in edges)
         for eid, entry in enumerate(edges):
+            # the endpoints row-major base order gives this edge
             for key, node in (("check", proto.edge_check[eid]),
                               ("var", proto.edge_var[eid])):
-                if not is_integer(entry[key]) or entry[key] != node:
-                    raise ValueError(
-                        f"edge {eid} {key} {entry[key]!r} does not match "
-                        f"row-major base order ({node})"
-                    )
+                checked_int(entry[key], f"edge {eid} {key}", node, node)
             shifts[eid] = entry["shift"]
             if has_labels:
                 if "rho" not in entry:

@@ -39,13 +39,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gf import Field
+from .gf import MAX_Z, Field, checked_depth, checked_int
 from .lift import (  # lift_cycle, lift_is_minimal: traced by perfbench/spans.py
     AceConstraint,
     AceSpectrum,
     QcCode,
     binary_ace_spectrum,
-    check_lifting_order,
     lift_cycle,
     lift_is_minimal,
     lift_shifts,
@@ -67,10 +66,9 @@ class OptimizerConfig:
     edge_order_policy: str = "shuffled"
 
     def __post_init__(self):
-        if self.rng_seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.max_sweeps < 1 or self.max_restarts < 1:
-            raise ValueError("iteration caps must be >= 1")
+        checked_int(self.rng_seed, "seed", 0)
+        checked_int(self.max_sweeps, "max_sweeps", 1)
+        checked_int(self.max_restarts, "max_restarts", 1)
         if self.edge_order_policy not in ("fixed", "shuffled"):
             raise ValueError("edge_order_policy must be 'fixed' or 'shuffled'")
 
@@ -142,7 +140,7 @@ def find_problematic_binary(
     constraint depth with lifted ACE below the constraint there.  All other
     walks satisfy the constraint under every assignment.
     """
-    check_lifting_order(Z)
+    checked_int(Z, "lifting order Z", 1, MAX_Z)
     table = walk_table(proto, constraint.depth)
     return ProblemSet(table.subset(
         _order_violations(table, _divisors(Z), constraint).any(axis=1)))
@@ -596,8 +594,7 @@ def spectrum_search(
     amendment that still constructs.  Every adopted candidate is recorded
     and the Pareto-incomparable set is returned alongside the final one.
     """
-    if max_depth < 2 or max_depth % 2:
-        raise ValueError("max_depth must be even and >= 2")
+    checked_depth(max_depth, "max_depth")
     # with distinct shifts available, the unconstrained attempt succeeds in
     # its first sweep
     check_parallel_edges(proto, Z)

@@ -34,9 +34,10 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
+
+from .gf import MAX_Z, checked_depth, checked_int
 
 
 class WalkEnumerationOverflow(RuntimeError):
@@ -154,7 +155,8 @@ def from_base_matrix(rows) -> Protograph:
 
     Entry m[i][j] = k creates k parallel edges between check i and variable
     j.  Edge ids run row-major, parallel copies consecutive.  All-zero rows
-    or columns are rejected.
+    or columns are rejected, and so is a cell of more than ``MAX_Z`` edges,
+    which no lifting order can lift, before any edge is built.
     """
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
@@ -162,23 +164,19 @@ def from_base_matrix(rows) -> Protograph:
     n_vars = len(rows[0])
     if any(len(r) != n_vars for r in rows):
         raise ValueError("base matrix rows must have equal length")
-    edges = []
-    eid = 0
     for i, row in enumerate(rows):
         for j, mult in enumerate(row):
-            if isinstance(mult, bool) or not isinstance(mult, Integral) or mult < 0:
-                raise ValueError(f"base matrix entry {mult!r} at ({i}, {j}) "
-                                 "is not a nonnegative integer")
-            for _ in range(mult):
-                edges.append((i, j, eid))
-                eid += 1
+            checked_int(mult, f"base matrix entry ({i}, {j})", 0, MAX_Z)
     for i, row in enumerate(rows):
         if not any(row):
             raise ValueError(f"all-zero row {i}")
     for j in range(n_vars):
         if not any(row[j] for row in rows):
             raise ValueError(f"all-zero column {j}")
-    return Protograph(len(rows), n_vars, edges)
+    cells = [(i, j) for i, row in enumerate(rows) for j, mult in enumerate(row)
+             for _ in range(mult)]
+    return Protograph(len(rows), n_vars,
+                      [(i, j, e) for e, (i, j) in enumerate(cells)])
 
 
 @dataclass(frozen=True)
@@ -322,7 +320,7 @@ class WalkTable(Sequence):
         default), shape ``(walks, width + 1)``.
 
         Values are integers below 2^22 in magnitude (shifts below
-        ``lift.MAX_Z``, label exponents), so every sum fits int32.
+        ``gf.MAX_Z``, label exponents), so every sum fits int32.
         """
         ext = np.append(np.asarray(values, np.int32), np.int32(0))
         rows = self.rows[ids]
@@ -463,7 +461,7 @@ def _least_of_class(words: np.ndarray, e0: int) -> np.ndarray:
     as long as they tie.
     """
     n = words.shape[1]
-    w, p = np.nonzero(words[:, 1:] == e0)
+    w, p = divmod(np.flatnonzero(words[:, 1:] == e0), n - 1)
     p += 1
     step = 1 - 2 * (p % 2)
     keep = np.ones(len(words), bool)
@@ -480,35 +478,46 @@ def _least_of_class(words: np.ndarray, e0: int) -> np.ndarray:
     return keep
 
 
-def _check_prefixes(proto: Protograph, follow, max_len: int, cap: int) -> None:
+def _check_prefixes(proto: Protograph, max_len: int, cap: int) -> None:
     """Raise before an enumeration that would create more than ``cap`` prefixes.
 
     Counts, level by level and for every start edge e0 at once, the
     prefixes the enumeration grows: ``counts[e0, e]`` is the number ending
-    in edge e, moved on by the successor tables, restricted to edges >= e0
-    and, at the last level, to edges that close the word.
+    in edge e.  A level moves each count on to the other edges at the node
+    its edge turns at (its variable after an even position, its check after
+    an odd one), restricted to edges >= e0 and, at the last level, to edges
+    that close the word.  The first level is counted from node degrees
+    before any edges-by-edges array is built: the pairs of edges at one
+    variable, or in one cell when the words close there.
     """
+    overflow = WalkEnumerationOverflow(f"closed-walk enumeration up to length "
+                                       f"{max_len} needs more than {cap} prefixes")
+    degrees = (proto.base_matrix() if max_len == 2
+               else [list(map(len, proto.var_edges))])
+    if sum(m * (m - 1) // 2 for row in degrees for m in row) > cap:
+        raise overflow
     n = proto.n_edges
     ids = np.arange(n)
     edge_check = np.array(proto.edge_check)
     allowed = ids >= ids[:, None]
     closing = (edge_check == edge_check[:, None]) & (ids != ids[:, None])
-    moves = np.zeros((2, n, n), np.int64)
-    for parity, table in enumerate(follow):
-        e, slot = np.nonzero(table >= 0)
-        moves[parity, e, table[e, slot]] = 1
+    # per parity, the node each edge turns at and the edge-node incidence
+    sides = [(at, np.eye(n_nodes, dtype=np.int64)[at]) for at, n_nodes in (
+        (np.array(proto.edge_var), proto.n_vars), (edge_check, proto.n_checks))]
     counts = np.eye(n, dtype=np.int64)
     total = 0
     for k in range(1, max_len):
-        counts = (counts @ moves[(k - 1) % 2]) * allowed
+        at, incidence = sides[(k - 1) % 2]
+        # the counts summed per node, less the edge's own: no step back
+        moved = (counts @ incidence)[:, at]
+        moved -= counts
+        moved *= allowed
         if k + 1 == max_len:
-            counts *= closing
+            moved *= closing
+        counts = moved
         total += int(counts.sum())
         if total > cap:
-            raise WalkEnumerationOverflow(
-                f"closed-walk enumeration up to length {max_len} needs "
-                f"more than {cap} prefixes"
-            )
+            raise overflow
 
 
 def enumerate_closed_walks(
@@ -529,12 +538,12 @@ def enumerate_closed_walks(
     never outnumber prefixes), or when ``max_len`` exceeds
     :data:`MAX_WALK_LEN`; the result is never silently truncated.
     """
-    if max_len < 2 or max_len % 2 != 0:
-        raise ValueError("max_len must be an even integer >= 2")
+    checked_depth(max_len, "max_len")
     if max_len > MAX_WALK_LEN:
         raise WalkEnumerationOverflow(
             f"walk length {max_len} exceeds the enumeration limit {MAX_WALK_LEN}"
         )
+    _check_prefixes(proto, max_len, max_prefixes)
     n_edges = proto.n_edges
     dtype = _edge_dtype(n_edges)
     edge_check = np.array(proto.edge_check)
@@ -547,7 +556,6 @@ def enumerate_closed_walks(
         _padded([[f for f in proto.check_edges[c] if f != e]
                  for e, c in enumerate(proto.edge_check)], dtype),
     ]
-    _check_prefixes(proto, follow, max_len, max_prefixes)
     found: dict[int, list[np.ndarray]] = {}  # length -> canonical words
     for e0 in range(n_edges):
         c0 = proto.edge_check[e0]
@@ -561,17 +569,18 @@ def enumerate_closed_walks(
                 closes = (edge_check[nxt] == c0) & (nxt != e0)
                 if k + 1 == max_len:
                     grow &= closes
-            count = int(np.count_nonzero(grow))
-            grown = np.empty((count, k + 1), dtype)
-            grown[:, :k] = prefixes.take(np.nonzero(grow)[0], axis=0)
-            grown[:, k] = nxt[grow]
+            flat = np.flatnonzero(grow)
+            grown = np.empty((len(flat), k + 1), dtype)
+            grown[:, :k] = prefixes.take(flat // grow.shape[1], axis=0)
+            grown[:, k] = nxt.ravel()[flat]
             if k % 2:
-                words = grown[closes[grow]]
+                words = grown[closes.ravel()[flat]]
                 words = words[_least_of_class(words, e0)]
                 if len(words):
                     found.setdefault(k + 1, []).append(words)
             if k + 1 < max_len:
-                stack.extend(grown[lo:lo + _BLOCK] for lo in range(0, count, _BLOCK))
+                stack.extend(grown[lo:lo + _BLOCK]
+                             for lo in range(0, len(grown), _BLOCK))
 
     return WalkTable(proto, *_ordered_rows(found, n_edges, dtype))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Encoder, QspaDecoder
-from .gf import Field
+from .gf import Field, checked_int
 from .lift import QcCode, expand
 
 TRANSMIT_ALL_ZERO = "all-zero"
@@ -47,14 +47,10 @@ class SimConfig:
             if math.isfinite(s) and abs(s) > MAX_SNR_DB:
                 raise ValueError(f"SNR point {s} dB is outside "
                                  f"[-{MAX_SNR_DB}, {MAX_SNR_DB}]")
-        if self.min_block_errors < 1:
-            raise ValueError("min_block_errors must be >= 1")
-        if self.max_frames < 1:
-            raise ValueError("max_frames must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        checked_int(self.min_block_errors, "min_block_errors", 1)
+        checked_int(self.max_frames, "max_frames", 1)
+        checked_int(self.max_iters, "max_iters", 1)
+        checked_int(self.seed, "seed", 0)
         if self.mode not in (TRANSMIT_ALL_ZERO, TRANSMIT_RANDOM):
             raise ValueError(f"unknown transmission mode {self.mode!r}")
 
@@ -236,8 +232,7 @@ def run_campaign(code: QcCode, cfg: SimConfig, workers: int = 1) -> SimResult:
     regardless of the worker count: frames draw from substreams keyed by
     (seed, SNR, frame index) and are accumulated in frame order.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    checked_int(workers, "workers", 1)
     # built up front: a rank-deficient code aborts with the rank report
     # before any frames, and the encoder records the systematic permutation
     evaluator = _FrameEvaluator(code, cfg)

@@ -314,6 +314,35 @@ def count_prefixes_by_edge_dfs(proto: Protograph, max_len: int) -> int:
     return count
 
 
+def prefix_totals_by_edge_matrices(proto: Protograph, max_len: int) -> list[int]:
+    """The running total of the prefixes a level-wise closed-walk
+    enumeration grows, after each level, from dense int64 successor
+    matrices (the first form of the enumeration's prefix cap).
+
+    ``counts[e0, e]`` is the number of prefixes from start edge e0 ending
+    in edge e; ``moves[p][e, f]`` is 1 when f may follow e at a position of
+    parity p (another edge at e's variable for even p, at its check for odd
+    p).  Only edges >= e0 count, and at length max_len only edges that
+    close on e0's check.
+    """
+    n = proto.n_edges
+    ids = np.arange(n)
+    edge_check, edge_var = np.array(proto.edge_check), np.array(proto.edge_var)
+    allowed = ids >= ids[:, None]
+    other = ids != ids[:, None]
+    closing = (edge_check == edge_check[:, None]) & other
+    moves = [((edge_var == edge_var[:, None]) & other).astype(np.int64),
+             closing.astype(np.int64)]
+    counts = np.eye(n, dtype=np.int64)
+    totals = [0]
+    for k in range(1, max_len):
+        counts = (counts @ moves[(k - 1) % 2]) * allowed
+        if k + 1 == max_len:
+            counts *= closing
+        totals.append(totals[-1] + int(counts.sum()))
+    return totals[1:]
+
+
 def coefficient_rows(table: WalkTable):
     """Signed edge counts per walk and per pair of visits, position by
     position.

@@ -1,6 +1,10 @@
 import contextlib
+import functools
 import io
 import json
+import operator
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -184,10 +188,21 @@ def test_descriptor_tampered_edges_fail(tmp_path, proto_file, capsys):
     # edge 3 joins check 1 and edge 1 variable 1, so True and 1.0 compare equal
     (lambda d: d["edges"][3].update(check=True), "check"),
     (lambda d: d["edges"][1].update(var=1.0), "var"),
+    # an integral float is no integer either, and no cell holds more edges
+    # than the largest lifting order
+    (lambda d: d["metadata"]["achieved_binary"]["values"].__setitem__(0, 1.0),
+     "value"),
+    (lambda d: d["metadata"]["achieved_binary"].update(depth=4.0), "depth"),
+    (lambda d: d["field"].update(r=4.0), "extension degree r"),
+    (lambda d: d["base_matrix"][0].__setitem__(0, 10**9), "base matrix"),
+    # json writes a float inf as Infinity, which json reads back
+    (lambda d: d["metadata"]["achieved_binary"]["values"].__setitem__(
+        0, float("inf")), "value"),
 ], ids=["metadata-str", "metadata-list", "achieved-str", "values-int",
         "depth-missing", "poly-str", "shift-float", "rho-float", "Z-true",
         "lambda-true", "shift-true", "base-true", "depth-true", "value-true",
-        "check-true", "var-float"])
+        "check-true", "var-float", "value-float", "depth-float", "r-float",
+        "base-huge", "value-Infinity"])
 def test_malformed_descriptor_exits_3_with_one_line(tmp_path, proto_file,
                                                    capsys, damage, field):
     out = construct_toy(tmp_path, proto_file)
@@ -567,6 +582,50 @@ def test_deep_constraint_exits_3_at_the_prefix_cap(tmp_path, proto_file,
     assert not (tmp_path / "code.json").exists()
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("path", ["construct", "descriptor"])
+def test_huge_base_cell_exits_3_before_any_protograph(tmp_path, capsys,
+                                                      monkeypatch, path):
+    # 10**9 parallel edges would be 10**9 edge tuples, about 200 GiB
+    from nbqc import protograph
+
+    def refuse(*args):
+        raise AssertionError("built a protograph")
+
+    monkeypatch.setattr(protograph, "Protograph", refuse)
+    if path == "construct":
+        (tmp_path / "cell.txt").write_text(f"{10**9} 1\n1 1\n")
+        argv = ["construct", "--proto", str(tmp_path / "cell.txt"), "--Z", "3",
+                "--q", "16", "--ace-b", "inf,inf", "--ace-nb", "inf,inf",
+                "--seed", "1", "--out", str(tmp_path / "code.json")]
+    else:
+        desc = json.loads((GOLDEN / "gf16_z9_seed1.json").read_text())
+        desc["base_matrix"][0][0] = 10**9
+        (tmp_path / "code.json").write_text(json.dumps(desc))
+        argv = ["spectrum", str(tmp_path / "code.json"), "--depth", "4"]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "base matrix entry (0, 0) 1000000000" in err
+
+
+def test_many_edge_cell_exits_3_at_the_prefix_cap_in_seconds(tmp_path, capsys):
+    # 2001 edges at variable 0 and at check 0: about 4e9 prefixes of length
+    # 3, which the cap's count must refuse without (edges)^3 work
+    (tmp_path / "cell.txt").write_text("2000 1\n1 1\n")
+    argv = ["construct", "--proto", str(tmp_path / "cell.txt"), "--Z", "65536",
+            "--q", "16", "--ace-b", "inf,inf", "--ace-nb", "inf,inf",
+            "--seed", "1", "--out", str(tmp_path / "code.json")]
+    start = time.process_time()
+    assert main(argv) == EXIT_INPUT
+    assert time.process_time() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "prefixes" in err
+
+
 def test_walk_enumerations_per_command(tmp_path, proto_file, capsys,
                                        monkeypatch):
     import importlib
@@ -717,5 +776,96 @@ def test_fuzzed_argv_exit_codes(fuzz_files):
             rc = main(argv)
         assert rc in (EXIT_OK, EXIT_CONSTRAINT, EXIT_INPUT), argv
         assert "Traceback" not in err.getvalue()
+
+    run()
+
+
+# Descriptor fuzz: one mutation of a golden descriptor, then every command
+# that loads one.  Each must end in exit 0, 2 or 3, an exit 3 with one
+# stderr line, and a descriptor that loads must write back to itself.
+ODD_VALUES = [True, False, None, 1.0, 4.5, -1, -(2**63), 10**9, 2**63, 10**30,
+              "7", [], [1], {}, {"r": 4}, [[1, [2.0]]]]
+
+
+def _drawn_path(data, desc):
+    """The key path to a value inside ``desc``, drawn a level at a time,
+    so the few top-level fields are hit as often as the many edges."""
+    node, path = desc, []
+    while isinstance(node, (dict, list)) and node:
+        path.append(data.draw(st.sampled_from(
+            list(node) if isinstance(node, dict) else range(len(node)))))
+        node = node[path[-1]]
+        if data.draw(st.booleans()):
+            break
+    return path
+
+
+def _retyped(value):
+    """The same value in other JSON types."""
+    if isinstance(value, bool):
+        return [int(value), str(value)]
+    if isinstance(value, int):
+        return [float(value), str(value), [value], value > 0]
+    if isinstance(value, str):
+        return [[value], {value: value}, len(value)]
+    if isinstance(value, list):
+        return [dict(enumerate(value)), tuple(value)[:1] or None]
+    if isinstance(value, dict):
+        return [list(value.values()), list(value)]
+    return [str(value), [value]]
+
+
+def _mutant(data, text: str) -> str:
+    """``text`` with one key dropped, one value retyped, one odd value
+    written over or inserted, or its tail cut off."""
+    kind = data.draw(st.sampled_from(["drop", "retype", "odd", "insert",
+                                      "truncate"]))
+    if kind == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    desc = json.loads(text)
+    *head, key = _drawn_path(data, desc)
+    parent = functools.reduce(operator.getitem, head, desc)
+    if kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = data.draw(st.sampled_from(_retyped(parent[key])))
+    elif kind == "insert" and isinstance(parent, list):
+        parent.insert(key, data.draw(st.sampled_from(ODD_VALUES)))
+    else:
+        parent[key] = data.draw(st.sampled_from(ODD_VALUES))
+    return json.dumps(desc)
+
+
+def test_fuzzed_descriptors_exit_codes(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("descriptors")
+    texts = [(GOLDEN / f"{name}.json").read_text() for name in (
+        "gf16_z9_seed1", "gf16_z9_auto_d10_seed1", "gf8_z21_seed1")]
+    path = tmp / "mutant.json"
+    commands = [
+        ["spectrum", str(path), "--depth", "4"],
+        ["export", str(path), "--format", "nb-alist", "--out", str(tmp / "H")],
+        ["simulate", str(path), "--snr", "inf", "--max-frames", "1",
+         "--seed", "1", "--out", str(tmp / "sim")],
+    ]
+
+    @settings(max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def run(data):
+        path.write_text(_mutant(data, data.draw(st.sampled_from(texts))))
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = main(argv)
+            err = err.getvalue()
+            assert rc in (EXIT_OK, EXIT_CONSTRAINT, EXIT_INPUT), (argv, err)
+            assert "Traceback" not in err
+            if rc == EXIT_INPUT:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+        if rc == EXIT_OK:
+            code, _ = load_descriptor(path)
+            text = json.dumps(code.to_json_dict())
+            assert QcCode.from_json_dict(json.loads(text)).digest() == code.digest()
 
     run()

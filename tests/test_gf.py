@@ -1,7 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nbqc.gf import DEFAULT_PRIMITIVE_POLYS, Field, NonPrimitivePolyError, min_lambda
+from nbqc.gf import (
+    DEFAULT_PRIMITIVE_POLYS,
+    Field,
+    NonPrimitivePolyError,
+    checked_depth,
+    checked_int,
+    min_lambda,
+)
 
 from oracles import clmul_mod
 
@@ -42,6 +50,40 @@ def test_non_primitive_poly_rejected_with_witness():
 def test_wrong_degree_poly_rejected():
     with pytest.raises(ValueError):
         Field(4, 0b1011)
+
+
+@pytest.mark.parametrize("value, lo, hi, ok", [
+    (3, 0, None, True), (np.int64(3), 0, 3, True), (2**80, 1, None, True),
+    (3, 3, 3, True), (2, 3, 3, False), (4, 0, 3, False), (-1, 0, None, False),
+    (True, 0, None, False), (np.True_, 0, None, False), (1.0, 0, None, False),
+    (np.float64(2.0), 0, None, False), ("1", 0, None, False),
+    ([1], 0, None, False), (None, 0, None, False),
+])
+def test_checked_int_takes_integers_in_range_only(value, lo, hi, ok):
+    if ok:
+        assert checked_int(value, "x", lo, hi) is value
+    else:
+        with pytest.raises(ValueError, match=r"^x .* is not an integer in \["):
+            checked_int(value, "x", lo, hi)
+
+
+@pytest.mark.parametrize("value, ok", [
+    (2, True), (12, True), (0, False), (5, False), (-2, False), (4.0, False),
+    (True, False),
+])
+def test_checked_depth_takes_even_integers_from_2(value, ok):
+    if ok:
+        assert checked_depth(value, "depth") is value
+    else:
+        with pytest.raises(ValueError, match="^depth "):
+            checked_depth(value, "depth")
+
+
+@pytest.mark.parametrize("r, poly", [(4.0, None), (True, None), (9, None),
+                                     (4, 19.0), (4, True), (1, 3.0)])
+def test_field_takes_integer_degree_and_polynomial_only(r, poly):
+    with pytest.raises(ValueError, match="r |polynomial"):
+        Field(r, poly)
 
 
 def test_poly_divisible_by_x_rejected():

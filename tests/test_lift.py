@@ -80,6 +80,11 @@ def test_spectrum_validation():
         AceSpectrum(4, {3: 1})
     with pytest.raises(ValueError):
         AceSpectrum(4, {2: -1})
+    # integral floats are not integers: a descriptor never holds one
+    with pytest.raises(ValueError, match="spectrum value"):
+        AceSpectrum(4, {2: 1.0})
+    with pytest.raises(ValueError, match="depth"):
+        AceSpectrum(4.0)
 
 
 # ---------------------------------------------------------------- QcCode

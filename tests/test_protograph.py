@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbqc.protograph import (
     DegreeProfile,
     WalkEnumerationOverflow,
+    _check_prefixes,
     degree_profile,
     enumerate_closed_walks,
     from_base_matrix,
@@ -15,6 +18,7 @@ from oracles import (
     closed_walks_by_edge_dfs,
     count_closed_walks_by_node_dfs,
     count_prefixes_by_edge_dfs,
+    prefix_totals_by_edge_matrices,
 )
 
 
@@ -209,6 +213,36 @@ def _multigraph_matrices():
         min_size=mn[0], max_size=mn[0],
     )).filter(lambda m: all(any(r) for r in m)
               and all(any(c) for c in zip(*m)) and sum(map(sum, m)) <= 8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_multigraph_matrices(),
+       max_len=st.sampled_from([2, 4, 6, 8, 10, 12, 16]))
+def test_prefix_cap_decides_like_the_int64_matrix_count(rows, max_len):
+    # a cap at every level's running total, and one below it: refused
+    # exactly when the whole enumeration would grow more prefixes
+    p = from_base_matrix(rows)
+    totals = prefix_totals_by_edge_matrices(p, max_len)
+    for cap in {t - below for t in totals for below in (0, 1)}:
+        if totals[-1] > cap:
+            with pytest.raises(WalkEnumerationOverflow, match=f"than {cap} "):
+                _check_prefixes(p, max_len, cap)
+        else:
+            _check_prefixes(p, max_len, cap)
+
+
+def test_prefix_cap_counts_the_first_level_before_any_edge_matrix():
+    # 1001 edges at variable 0 give C(1001, 2) prefixes of length 2; one
+    # more than the cap is refused before an 8 MB (edges x edges) array
+    p = from_base_matrix([[1000, 1], [1, 1]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(WalkEnumerationOverflow):
+            enumerate_closed_walks(p, 4, max_prefixes=1001 * 1000 // 2 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @settings(max_examples=60, deadline=None)
