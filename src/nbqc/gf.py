@@ -22,7 +22,8 @@ doubles as alpha, and every edge label collapses to 1.
 
 This module sits below every other one, so it also holds the one rule for
 an integer that a caller or a file supplies (:func:`checked_int`) and the
-bound on the lifting order that every layer shares (:data:`MAX_Z`).
+bounds on the lifting order and the edge count that every layer shares
+(:data:`MAX_Z`, :data:`MAX_EDGES`).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 # the shift optimizer tries all Z shifts per edge and expansion writes Z
 # entries per base edge; every code and shift search stays below
 MAX_Z = 1 << 16
+MAX_EDGES = 1 << 18  # the most edges a base matrix makes: four full cells
 
 DEFAULT_PRIMITIVE_POLYS: dict[int, int] = {
     1: 0b11,

@@ -4,9 +4,10 @@ The descriptor is the canonical JSON form of a QC code plus metadata
 (creation seed, achieved spectra, tool version).  Loading is fail-closed.
 Every integer in it passes :func:`~nbqc.gf.checked_int`, so JSON ``true``
 and ``1.0`` are no integers, and a base cell of more edges than
-``gf.MAX_Z`` is refused before any edge is built.  Parallel edges with
-equal shifts are rejected, as they have no expansion,
-and the achieved spectra stored in a descriptor are recomputed, from one walk
+``gf.MAX_Z``, or a base matrix of more than ``gf.MAX_EDGES``, is refused
+before any edge is built.  A field of the wrong type is named.  Parallel
+edges with equal shifts are rejected, as they have no expansion, and the
+achieved spectra stored in a descriptor are recomputed, from one walk
 enumeration at the deepest stored depth, and must match, so a corrupted or
 hand-edited file cannot silently misreport code quality.  The table stays
 with the code's protograph, so no spectrum within that depth re-enumerates.
@@ -108,10 +109,14 @@ def load_descriptor(path) -> tuple[QcCode, dict]:
         desc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"not valid JSON: {exc}") from exc
+    if not isinstance(desc, dict):
+        raise DescriptorError("descriptor is not a JSON object")
     try:
         code = QcCode.from_json_dict(desc)
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise DescriptorError(f"descriptor missing field: {exc}") from exc
+    except TypeError as exc:
+        raise DescriptorError(f"descriptor field of the wrong type: {exc}") from exc
     try:
         _check_collisions(code)
     except ShiftCollisionError as exc:

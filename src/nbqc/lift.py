@@ -233,15 +233,19 @@ class QcCode:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QcCode":
-        field = Field(d["field"]["r"], d["field"].get("poly"))
-        proto = from_base_matrix(d["base_matrix"])
-        edges = d["edges"]
+        field = _member(d, "field", dict)
+        field = Field(field["r"], field.get("poly"))
+        rows = _member(d, "base_matrix", list)
+        proto = from_base_matrix(_member(rows, i, list, f"base_matrix row {i}")
+                                 for i in range(len(rows)))
+        edges = _member(d, "edges", list)
         if len(edges) != proto.n_edges:
             raise ValueError("edge list length does not match base matrix")
         shifts = {}
         labels = {}
-        has_labels = any("rho" in e for e in edges)
-        for eid, entry in enumerate(edges):
+        entries = [_member(edges, i, dict, f"edge {i}") for i in range(len(edges))]
+        has_labels = any("rho" in e for e in entries)
+        for eid, entry in enumerate(entries):
             # the endpoints row-major base order gives this edge
             for key, node in (("check", proto.edge_check[eid]),
                               ("var", proto.edge_var[eid])):
@@ -258,6 +262,14 @@ class QcCode:
         payload = json.dumps(self.to_json_dict(), sort_keys=True,
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _member(d, key, kind, name=None):
+    """``d[key]``; a TypeError names the field unless it is a ``kind``."""
+    if not isinstance(value := d[key], kind):
+        name = name or repr(key)
+        raise TypeError(f"{name} is {type(value).__name__}, not {kind.__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -350,7 +362,6 @@ def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
     offset matches its edge's shift modulo gcd(Z, d), the rule that decides
     realizability.  Only meaningful for realized lifts.
     """
-    ids = np.asarray(ids, np.int64)
     k, a, b, edge = table.chords(code.proto, ids)
     shifts = _edge_vector(code.shifts)
     sums = table.prefix_sums(shifts, ids)

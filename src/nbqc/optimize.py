@@ -142,8 +142,10 @@ def find_problematic_binary(
     """
     checked_int(Z, "lifting order Z", 1, MAX_Z)
     table = walk_table(proto, constraint.depth)
-    return ProblemSet(table.subset(
-        _order_violations(table, _divisors(Z), constraint).any(axis=1)))
+    problem = np.zeros(len(table), bool)
+    for o in _divisors(Z).tolist():  # one cycle order at a time
+        problem |= _violates(table.length * o, table.ace * o, constraint)
+    return ProblemSet(table.subset(problem))
 
 
 # rows times candidate values per evaluation step; bounds the temporaries

@@ -11,12 +11,12 @@ restricted to primitive (aperiodic) representatives: a walk that retraces a
 shorter closed walk lifts to retraced copies of the shorter walk's lift and
 carries no extra information.
 
-The enumeration is array work.  Each start edge grows its prefixes a level
-at a time through padded successor tables, and a closed word is kept when
-it is the least even rotation of itself and of its reversal and equals none
-of its proper even rotations, so every class appears once without a set of
-seen words.  The work is capped by a count of the prefixes the enumeration
-would grow, taken before it grows any.
+The enumeration is array work.  The prefixes of all start edges grow
+together, a level at a time through padded successor tables, and a closed
+word is kept when it is the least even rotation of itself and of its
+reversal and equals none of its proper even rotations, so every class
+appears once without a set of seen words.  The work is capped by a count
+of the prefixes the enumeration would grow, taken before it grows any.
 
 The result is the one form walks take from enumeration to the optimizer's
 trackers, a :class:`WalkTable`: padded edge rows with length, ACE and the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import MAX_Z, checked_depth, checked_int
+from .gf import MAX_EDGES, MAX_Z, checked_depth, checked_int
 
 
 class WalkEnumerationOverflow(RuntimeError):
@@ -155,8 +155,8 @@ def from_base_matrix(rows) -> Protograph:
 
     Entry m[i][j] = k creates k parallel edges between check i and variable
     j.  Edge ids run row-major, parallel copies consecutive.  All-zero rows
-    or columns are rejected, and so is a cell of more than ``MAX_Z`` edges,
-    which no lifting order can lift, before any edge is built.
+    or columns are rejected, and so are a cell of more than ``MAX_Z`` edges,
+    which no lifting order lifts, or ``MAX_EDGES`` in all, before any edge.
     """
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
@@ -167,6 +167,7 @@ def from_base_matrix(rows) -> Protograph:
     for i, row in enumerate(rows):
         for j, mult in enumerate(row):
             checked_int(mult, f"base matrix entry ({i}, {j})", 0, MAX_Z)
+    checked_int(sum(map(sum, rows)), "base matrix edge count", 0, MAX_EDGES)
     for i, row in enumerate(rows):
         if not any(row):
             raise ValueError(f"all-zero row {i}")
@@ -221,6 +222,7 @@ DEFAULT_PREFIX_CAP = 1 << 24
 MAX_WALK_LEN = 512
 _BLOCK = 4096  # prefixes per array step; bounds the temporaries
 _CHUNK = 256  # walks per table step; bounds the temporaries
+_CELLS = 1 << 18  # (start edges x edges) per prefix-count step
 
 
 @functools.lru_cache(maxsize=8)
@@ -297,7 +299,6 @@ class WalkTable(Sequence):
             i, p1, p2 = np.unravel_index(np.flatnonzero(same), same.shape)
             _extend(pairs, (i + lo, p1, p2))
         self.pair_walk, self.p1, self.p2 = _joined(pairs)
-        self._chords = None
         self._upto = {}
 
     def __len__(self) -> int:
@@ -332,8 +333,8 @@ class WalkTable(Sequence):
 
     def chords(self, proto: Protograph, ids: np.ndarray):
         """The chords of the lifts of walks ``ids``, as ``(k, a, b, edge)``
-        with k the walk's index in ``ids``; every walk's are compiled on
-        first use and kept.
+        with k the walk's index in ``ids``, in order of k; compiled for
+        these walks alone, a block of walks at a time.
 
         A chord joins check visit a to variable visit b by a base edge
         other than the walk's own two at a, and is present in the lift when
@@ -342,55 +343,37 @@ class WalkTable(Sequence):
         visit and the edge's own one land on one copy, which a realized
         lift rules out.)  A simple minimal walk has no chords.
         """
-        if self._chords is None:
-            self._chords = self._compile_chords(proto)
-        start, *columns = self._chords
-        count, picked = _picked(start, ids)
-        return (np.repeat(np.arange(len(ids)), count),
-                *(c[picked] for c in columns))
-
-    def _compile_chords(self, proto: Protograph):
-        """``(start, a, b, edge)``: walk i's chords at ``start[i]`` to
-        ``start[i + 1]``."""
-        width = self.rows.shape[1]
-        parity, _ = _position_masks(width)
+        ids = np.asarray(ids, np.int64)
         node_of, _, _, cell_edges = proto.node_arrays
-        start = np.zeros(len(self) + 1, np.int32)
-        found = ([np.empty(0, np.int16)], [np.empty(0, np.int16)],
-                 [np.empty(0, self.rows.dtype)])
-        ids = np.flatnonzero(~self.simple_minimal)
-        for lo in range(0, len(ids), _CHUNK):
-            walk = ids[lo:lo + _CHUNK]
-            block, k = self.rows[walk], self.length[walk, None]
-            nodes = node_of[parity, block]
+        found = ([np.empty(0, np.int64)], [np.empty(0, np.int16)],
+                 [np.empty(0, np.int16)], [np.empty(0, self.rows.dtype)])
+        asked = np.flatnonzero(~self.simple_minimal[ids])
+        for lo in range(0, len(asked), _CHUNK):
+            k = asked[lo:lo + _CHUNK]
+            length = self.length[ids[k], None]
+            block = self.rows[ids[k], :length.max()]  # to the longest walk
+            pos = np.arange(block.shape[1])
+            nodes = node_of[pos % 2, block]
             # edges[w, i, j]: the base edges from check visit 2i to variable
             # visit 2j + 1, less the walk's edges at positions 2i and 2i - 1
             edges = cell_edges[nodes[:, 0::2, None], nodes[:, None, 1::2]]
-            before = np.take_along_axis(block, (np.arange(0, width, 2) - 1) % k, 1)
+            before = np.take_along_axis(block, (pos[0::2] - 1) % length, 1)
             for own in (block[:, 0::2], before):
                 edges[edges == own[:, :, None, None]] = -1
             hit = np.flatnonzero(edges >= 0)
             w, i, j, _ = np.unravel_index(hit, edges.shape)
-            start[walk + 1] = np.bincount(w, minlength=len(walk))
-            _extend(found, (2 * i, 2 * j + 1, edges.ravel()[hit]))
-        np.cumsum(start, out=start)
-        return (start, *_joined(found))
+            _extend(found, (k[w], 2 * i, 2 * j + 1, edges.ravel()[hit]))
+        return tuple(_joined(found))
 
     def subset(self, keep: np.ndarray) -> "WalkTable":
-        """The walks selected by a boolean mask, in table order; pairs and
-        compiled chords keep their positions under the new walk ids."""
+        """The walks selected by a boolean mask, in table order; pairs keep
+        their positions under the new walk ids."""
         sub = WalkTable.__new__(WalkTable)
         for name in ("rows", "length", "ace", "simple_minimal"):
             setattr(sub, name, getattr(self, name)[keep])
         kept = keep[self.pair_walk]
         sub.pair_walk = (np.cumsum(keep, dtype=np.int32) - 1)[self.pair_walk[kept]]
         sub.p1, sub.p2 = self.p1[kept], self.p2[kept]
-        sub._chords = None
-        if self._chords is not None:
-            start, *columns = self._chords
-            count, picked = _picked(start, np.flatnonzero(keep))
-            sub._chords = (np.append(0, np.cumsum(count)),
-                           *(c[picked] for c in columns))
         sub._upto = {}
         return sub
 
@@ -427,13 +410,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
             + np.repeat(starts - ends + counts, counts))
 
 
-def _picked(start: np.ndarray, ids: np.ndarray):
-    """The record counts and record indices of walks ``ids`` in records
-    kept walk by walk, walk i's at ``start[i]`` to ``start[i + 1]``."""
-    count = start[ids + 1] - start[ids]
-    return count, _ranges(start[ids], count)
-
-
 def _distinct(nodes: np.ndarray) -> np.ndarray:
     """Rows whose node ids (padding -1 aside) are pairwise distinct."""
     nodes = np.sort(nodes, axis=1)
@@ -447,21 +423,21 @@ def _padded(lists, dtype) -> np.ndarray:
     return table
 
 
-def _least_of_class(words: np.ndarray, e0: int) -> np.ndarray:
+def _least_of_class(words: np.ndarray) -> np.ndarray:
     """Which closed words are the canonical representative of their class.
 
-    Every word starts with its least edge ``e0``.  A word is kept when it
-    is <= every even rotation of itself and of its reversal, and differs
-    from each of its proper even rotations (it is primitive: an odd period
-    does not split a bipartite walk into closed sub-walks, so only even
-    periods count).  Only a rotation that starts with ``e0`` can tie or
+    Every word starts with its least edge e0.  A word is kept when it is
+    <= every even rotation of itself and of its reversal, and differs from
+    each of its proper even rotations (it is primitive: an odd period does
+    not split a bipartite walk into closed sub-walks, so only even periods
+    count).  Only a rotation that starts with the word's own e0 can tie or
     win.  Read from an even position p the word turns forward, and from an
     odd p it is an even rotation of the reversal, read backward from p.
     Each word is compared with those rotations one position at a time, for
     as long as they tie.
     """
     n = words.shape[1]
-    w, p = divmod(np.flatnonzero(words[:, 1:] == e0), n - 1)
+    w, p = divmod(np.flatnonzero(words[:, 1:] == words[:, :1]), n - 1)
     p += 1
     step = 1 - 2 * (p % 2)
     keep = np.ones(len(words), bool)
@@ -481,14 +457,15 @@ def _least_of_class(words: np.ndarray, e0: int) -> np.ndarray:
 def _check_prefixes(proto: Protograph, max_len: int, cap: int) -> None:
     """Raise before an enumeration that would create more than ``cap`` prefixes.
 
-    Counts, level by level and for every start edge e0 at once, the
-    prefixes the enumeration grows: ``counts[e0, e]`` is the number ending
-    in edge e.  A level moves each count on to the other edges at the node
-    its edge turns at (its variable after an even position, its check after
-    an odd one), restricted to edges >= e0 and, at the last level, to edges
-    that close the word.  The first level is counted from node degrees
-    before any edges-by-edges array is built: the pairs of edges at one
-    variable, or in one cell when the words close there.
+    Counts the prefixes the enumeration grows, level by level for a block of
+    start edges at a time: ``counts[i, e]`` is the number from the block's
+    i-th start edge e0 ending in edge e.  A level moves each count on to the
+    other edges at the node its edge turns at (its variable after an even
+    position, its check after an odd one) through per-node sums, restricted
+    to edges >= e0 and, at the last level, to edges that close the word.
+    The total only grows, so raising once it passes the cap decides as the
+    whole count would.  The first level is counted from node degrees first:
+    the pairs of edges at one variable, or in one cell when words close there.
     """
     overflow = WalkEnumerationOverflow(f"closed-walk enumeration up to length "
                                        f"{max_len} needs more than {cap} prefixes")
@@ -499,25 +476,28 @@ def _check_prefixes(proto: Protograph, max_len: int, cap: int) -> None:
     n = proto.n_edges
     ids = np.arange(n)
     edge_check = np.array(proto.edge_check)
-    allowed = ids >= ids[:, None]
-    closing = (edge_check == edge_check[:, None]) & (ids != ids[:, None])
-    # per parity, the node each edge turns at and the edge-node incidence
-    sides = [(at, np.eye(n_nodes, dtype=np.int64)[at]) for at, n_nodes in (
-        (np.array(proto.edge_var), proto.n_vars), (edge_check, proto.n_checks))]
-    counts = np.eye(n, dtype=np.int64)
-    total = 0
-    for k in range(1, max_len):
-        at, incidence = sides[(k - 1) % 2]
-        # the counts summed per node, less the edge's own: no step back
-        moved = (counts @ incidence)[:, at]
-        moved -= counts
-        moved *= allowed
-        if k + 1 == max_len:
-            moved *= closing
-        counts = moved
-        total += int(counts.sum())
-        if total > cap:
-            raise overflow
+    # per parity: the node each edge turns at, the edges in node order and
+    # where each node's edges begin there (every node has an edge)
+    sides = []
+    for at in (np.array(proto.edge_var), edge_check):
+        order = np.argsort(at, kind="stable")
+        sides.append((at, order, np.flatnonzero(np.diff(at[order], prepend=-1))))
+    total, step = 0, max(1, _CELLS // n)
+    for lo in range(0, n, step):
+        e0 = ids[lo:lo + step, None]
+        counts = (ids == e0).astype(np.int64)
+        for k in range(1, max_len):
+            at, order, begin = sides[(k - 1) % 2]
+            # the counts summed per node, less the edge's own: no step back
+            moved = np.add.reduceat(counts[:, order], begin, axis=1)[:, at]
+            moved -= counts
+            moved *= ids >= e0
+            if k + 1 == max_len:
+                moved *= (edge_check == edge_check[e0]) & (ids != e0)
+            counts = moved
+            total += int(counts.sum())
+            if total > cap:
+                raise overflow
 
 
 def enumerate_closed_walks(
@@ -526,13 +506,13 @@ def enumerate_closed_walks(
     """All primitive non-backtracking closed walks of even length <= max_len.
 
     One canonical representative per class under rotation and reversal, in
-    deterministic (length, edge_seq) order.  Each start edge e0 grows its
-    non-backtracking prefixes over edges >= e0 one level at a time, as
-    ``(prefixes, k)`` arrays in blocks of at most ``_BLOCK`` rows, depth
-    first, so the memory held does not grow with the depth.  The closed
-    words of each level are kept when they are the least even rotation of
-    themselves and their reversal and primitive (:func:`_least_of_class`),
-    so no set of seen words is needed.  Raises
+    deterministic (length, edge_seq) order.  The non-backtracking prefixes
+    of every start edge e0 grow over edges >= e0 in one loop that reads e0
+    per row, a level at a time, as ``(prefixes, k)`` arrays in blocks of at
+    most ``_BLOCK`` rows, depth first, so the memory held does not grow with
+    the depth.  The closed words of each level are kept when they are the
+    least even rotation of themselves and their reversal and primitive
+    (:func:`_least_of_class`), so no set of seen words is needed.  Raises
     :class:`WalkEnumerationOverflow`, before any prefix grows, when the
     enumeration would create more than ``max_prefixes`` prefixes (classes
     never outnumber prefixes), or when ``max_len`` exceeds
@@ -557,30 +537,30 @@ def enumerate_closed_walks(
                  for e, c in enumerate(proto.edge_check)], dtype),
     ]
     found: dict[int, list[np.ndarray]] = {}  # length -> canonical words
-    for e0 in range(n_edges):
-        c0 = proto.edge_check[e0]
-        stack = [np.full((1, 1), e0, dtype)]
-        while stack:
-            prefixes = stack.pop()
-            k = prefixes.shape[1]  # the position of the edge added now
-            nxt = follow[(k - 1) % 2][prefixes[:, -1]]
-            grow = nxt >= e0
-            if k % 2:  # back at a check: the word closes on c0, not via e0
-                closes = (edge_check[nxt] == c0) & (nxt != e0)
-                if k + 1 == max_len:
-                    grow &= closes
-            flat = np.flatnonzero(grow)
-            grown = np.empty((len(flat), k + 1), dtype)
-            grown[:, :k] = prefixes.take(flat // grow.shape[1], axis=0)
-            grown[:, k] = nxt.ravel()[flat]
-            if k % 2:
-                words = grown[closes.ravel()[flat]]
-                words = words[_least_of_class(words, e0)]
-                if len(words):
-                    found.setdefault(k + 1, []).append(words)
-            if k + 1 < max_len:
-                stack.extend(grown[lo:lo + _BLOCK]
-                             for lo in range(0, len(grown), _BLOCK))
+    starts = np.arange(n_edges, dtype=dtype)[:, None]
+    stack = [starts[lo:lo + _BLOCK] for lo in range(0, n_edges, _BLOCK)]
+    while stack:
+        prefixes = stack.pop()
+        k = prefixes.shape[1]  # the position of the edge added now
+        e0 = prefixes[:, :1]
+        nxt = follow[(k - 1) % 2][prefixes[:, -1]]
+        grow = nxt >= e0
+        if k % 2:  # back at a check: a word closes on e0's check, not via e0
+            closes = (edge_check[nxt] == edge_check[e0]) & (nxt != e0)
+            if k + 1 == max_len:
+                grow &= closes
+        flat = np.flatnonzero(grow)
+        grown = np.empty((len(flat), k + 1), dtype)
+        grown[:, :k] = prefixes.take(flat // grow.shape[1], axis=0)
+        grown[:, k] = nxt.ravel()[flat]
+        if k % 2:
+            words = grown[closes.ravel()[flat]]
+            words = words[_least_of_class(words)]
+            if len(words):
+                found.setdefault(k + 1, []).append(words)
+        if k + 1 < max_len:
+            stack.extend(grown[lo:lo + _BLOCK]
+                         for lo in range(0, len(grown), _BLOCK))
 
     return WalkTable(proto, *_ordered_rows(found, n_edges, dtype))
 

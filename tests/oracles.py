@@ -14,7 +14,9 @@ value, each time the sweep visits the edge, over coefficient rows counted
 position by position (:func:`coefficient_rows`).  The minimality of a
 realized lift is kept in its first form as well, a walk around one lifted
 cycle's copies that counts the edge copies its support induces
-(:func:`lift_chordless`).
+(:func:`lift_chordless`), and so is the chord compile it was replaced by:
+every walk's chords compiled up front and read back per walk
+(:func:`chords_of_every_walk`, :func:`picked_chords`).
 """
 
 from __future__ import annotations
@@ -366,6 +368,49 @@ def coefficient_rows(table: WalkTable):
                                         table.p1.tolist(), table.p2.tolist())):
         count(i, p1, p2, pair_coef[k])
     return coef, pair_coef
+
+
+def chords_of_every_walk(table: WalkTable, proto: Protograph):
+    """``(start, a, b, edge)``: the chords of every walk of ``table``, one
+    walk at a time at the table's full row width, walk i's at ``start[i]``
+    to ``start[i + 1]`` (the first form of ``WalkTable.chords``, which
+    compiled every walk and kept the result).
+    """
+    width = table.rows.shape[1]
+    parity = np.arange(width) % 2
+    node_of, _, _, cell_edges = proto.node_arrays
+    start = np.zeros(len(table) + 1, np.int64)
+    found = ([], [], [])
+    for i in np.flatnonzero(~table.simple_minimal):
+        block, k = table.rows[i:i + 1], table.length[i]
+        nodes = node_of[parity, block]
+        # edges[0, i, j]: the base edges from check visit 2i to variable
+        # visit 2j + 1, less the walk's edges at positions 2i and 2i - 1
+        edges = cell_edges[nodes[:, 0::2, None], nodes[:, None, 1::2]]
+        before = block[:, (np.arange(0, width, 2) - 1) % k]
+        for own in (block[:, 0::2], before):
+            edges[edges == own[:, :, None, None]] = -1
+        hit = np.flatnonzero(edges >= 0)
+        _, ci, cj, _ = np.unravel_index(hit, edges.shape)
+        start[i + 1] = len(hit)
+        for column, block_column in zip(found, (2 * ci, 2 * cj + 1,
+                                                edges.ravel()[hit])):
+            column.append(block_column)
+    np.cumsum(start, out=start)
+    return (start, *(np.concatenate(c) if c else np.empty(0, np.int64)
+                     for c in found))
+
+
+def picked_chords(compiled, ids):
+    """``(k, a, b, edge)`` of walks ``ids`` from :func:`chords_of_every_walk`,
+    with k the walk's index in ``ids``."""
+    start, *columns = compiled
+    k, picked = [], []
+    for n, i in enumerate(np.asarray(ids, np.int64).tolist()):
+        picked.extend(range(start[i], start[i + 1]))
+        k.extend([n] * int(start[i + 1] - start[i]))
+    picked = np.array(picked, np.int64)
+    return (np.array(k, np.int64), *(c[picked] for c in columns))
 
 
 def lift_chordless(record: CycleRecord, code: QcCode, d: int) -> bool:

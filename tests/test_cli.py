@@ -4,6 +4,7 @@ import io
 import json
 import operator
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -198,11 +199,15 @@ def test_descriptor_tampered_edges_fail(tmp_path, proto_file, capsys):
     # json writes a float inf as Infinity, which json reads back
     (lambda d: d["metadata"]["achieved_binary"]["values"].__setitem__(
         0, float("inf")), "value"),
+    # a field of the wrong type is named, and not reported missing
+    (lambda d: d.update(field=[3, 11]), "'field' is list, not dict"),
+    (lambda d: d["edges"].__setitem__(2, [0, 0]), "edge 2 is list, not dict"),
+    (lambda d: d["base_matrix"].__setitem__(1, 7), "base_matrix row 1 is int"),
 ], ids=["metadata-str", "metadata-list", "achieved-str", "values-int",
         "depth-missing", "poly-str", "shift-float", "rho-float", "Z-true",
         "lambda-true", "shift-true", "base-true", "depth-true", "value-true",
         "check-true", "var-float", "value-float", "depth-float", "r-float",
-        "base-huge", "value-Infinity"])
+        "base-huge", "value-Infinity", "field-list", "edge-list", "row-int"])
 def test_malformed_descriptor_exits_3_with_one_line(tmp_path, proto_file,
                                                    capsys, damage, field):
     out = construct_toy(tmp_path, proto_file)
@@ -214,7 +219,7 @@ def test_malformed_descriptor_exits_3_with_one_line(tmp_path, proto_file,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     if field is not None:
-        assert field in err
+        assert field in err and "missing" not in err
 
 
 def test_simulate_command_noiseless_and_deterministic(tmp_path, proto_file,
@@ -516,6 +521,9 @@ def _bad_input_argv(tmp_path, desc):
                                   "--Z", "1", "--q", "4", "--ace-b", "0,0",
                                   "--ace-nb", "0,0", "--seed", "1",
                                   "--out", out],
+        # 327 685 edges, each cell within MAX_Z, more than MAX_EDGES in all
+        "construct-edges-huge": construct_on(
+            "edges.txt", "65536 " * 5 + "\n" + "1 " * 5 + "\n"),
     }
 
 
@@ -527,7 +535,7 @@ def _bad_input_argv(tmp_path, desc):
     "spectrum-depth-huge", "construct-degree-1", "json-entry-float",
     "json-entry-bool", "json-matrix-scalar", "simulate-rank-deficient",
     "simulate-collision", "spectrum-collision", "export-collision",
-    "auto-parallel-over-Z", "fixed-parallel-over-Z",
+    "auto-parallel-over-Z", "fixed-parallel-over-Z", "construct-edges-huge",
 ])
 def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
                                          monkeypatch, case):
@@ -621,6 +629,28 @@ def test_many_edge_cell_exits_3_at_the_prefix_cap_in_seconds(tmp_path, capsys):
     start = time.process_time()
     assert main(argv) == EXIT_INPUT
     assert time.process_time() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "prefixes" in err
+
+
+def test_wide_base_matrix_exits_3_at_the_prefix_cap_in_bounded_memory(
+        tmp_path, capsys):
+    # 40 000 edges of variable degree 2 pass the first level's count; a
+    # dense (edges x edges) int64 count would ask for 12.8 GB
+    (tmp_path / "wide.txt").write_text(("1 " * 20000 + "\n") * 2)
+    argv = ["construct", "--proto", str(tmp_path / "wide.txt"), "--Z", "3",
+            "--q", "16", "--ace-b", "inf,inf", "--ace-nb", "inf,inf",
+            "--seed", "1", "--out", str(tmp_path / "code.json")]
+    start = time.process_time()
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_INPUT
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.process_time() - start < 30
+    assert peak < 64 << 20
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "prefixes" in err

@@ -35,10 +35,12 @@ from nbqc.protograph import WalkTable, enumerate_closed_walks, from_base_matrix
 
 from oracles import (
     LiftedGraph,
+    chords_of_every_walk,
     coefficient_rows,
     lift_chordless,
     lifted_cycle_matrix,
     lifted_walk_is_simple,
+    picked_chords,
     ring_protograph,
     traverse_lifted_cycle_set,
 )
@@ -437,16 +439,46 @@ def test_compiled_minimality_matches_chordless_oracle(data):
     code = QcCode(proto, Z, Field(1), dict(enumerate(shifts)))
     table = enumerate_closed_walks(proto, depth)
     _assert_minimality_matches_oracle(table, code)
-    # subsets of a table with compiled chords carry them over, renumbered
+    # a subset table compiles the chords its own walks ask for, under the
+    # new walk ids, as the whole-table compile of the subset's rows does
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     keep = rng.random(len(table)) < 0.5
     for sub in (table.upto(depth - 2), table.subset(keep)):
         _assert_minimality_matches_oracle(sub, code)
-        every = np.arange(len(sub))
-        fresh = WalkTable(proto, sub.rows, sub.length).chords(proto, every)
-        for carried, compiled in zip(sub.chords(proto, every), fresh):
-            assert np.array_equal(carried, compiled)
+        ids = rng.permutation(len(sub))[:rng.integers(0, len(sub) + 1)]
+        _assert_chords_match_oracle(sub, proto, ids)
     assert table.upto(depth - 2) is table.upto(depth - 2)
+
+
+def _assert_chords_match_oracle(table: WalkTable, proto, ids):
+    want = picked_chords(chords_of_every_walk(table, proto), ids)
+    got = table.chords(proto, ids)
+    assert len(got) == len(want) == 4
+    for column, oracle in zip(got, want):
+        assert np.array_equal(column, oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_chords_of_asked_walks_match_whole_table_compile(data):
+    # every kind of ids: empty, unsorted with repeats, only simple-minimal
+    # walks (which have no chords), and every walk
+    draw = data.draw
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    matrix = np.array(draw(st.lists(st.integers(0, 3),
+                                    min_size=n_rows * n_cols,
+                                    max_size=n_rows * n_cols)))
+    matrix = matrix.reshape(n_rows, n_cols)
+    assume(matrix.sum(axis=1).min() >= 1 and matrix.sum(axis=0).min() >= 1)
+    proto = from_base_matrix(matrix.tolist())
+    depth = draw(st.sampled_from([2, 4, 6, 8] if matrix.sum() <= 8 else [2, 4]))
+    table = enumerate_closed_walks(proto, depth)
+    n = len(table)
+    ids = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=3 * n)
+               if n else st.just([]))
+    for asked in ([], ids, np.flatnonzero(table.simple_minimal),
+                  np.arange(n)[::-1], np.arange(n)):
+        _assert_chords_match_oracle(table, proto, asked)
 
 
 # ---------------------------------------------------------------- expansion

@@ -1,12 +1,15 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nbqc.gf import MAX_Z
 from nbqc.protograph import (
     DegreeProfile,
     WalkEnumerationOverflow,
     _check_prefixes,
+    _least_of_class,
     degree_profile,
     enumerate_closed_walks,
     from_base_matrix,
@@ -15,6 +18,8 @@ from nbqc.protograph import (
 )
 
 from oracles import (
+    _canonical,
+    _is_periodic,
     closed_walks_by_edge_dfs,
     count_closed_walks_by_node_dfs,
     count_prefixes_by_edge_dfs,
@@ -48,6 +53,19 @@ def test_zero_row_and_column_rejected():
         from_base_matrix([[1, -1]])
     with pytest.raises(ValueError):
         from_base_matrix([])
+
+
+def test_edge_total_is_capped_before_any_edge(monkeypatch):
+    # each cell within MAX_Z, one edge too many in all: refused before any
+    # edge is built (a 100 x 100 matrix of MAX_Z cells would be 6.6e8)
+    import nbqc.protograph
+
+    def refuse(*args):
+        raise AssertionError("built a protograph")
+
+    monkeypatch.setattr(nbqc.protograph, "Protograph", refuse)
+    with pytest.raises(ValueError, match="edge count 262145 "):
+        from_base_matrix([[MAX_Z] * 4, [0, 0, 0, 1]])
 
 
 def test_degree_profile_regular():
@@ -253,6 +271,49 @@ def test_enumeration_matches_recursive_dfs_oracle(rows, max_len):
     p = from_base_matrix(rows)
     assert list(enumerate_closed_walks(p, max_len)) == \
         closed_walks_by_edge_dfs(p, max_len)
+
+
+def _closed_words(p, max_len):
+    """Every non-backtracking closed word of length <= max_len over edges
+    >= its first edge, as the enumeration meets them, by length."""
+    words = {}
+
+    def grow(word):
+        at_var = len(word) % 2
+        e = word[-1]
+        node = (p.edge_var if at_var else p.edge_check)[e]
+        for f in (p.var_edges if at_var else p.check_edges)[node]:
+            if f == e or f < word[0]:
+                continue
+            if at_var and p.edge_check[f] == p.edge_check[word[0]] \
+                    and f != word[0]:
+                words.setdefault(len(word) + 1, []).append(word + [f])
+            if len(word) + 1 < max_len:
+                grow(word + [f])
+
+    for e0 in range(p.n_edges):
+        grow([e0])
+    return words
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_multigraph_matrices(), max_len=st.sampled_from([2, 4, 6, 8]),
+       seed=st.integers(0, 2**32 - 1))
+def test_least_of_class_of_mixed_start_edges_keeps_what_per_e0_calls_keep(
+        rows, max_len, seed):
+    # one block of every start edge's closed words, shuffled, keeps exactly
+    # what one call per start edge keeps: the least primitive words
+    p = from_base_matrix(rows)
+    rng = np.random.default_rng(seed)
+    for words in _closed_words(p, max_len).values():
+        block = rng.permutation(np.array(words, np.int16))
+        per_e0 = np.zeros(len(block), bool)
+        for e0 in np.unique(block[:, 0]):
+            mine = block[:, 0] == e0
+            per_e0[mine] = _least_of_class(block[mine])
+        assert np.array_equal(_least_of_class(block), per_e0)
+        assert per_e0.tolist() == [_canonical(w) == w and not _is_periodic(w)
+                                   for w in map(tuple, block.tolist())]
 
 
 def test_triple_cell_keeps_odd_period_words():
