@@ -22,18 +22,14 @@ from .io_formats import (
     read_base_matrix,
     save_descriptor,
 )
-from .lift import (
-    AceConstraint,
-    QcCode,
-    binary_ace_spectrum,
-    nb_ace_spectrum,
-    walk_table,
-)
-from .optimize import (
+from .lift import AceConstraint, QcCode, binary_ace_spectrum, nb_ace_spectrum
+from .optimize import (  # assign_*: traced by perfbench/spans.py
+    ConstructionFailure,
     OptimizerConfig,
     assign_labels,
     assign_shifts,
     check_parallel_edges,
+    construct,
     spectrum_search,
 )
 from .protograph import (  # enumerate_closed_walks: traced by perfbench/spans.py
@@ -50,13 +46,6 @@ EXIT_INPUT = 3
 
 class CliInputError(Exception):
     pass
-
-
-class ConstraintFailure(Exception):
-    def __init__(self, stage: str, report: dict):
-        super().__init__(f"{stage} constraint not achieved")
-        self.stage = stage
-        self.report = report
 
 
 @contextlib.contextmanager
@@ -172,10 +161,8 @@ def _cmd_construct(args) -> int:
     if ace_b is None:
         with _input_errors():
             checked_depth(args.depth, "--depth")
-            search = spectrum_search(proto, args.Z, field, cfg, args.depth,
-                                     lambda_mult=lam)
-        code = search.best.code
-        achieved_b, achieved_nb = search.best.binary, search.best.nb
+            found = spectrum_search(proto, args.Z, field, cfg, args.depth,
+                                    lambda_mult=lam)
     else:
         for i in ace_b.lengths():
             if i <= ace_nb.depth and ace_nb.values[i] < ace_b.values[i]:
@@ -184,23 +171,12 @@ def _cmd_construct(args) -> int:
                     "constraint; the NB spectrum can only dominate the "
                     "binary one"
                 )
-        walk_table(proto, max(ace_b.depth, ace_nb.depth))  # one for both stages
-        shift_res = assign_shifts(proto, args.Z, ace_b, cfg)
-        if not shift_res.success:
-            raise ConstraintFailure("shift-assignment",
-                                    shift_res.to_json_dict())
-        code = QcCode(proto, args.Z, field, shift_res.assignment, None, lam)
-        label_res = assign_labels(code, ace_nb, cfg)
-        if not label_res.success:
-            raise ConstraintFailure("label-assignment",
-                                    label_res.to_json_dict())
-        code = code.with_labels(label_res.assignment)
-        achieved_b, achieved_nb = shift_res.achieved, label_res.achieved
+        found = construct(proto, args.Z, field, ace_b, ace_nb, cfg, lam)
 
-    desc = build_descriptor(code, args.seed, achieved_b, achieved_nb)
+    desc = build_descriptor(found.code, args.seed, found.binary, found.nb)
     save_descriptor(args.out, desc)
-    print(f"binary spectrum (depth {achieved_b.depth}): {achieved_b.format()}")
-    print(f"nb spectrum (depth {achieved_nb.depth}): {achieved_nb.format()}")
+    for name, spec in (("binary", found.binary), ("nb", found.nb)):
+        print(f"{name} spectrum (depth {spec.depth}): {spec.format()}")
     print(f"descriptor written to {args.out}")
     return EXIT_OK
 
@@ -288,10 +264,10 @@ def main(argv=None) -> int:
     except (CliInputError, OSError, WalkEnumerationOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ConstraintFailure as exc:
+    except ConstructionFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps({"stage": exc.stage, **exc.report}, sort_keys=True),
-              file=sys.stderr)
+        print(json.dumps({"stage": exc.stage, **exc.result.to_json_dict()},
+                         sort_keys=True), file=sys.stderr)
         return EXIT_CONSTRAINT
 
 

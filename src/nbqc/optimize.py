@@ -27,6 +27,8 @@ a move re-evaluates only the rows that the moved walks have on other
 edges.
 
 Every stage reads the protograph's one walk table (``lift.walk_table``).
+:func:`construct` runs the two stages in order, and :func:`spectrum_search`
+runs it once per attempt.
 Success is never taken from internal bookkeeping alone: a reported success
 re-verifies the achieved spectrum through the lifting module and carries it
 as ``OptimizeResult.achieved``.
@@ -552,10 +554,42 @@ class SearchCandidate:
     code: QcCode
 
 
-@dataclass
-class SearchResult:
-    best: SearchCandidate
-    candidates: list[SearchCandidate]
+class ConstructionFailure(Exception):
+    """A stage of :func:`construct` missed its constraint; ``result`` is
+    that stage's best-effort report."""
+
+    def __init__(self, stage: str, result: OptimizeResult):
+        super().__init__(f"{stage} constraint not achieved")
+        self.stage = stage
+        self.result = result
+
+
+def construct(
+    proto: Protograph,
+    Z: int,
+    field: Field,
+    binary: AceConstraint,
+    nb: AceConstraint,
+    cfg: OptimizerConfig,
+    lambda_mult: int | None = None,
+) -> SearchCandidate:
+    """The two-stage construction: shifts that meet ``binary``, then labels
+    that meet ``nb`` on the code those shifts lift to.
+
+    Both stages read one walk table, enumerated here to the deeper of the
+    two depths.  Raises :class:`ConstructionFailure` naming the stage that
+    fails.
+    """
+    walk_table(proto, max(binary.depth, nb.depth))
+    shifts = assign_shifts(proto, Z, binary, cfg)
+    if not shifts.success:
+        raise ConstructionFailure("shift-assignment", shifts)
+    code = QcCode(proto, Z, field, shifts.assignment, None, lambda_mult)
+    labels = assign_labels(code, nb, cfg)
+    if not labels.success:
+        raise ConstructionFailure("label-assignment", labels)
+    return SearchCandidate(shifts.achieved, labels.achieved,
+                           code.with_labels(labels.assignment))
 
 
 def _smallest_finite(spec: AceConstraint) -> int | None:
@@ -587,14 +621,17 @@ def spectrum_search(
     max_depth: int,
     lambda_mult: int | None = None,
     max_rounds: int = 200,
-) -> SearchResult:
-    """Greedy search for good achievable constraint pairs.
+) -> SearchCandidate:
+    """Greedy search for a good achievable constraint pair.
 
     Starts from the spectra of an unconstrained (random) construction, then
     repeatedly tries to raise the smallest finite component of the NB or
     binary constraint by one, or to extend the depth by two, keeping each
-    amendment that still constructs.  Every adopted candidate is recorded
-    and the Pareto-incomparable set is returned alongside the final one.
+    amendment that still constructs.  Each attempt is one :func:`construct`
+    with its own seed.  An adopted bump achieves the previous spectra with
+    one value raised, and a depth step keeps every shallower value, so each
+    adopted candidate dominates the one before it and the last one is
+    returned.
     """
     checked_depth(max_depth, "max_depth")
     # with distinct shifts available, the unconstrained attempt succeeds in
@@ -610,20 +647,14 @@ def spectrum_search(
         attempt_idx += 1
         sub = replace(cfg, rng_seed=(cfg.rng_seed * 1_000_003 + attempt_idx)
                       % (1 << 63))
-        rs = assign_shifts(proto, Z, tb, sub)
-        if not rs.success:
+        try:
+            return construct(proto, Z, field, tb, tnb, sub, lambda_mult)
+        except ConstructionFailure:
             return None
-        code = QcCode(proto, Z, field, rs.assignment, None, lambda_mult)
-        rl = assign_labels(code, tnb, sub)
-        if not rl.success:
-            return None
-        return SearchCandidate(rs.achieved, rl.achieved,
-                               code.with_labels(rl.assignment))
 
     current = attempt(AceConstraint.all_zero(depth), AceConstraint.all_zero(depth))
     if current is None:
         raise RuntimeError("unconstrained construction cannot fail")
-    candidates = [current]
 
     for _ in range(max_rounds):
         adopted = None
@@ -645,18 +676,4 @@ def spectrum_search(
         if adopted is None:
             break
         current = adopted
-        candidates.append(adopted)
-
-    def strictly_dominates(a: SearchCandidate, b: SearchCandidate) -> bool:
-        if not (a.binary.dominates(b.binary) and a.nb.dominates(b.nb)):
-            return False
-        return not (b.binary.dominates(a.binary) and b.nb.dominates(a.nb))
-
-    pareto: list[SearchCandidate] = []
-    for cand in candidates:
-        if any(strictly_dominates(other, cand) for other in candidates):
-            continue
-        if any(p.binary == cand.binary and p.nb == cand.nb for p in pareto):
-            continue
-        pareto.append(cand)
-    return SearchResult(best=current, candidates=pareto)
+    return current

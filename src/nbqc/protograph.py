@@ -263,6 +263,8 @@ class WalkTable(Sequence):
     * a chord (:meth:`chords`) joins two visits of the lift when
       ``P[w, b] - P[w, a]`` equals its edge's shift there.
 
+    Pairs are in walk order, and an enumerated table's walks in length
+    order, so the table up to a depth (:meth:`upto`) is a leading slice.
     A list of records with the same walks compares equal.
     """
 
@@ -270,7 +272,7 @@ class WalkTable(Sequence):
         """Compile padded check-start edge rows of ``proto``.
 
         ACE sums (deg(v) - 2) over the visited variables.  A walk is simple
-        when it has length >= 4 and distinct checks and variables, and a
+        when it has length >= 4 and no pair (no node visited twice), and a
         simple walk is minimal (chordless) when its support induces only
         its own ``length`` edges, parallel copies counted: a twin of a walk
         edge is a chord.
@@ -292,14 +294,15 @@ class WalkTable(Sequence):
             nodes = node_of[parity, block]
             checks, vars_ = nodes[:, 0::2], nodes[:, 1::2]
             self.ace[lo:lo + _CHUNK] = ace_of[vars_].sum(axis=1)
-            simple = np.flatnonzero((k >= 4) & _distinct(checks) & _distinct(vars_))
-            induced = cells[checks[simple, :most, None], vars_[simple, None, :most]]
-            self.simple_minimal[lo + simple] = induced.sum(axis=(1, 2)) == k[simple]
             same = (nodes[:, :, None] == nodes[:, None, :]) & later & (nodes >= 0)[:, :, None]
             i, p1, p2 = np.unravel_index(np.flatnonzero(same), same.shape)
             _extend(pairs, (i + lo, p1, p2))
+            simple = k >= 4
+            simple[i] = False  # a pair is a node visited twice
+            simple = np.flatnonzero(simple)
+            induced = cells[checks[simple, :most, None], vars_[simple, None, :most]]
+            self.simple_minimal[lo + simple] = induced.sum(axis=(1, 2)) == k[simple]
         self.pair_walk, self.p1, self.p2 = _joined(pairs)
-        self._upto = {}
 
     def __len__(self) -> int:
         return len(self.length)
@@ -365,26 +368,28 @@ class WalkTable(Sequence):
             _extend(found, (k[w], 2 * i, 2 * j + 1, edges.ravel()[hit]))
         return tuple(_joined(found))
 
+    def _part(self, walks, pairs, pair_walk) -> "WalkTable":
+        """The table of the walks and pairs that ``walks`` and ``pairs``
+        index, the pairs' walks renumbered as ``pair_walk``."""
+        sub = WalkTable.__new__(WalkTable)
+        for name in ("rows", "length", "ace", "simple_minimal"):
+            setattr(sub, name, getattr(self, name)[walks])
+        sub.pair_walk, sub.p1, sub.p2 = pair_walk, self.p1[pairs], self.p2[pairs]
+        return sub
+
     def subset(self, keep: np.ndarray) -> "WalkTable":
         """The walks selected by a boolean mask, in table order; pairs keep
         their positions under the new walk ids."""
-        sub = WalkTable.__new__(WalkTable)
-        for name in ("rows", "length", "ace", "simple_minimal"):
-            setattr(sub, name, getattr(self, name)[keep])
         kept = keep[self.pair_walk]
-        sub.pair_walk = (np.cumsum(keep, dtype=np.int32) - 1)[self.pair_walk[kept]]
-        sub.p1, sub.p2 = self.p1[kept], self.p2[kept]
-        sub._upto = {}
-        return sub
+        renumbered = np.cumsum(keep, dtype=np.int32) - 1
+        return self._part(keep, kept, renumbered[self.pair_walk[kept]])
 
     def upto(self, depth: int) -> "WalkTable":
-        """The walks of length at most ``depth``, one kept table per depth."""
-        keep = self.length <= depth
-        if keep.all():
-            return self
-        if depth not in self._upto:
-            self._upto[depth] = self.subset(keep)
-        return self._upto[depth]
+        """The walks of length at most ``depth``: views of the leading
+        walks and pairs, as walks are ordered by length and pairs by walk."""
+        n = int(np.searchsorted(self.length, depth, side="right"))
+        m = int(np.searchsorted(self.pair_walk, n))
+        return self._part(slice(n), slice(m), self.pair_walk[:m])
 
 
 def _extend(columns, blocks) -> None:
@@ -408,12 +413,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ends = np.cumsum(counts)
     return (np.arange(ends[-1] if len(ends) else 0)
             + np.repeat(starts - ends + counts, counts))
-
-
-def _distinct(nodes: np.ndarray) -> np.ndarray:
-    """Rows whose node ids (padding -1 aside) are pairwise distinct."""
-    nodes = np.sort(nodes, axis=1)
-    return ~((nodes[:, 1:] == nodes[:, :-1]) & (nodes[:, 1:] >= 0)).any(axis=1)
 
 
 def _padded(lists, dtype) -> np.ndarray:
@@ -473,6 +472,8 @@ def _check_prefixes(proto: Protograph, max_len: int, cap: int) -> None:
                else [list(map(len, proto.var_edges))])
     if sum(m * (m - 1) // 2 for row in degrees for m in row) > cap:
         raise overflow
+    if max_len == 2:  # the first level is the whole count
+        return
     n = proto.n_edges
     ids = np.arange(n)
     edge_check = np.array(proto.edge_check)
@@ -529,13 +530,12 @@ def enumerate_closed_walks(
     edge_check = np.array(proto.edge_check)
     # follow[p % 2][e]: the edges that may come after e at position p of a
     # walk (from e's variable after an even p, from its check after an odd
-    # one), e itself left out, padded with -1
-    follow = [
-        _padded([[f for f in proto.var_edges[v] if f != e]
-                 for e, v in enumerate(proto.edge_var)], dtype),
-        _padded([[f for f in proto.check_edges[c] if f != e]
-                 for e, c in enumerate(proto.edge_check)], dtype),
-    ]
+    # one), e itself left out, padded with -1; a 2-walk reads no check side
+    follow = [_padded([[f for f in proto.var_edges[v] if f != e]
+                       for e, v in enumerate(proto.edge_var)], dtype)]
+    if max_len > 2:
+        follow.append(_padded([[f for f in proto.check_edges[c] if f != e]
+                               for e, c in enumerate(proto.edge_check)], dtype))
     found: dict[int, list[np.ndarray]] = {}  # length -> canonical words
     starts = np.arange(n_edges, dtype=dtype)[:, None]
     stack = [starts[lo:lo + _BLOCK] for lo in range(0, n_edges, _BLOCK)]

@@ -656,6 +656,37 @@ def test_wide_base_matrix_exits_3_at_the_prefix_cap_in_bounded_memory(
     assert "prefixes" in err
 
 
+def test_wide_base_matrix_constructs_at_depth_2_in_bounded_time_and_memory(
+        tmp_path, capsys, monkeypatch):
+    # 40 000 edges, each check of degree 20 000: a 2-walk reads only the
+    # variable side, so no check-side successor table (sum of deg^2 = 8e8
+    # entries) and no prefix count past the first level
+    import nbqc.lift
+
+    peaks = []
+    enumerate_closed_walks = nbqc.lift.enumerate_closed_walks
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return enumerate_closed_walks(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(nbqc.lift, "enumerate_closed_walks", traced)
+    (tmp_path / "wide.txt").write_text(("1 " * 20000 + "\n") * 2)
+    argv = ["construct", "--proto", str(tmp_path / "wide.txt"), "--Z", "3",
+            "--q", "4", "--ace-b", "0", "--ace-nb", "0", "--seed", "1",
+            "--out", str(tmp_path / "code.json")]
+    start = time.process_time()
+    assert main(argv) == EXIT_OK
+    assert time.process_time() - start < 20
+    # about 4 MiB; the check-side table alone held 77 MiB at 2000 columns
+    assert len(peaks) == 1 and peaks[0] < 32 << 20
+    assert capsys.readouterr().out.startswith("binary spectrum (depth 2): (inf)")
+
+
 def test_walk_enumerations_per_command(tmp_path, proto_file, capsys,
                                        monkeypatch):
     import importlib

@@ -1,3 +1,7 @@
+import enum
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -52,12 +56,21 @@ def test_wrong_degree_poly_rejected():
         Field(4, 0b1011)
 
 
+class _Code(enum.IntEnum):
+    TWO = 2
+
+
 @pytest.mark.parametrize("value, lo, hi, ok", [
     (3, 0, None, True), (np.int64(3), 0, 3, True), (2**80, 1, None, True),
     (3, 3, 3, True), (2, 3, 3, False), (4, 0, 3, False), (-1, 0, None, False),
     (True, 0, None, False), (np.True_, 0, None, False), (1.0, 0, None, False),
     (np.float64(2.0), 0, None, False), ("1", 0, None, False),
     ([1], 0, None, False), (None, 0, None, False),
+    # an exact int and every other integer type, each side of the range
+    (False, 0, None, False), (np.bool_(False), 0, None, False),
+    (np.int32(-1), 0, None, False), (np.uint8(255), 0, 255, True),
+    (_Code.TWO, 0, 2, True), (_Code.TWO, 3, None, False),
+    (Fraction(2), 0, None, False), (Decimal(2), 0, None, False),
 ])
 def test_checked_int_takes_integers_in_range_only(value, lo, hi, ok):
     if ok:

@@ -447,7 +447,6 @@ def test_compiled_minimality_matches_chordless_oracle(data):
         _assert_minimality_matches_oracle(sub, code)
         ids = rng.permutation(len(sub))[:rng.integers(0, len(sub) + 1)]
         _assert_chords_match_oracle(sub, proto, ids)
-    assert table.upto(depth - 2) is table.upto(depth - 2)
 
 
 def _assert_chords_match_oracle(table: WalkTable, proto, ids):
@@ -592,6 +591,22 @@ def _assert_same_walks(got: WalkTable, want: WalkTable, proto):
     assert np.array_equal(
         sums[got.pair_walk, got.p2] - sums[got.pair_walk, got.p1],
         (pair_coef * on_rows[got.pair_walk]).sum(axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_base_matrices(), depth=st.sampled_from([2, 4, 6, 8]))
+def test_upto_is_the_leading_slice_of_the_length_subset(rows, depth):
+    # walks are ordered by length and pairs by walk, so each depth's table
+    # is a view of the leading walks and pairs, equal to the masked copy
+    table = enumerate_closed_walks(from_base_matrix(rows), depth)
+    for d in range(0, depth + 3):
+        got, want = table.upto(d), table.subset(table.length <= d)
+        for name in ("rows", "length", "ace", "simple_minimal", "pair_walk",
+                     "p1", "p2"):
+            view, copy = getattr(got, name), getattr(want, name)
+            assert view.dtype == copy.dtype and np.array_equal(view, copy)
+            assert np.shares_memory(view, getattr(table, name)) or not len(view)
+        assert got == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 import time
 import tracemalloc
 from unittest import mock
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import nbqc.cli
 import nbqc.optimize
 from nbqc.cli import EXIT_CONSTRAINT, main
 from nbqc.gf import Field
@@ -29,6 +29,7 @@ from nbqc.optimize import (
     _order_violations,
     assign_labels,
     assign_shifts,
+    construct,
     find_problematic_binary,
     spectrum_search,
 )
@@ -169,7 +170,7 @@ def test_spectrum_search_rejects_more_parallel_edges_than_z(gf4):
         spectrum_search(proto, 2, gf4, OptimizerConfig(rng_seed=1), max_depth=4)
     res = spectrum_search(proto, 3, gf4, OptimizerConfig(rng_seed=1),
                           max_depth=4)
-    _check_collisions(res.best.code)
+    _check_collisions(res.code)
 
 
 def test_large_z_failure_report_and_memory(tmp_path, capsys, monkeypatch):
@@ -186,7 +187,7 @@ def test_large_z_failure_report_and_memory(tmp_path, capsys, monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    monkeypatch.setattr(nbqc.cli, "assign_shifts", traced)
+    monkeypatch.setattr(nbqc.optimize, "assign_shifts", traced)
     proto = tmp_path / "parallel.txt"
     proto.write_text("2 2\n1 1\n")
     argv = ["construct", "--proto", str(proto), "--Z", "4096", "--q", "4",
@@ -353,17 +354,21 @@ def test_spectrum_search_acyclic_all_inf(gf16):
     ring = ring_protograph(4)  # girth 8: nothing up to depth 4
     cfg = OptimizerConfig(rng_seed=1)
     res = spectrum_search(ring, 3, gf16, cfg, max_depth=4)
-    assert res.best.binary.to_list() == [INF, INF]
-    assert res.best.nb.to_list() == [INF, INF]
+    assert res.binary.to_list() == [INF, INF]
+    assert res.nb.to_list() == [INF, INF]
 
 
 def test_spectrum_search_toy_dominates_baseline(gf16):
     proto = from_base_matrix([[1, 1, 1], [1, 1, 1]])
     cfg = OptimizerConfig(rng_seed=12)
     res = spectrum_search(proto, 4, gf16, cfg, max_depth=8)
-    first = res.candidates[0]
-    assert res.best.binary.dominates(first.binary) or res.best.binary == first.binary
-    assert res.best.nb.dominates(first.nb) or res.best.nb == first.nb
+    # the search's first attempt: unconstrained at depth 4, under its seed
+    first = construct(proto, 4, gf16, AceConstraint.all_zero(4),
+                      AceConstraint.all_zero(4),
+                      replace(cfg, rng_seed=(12 * 1_000_003 + 1) % 2**63))
+    assert res.binary.depth == 8 > first.binary.depth
+    assert res.binary.dominates(first.binary)
+    assert res.nb.dominates(first.nb)
     # exhaustive oracle at depth 4: some assignment avoids lifted 4-cycles,
     # so the search must have found tau_4 = inf on the binary side
     achievable_inf4 = False
@@ -373,23 +378,10 @@ def test_spectrum_search_toy_dominates_baseline(gf16):
             achievable_inf4 = True
             break
     assert achievable_inf4
-    assert res.best.binary.values[4] == INF
-    # every reported candidate re-verifies
-    for cand in res.candidates:
-        assert binary_ace_spectrum(cand.code, cand.binary.depth) == cand.binary
-        assert nb_ace_spectrum(cand.code, cand.nb.depth) == cand.nb
-    # pareto set contains no dominated pairs
-    for a in res.candidates:
-        for b in res.candidates:
-            if a is b:
-                continue
-            assert not (
-                a.binary.dominates(b.binary)
-                and a.nb.dominates(b.nb)
-                and not (
-                    b.binary.dominates(a.binary) and b.nb.dominates(a.nb)
-                )
-            )
+    assert res.binary.values[4] == INF
+    # the returned candidate re-verifies
+    assert binary_ace_spectrum(res.code, res.binary.depth) == res.binary
+    assert nb_ace_spectrum(res.code, res.nb.depth) == res.nb
 
 
 def test_spectrum_search_deterministic(gf16):
@@ -397,9 +389,9 @@ def test_spectrum_search_deterministic(gf16):
     cfg = OptimizerConfig(rng_seed=12)
     r1 = spectrum_search(proto, 4, gf16, cfg, max_depth=6)
     r2 = spectrum_search(proto, 4, gf16, cfg, max_depth=6)
-    assert r1.best.binary == r2.best.binary
-    assert r1.best.nb == r2.best.nb
-    assert r1.best.code.to_json_dict() == r2.best.code.to_json_dict()
+    assert r1.binary == r2.binary
+    assert r1.nb == r2.nb
+    assert r1.code.to_json_dict() == r2.code.to_json_dict()
 
 
 def test_spectrum_search_reaches_reference_pair(ensemble1_matrix, gf16):
@@ -408,8 +400,8 @@ def test_spectrum_search_reaches_reference_pair(ensemble1_matrix, gf16):
                           max_depth=12)
     target_b = AceConstraint.parse("inf,inf,inf,4")
     target_nb = AceConstraint.parse("inf,inf,inf,inf,inf,4")
-    assert res.best.binary.achieves(target_b)
-    assert res.best.nb.achieves(target_nb)
+    assert res.binary.achieves(target_b)
+    assert res.nb.achieves(target_nb)
 
 
 def _random_protograph(rng):
