@@ -441,10 +441,9 @@ class QspaDecoder:
             _normalize(m_vc)
             _normalize(np.multiply(self._prior_var, self._total, out=posterior))
             hard = posterior.argmax(axis=1)[self.var_rank]
-            if self.syndrome_is_zero(hard):
-                return DecodeResult(hard, True, it)
-            if it == max_iters:
-                return DecodeResult(hard, False, it)
+            converged = self.syndrome_is_zero(hard)
+            if converged or it == max_iters:
+                break
 
             np.take(self._m_vc, self.to_check_flat, out=self._sym, mode="clip")
             spec = fwht(self._sym.T, self._fwd)
@@ -455,7 +454,7 @@ class QspaDecoder:
                     out=m_cv, mode="clip")
             m_cv /= q
             _normalize(m_cv)
-        raise AssertionError("unreachable")
+        return DecodeResult(hard, converged, it)
 
 
 def qspa_decode(

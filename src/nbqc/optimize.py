@@ -36,6 +36,7 @@ as ``OptimizeResult.achieved``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -57,7 +58,8 @@ from .lift import (  # lift_cycle, lift_is_minimal: traced by perfbench/spans.py
     walk_table,
 )
 # enumerate_closed_walks: traced by perfbench/spans.py
-from .protograph import Protograph, WalkTable, _ranges, enumerate_closed_walks
+from .protograph import (Protograph, WalkTable, _ranges, enumerate_closed_walks,
+                         signed_sums)
 
 
 @dataclass
@@ -157,18 +159,15 @@ _BLOCK = 1 << 14
 def _edge_counts(table: WalkTable):
     """Each edge on each walk, in (edge, walk) order: the walk, the edge
     and its signed count over the walk's positions before p, for every p
-    up to the row width (the last column counts the whole walk)."""
+    up to the row width (the last column counts the whole walk), which are
+    the walk's prefix sums of the edge's one-hot values."""
     n, width = table.rows.shape
     walk, pos = np.nonzero(np.arange(width) < table.length[:, None])
     edge = table.rows[walk, pos]
     # return_index also keeps numpy.ma (1.4 MiB of RSS) from being imported
     _, first = np.unique(edge.astype(np.int64) * n + walk, return_index=True)
     walk, edge = walk[first], edge[first]
-    sign = np.where(np.arange(width) % 2, -1, 1).astype(np.int16)
-    counted = np.zeros((len(walk), width + 1), np.int16)
-    np.cumsum((table.rows[walk] == edge[:, None]) * sign, axis=1,
-              dtype=np.int16, out=counted[:, 1:])
-    return walk, edge, counted
+    return walk, edge, signed_sums(table.rows[walk] == edge[:, None], np.int16)
 
 
 class _Tracker:
@@ -194,7 +193,7 @@ class _Tracker:
     e's rows, so a sweep step reads one row of counts.  Moving edge e
     leaves e's own rows valid; only the rows its walks have on other edges
     are evaluated again, and their change is added to those edges' counts.
-    The counts are filled when a sweep first reads them.
+    ``reset`` fills both for the values it starts from.
 
     Subclasses give the starting functionals and violations in ``_start``
     and judge moved values in ``_judge``.
@@ -254,7 +253,10 @@ class _Tracker:
         self.values = values
         self.cur, self.violated = self._start(values)
         self.total = int(self.violated.sum())
-        self.viol = self.counts = None
+        self.viol = np.zeros((len(self.rows), self.n_values), bool)
+        self.counts = np.zeros((len(self.spans), self.n_values), np.int32)
+        for b in self._blocks(len(self.rows)):
+            self._update(b, self.rows[b])
 
     def _evaluate(self, rows: np.ndarray) -> np.ndarray:
         """(rows, values): whether each row's walk violates with the row's
@@ -281,12 +283,6 @@ class _Tracker:
                   change.ravel())
         self.viol[ids] = new
 
-    def _fill(self) -> None:
-        self.viol = np.zeros((len(self.rows), self.n_values), bool)
-        self.counts = np.zeros((len(self.spans), self.n_values), np.int32)
-        for b in self._blocks(len(self.rows)):
-            self._update(b, self.rows[b])
-
     def _span(self, e: int):
         return self.spans[e] if e < len(self.spans) else None
 
@@ -294,8 +290,6 @@ class _Tracker:
         """Violation count among the walks edge e moves, per candidate value."""
         if self._span(e) is None:
             return None
-        if self.viol is None:
-            self._fill()
         return int(self.values[e]), self.counts[e]
 
     def _move(self, f, factor, delta: int) -> None:
@@ -305,10 +299,8 @@ class _Tracker:
         x = int(self.values[e])
         if y == x:
             return
-        span = self._span(e)
-        if span is not None and self.viol is None:
-            self._fill()
         self.values[e] = y
+        span = self._span(e)
         if span is None:
             return
         lo, hi, t0, t1 = span
@@ -446,9 +438,10 @@ def _optimize(tracker: _Tracker, n_edges: int, cfg: OptimizerConfig,
               history: list | None) -> OptimizeResult:
     """Seeded restarts of edge sweeps, shared by both stages.
 
-    Each restart draws the initial values, then the edge order.  With
-    permanent violations no assignment can succeed, so a single restart
-    produces the best-effort failure report.
+    Each restart draws the initial values, then the edge order.  The
+    result reports the best restart, the first clean one ending the loop.
+    With permanent violations no assignment can succeed, so a single
+    restart produces the best-effort failure report.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     restarts = 1 if tracker.n_permanent > 0 else cfg.max_restarts
@@ -464,24 +457,17 @@ def _optimize(tracker: _Tracker, n_edges: int, cfg: OptimizerConfig,
         tracker.reset(values)  # the tracker moves ``values`` in place
         if tracker.total > 0 and tracker.n_permanent < tracker.n:
             sweeps_total += _sweep(tracker, order, cfg.max_sweeps, history)
-        if tracker.total == 0:
-            return OptimizeResult(
-                success=True,
-                assignment={e: int(values[e]) for e in range(n_edges)},
-                residual=0,
-                sweeps_used=sweeps_total,
-                restarts_used=restart,
-                worst_cycle=None,
-            )
         if best is None or tracker.total < best[0]:
             best = (tracker.total, values.copy(), tracker.worst_violated())
+        if tracker.total == 0:
+            break
     residual, values, worst = best
     return OptimizeResult(
-        success=False,
+        success=residual == 0,
         assignment={e: int(values[e]) for e in range(n_edges)},
         residual=residual,
         sweeps_used=sweeps_total,
-        restarts_used=restarts,
+        restarts_used=restart,
         worst_cycle=worst,
     )
 
@@ -613,6 +599,9 @@ def _raise_to(nb: AceConstraint, b: AceConstraint) -> AceConstraint:
     return AceConstraint(nb.depth, vals)
 
 
+_MAX_ROUNDS = 200
+
+
 def spectrum_search(
     proto: Protograph,
     Z: int,
@@ -620,18 +609,17 @@ def spectrum_search(
     cfg: OptimizerConfig,
     max_depth: int,
     lambda_mult: int | None = None,
-    max_rounds: int = 200,
 ) -> SearchCandidate:
     """Greedy search for a good achievable constraint pair.
 
     Starts from the spectra of an unconstrained (random) construction, then
     repeatedly tries to raise the smallest finite component of the NB or
     binary constraint by one, or to extend the depth by two, keeping each
-    amendment that still constructs.  Each attempt is one :func:`construct`
-    with its own seed.  An adopted bump achieves the previous spectra with
-    one value raised, and a depth step keeps every shallower value, so each
-    adopted candidate dominates the one before it and the last one is
-    returned.
+    amendment that still constructs, for at most ``_MAX_ROUNDS`` rounds.
+    Each attempt is one :func:`construct` with its own seed.  An adopted
+    bump achieves the previous spectra with one value raised, and a depth
+    step keeps every shallower value, so each adopted candidate dominates
+    the one before it and the last one is returned.
     """
     checked_depth(max_depth, "max_depth")
     # with distinct shifts available, the unconstrained attempt succeeds in
@@ -640,13 +628,11 @@ def spectrum_search(
     walk_table(proto, max_depth)  # one enumeration for every attempt
     depth = min(4, max_depth)
 
-    attempt_idx = 0
+    seeds = ((cfg.rng_seed * 1_000_003 + i) % (1 << 63)
+             for i in itertools.count(1))
 
     def attempt(tb: AceConstraint, tnb: AceConstraint) -> SearchCandidate | None:
-        nonlocal attempt_idx
-        attempt_idx += 1
-        sub = replace(cfg, rng_seed=(cfg.rng_seed * 1_000_003 + attempt_idx)
-                      % (1 << 63))
+        sub = replace(cfg, rng_seed=next(seeds))
         try:
             return construct(proto, Z, field, tb, tnb, sub, lambda_mult)
         except ConstructionFailure:
@@ -656,7 +642,7 @@ def spectrum_search(
     if current is None:
         raise RuntimeError("unconstrained construction cannot fail")
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         adopted = None
         target = _smallest_finite(current.nb)
         if target is not None:

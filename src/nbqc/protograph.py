@@ -327,12 +327,7 @@ class WalkTable(Sequence):
         ``gf.MAX_Z``, label exponents), so every sum fits int32.
         """
         ext = np.append(np.asarray(values, np.int32), np.int32(0))
-        rows = self.rows[ids]
-        sums = np.zeros((len(rows), rows.shape[1] + 1), np.int32)
-        sums[:, 1:] = ext[rows]
-        sums[:, 2::2] *= -1
-        np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
-        return sums
+        return signed_sums(ext[self.rows[ids]], np.int32)
 
     def chords(self, proto: Protograph, ids: np.ndarray):
         """The chords of the lifts of walks ``ids``, as ``(k, a, b, edge)``
@@ -390,6 +385,17 @@ class WalkTable(Sequence):
         n = int(np.searchsorted(self.length, depth, side="right"))
         m = int(np.searchsorted(self.pair_walk, n))
         return self._part(slice(n), slice(m), self.pair_walk[:m])
+
+
+def signed_sums(terms: np.ndarray, dtype) -> np.ndarray:
+    """``P[k, p]``: the per-position ``terms`` of row k summed over the
+    positions before p, + at even positions and - at odd ones (a walk's
+    traversal signs), as ``dtype``, shape ``(rows, width + 1)``."""
+    sums = np.zeros((len(terms), terms.shape[1] + 1), dtype)
+    sums[:, 1:] = terms
+    sums[:, 2::2] *= -1
+    np.cumsum(sums[:, 1:], axis=1, dtype=dtype, out=sums[:, 1:])
+    return sums
 
 
 def _extend(columns, blocks) -> None:

@@ -529,6 +529,58 @@ def test_trackers_match_lift_cycle_recount(seed):
                    rng, q1, count_steps=count_steps)
 
 
+def _check_coefficients(tracker, n_edges, live, with_pairs):
+    """Each (walk, edge) row's coefficients are the walk's prefix sums of
+    the edge's one-hot values: the last column for the walk's total and,
+    with pairs, the difference at each pair's two visits for its terms.
+    A live walk has a row on exactly the edges that move one of them."""
+    table, n, V = tracker.table, tracker.n, tracker.n_values
+    row_of = {(w, e): r for r, (w, e)
+              in enumerate(tracker.rows[:, :2].tolist())}
+    assert len(row_of) == len(tracker.rows)  # one row per (walk, edge)
+    pairs_of = [np.flatnonzero(table.pair_walk == w) if with_pairs
+                else np.empty(0, np.intp) for w in range(n)]
+    for e in range(n_edges):
+        sums = table.prefix_sums(np.arange(n_edges) == e)
+        diff = (sums[table.pair_walk, table.p2]
+                - sums[table.pair_walk, table.p1])
+        moved = [live[w] and (sums[w, -1] != 0 or diff[pairs_of[w]].any())
+                 for w in range(n)]
+        assert {w for w, e2 in row_of if e2 == e} == set(np.flatnonzero(moved))
+        for w in np.flatnonzero(moved).tolist():
+            _, _, coef, ring, per, first = tracker.rows[row_of[w, e]].tolist()
+            assert coef == sums[w, -1]
+            terms = tracker.terms[first:first + per]
+            assert terms[:, 0].tolist() == (n + pairs_of[w]).tolist()
+            assert terms[:, 1].tolist() == diff[pairs_of[w]].tolist()
+            for c, k in [(coef, ring), *terms[:, 1:].tolist()]:
+                assert (tracker.ring[k] == c * np.arange(V) % V).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tracker_coefficients_are_one_hot_prefix_sums(data):
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    proto = _random_protograph(rng)
+    depth = draw(st.sampled_from([2, 4, 6]))
+    Z = draw(st.integers(1, 12))
+    # every realized lift within the depth is problematic
+    constraint = AceConstraint(depth, dict.fromkeys(range(2, depth + 1, 2),
+                                                    INF))
+    table = enumerate_closed_walks(proto, depth)
+    _check_coefficients(_ShiftTracker(table, Z, constraint), proto.n_edges,
+                        np.ones(len(table), bool), with_pairs=True)
+    shifts = draw(st.lists(st.integers(0, Z - 1), min_size=proto.n_edges,
+                           max_size=proto.n_edges))
+    code = QcCode(proto, Z, Field(draw(st.integers(1, 4))),
+                  dict(enumerate(shifts)))
+    tracker = _LabelTracker(code, table, constraint)
+    # only cancelable walks, whose modulus exceeds 1, keep rows
+    _check_coefficients(tracker, proto.n_edges, tracker.mod > 1,
+                        with_pairs=False)
+
+
 def _constraint(draw, depth):
     return AceConstraint(depth, {
         ll: draw(st.sampled_from([0, 1, 2, 3, 4, INF]))
