@@ -423,7 +423,7 @@ def _sweep(tracker, order: np.ndarray, max_sweeps: int,
             ev = tracker.eval_edge(e)
             if ev is not None:
                 x, counts = ev
-                best_y = int(np.argmin(counts))  # argmin takes the smallest tie
+                best_y = int(counts.argmin())  # argmin takes the smallest tie
                 if best_y != x:
                     tracker.apply(e, best_y)
                     changed = True

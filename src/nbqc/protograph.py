@@ -12,21 +12,24 @@ shorter closed walk lifts to retraced copies of the shorter walk's lift and
 carries no extra information.
 
 The enumeration is array work.  The prefixes of all start edges grow
-together, a level at a time through padded successor tables, and a closed
-word is kept when it is the least even rotation of itself and of its
-reversal and equals none of its proper even rotations, so every class
-appears once without a set of seen words.  The work is capped by a count
-of the prefixes the enumeration would grow, taken before it grows any.
+together, a level at a time through padded successor tables; the last open
+level keeps only the prefixes that the last level can close, read from each
+base cell's two largest edge ids.  A closed word is kept when it is the
+least even rotation of itself and of its reversal and equals none of its
+proper even rotations, so every class appears once without a set of seen
+words.  The work is capped by a count of the prefixes the enumeration would
+grow without that prune, taken before it grows any.
 
 The result is the one form walks take from enumeration to the optimizer's
 trackers, a :class:`WalkTable`: padded edge rows with length, ACE and the
 simple-minimal flag per walk, and each pair of visits to one node as visit
 positions, all as arrays.  Every quantity a lift depends on is a difference
 of two per-walk prefix sums of the edge values, read at visit positions.
-It builds a :class:`CycleRecord` only for the walk asked for.  The node
-arrays a compile reads are built once per protograph and the position
-masks once per row width, so a one-row table (as ``lift.lift_cycle``
-compiles) costs little more than its row.
+It builds a :class:`CycleRecord` only for the walk asked for.  A compile
+compares the nodes of same-side visit positions, a block of walks at a
+time sized from the row width.  The node arrays it reads are built once
+per protograph and the position pairs once per row width, so a one-row
+table (as ``lift.lift_cycle`` compiles) costs little more than its row.
 """
 
 from __future__ import annotations
@@ -123,25 +126,27 @@ class Protograph:
 
     @functools.cached_property
     def node_arrays(self) -> tuple[np.ndarray, ...]:
-        """The node tables a walk-table compile reads, built once.
+        """The node tables the enumeration and a table compile read, built once.
 
         Per edge id, the padding id last: its check and variable (-1).  Per
         node id, the padding id -1 last: a variable's ACE term, the base
-        matrix cells (0) and each cell's edge ids (padded with -1).
-        Read-only.
+        matrix cells (0), each cell's edge ids (padded with -1) and its two
+        largest edge ids, largest first (padded with -1).  Read-only.
         """
         node_of = np.array([self.edge_check + [-1], self.edge_var + [-1]])
         ace_of = np.array([len(es) - 2 for es in self.var_edges] + [0])
         cells = np.zeros((self.n_checks + 1, self.n_vars + 1), np.int32)
         cells[:-1, :-1] = self.base_matrix()
         cell_edges = np.full(cells.shape + (cells.max(),), -1, np.int32)
+        top_two = np.full(cells.shape + (2,), -1, np.int32)
         filled = np.zeros_like(cells)
         for e, (c, v) in enumerate(zip(self.edge_check, self.edge_var)):
             cell_edges[c, v, filled[c, v]] = e
             filled[c, v] += 1
-        for a in (node_of, ace_of, cells, cell_edges):
+            top_two[c, v] = e, top_two[c, v, 0]  # ids arrive in order
+        for a in (node_of, ace_of, cells, cell_edges, top_two):
             a.flags.writeable = False
-        return node_of, ace_of, cells, cell_edges
+        return node_of, ace_of, cells, cell_edges, top_two
 
     def __repr__(self) -> str:
         return (
@@ -221,19 +226,20 @@ DEFAULT_PREFIX_CAP = 1 << 24
 # the longest walk the enumeration accepts; rows are at most this wide
 MAX_WALK_LEN = 512
 _BLOCK = 4096  # prefixes per array step; bounds the temporaries
-_CHUNK = 256  # walks per table step; bounds the temporaries
+_CHUNK = 256  # walks per chord step; bounds the temporaries
+_TABLE_CELLS = 1 << 16  # (walks x width^2) per table-compile step
 _CELLS = 1 << 18  # (start edges x edges) per prefix-count step
 
 
 @functools.lru_cache(maxsize=8)
-def _position_masks(width: int):
-    """Per row width: each position's parity and the same-side position
-    pairs ``later[p1, p2]`` with p1 < p2.  Read-only."""
+def _pair_positions(width: int):
+    """Per row width: each position's parity, and the same-side position
+    pairs ``p1 < p2`` in (p1, p2) order.  Read-only."""
     parity = np.arange(width) % 2
-    later = np.triu(parity[:, None] == parity, 1)
-    for a in (parity, later):
+    p1, p2 = np.nonzero(np.triu(parity[:, None] == parity, 1))
+    for a in (parity, p1, p2):
         a.flags.writeable = False
-    return parity, later
+    return parity, p1, p2
 
 
 def _edge_dtype(n_edges: int):
@@ -280,23 +286,24 @@ class WalkTable(Sequence):
         self.rows = rows = np.asarray(rows, _edge_dtype(proto.n_edges))
         self.length = length = np.asarray(length, np.int32)
         n, width = rows.shape
-        parity, later = _position_masks(width)
-        node_of, ace_of, cells, _ = proto.node_arrays
+        parity, p1, p2 = _pair_positions(width)
+        node_of, ace_of, cells, *_ = proto.node_arrays
         # a simple walk visits at most this many checks and variables
         most = min(proto.n_checks, proto.n_vars)
         self.ace = np.empty(n, np.int32)
         self.simple_minimal = np.zeros(n, bool)
         pairs = ([np.empty(0, np.int32)], [np.empty(0, np.int16)],
                  [np.empty(0, np.int16)])
-        for lo in range(0, n, _CHUNK):
-            block, k = rows[lo:lo + _CHUNK], length[lo:lo + _CHUNK]
+        step = max(1, _TABLE_CELLS // width**2)  # walks per block
+        for lo in range(0, n, step):
+            block, k = rows[lo:lo + step], length[lo:lo + step]
             # the node visited before each position, -1 on the padding
             nodes = node_of[parity, block]
             checks, vars_ = nodes[:, 0::2], nodes[:, 1::2]
-            self.ace[lo:lo + _CHUNK] = ace_of[vars_].sum(axis=1)
-            same = (nodes[:, :, None] == nodes[:, None, :]) & later & (nodes >= 0)[:, :, None]
-            i, p1, p2 = np.unravel_index(np.flatnonzero(same), same.shape)
-            _extend(pairs, (i + lo, p1, p2))
+            self.ace[lo:lo + step] = ace_of[vars_].sum(axis=1)
+            first = nodes[:, p1]
+            i, j = np.nonzero((first == nodes[:, p2]) & (first >= 0))
+            _extend(pairs, (i + lo, p1[j], p2[j]))
             simple = k >= 4
             simple[i] = False  # a pair is a node visited twice
             simple = np.flatnonzero(simple)
@@ -342,7 +349,7 @@ class WalkTable(Sequence):
         lift rules out.)  A simple minimal walk has no chords.
         """
         ids = np.asarray(ids, np.int64)
-        node_of, _, _, cell_edges = proto.node_arrays
+        node_of, _, _, cell_edges, _ = proto.node_arrays
         found = ([np.empty(0, np.int64)], [np.empty(0, np.int16)],
                  [np.empty(0, np.int16)], [np.empty(0, self.rows.dtype)])
         asked = np.flatnonzero(~self.simple_minimal[ids])
@@ -462,8 +469,11 @@ def _least_of_class(words: np.ndarray) -> np.ndarray:
 def _check_prefixes(proto: Protograph, max_len: int, cap: int) -> None:
     """Raise before an enumeration that would create more than ``cap`` prefixes.
 
-    Counts the prefixes the enumeration grows, level by level for a block of
-    start edges at a time: ``counts[i, e]`` is the number from the block's
+    Counts the prefixes the enumeration would grow without its closing prune
+    (at the last open level it keeps only the prefixes the last level can
+    close), an upper bound on what it grows, so the cap decides the same
+    with or without the prune.  The count runs level by level for a block
+    of start edges at a time: ``counts[i, e]`` is the number from the block's
     i-th start edge e0 ending in edge e.  A level moves each count on to the
     other edges at the node its edge turns at (its variable after an even
     position, its check after an odd one) through per-node sums, restricted
@@ -517,13 +527,17 @@ def enumerate_closed_walks(
     of every start edge e0 grow over edges >= e0 in one loop that reads e0
     per row, a level at a time, as ``(prefixes, k)`` arrays in blocks of at
     most ``_BLOCK`` rows, depth first, so the memory held does not grow with
-    the depth.  The closed words of each level are kept when they are the
-    least even rotation of themselves and their reversal and primitive
+    the depth.  The last open level (position ``max_len - 2``) keeps only the
+    prefixes whose variable has an edge f > e0, other than the prefix's
+    last, to e0's check: the others could not close at the last level.  The
+    closed words of each level are kept when they are the least even
+    rotation of themselves and their reversal and primitive
     (:func:`_least_of_class`), so no set of seen words is needed.  Raises
     :class:`WalkEnumerationOverflow`, before any prefix grows, when the
-    enumeration would create more than ``max_prefixes`` prefixes (classes
-    never outnumber prefixes), or when ``max_len`` exceeds
-    :data:`MAX_WALK_LEN`; the result is never silently truncated.
+    unpruned enumeration would create more than ``max_prefixes`` prefixes
+    (the pruned one never creates more, and classes never outnumber
+    prefixes), or when ``max_len`` exceeds :data:`MAX_WALK_LEN`; the result
+    is never silently truncated.
     """
     checked_depth(max_len, "max_len")
     if max_len > MAX_WALK_LEN:
@@ -533,7 +547,8 @@ def enumerate_closed_walks(
     _check_prefixes(proto, max_len, max_prefixes)
     n_edges = proto.n_edges
     dtype = _edge_dtype(n_edges)
-    edge_check = np.array(proto.edge_check)
+    node_of, *_, top_two = proto.node_arrays
+    edge_check = node_of[0]
     # follow[p % 2][e]: the edges that may come after e at position p of a
     # walk (from e's variable after an even p, from its check after an odd
     # one), e itself left out, padded with -1; a 2-walk reads no check side
@@ -555,6 +570,13 @@ def enumerate_closed_walks(
             closes = (edge_check[nxt] == edge_check[e0]) & (nxt != e0)
             if k + 1 == max_len:
                 grow &= closes
+        elif k + 2 == max_len:
+            # the last level closes only by an edge f > e0, f != nxt, of the
+            # cell (e0's check, nxt's variable); its two largest ids decide,
+            # so the gather is (rows, width, 2) at any multiplicity
+            top = top_two[edge_check[e0], node_of[1, nxt]]
+            top1, top2 = top[..., 0], top[..., 1]
+            grow &= ((top1 > e0) & (top1 != nxt)) | (top2 > e0)
         flat = np.flatnonzero(grow)
         grown = np.empty((len(flat), k + 1), dtype)
         grown[:, :k] = prefixes.take(flat // grow.shape[1], axis=0)

@@ -378,7 +378,7 @@ def chords_of_every_walk(table: WalkTable, proto: Protograph):
     """
     width = table.rows.shape[1]
     parity = np.arange(width) % 2
-    node_of, _, _, cell_edges = proto.node_arrays
+    node_of, _, _, cell_edges, _ = proto.node_arrays
     start = np.zeros(len(table) + 1, np.int64)
     found = ([], [], [])
     for i in np.flatnonzero(~table.simple_minimal):

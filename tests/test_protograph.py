@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nbqc.gf import MAX_Z
 from nbqc.protograph import (
     DegreeProfile,
     WalkEnumerationOverflow,
+    WalkTable,
     _check_prefixes,
     _least_of_class,
     degree_profile,
@@ -24,6 +25,7 @@ from oracles import (
     count_closed_walks_by_node_dfs,
     count_prefixes_by_edge_dfs,
     prefix_totals_by_edge_matrices,
+    ring_protograph,
 )
 
 
@@ -271,6 +273,58 @@ def test_enumeration_matches_recursive_dfs_oracle(rows, max_len):
     p = from_base_matrix(rows)
     assert list(enumerate_closed_walks(p, max_len)) == \
         closed_walks_by_edge_dfs(p, max_len)
+
+
+def _pairs_by_visit_loop(p, table):
+    """``(pair_walk, p1, p2)`` by a double loop over each walk's visits:
+    every two positions of one side (checks at even positions, variables at
+    odd ones) that visit one node, in (walk, p1, p2) order."""
+    found = []
+    for w, word in enumerate(table.rows.tolist()):
+        n = int(table.length[w])
+        node = [(p.edge_var if q % 2 else p.edge_check)[word[q]] for q in range(n)]
+        found += [(w, a, b) for a in range(n) for b in range(a + 2, n, 2)
+                  if node[a] == node[b]]
+    columns = np.array(found, np.int64).reshape(-1, 3).T
+    return [c.astype(t) for c, t in zip(columns, (np.int32, np.int16, np.int16))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_multigraph_matrices(),
+       max_len=st.sampled_from([4, 6, 8, 10, 12]))
+def test_pruned_enumeration_and_paired_compile_are_exact(rows, max_len):
+    # cells up to 3 give parallel closing edges and a last open edge inside
+    # the closing cell: the closing prune keeps every word the DFS finds,
+    # and the compile's pairs are every same-side revisit, dtypes included.
+    # Up to 2^17 unpruned prefixes keeps each recursive oracle call short.
+    p = from_base_matrix(rows)
+    try:
+        table = enumerate_closed_walks(p, max_len, max_prefixes=1 << 17)
+    except WalkEnumerationOverflow:
+        assume(False)
+    assert list(table) == closed_walks_by_edge_dfs(p, max_len)
+    for got, want in zip((table.pair_walk, table.p1, table.p2),
+                         _pairs_by_visit_loop(p, table)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_wide_rows_compile_in_bounded_memory():
+    # 300 rows of the 400-edge ring: blocks sized from the width keep the
+    # compile's temporaries small (256-row blocks of 400 x 400 positions
+    # peaked at about 92 MiB)
+    p = ring_protograph(200)
+    ring = list(range(1, 400)) + [0]  # check 0 to var 1, ..., var 0 to check 0
+    rows = np.tile(np.array(ring), (300, 1))
+    tracemalloc.start()
+    try:
+        table = WalkTable(p, rows, np.full(300, 400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert table.simple_minimal.all() and len(table.pair_walk) == 0
+    assert (table.ace == 0).all()
 
 
 def _closed_words(p, max_len):
