@@ -143,8 +143,8 @@ def _cmd_construct(args) -> int:
         field = Field(args.q.bit_length() - 1, args.poly)
         # the unshifted code checks Z, lambda and the protograph, and no
         # cell holds more parallel edges than Z: once, before any search
-        lam = QcCode(proto, args.Z, field, dict.fromkeys(range(proto.n_edges), 0),
-                     None, args.lambda_mult).lambda_mult
+        lam = QcCode(proto, args.Z, field, [0] * proto.n_edges, None,
+                     args.lambda_mult).lambda_mult
         check_parallel_edges(proto, args.Z)
         cfg = OptimizerConfig(
             rng_seed=args.seed,

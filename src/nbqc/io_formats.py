@@ -273,7 +273,7 @@ def write_base_matrix_pair(code: QcCode) -> str:
     """
     proto = code.proto
 
-    def block(values: dict[int, int]) -> list[str]:
+    def block(values: list[int]) -> list[str]:
         cells: list[list[list[int]]] = [
             [[] for _ in range(proto.n_vars)] for _ in range(proto.n_checks)
         ]
@@ -290,10 +290,10 @@ def write_base_matrix_pair(code: QcCode) -> str:
         return out
 
     lines = ["# shifts"]
-    lines += block(code.shifts)
+    lines += block(code.shifts.tolist())
     if code.labels is not None:
         lines.append("# labels")
-        lines += block(code.labels)
+        lines += block(code.labels.tolist())
     return "\n".join(lines) + "\n"
 
 

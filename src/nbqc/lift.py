@@ -161,6 +161,8 @@ AceConstraint = AceSpectrum
 class QcCode:
     """A complete QC code: protograph, lifting order, shifts, labels, field.
 
+    ``shifts`` (in [0, Z-1]) and ``labels`` (exponents in [0, q-2]) are
+    read-only int64 arrays indexed by edge id, checked in one pass each.
     ``labels`` may be None during the binary construction stage; everything
     except NB spectra and NB expansion works without them.
     """
@@ -170,8 +172,8 @@ class QcCode:
         proto: Protograph,
         Z: int,
         field: Field,
-        shifts: dict[int, int],
-        labels: dict[int, int] | None = None,
+        shifts: np.ndarray | list[int],
+        labels: np.ndarray | list[int] | None = None,
         lambda_mult: int | None = None,
     ):
         checked_int(Z, "lifting order Z", 1, MAX_Z)
@@ -188,23 +190,15 @@ class QcCode:
                 f"lambda={lambda_mult} violates (q-1) | lambda*Z "
                 f"(q={field.q}, Z={Z})"
             )
-        if sorted(shifts) != list(range(proto.n_edges)):
-            raise ValueError("every edge needs exactly one shift")
-        for e, d in shifts.items():
-            checked_int(d, f"shift of edge {e}", 0, Z - 1)
-        if labels is not None:
-            if sorted(labels) != list(range(proto.n_edges)):
-                raise ValueError("labels must cover every edge or be absent")
-            for e, rho in labels.items():
-                checked_int(rho, f"label exponent rho of edge {e}", 0, field.q - 2)
         self.proto = proto
         self.Z = Z
         self.field = field
-        self.shifts = dict(shifts)
-        self.labels = dict(labels) if labels is not None else None
+        self.shifts = _edge_values(shifts, proto.n_edges, "shift", Z - 1)
+        self.labels = (None if labels is None else _edge_values(
+            labels, proto.n_edges, "label exponent rho", field.q - 2))
         self.lambda_mult = lambda_mult
 
-    def with_labels(self, labels: dict[int, int]) -> "QcCode":
+    def with_labels(self, labels: np.ndarray | list[int]) -> "QcCode":
         return QcCode(self.proto, self.Z, self.field, self.shifts, labels,
                       self.lambda_mult)
 
@@ -213,16 +207,11 @@ class QcCode:
         return self.proto.n_vars * self.Z
 
     def to_json_dict(self) -> dict:
-        edges = []
-        for e in range(self.proto.n_edges):
-            entry = {
-                "check": self.proto.edge_check[e],
-                "var": self.proto.edge_var[e],
-                "shift": self.shifts[e],
-            }
-            if self.labels is not None:
-                entry["rho"] = self.labels[e]
-            edges.append(entry)
+        edges = [{"check": c, "var": v, "shift": d} for c, v, d in zip(
+            self.proto.edge_check, self.proto.edge_var, self.shifts.tolist())]
+        if self.labels is not None:
+            for entry, rho in zip(edges, self.labels.tolist()):
+                entry["rho"] = rho
         return {
             "field": {"r": self.field.r, "poly": self.field.primitive_poly},
             "Z": self.Z,
@@ -238,11 +227,11 @@ class QcCode:
         rows = _member(d, "base_matrix", list)
         proto = from_base_matrix(_member(rows, i, list, f"base_matrix row {i}")
                                  for i in range(len(rows)))
+        Z = checked_int(d["Z"], "lifting order Z", 1, MAX_Z)
         edges = _member(d, "edges", list)
         if len(edges) != proto.n_edges:
             raise ValueError("edge list length does not match base matrix")
-        shifts = {}
-        labels = {}
+        shifts, labels = [], []
         entries = [_member(edges, i, dict, f"edge {i}") for i in range(len(edges))]
         has_labels = any("rho" in e for e in entries)
         for eid, entry in enumerate(entries):
@@ -250,12 +239,15 @@ class QcCode:
             for key, node in (("check", proto.edge_check[eid]),
                               ("var", proto.edge_var[eid])):
                 checked_int(entry[key], f"edge {eid} {key}", node, node)
-            shifts[eid] = entry["shift"]
+            shifts.append(checked_int(entry["shift"], f"shift of edge {eid}",
+                                      0, Z - 1))
             if has_labels:
                 if "rho" not in entry:
                     raise ValueError("either all edges carry rho or none")
-                labels[eid] = entry["rho"]
-        return cls(proto, d["Z"], field, shifts, labels if has_labels else None,
+                labels.append(checked_int(
+                    entry["rho"], f"label exponent rho of edge {eid}",
+                    0, field.q - 2))
+        return cls(proto, Z, field, shifts, labels if has_labels else None,
                    d["lambda"])
 
     def digest(self) -> str:
@@ -270,6 +262,21 @@ def _member(d, key, kind, name=None):
         name = name or repr(key)
         raise TypeError(f"{name} is {type(value).__name__}, not {kind.__name__}")
     return value
+
+
+def _edge_values(values, n_edges: int, name: str, hi: int) -> np.ndarray:
+    """``values`` as a read-only int64 copy, one integer in [0, hi] per edge;
+    the first value out of range is named by its edge."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu" or values.shape != (n_edges,):
+        raise ValueError(f"{name}: need one integer per edge ({n_edges}), "
+                         f"not a {values.dtype} array of shape {values.shape}")
+    if (bad := (values < 0) | (values > hi)).any():
+        e = int(bad.argmax())
+        checked_int(values[e].item(), f"{name} of edge {e}", 0, hi)
+    values = values.astype(np.int64)
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -323,11 +330,6 @@ def walk_table(proto: Protograph, depth: int) -> WalkTable:
     return table
 
 
-def _edge_vector(values: dict[int, int]) -> np.ndarray:
-    return np.fromiter((values[e] for e in range(len(values))), np.int64,
-                       len(values))
-
-
 def lift_shifts(table: WalkTable, shifts: np.ndarray, Z: int):
     """Total shift, realizability and pair differences, all mod Z."""
     d = np.empty(len(table), np.int64)
@@ -350,7 +352,7 @@ def lift_shifts(table: WalkTable, shifts: np.ndarray, Z: int):
 
 def lift_walks(table: WalkTable, code: QcCode):
     """Total shift, cycle order and realizability of every walk's lift."""
-    d, realized, _ = lift_shifts(table, _edge_vector(code.shifts), code.Z)
+    d, realized, _ = lift_shifts(table, code.shifts, code.Z)
     return d, code.Z // np.gcd(d, code.Z), realized
 
 
@@ -363,9 +365,8 @@ def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
     realizability.  Only meaningful for realized lifts.
     """
     k, a, b, edge = table.chords(code.proto, ids)
-    shifts = _edge_vector(code.shifts)
-    sums = table.prefix_sums(shifts, ids)
-    values = sums[k, b] - sums[k, a] - shifts[edge]
+    sums = table.prefix_sums(code.shifts, ids)
+    values = sums[k, b] - sums[k, a] - code.shifts[edge]
     return realized_lifts(np.gcd(d[ids], code.Z), k, values)
 
 
@@ -384,7 +385,7 @@ def _canceled(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
     """
     ids = np.asarray(ids, dtype=np.int64)
     order = code.Z // np.gcd(d[ids], code.Z)
-    sums = table.prefix_sums(_edge_vector(code.labels), ids)[:, -1]
+    sums = table.prefix_sums(code.labels, ids)[:, -1]
     canceled = (order * sums) % (code.field.q - 1) != 0
     canceled[canceled] = lifts_minimal(table, code, ids[canceled], d)
     return canceled
@@ -496,16 +497,12 @@ def nb_ace_spectrum(code: QcCode, depth: int) -> AceSpectrum:
 
 
 def _check_collisions(code: QcCode) -> None:
-    by_cell: dict[tuple[int, int], dict[int, int]] = {}
-    for e in range(code.proto.n_edges):
-        cell = (code.proto.edge_check[e], code.proto.edge_var[e])
-        seen = by_cell.setdefault(cell, {})
-        d = code.shifts[e]
-        if d in seen:
-            raise ShiftCollisionError(
-                f"edges {seen[d]} and {e} share cell {cell} with equal shift {d}"
-            )
-        seen[d] = e
+    first: dict[tuple[int, int, int], int] = {}
+    for e, key in enumerate(zip(code.proto.edge_check, code.proto.edge_var,
+                                code.shifts.tolist())):
+        if (e0 := first.setdefault(key, e)) != e:
+            raise ShiftCollisionError(f"edges {e0} and {e} share cell "
+                                      f"{key[:2]} with equal shift {key[2]}")
 
 
 def expand(code: QcCode) -> SparseGfMatrix:
@@ -521,9 +518,8 @@ def expand(code: QcCode) -> SparseGfMatrix:
     f, Z, lam = code.field, code.Z, code.lambda_mult
     qm1 = f.q - 1
     entries = []
-    for e in range(code.proto.n_edges):
-        c, v = code.proto.edge_check[e], code.proto.edge_var[e]
-        d, rho = code.shifts[e], code.labels[e]
+    for c, v, d, rho in zip(code.proto.edge_check, code.proto.edge_var,
+                            code.shifts.tolist(), code.labels.tolist()):
         for i in range(Z):
             entries.append(
                 (c * Z + i, v * Z + (i + d) % Z, f.pow_alpha((rho + i * lam) % qm1))
@@ -539,5 +535,5 @@ def expand_binary(code: QcCode) -> SparseGfMatrix:
     This is the expansion of the same shifts over GF(2), where every
     alpha power is 1.
     """
-    zero = {e: 0 for e in range(code.proto.n_edges)}
+    zero = np.zeros(code.proto.n_edges, np.int64)
     return expand(QcCode(code.proto, code.Z, Field(1), code.shifts, zero))

@@ -77,6 +77,7 @@ class OptimizerConfig:
             raise ValueError("edge_order_policy must be 'fixed' or 'shuffled'")
 
 
+# ProblemSet: traced by perfbench/spans.py, whose extractor reads .cycles
 @dataclass
 class ProblemSet:
     """Problematic walks as a walk table."""
@@ -86,8 +87,10 @@ class ProblemSet:
 
 @dataclass
 class OptimizeResult:
+    """A stage's best restart; ``assignment`` is its int64 values by edge id."""
+
     success: bool
-    assignment: dict[int, int]
+    assignment: np.ndarray
     residual: int
     sweeps_used: int
     restarts_used: int
@@ -464,7 +467,7 @@ def _optimize(tracker: _Tracker, n_edges: int, cfg: OptimizerConfig,
     residual, values, worst = best
     return OptimizeResult(
         success=residual == 0,
-        assignment={e: int(values[e]) for e in range(n_edges)},
+        assignment=values,
         residual=residual,
         sweeps_used=sweeps_total,
         restarts_used=restart,

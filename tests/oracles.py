@@ -422,7 +422,7 @@ def lift_chordless(record: CycleRecord, code: QcCode, d: int) -> bool:
     already accounts for every induced copy, so the variable side needs no
     separate pass.
     """
-    proto, Z = code.proto, code.Z
+    proto, Z, shifts = code.proto, code.Z, code.shifts.tolist()
     check_copies: set[tuple[int, int]] = set()
     var_copies: set[tuple[int, int]] = set()
     copy = 0
@@ -430,14 +430,14 @@ def lift_chordless(record: CycleRecord, code: QcCode, d: int) -> bool:
         for p, e in enumerate(record.edge_seq):
             if p % 2 == 0:
                 check_copies.add((proto.edge_check[e], copy))
-                copy = (copy + code.shifts[e]) % Z
+                copy = (copy + shifts[e]) % Z
             else:
                 var_copies.add((proto.edge_var[e], copy))
-                copy = (copy - code.shifts[e]) % Z
+                copy = (copy - shifts[e]) % Z
     for c, i in check_copies:
         cnt = 0
         for e in proto.check_edges[c]:
-            if (proto.edge_var[e], (i + code.shifts[e]) % Z) in var_copies:
+            if (proto.edge_var[e], (i + shifts[e]) % Z) in var_copies:
                 cnt += 1
                 if cnt > 2:
                     return False
@@ -616,12 +616,12 @@ def _optimize_by_edge(tracker: EdgeTracker, n_edges: int,
             sweeps_total += _sweep_by_edge(tracker, order, cfg.max_sweeps,
                                            history)
         if tracker.total == 0:
-            return OptimizeResult(True, dict(enumerate(values.tolist())), 0,
+            return OptimizeResult(True, values, 0,
                                   sweeps_total, restart, None)
         if best is None or tracker.total < best[0]:
             best = (tracker.total, values.copy(), tracker.worst_violated())
     residual, values, worst = best
-    return OptimizeResult(False, dict(enumerate(values.tolist())), residual,
+    return OptimizeResult(False, values, residual,
                           sweeps_total, restarts, worst)
 
 
@@ -664,10 +664,12 @@ class LiftedGraph:
         self.copy_var: list[int] = []
         self.copy_base: list[int] = []
         self.copy_label: list[int] = []
+        shifts = code.shifts.tolist()
+        labels = ([0] * proto.n_edges if code.labels is None
+                  else code.labels.tolist())
         for e in range(proto.n_edges):
             c, v = proto.edge_check[e], proto.edge_var[e]
-            d = code.shifts[e]
-            rho = code.labels[e] if code.labels is not None else 0
+            d, rho = shifts[e], labels[e]
             for i in range(Z):
                 cid = len(self.copy_base)
                 self.copy_check.append(c * Z + i)
@@ -798,7 +800,7 @@ def traverse_lifted_cycle_set(code: QcCode, base_edges: list[int]):
     Follows the circulant index maps copy by copy and returns the list of
     distinct lifted cycles as (length, ace) pairs.
     """
-    proto, Z = code.proto, code.Z
+    proto, Z, shifts = code.proto, code.Z, code.shifts.tolist()
     # orient the base cycle: edge list alternates check->var, var->check
     cycles = []
     visited_states = set()
@@ -815,10 +817,10 @@ def traverse_lifted_cycle_set(code: QcCode, base_edges: list[int]):
             states.append((pos, copy))
             if pos % 2 == 0:
                 # check side -> var side through edge e
-                copy = (copy + code.shifts[e]) % Z
+                copy = (copy + shifts[e]) % Z
                 ace += proto.var_degree(proto.edge_var[e]) - 2
             else:
-                copy = (copy - code.shifts[e]) % Z
+                copy = (copy - shifts[e]) % Z
             pos = (pos + 1) % len(base_edges)
             length += 1
             if pos == 0 and copy == z0:
@@ -836,7 +838,7 @@ def lifted_walk_is_simple(code: QcCode, edge_seq) -> bool:
     ``traverse_lifted_cycle_set`` does, around each lifted cycle and reports
     whether some (node, copy) repeats within one of them.
     """
-    proto, Z = code.proto, code.Z
+    proto, Z, shifts = code.proto, code.Z, code.shifts.tolist()
     started = set()
     for z0 in range(Z):
         if z0 in started:
@@ -847,10 +849,10 @@ def lifted_walk_is_simple(code: QcCode, edge_seq) -> bool:
             e = edge_seq[pos]
             if pos % 2 == 0:
                 state = ("check", proto.edge_check[e], copy)
-                copy = (copy + code.shifts[e]) % Z
+                copy = (copy + shifts[e]) % Z
             else:
                 state = ("var", proto.edge_var[e], copy)
-                copy = (copy - code.shifts[e]) % Z
+                copy = (copy - shifts[e]) % Z
             if state in seen:
                 return False
             seen.add(state)

@@ -64,10 +64,7 @@ def test_criterion_1_cancellation_equivalence_vs_rank():
         lam = min_lambda(q, Z) * int(rng.integers(1, 4))
         shifts = [int(rng.integers(0, Z)) for _ in range(2 * half)]
         rhos = [int(rng.integers(0, q - 1)) for _ in range(2 * half)]
-        code = QcCode(
-            protos[half], Z, field,
-            dict(enumerate(shifts)), dict(enumerate(rhos)), lam,
-        )
+        code = QcCode(protos[half], Z, field, shifts, rhos, lam)
         btilde = lifted_cycle_matrix(half, Z, field, lam, shifts, rhos)
         fast = frc_lifted(records[half], code)
         ground = rank(btilde) == half * Z
@@ -94,7 +91,7 @@ def test_criterion_2_lift_structure_law():
         proto = decorated_ring(half, extra, rng)
         Z = int(rng.integers(1, 13))
         field = fields[int(rng.integers(0, 3))]
-        shifts = {e: int(rng.integers(0, Z)) for e in range(proto.n_edges)}
+        shifts = [int(rng.integers(0, Z)) for _ in range(proto.n_edges)]
         code = QcCode(proto, Z, field, shifts, lambda_mult=field.q - 1)
         rec = [w for w in enumerate_closed_walks(proto, 2 * half)
                if w.length == 2 * half][0]
@@ -138,7 +135,7 @@ def _random_small_code(rng):
         field = Field(q.bit_length() - 1)
         proto = from_base_matrix(mat.tolist())
         for _ in range(50):
-            shifts = {e: int(rng.integers(0, Z)) for e in range(proto.n_edges)}
+            shifts = [int(rng.integers(0, Z)) for _ in range(proto.n_edges)]
             cells = {}
             collision = False
             for e in range(proto.n_edges):
@@ -151,8 +148,8 @@ def _random_small_code(rng):
                 break
         else:
             continue
-        labels = {e: int(rng.integers(0, max(q - 1, 1)))
-                  for e in range(proto.n_edges)}
+        labels = [int(rng.integers(0, max(q - 1, 1)))
+                  for _ in range(proto.n_edges)]
         return QcCode(proto, Z, field, shifts, labels)
 
 
@@ -293,8 +290,8 @@ def _build_reference_pair():
     assert labels.success
     tuned = mother.with_labels(labels.assignment)
     rng = np.random.default_rng(777)
-    random_labels = {e: int(rng.integers(0, 15))
-                     for e in range(proto.n_edges)}
+    random_labels = [int(rng.integers(0, 15))
+                     for _ in range(proto.n_edges)]
     return tuned, mother.with_labels(random_labels)
 
 

@@ -154,7 +154,7 @@ def _recorded(stage: str, fn, constraint_at: int, calls: list):
             "stage": stage,
             "constraint": args[constraint_at].format(),
             "result": res.to_json_dict(),
-            "assignment": [res.assignment[e] for e in sorted(res.assignment)],
+            "assignment": res.assignment.tolist(),
             "history_len": len(history),
             "history_sha256": _sha256(history),
         })

@@ -48,11 +48,7 @@ from oracles import (
 
 def ring_code(half, Z, field, shifts_by_pos, rhos_by_pos=None, lam=None):
     proto = ring_protograph(half)
-    shifts = {e: shifts_by_pos[e] for e in range(2 * half)}
-    labels = None
-    if rhos_by_pos is not None:
-        labels = {e: rhos_by_pos[e] for e in range(2 * half)}
-    return QcCode(proto, Z, field, shifts, labels, lam)
+    return QcCode(proto, Z, field, shifts_by_pos, rhos_by_pos, lam)
 
 
 # ---------------------------------------------------------------- spectra
@@ -93,28 +89,47 @@ def test_spectrum_validation():
 
 
 def test_qccode_validation(gf16, square22):
-    shifts = {e: 0 for e in range(4)}
+    shifts = [0] * 4
     code = QcCode(square22, 9, gf16, shifts)
     assert code.lambda_mult == 5  # (q-1)/gcd(15, 9)
     with pytest.raises(ValueError):
         QcCode(square22, 9, gf16, shifts, lambda_mult=2)
-    with pytest.raises(ValueError):
-        QcCode(square22, 9, gf16, {0: 0})
-    with pytest.raises(ValueError):
-        QcCode(square22, 9, gf16, {e: 9 for e in range(4)})
-    with pytest.raises(ValueError):
-        QcCode(square22, 9, gf16, shifts, {e: 15 for e in range(4)})
+    for bad in ({e: 0 for e in range(4)}, np.zeros(4), np.zeros(4, bool),
+                np.zeros((1, 4), np.int64), [0], [0] * 5):
+        with pytest.raises(ValueError, match="one integer per edge"):
+            QcCode(square22, 9, gf16, bad)
+        with pytest.raises(ValueError, match="one integer per edge"):
+            QcCode(square22, 9, gf16, shifts, bad)
+    # a value out of range is named by its first edge, as checked_int does
+    with pytest.raises(ValueError,
+                       match=r"^shift of edge 2 -1 is not an integer in \[0, 8\]$"):
+        QcCode(square22, 9, gf16, [0, 0, -1, 9])
+    with pytest.raises(ValueError, match=r"^shift of edge 0 9 is not an "):
+        QcCode(square22, 9, gf16, [9] * 4)
+    with pytest.raises(ValueError,
+                       match=r"^label exponent rho of edge 3 15 is not an "):
+        QcCode(square22, 9, gf16, shifts, [0, 14, 0, 15])
+    # read-only copies: the caller's arrays stay the caller's
+    shifts, labels = np.array([3, 1, 4, 2]), np.array([7, 0, 14, 3], np.uint8)
+    code = QcCode(square22, 9, gf16, shifts, labels)
+    digest = code.digest()
+    for values in (code.shifts, code.labels):
+        assert values.dtype == np.int64
+        with pytest.raises(ValueError):
+            values[0] = 1
+    shifts[0] = labels[0] = 5
+    assert code.digest() == digest
+    assert code.with_labels(code.labels).digest() == digest
 
 
 def test_qccode_rejects_degree_one_variables(gf4):
     proto = from_base_matrix([[1, 1], [1, 0]])
     with pytest.raises(ValueError):
-        QcCode(proto, 3, gf4, {e: 0 for e in range(3)})
+        QcCode(proto, 3, gf4, [0] * 3)
 
 
 def test_qccode_json_roundtrip(gf16, square22):
-    code = QcCode(square22, 9, gf16, {0: 3, 1: 1, 2: 4, 3: 2},
-                  {0: 7, 1: 0, 2: 14, 3: 3})
+    code = QcCode(square22, 9, gf16, [3, 1, 4, 2], [7, 0, 14, 3])
     d = code.to_json_dict()
     back = QcCode.from_json_dict(json.loads(json.dumps(d)))
     assert back.to_json_dict() == d
@@ -126,7 +141,8 @@ def test_qccode_json_roundtrip(gf16, square22):
 
 def test_lift_cycle_order_and_count(gf16, square22):
     rec = enumerate_closed_walks(square22, 4)[0]
-    shifts = {rec.edge_seq[i]: s for i, s in enumerate([3, 1, 4, 2])}
+    shifts = np.zeros(4, np.int64)
+    shifts[list(rec.edge_seq)] = [3, 1, 4, 2]
     code = QcCode(square22, 9, gf16, shifts)
     lc = lift_cycle(rec, code)
     assert lc.total_shift == 4
@@ -137,7 +153,8 @@ def test_lift_cycle_order_and_count(gf16, square22):
 
 def test_lift_cycle_zero_total_shift(gf16, square22):
     rec = enumerate_closed_walks(square22, 4)[0]
-    shifts = {rec.edge_seq[i]: s for i, s in enumerate([5, 5, 8, 8])}
+    shifts = np.zeros(4, np.int64)
+    shifts[list(rec.edge_seq)] = [5, 5, 8, 8]
     code = QcCode(square22, 9, gf16, shifts)
     lc = lift_cycle(rec, code)
     assert lc.total_shift == 0
@@ -149,7 +166,7 @@ def test_lift_cycle_ace_scales_with_order(gf16):
     proto = from_base_matrix([[1, 1], [1, 1], [1, 0]])
     rec = [w for w in enumerate_closed_walks(proto, 4) if w.length == 4][0]
     assert rec.ace == 1
-    shifts = dict.fromkeys(range(proto.n_edges), 0)
+    shifts = [0] * proto.n_edges
     shifts[rec.edge_seq[0]] = 1  # total shift 1, gcd(9,1)=1, order 9
     code = QcCode(proto, 9, gf16, shifts)
     lc = lift_cycle(rec, code)
@@ -162,7 +179,7 @@ def test_lift_partition_matches_explicit_traversal(gf16):
         half = int(rng.integers(2, 5))
         Z = int(rng.integers(1, 13))
         proto = ring_protograph(half)
-        shifts = {e: int(rng.integers(0, Z)) for e in range(2 * half)}
+        shifts = [int(rng.integers(0, Z)) for _ in range(2 * half)]
         code = QcCode(proto, Z, gf16, shifts, lambda_mult=15)
         rec = [w for w in enumerate_closed_walks(proto, 2 * half)
                if w.length == 2 * half][0]
@@ -181,8 +198,8 @@ def test_sign_convention_invariance(gf16):
     proto = ring_protograph(3)
     for _ in range(30):
         Z = int(rng.integers(2, 12))
-        shifts = {e: int(rng.integers(0, Z)) for e in range(6)}
-        labels = {e: int(rng.integers(0, 15)) for e in range(6)}
+        shifts = [int(rng.integers(0, Z)) for _ in range(6)]
+        labels = [int(rng.integers(0, 15)) for _ in range(6)]
         code = QcCode(proto, Z, gf16, shifts, labels)
         rec = [w for w in enumerate_closed_walks(proto, 6)
                if w.length == 6][0]
@@ -273,7 +290,7 @@ def test_frc_lifted_equal_labels_never_cancels(gf16):
 def test_frc_lifted_rejects_non_simple_minimal(gf4):
     proto = from_base_matrix([[2]])
     rec = enumerate_closed_walks(proto, 2)[0]
-    code = QcCode(proto, 3, gf4, {0: 0, 1: 1}, {0: 0, 1: 1})
+    code = QcCode(proto, 3, gf4, [0, 1], [0, 1])
     with pytest.raises(UnsupportedStructureError):
         frc_lifted(rec, code)
 
@@ -301,13 +318,13 @@ def test_frc_lifted_agrees_with_expanded_rank(gf16):
 
 
 def test_binary_spectrum_zero_shift(gf16, square22):
-    code = QcCode(square22, 3, gf16, dict.fromkeys(range(4), 0))
+    code = QcCode(square22, 3, gf16, [0] * 4)
     spec = binary_ace_spectrum(code, 4)
     assert spec.values[4] == 0
 
 
 def test_binary_spectrum_shifted(gf16, square22):
-    shifts = dict.fromkeys(range(4), 0)
+    shifts = [0] * 4
     shifts[0] = 1
     code = QcCode(square22, 3, gf16, shifts)
     spec = binary_ace_spectrum(code, 12)
@@ -317,22 +334,22 @@ def test_binary_spectrum_shifted(gf16, square22):
 
 def test_nb_spectrum_trivial_labels_equals_binary(gf16, theta23):
     rng = np.random.default_rng(6)
-    shifts = {e: int(rng.integers(0, 5)) for e in range(6)}
-    code = QcCode(theta23, 5, gf16, shifts, dict.fromkeys(range(6), 0))
+    shifts = [int(rng.integers(0, 5)) for _ in range(6)]
+    code = QcCode(theta23, 5, gf16, shifts, [0] * 6)
     assert nb_ace_spectrum(code, 8) == binary_ace_spectrum(code, 8)
 
 
 def test_nb_spectrum_all_canceled_is_inf(gf16, square22):
     # single 4-cycle lift; pick labels violating the equal-products case
-    shifts = {0: 0, 1: 0, 2: 0, 3: 0}
-    code = QcCode(square22, 3, gf16, shifts, {0: 1, 1: 0, 2: 0, 3: 0})
+    shifts = [0, 0, 0, 0]
+    code = QcCode(square22, 3, gf16, shifts, [1, 0, 0, 0])
     spec = nb_ace_spectrum(code, 4)
     assert spec.values[4] == INF
     assert binary_ace_spectrum(code, 4).values[4] == 0
 
 
 def test_nb_spectrum_requires_labels(gf16, square22):
-    code = QcCode(square22, 3, gf16, dict.fromkeys(range(4), 0))
+    code = QcCode(square22, 3, gf16, [0] * 4)
     with pytest.raises(ValueError):
         nb_ace_spectrum(code, 4)
 
@@ -343,8 +360,8 @@ def test_spectra_match_lifted_graph_oracle(seed, gf8):
     base = [[1, 1, 1, 0], [1, 1, 0, 1], [0, 1, 1, 1]]
     proto = from_base_matrix(base)
     Z = int(rng.integers(2, 6))
-    shifts = {e: int(rng.integers(0, Z)) for e in range(proto.n_edges)}
-    labels = {e: int(rng.integers(0, 7)) for e in range(proto.n_edges)}
+    shifts = [int(rng.integers(0, Z)) for _ in range(proto.n_edges)]
+    labels = [int(rng.integers(0, 7)) for _ in range(proto.n_edges)]
     code = QcCode(proto, Z, gf8, shifts, labels)
     g = LiftedGraph(code)
     depth = 8
@@ -359,10 +376,10 @@ def test_walk_lift_realizability_matches_oracle(gf4):
     for _ in range(12):
         Z = int(rng.integers(2, 5))
         while True:
-            shifts = {e: int(rng.integers(0, Z)) for e in range(proto.n_edges)}
+            shifts = [int(rng.integers(0, Z)) for _ in range(proto.n_edges)]
             if shifts[0] != shifts[1]:
                 break
-        labels = {e: int(rng.integers(0, 3)) for e in range(proto.n_edges)}
+        labels = [int(rng.integers(0, 3)) for _ in range(proto.n_edges)]
         code = QcCode(proto, Z, gf4, shifts, labels)
         g = LiftedGraph(code)
         depth = 8
@@ -385,7 +402,7 @@ def test_walk_realized_flags_match_lifted_copy_oracle(base, depth, gf2):
     for _ in range(12):
         Z = int(rng.integers(1, 13))
         code = QcCode(proto, Z, gf2,
-                      {e: int(rng.integers(0, Z)) for e in range(proto.n_edges)})
+                      [int(rng.integers(0, Z)) for _ in range(proto.n_edges)])
         realized = lift_walks(table, code)[2].tolist()
         assert realized == [lifted_walk_is_simple(code, rec.edge_seq)
                             for rec in table]
@@ -436,7 +453,7 @@ def test_compiled_minimality_matches_chordless_oracle(data):
     Z = draw(st.integers(1, 12))
     shifts = draw(st.lists(st.integers(0, Z - 1), min_size=proto.n_edges,
                            max_size=proto.n_edges))
-    code = QcCode(proto, Z, Field(1), dict(enumerate(shifts)))
+    code = QcCode(proto, Z, Field(1), shifts)
     table = enumerate_closed_walks(proto, depth)
     _assert_minimality_matches_oracle(table, code)
     # a subset table compiles the chords its own walks ask for, under the
@@ -484,8 +501,7 @@ def test_chords_of_asked_walks_match_whole_table_compile(data):
 
 
 def test_expand_degenerate_unit_lift(gf16, square22):
-    code = QcCode(square22, 1, gf16, dict.fromkeys(range(4), 0),
-                  {0: 3, 1: 0, 2: 1, 3: 0}, lambda_mult=15)
+    code = QcCode(square22, 1, gf16, [0] * 4, [3, 0, 1, 0], lambda_mult=15)
     dense = expand(code).to_dense()
     assert dense.shape == (2, 2)
     assert dense[0, 0] == gf16.pow_alpha(3)
@@ -495,8 +511,7 @@ def test_expand_degenerate_unit_lift(gf16, square22):
 def test_expand_row_rule(gf8):
     # each MCPM row is the alpha^lambda multiple of the row above, shifted
     proto = from_base_matrix([[1, 1], [1, 1]])
-    code = QcCode(proto, 7, gf8, dict.fromkeys(range(4), 2),
-                  {0: 3, 1: 0, 2: 0, 3: 0}, lambda_mult=3)
+    code = QcCode(proto, 7, gf8, [2] * 4, [3, 0, 0, 0], lambda_mult=3)
     dense = expand(code).to_dense()
     block = dense[:7, :7]
     for i in range(7):
@@ -509,7 +524,7 @@ def test_expand_row_rule(gf8):
 
 
 def test_expand_requires_labels(gf16, square22):
-    code = QcCode(square22, 3, gf16, dict.fromkeys(range(4), 0))
+    code = QcCode(square22, 3, gf16, [0] * 4)
     with pytest.raises(ValueError):
         expand(code)
     assert expand_binary(code).nnz == 12
@@ -517,7 +532,7 @@ def test_expand_requires_labels(gf16, square22):
 
 def test_expand_collision_error(gf4):
     proto = from_base_matrix([[2]])
-    code = QcCode(proto, 4, gf4, {0: 2, 1: 2}, {0: 0, 1: 1})
+    code = QcCode(proto, 4, gf4, [2, 2], [0, 1])
     with pytest.raises(ShiftCollisionError):
         expand(code)
     with pytest.raises(ShiftCollisionError):
@@ -526,8 +541,8 @@ def test_expand_collision_error(gf4):
 
 def test_expand_binary_support_matches_expand(gf16, theta23):
     rng = np.random.default_rng(31)
-    shifts = {e: int(rng.integers(0, 6)) for e in range(6)}
-    labels = {e: int(rng.integers(0, 15)) for e in range(6)}
+    shifts = [int(rng.integers(0, 6)) for _ in range(6)]
+    labels = [int(rng.integers(0, 15)) for _ in range(6)]
     code = QcCode(theta23, 6, gf16, shifts, labels)
     assert expand(code).support() == expand_binary(code).support()
 
@@ -535,8 +550,7 @@ def test_expand_binary_support_matches_expand(gf16, theta23):
 def test_mcpm_lambda_multiple_of_group_order_collapses_rows(gf8):
     # (Z=3, lambda=7, rho=0, d=1) over GF(8): every exponent is 0 mod 7
     proto = from_base_matrix([[1, 1], [1, 1]])
-    code = QcCode(proto, 3, gf8, {0: 1, 1: 0, 2: 0, 3: 0},
-                  dict.fromkeys(range(4), 0))
+    code = QcCode(proto, 3, gf8, [1, 0, 0, 0], [0] * 4)
     assert code.lambda_mult == 7
     block = expand(code).to_dense()[:3, :3]
     assert sorted(v for v in block.flatten() if v) == [1, 1, 1]
@@ -553,10 +567,10 @@ def test_triple_parallel_cell_spectra_match_oracle(gf4):
     for _ in range(8):
         Z = int(rng.integers(3, 6))
         while True:
-            shifts = {e: int(rng.integers(0, Z)) for e in range(proto.n_edges)}
+            shifts = [int(rng.integers(0, Z)) for _ in range(proto.n_edges)]
             if len({shifts[0], shifts[1], shifts[2]}) == 3:
                 break
-        labels = {e: int(rng.integers(0, 3)) for e in range(proto.n_edges)}
+        labels = [int(rng.integers(0, 3)) for _ in range(proto.n_edges)]
         code = QcCode(proto, Z, gf4, shifts, labels)
         g = LiftedGraph(code)
         assert binary_ace_spectrum(code, 8).values == g.spectrum(8, False)

@@ -18,9 +18,8 @@ from nbqc.simulate import (
 def toy_code(field, Z=3):
     # shifts/labels chosen so the 6x9 expansion has full row rank
     proto = from_base_matrix([[1, 1, 1], [1, 1, 1]])
-    shifts = {0: 2, 1: 1, 2: 1, 3: 0, 4: 0, 5: 0}
-    labels = {e: rho % (field.q - 1) for e, rho in
-              enumerate((0, 0, 0, 2, 1, 2))}
+    shifts = [2, 1, 1, 0, 0, 0]
+    labels = [rho % (field.q - 1) for rho in (0, 0, 0, 2, 1, 2)]
     return QcCode(proto, Z, field, shifts, labels)
 
 
@@ -155,8 +154,7 @@ def test_random_message_mode_runs_and_rank_reports(gf4):
     assert res.points[0].block_errors == 0
     # a rank-deficient H aborts before any frames
     proto = from_base_matrix([[1, 1], [1, 1]])
-    bad = QcCode(proto, 2, Field(1), {0: 0, 1: 0, 2: 0, 3: 0},
-                 {e: 0 for e in range(4)})
+    bad = QcCode(proto, 2, Field(1), [0, 0, 0, 0], [0] * 4)
     cfg2 = SimConfig(snr_points_db=(5.0,), max_frames=5, min_block_errors=1,
                      seed=1, mode="random-message")
     with pytest.raises(RankDeficiencyError):

@@ -11,8 +11,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from nbqc.lift import AceConstraint
-from nbqc.optimize import find_problematic_binary
+from nbqc.gf import Field
+from nbqc.lift import AceConstraint, QcCode
+from nbqc.optimize import (OptimizerConfig, assign_labels, assign_shifts,
+                           find_problematic_binary)
 from nbqc.protograph import enumerate_closed_walks, from_base_matrix
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -58,3 +60,15 @@ def test_extractors_read_real_results():
     problem = find_problematic_binary(proto, 3, constraint)
     assert _extractor(spans, "find_problematic_binary")(
         (proto, 3, constraint), {}, problem) == 9
+    # [success, sweeps, restarts]: girth 6 after one sweep; over GF(4) the
+    # order-3 lifts (length 12) cannot be canceled, so a single restart fails
+    cfg = OptimizerConfig(rng_seed=1)
+    girth6 = AceConstraint.parse("inf,inf")
+    shifts = assign_shifts(proto, 3, girth6, cfg)
+    assert _extractor(spans, "assign_shifts")(
+        (proto, 3, girth6, cfg), {}, shifts) == [1, 1, 1]
+    code = QcCode(proto, 3, Field(2), shifts.assignment)
+    no_cycles = AceConstraint.parse(",".join(["inf"] * 6))
+    labels = assign_labels(code, no_cycles, cfg)
+    assert _extractor(spans, "assign_labels")(
+        (code, no_cycles, cfg), {}, labels) == [0, 2, 1]
