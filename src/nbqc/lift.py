@@ -177,12 +177,12 @@ class QcCode:
         lambda_mult: int | None = None,
     ):
         checked_int(Z, "lifting order Z", 1, MAX_Z)
-        for v in range(proto.n_vars):
-            if proto.var_degree(v) < 2:
-                raise ValueError(
-                    f"variable {v} has degree {proto.var_degree(v)} < 2; "
-                    "degree-1 variables cannot be lifted meaningfully"
-                )
+        if min(map(len, proto.var_edges), default=2) < 2:
+            v = next(v for v, es in enumerate(proto.var_edges) if len(es) < 2)
+            raise ValueError(
+                f"variable {v} has degree {proto.var_degree(v)} < 2; "
+                "degree-1 variables cannot be lifted meaningfully"
+            )
         if lambda_mult is None:
             lambda_mult = min_lambda(field.q, Z)
         if (checked_int(lambda_mult, "lambda", 1) * Z) % (field.q - 1) != 0:

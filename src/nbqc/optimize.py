@@ -18,13 +18,14 @@ coefficients off the rows of its own walks when it is built.  Cycle order
 and realizability follow from the moved values by the lifting module's
 rules.
 
-The trackers keep their counts between sweep steps, as local search keeps
-the make and break counts of its candidate moves (WalkSAT; Selman, Kautz
-and Cohen 1994).  A row per walk and edge that moves it holds whether the
-walk violates at each candidate value of that edge, and each edge's count
-row sums its rows.  A sweep step takes the argmin of the edge's count row;
-a move re-evaluates only the rows that the moved walks have on other
-edges.
+The trackers keep their candidate verdicts between sweep steps, as local
+search keeps the make and break counts of its candidate moves (WalkSAT;
+Selman, Kautz and Cohen 1994).  A row per walk and edge that moves it
+holds whether the walk violates at each candidate value of that edge.  A
+sweep step sums the edge's rows into counts, which are not kept, and takes
+their argmin; a move re-evaluates only the rows that the moved walks have
+on other edges.  Both stages judge a walk by one rule, a lookup at the gcd
+of the number of values and the walk's total.
 
 Every stage reads the protograph's one walk table (``lift.walk_table``).
 :func:`construct` runs the two stages in order, and :func:`spectrum_search`
@@ -174,13 +175,18 @@ def _edge_counts(table: WalkTable):
 
 
 class _Tracker:
-    """Kept per-edge candidate counts over linear functionals of the values.
+    """Candidate verdicts over linear functionals of the values, mod V.
 
-    Functional f carries ``cur[f]`` modulo ``mod[f]``, a divisor of the
-    number of values V: walk f's total for f < n, then the walks' pair
-    values.  Moving an edge by delta moves a functional by its coefficient
-    on the edge times delta: the edge's signed count over the walk, or over
-    the positions between the pair's two visits.
+    Functional f carries ``cur[f]`` modulo the number of values V: walk
+    f's total for f < n, then, with ``pairs``, the walks' pair values.
+    Moving an edge by delta moves a functional by its coefficient on the
+    edge times delta: the edge's signed count over the walk, or over the
+    positions between the pair's two visits.
+
+    One verdict rule serves both stages.  ``bad[w, k]`` says whether walk
+    w violates while gcd(V, its total) is ``divisors[k]``; with ``pairs``
+    a flagged walk violates only when its pair values also say the lift is
+    realized (``lift.realized_lifts`` at that gcd).
 
     A row joins a walk to an edge that moves it; rows are kept edge by
     edge, each as (walk, edge, coefficient, ring row, term count, first
@@ -191,31 +197,32 @@ class _Tracker:
     so a functional at every candidate value of the edge is one take plus
     a column, in [0, 2V).
 
-    ``viol[r, v]`` keeps whether row r's walk violates with the row's edge
-    at value v and every other edge as it is, and ``counts[e]`` sums edge
-    e's rows, so a sweep step reads one row of counts.  Moving edge e
-    leaves e's own rows valid; only the rows its walks have on other edges
-    are evaluated again, and their change is added to those edges' counts.
-    ``reset`` fills both for the values it starts from.
+    ``viol[r, v]`` is the one memo: whether row r's walk violates with the
+    row's edge at value v and every other edge as it is.  A sweep step sums
+    edge e's rows into its count row.  Moving edge e leaves e's own rows
+    valid; only the rows its walks have on other edges are evaluated
+    again.  ``reset`` fills ``viol`` for the values it starts from.
 
-    Subclasses give the starting functionals and violations in ``_start``
-    and judge moved values in ``_judge``.
+    Subclasses give the starting functionals in ``_start``.
     """
 
     n_permanent = 0
 
-    def __init__(self, table: WalkTable, mod: np.ndarray, n_values: int,
+    def __init__(self, table: WalkTable, n_values: int, bad: np.ndarray,
                  pairs: bool, live=None):
         self.table = table
         self.n = n = len(table)
-        self.mod = mod
         self.n_values = V = n_values
-        self.steps = np.arange(V)
         self.total = 0
+        self.divisors = _divisors(V)
+        # the divisor column of gcd(V, s), for s in [0, 2V)
+        self.column = np.tile(np.searchsorted(self.divisors,
+                                              np.gcd(np.arange(V), V)), 2)
+        self.bad = bad
+        self.pair_walk = table.pair_walk if pairs else table.pair_walk[:0]
         walk, edge, counted = _edge_counts(table)
         factor = counted[:, -1]
-        n_pairs = (np.bincount(table.pair_walk, minlength=n) if pairs
-                   else np.zeros(n, np.intp))
+        n_pairs = np.bincount(self.pair_walk, minlength=n)
         per_row = n_pairs[walk]
         pair = _ranges((np.cumsum(n_pairs) - n_pairs)[walk], per_row)
         owner = np.repeat(np.arange(len(walk)), per_row)
@@ -230,7 +237,7 @@ class _Tracker:
         pair, term_factor = pair[moves[owner]], term_factor[moves[owner]]
         factors, ring = np.unique(np.concatenate([factor, term_factor]),
                                   return_inverse=True)
-        self.ring = factors[:, None].astype(np.intp) * self.steps % V
+        self.ring = factors[:, None].astype(np.intp) * np.arange(V) % V
         self.rows = np.stack([walk, edge, factor, ring[:len(walk)], per_row,
                               np.cumsum(per_row) - per_row], axis=1)
         self.terms = np.stack([n + pair, term_factor, ring[len(walk):]], axis=1)
@@ -245,58 +252,65 @@ class _Tracker:
         self.spans = [(ptr[e], ptr[e + 1], term_ptr[e], term_ptr[e + 1])
                       if ptr[e] < ptr[e + 1] else None for e in range(n_edges)]
 
-    def _start(self, values: np.ndarray):
-        raise NotImplementedError
-
-    def _judge(self, rows, x, total) -> np.ndarray:
+    def _start(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def reset(self, values: np.ndarray) -> None:
         """Start from ``values``, which the tracker then moves in place."""
         self.values = values
-        self.cur, self.violated = self._start(values)
+        self.cur = self._start(values)
+        n = self.n
+        column = self.column[self.cur[:n]]
+        self.violated = (self.bad[np.arange(n), column]
+                         & realized_lifts(self.divisors[column],
+                                          self.pair_walk, self.cur[n:]))
         self.total = int(self.violated.sum())
-        self.viol = np.zeros((len(self.rows), self.n_values), bool)
-        self.counts = np.zeros((len(self.spans), self.n_values), np.int32)
+        self.viol = np.empty((len(self.rows), self.n_values), bool)
         for b in self._blocks(len(self.rows)):
-            self._update(b, self.rows[b])
+            self.viol[b] = self._evaluate(self.rows[b])
 
     def _evaluate(self, rows: np.ndarray) -> np.ndarray:
         """(rows, values): whether each row's walk violates with the row's
         edge moved from its value x to each candidate value."""
-        walk, edge, factor, ring = rows[:, :4].T
+        walk, edge, factor, ring, per, first = rows.T
+        V = self.n_values
         x = self.values[edge]
         # the walk's total at each candidate value, in [0, 2V)
         total = self.ring.take(ring, axis=0)
-        total += ((self.cur[walk] - factor * x) % self.mod[walk])[:, None]
-        return self._judge(rows, x, total)
+        total += ((self.cur[walk] - factor * x) % V)[:, None]
+        column = self.column.take(total)
+        viol = self.bad.take(column + (walk * len(self.divisors))[:, None])
+        if not per.any():
+            return viol
+        # only the violating candidates need their pair values
+        r, v = np.nonzero(viol & (per > 0)[:, None])
+        owner = np.repeat(np.arange(len(r)), per[r])
+        f, factor, ring = self.terms.take(_ranges(first[r], per[r]), axis=0).T
+        pairs = ((self.cur[f] - factor * x[r[owner]]) % V
+                 + self.ring[ring, v[owner]])
+        viol[r, v] = realized_lifts(self.divisors.take(column[r, v]), owner,
+                                    pairs)
+        return viol
 
     def _blocks(self, n: int):
         """Slices of n rows, at most ``_BLOCK`` candidates at a time."""
         step = max(1, _BLOCK // self.n_values)
         return (slice(lo, lo + step) for lo in range(0, n, step))
 
-    def _update(self, ids, rows: np.ndarray) -> None:
-        """Evaluate ``rows`` (rows ``ids``) again and move the counts."""
-        new = self._evaluate(rows)
-        change = new.astype(np.int32)
-        change -= self.viol[ids]
-        cells = rows[:, 1] * self.n_values
-        np.add.at(self.counts.reshape(-1), (cells[:, None] + self.steps).ravel(),
-                  change.ravel())
-        self.viol[ids] = new
-
     def _span(self, e: int):
         return self.spans[e] if e < len(self.spans) else None
 
     def eval_edge(self, e: int) -> tuple[int, np.ndarray] | None:
         """Violation count among the walks edge e moves, per candidate value."""
-        if self._span(e) is None:
+        span = self._span(e)
+        if span is None:
             return None
-        return int(self.values[e]), self.counts[e]
+        lo, hi = span[:2]
+        # the ufunc itself: ndarray.sum adds a Python-level wrapper per call
+        return int(self.values[e]), np.add.reduce(self.viol[lo:hi], 0, np.int32)
 
     def _move(self, f, factor, delta: int) -> None:
-        self.cur[f] = (self.cur[f] + factor * delta) % self.mod[f]
+        self.cur[f] = (self.cur[f] + factor * delta) % self.n_values
 
     def apply(self, e: int, y: int) -> None:
         x = int(self.values[e])
@@ -307,9 +321,11 @@ class _Tracker:
         if span is None:
             return
         lo, hi, t0, t1 = span
-        self.total += int(self.counts[e, y]) - int(self.counts[e, x])
+        own = self.viol[lo:hi]
+        self.total += (int(np.count_nonzero(own[:, y]))
+                       - int(np.count_nonzero(own[:, x])))
         walks = self.rows[lo:hi, 0]
-        self.violated[walks] = self.viol[lo:hi, y]
+        self.violated[walks] = own[:, y]
         self._move(walks, self.rows[lo:hi, 2], y - x)
         if t1 > t0:
             self._move(self.terms[t0:t1, 0], self.terms[t0:t1, 1], y - x)
@@ -318,7 +334,8 @@ class _Tracker:
         others[:, e] = -1
         others = others[others >= 0]
         for b in self._blocks(len(others)):
-            self._update(others[b], self.rows.take(others[b], axis=0))
+            ids = others[b]
+            self.viol[ids] = self._evaluate(self.rows.take(ids, axis=0))
 
     def worst_violated(self) -> dict | None:
         if self.total == 0:
@@ -335,46 +352,21 @@ class _Tracker:
 class _ShiftTracker(_Tracker):
     """Shift stage: the functionals are total shifts and pair values mod Z.
 
-    A walk violates when its cycle order (one order-table column per
-    divisor of Z) puts the lift within the constraint with too little ACE
-    and its pair values say the lift is realized.  An edge that moves a
-    walk's total or any of its pairs moves all of them.
+    A walk violates when its cycle order Z / gcd(Z, total) puts the lift
+    within the constraint with too little ACE and its pair values say the
+    lift is realized.  An edge that moves a walk's total or any of its
+    pairs moves all of them.
     """
 
     def __init__(self, table: WalkTable, Z: int, constraint: AceConstraint):
-        super().__init__(table, np.full(len(table) + len(table.pair_walk), Z),
-                         Z, pairs=True)
-        self.Z = Z
-        self.divisors = _divisors(Z)  # gcd(Z, d) of order-table column k
-        # the column of a total shift, for totals in [0, 2Z)
-        self.column = np.tile(np.searchsorted(self.divisors,
-                                              np.gcd(np.arange(Z), Z)), 2)
-        self.viol_by_order = _order_violations(table, Z // self.divisors,
-                                               constraint).ravel()
+        super().__init__(table, Z, _order_violations(table, Z // _divisors(Z),
+                                                     constraint), pairs=True)
 
-    def _start(self, shifts: np.ndarray):
-        d, realized, pairs = lift_shifts(self.table, shifts, self.Z)
+    def _start(self, shifts: np.ndarray) -> np.ndarray:
+        d, _, pairs = lift_shifts(self.table, shifts, self.n_values)
         cur = np.concatenate([d, pairs])
         self.total_shift = cur[:self.n]  # a view: moves update both
-        return cur, realized & self.viol_by_order[
-            np.arange(self.n) * len(self.divisors) + self.column[d]]
-
-    def _judge(self, rows, x, total) -> np.ndarray:
-        walk, per, first = rows[:, 0], rows[:, 4], rows[:, 5]
-        column = self.column.take(total)
-        viol = self.viol_by_order.take(
-            column + (walk * len(self.divisors))[:, None])
-        if not per.any():
-            return viol
-        # only the violating candidates need their pair values
-        r, v = np.nonzero(viol & (per > 0)[:, None])
-        owner = np.repeat(np.arange(len(r)), per[r])
-        f, factor, ring = self.terms.take(_ranges(first[r], per[r]), axis=0).T
-        pairs = ((self.cur[f] - factor * x[r[owner]]) % self.Z
-                 + self.ring[ring, v[owner]])
-        viol[r, v] = realized_lifts(self.divisors.take(column[r, v]), owner,
-                                    pairs)
-        return viol
+        return cur
 
 
 class _LabelTracker(_Tracker):
@@ -382,9 +374,10 @@ class _LabelTracker(_Tracker):
 
     Shifts are frozen, so the problematic walks are those whose realized
     lifts fall within the constraint with too little ACE.  A problematic
-    lift of order O stays uncanceled (violates) while the sum is 0 modulo
-    (q-1)/gcd(q-1, O).  Lifts with chorded supports (or a modulus of 1, as
-    over GF(2)) can never be canceled and count as permanent violations.
+    lift of order O stays uncanceled (violates) while m = (q-1)/gcd(q-1, O)
+    divides the sum, that is, divides gcd(q-1, sum).  Lifts with chorded
+    supports (or m = 1, as over GF(2)) can never be canceled: they violate
+    at every gcd and count as permanent violations.
     """
 
     def __init__(self, code: QcCode, table: WalkTable,
@@ -397,21 +390,15 @@ class _LabelTracker(_Tracker):
         q = code.field.q
         m = (q - 1) // np.gcd(q - 1, order[ids])
         cancelable = lifts_minimal(table, code, ids, d) & (m > 1)
-        table = table.subset(problem)
-        super().__init__(table, np.where(cancelable, m, 1), q - 1,
-                         pairs=False, live=cancelable)
+        m = np.where(cancelable, m, 1)
+        super().__init__(table.subset(problem), q - 1,
+                         _divisors(q - 1) % m[:, None] == 0, pairs=False,
+                         live=cancelable)
         self.n_permanent = int((~cancelable).sum())
         self.total_shift = d[ids]
-        # walk * 2(q-1) + s: a label sum s in [0, 2(q-1)) leaves the walk
-        # uncanceled
-        self.zero = (np.arange(2 * (q - 1)) % self.mod[:, None] == 0).ravel()
 
-    def _start(self, labels: np.ndarray):
-        cur = self.table.prefix_sums(labels)[:, -1] % self.mod
-        return cur, cur == 0
-
-    def _judge(self, rows, x, total) -> np.ndarray:
-        return self.zero.take(total + (rows[:, 0] * (2 * self.n_values))[:, None])
+    def _start(self, labels: np.ndarray) -> np.ndarray:
+        return self.table.prefix_sums(labels)[:, -1] % self.n_values
 
 
 def _sweep(tracker, order: np.ndarray, max_sweeps: int,

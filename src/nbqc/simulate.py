@@ -25,6 +25,9 @@ TRANSMIT_ALL_ZERO = "all-zero"
 TRANSMIT_RANDOM = "random-message"
 # 10^(SNR/10) and the noise variance stay far inside the float range
 MAX_SNR_DB = 300.0
+# frames a point runs at a time: the most a pool can keep busy, so a
+# pool never holds more workers
+_CHUNK = 32
 
 
 @dataclass
@@ -230,7 +233,8 @@ def run_campaign(code: QcCode, cfg: SimConfig, workers: int = 1) -> SimResult:
     block error is any frame that fails to converge or converges to the
     wrong codeword.  Results are bit-identical for a given (code, cfg)
     regardless of the worker count: frames draw from substreams keyed by
-    (seed, SNR, frame index) and are accumulated in frame order.
+    (seed, SNR, frame index) and are accumulated in frame order.  More
+    than ``_CHUNK`` workers run as ``_CHUNK``.
     """
     checked_int(workers, "workers", 1)
     # built up front: a rank-deficient code aborts with the rank report
@@ -246,7 +250,8 @@ def run_campaign(code: QcCode, cfg: SimConfig, workers: int = 1) -> SimResult:
         ]
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(code, cfg)
+            max_workers=min(workers, _CHUNK), initializer=_pool_init,
+            initargs=(code, cfg),
         ) as pool:
             points = [
                 _run_point(snr, cfg, lambda frames, s=snr: pool.map(
@@ -265,9 +270,8 @@ def run_campaign(code: QcCode, cfg: SimConfig, workers: int = 1) -> SimResult:
 
 def _run_point(snr_db: float, cfg: SimConfig, run_chunk) -> SimPoint:
     frames = block_errors = bit_errors = symbol_errors = iters = 0
-    chunk_size = 32
     while frames < cfg.max_frames and block_errors < cfg.min_block_errors:
-        chunk = list(range(frames, min(frames + chunk_size, cfg.max_frames)))
+        chunk = list(range(frames, min(frames + _CHUNK, cfg.max_frames)))
         for frame_bad, sym_err, bit_err, used in run_chunk(chunk):
             frames += 1
             iters += used

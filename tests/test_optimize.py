@@ -574,9 +574,11 @@ def test_tracker_coefficients_are_one_hot_prefix_sums(data):
                            max_size=proto.n_edges))
     code = QcCode(proto, Z, Field(draw(st.integers(1, 4))), shifts)
     tracker = _LabelTracker(code, table, constraint)
-    # only cancelable walks, whose modulus exceeds 1, keep rows
-    _check_coefficients(tracker, proto.n_edges, tracker.mod > 1,
-                        with_pairs=False)
+    # a walk that violates at every gcd is permanent; only the others,
+    # the cancelable walks, keep rows
+    permanent = tracker.bad.all(axis=1)
+    assert tracker.n_permanent == int(permanent.sum())
+    _check_coefficients(tracker, proto.n_edges, ~permanent, with_pairs=False)
 
 
 def _constraint(draw, depth):

@@ -136,6 +136,38 @@ def test_worker_count_does_not_change_results(gf4):
     assert seq.to_csv() == par.to_csv()
 
 
+def test_pool_holds_at_most_one_chunk_of_workers(gf4, monkeypatch):
+    import nbqc.simulate
+
+    sizes = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size, maps in
+        this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(nbqc.simulate, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(nbqc.simulate, "_POOL_EVAL", None)
+    code = toy_code(gf4)
+    cfg = SimConfig(snr_points_db=(2.0,), max_frames=40, min_block_errors=41,
+                    max_iters=15, seed=13)
+    wide = run_campaign(code, cfg, workers=100_000)
+    assert sizes == [32]
+    assert wide == run_campaign(code, cfg, workers=1)
+
+
 def test_stopping_rule(gf4):
     code = toy_code(gf4)
     # very low SNR: every frame fails, so the error target stops the run
