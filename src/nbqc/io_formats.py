@@ -10,7 +10,8 @@ edges with equal shifts are rejected, as they have no expansion, and the
 achieved spectra stored in a descriptor are recomputed, from one walk
 enumeration at the deepest stored depth, and must match, so a corrupted or
 hand-edited file cannot silently misreport code quality.  The table stays
-with the code's protograph, so no spectrum within that depth re-enumerates.
+with the code's protograph, so no spectrum within that depth re-enumerates,
+and the code keeps the spectra it re-verified.
 
 The alist export is the usual sparse binary format (dimensions, max
 degrees, per-node degrees, 1-based per-node index lists).  The non-binary

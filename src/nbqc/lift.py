@@ -32,7 +32,9 @@ vector gives total shifts, cycle orders, realizability and minimality for
 many walks at once, each of the last two decided by one rule
 (:func:`realized_lifts`), and spectra are a group-by-min over lifted
 lengths.  A protograph has one walk table, :func:`walk_table`, enumerated
-once at the deepest depth asked for.
+once at the deepest depth asked for.  Its walks are lifted once per shift
+assignment, and the last lift is kept beside the table (:func:`lift_walks`);
+a code never changes, so it computes each of its spectra once.
 """
 
 from __future__ import annotations
@@ -164,7 +166,8 @@ class QcCode:
     ``shifts`` (in [0, Z-1]) and ``labels`` (exponents in [0, q-2]) are
     read-only int64 arrays indexed by edge id, checked in one pass each.
     ``labels`` may be None during the binary construction stage; everything
-    except NB spectra and NB expansion works without them.
+    except NB spectra and NB expansion works without them.  A code is not
+    changed once built, so it keeps the spectra it has computed.
     """
 
     def __init__(
@@ -197,6 +200,13 @@ class QcCode:
         self.labels = (None if labels is None else _edge_values(
             labels, proto.n_edges, "label exponent rho", field.q - 2))
         self.lambda_mult = lambda_mult
+        # (depth, whether canceled cycles are skipped) -> the spectrum's
+        # finite minima by lifted length, kept by _spectrum
+        self._spectra: dict[tuple[int, bool], dict[int, int]] = {}
+
+    def __getstate__(self):
+        # derived data stays out of pickles, as the protograph's does
+        return {**self.__dict__, "_spectra": {}}
 
     def with_labels(self, labels: np.ndarray | list[int]) -> "QcCode":
         return QcCode(self.proto, self.Z, self.field, self.shifts, labels,
@@ -320,11 +330,14 @@ def walk_table(proto: Protograph, depth: int) -> WalkTable:
     """The closed walks of ``proto`` up to at least ``depth``, as a table.
 
     A protograph never changes, so its table is enumerated at most once
-    per instance, at the deepest depth asked for so far, and kept there.
-    It may hold longer walks; callers filter by length or with ``upto``.
+    per instance, at the deepest depth asked for so far, and kept there,
+    with the last lift of its walks (:func:`lift_walks`), which a deeper
+    table drops.  It may hold longer walks; callers filter by length or
+    with ``upto``.
     """
     known, table = proto._walks
     if known < depth:
+        proto._lifted = None
         table = enumerate_closed_walks(proto, depth)
         proto._walks = (depth, table)
     return table
@@ -351,9 +364,26 @@ def lift_shifts(table: WalkTable, shifts: np.ndarray, Z: int):
 
 
 def lift_walks(table: WalkTable, code: QcCode):
-    """Total shift, cycle order and realizability of every walk's lift."""
-    d, realized, _ = lift_shifts(table, code.shifts, code.Z)
-    return d, code.Z // np.gcd(d, code.Z), realized
+    """Total shift, cycle order and realizability of every walk's lift.
+
+    The protograph's own table (:func:`walk_table`) and its ``upto`` heads
+    are lifted once per Z and shift values: the last lift's total shifts
+    and realizability are kept beside the table as read-only arrays, and a
+    head they cover is served as views of them.  Any other table is lifted
+    afresh.
+    """
+    proto, Z, shifts = code.proto, code.Z, code.shifts
+    own = (table if table.head_of is None else table.head_of) is proto._walks[1]
+    last = proto._lifted if own else None
+    if (last is not None and last[0] == Z and len(last[2]) >= len(table)
+            and np.array_equal(last[1], shifts)):
+        d, realized = (a[:len(table)] for a in last[2:])
+    else:
+        d, realized, _ = lift_shifts(table, shifts, Z)
+        if own:
+            d.flags.writeable = realized.flags.writeable = False
+            proto._lifted = (Z, shifts, d, realized)
+    return d, Z // np.gcd(d, Z), realized
 
 
 def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
@@ -373,7 +403,7 @@ def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
 def lift_is_minimal(base: CycleRecord, code: QcCode) -> bool:
     """Whether the realized lifts of a base walk are chordless in the lift."""
     table = WalkTable(code.proto, [base.edge_seq], [base.length])
-    d, _order, _realized = lift_walks(table, code)
+    d, _realized, _pairs = lift_shifts(table, code.shifts, code.Z)
     return bool(lifts_minimal(table, code, [0], d)[0])
 
 
@@ -394,8 +424,8 @@ def _canceled(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
 def lift_cycle(base: CycleRecord, code: QcCode) -> LiftedCycleClass:
     """Order, multiplicity, realizability and cancellation of a walk's lift."""
     table = WalkTable(code.proto, [base.edge_seq], [base.length])
-    d, order, realized = lift_walks(table, code)
-    order = int(order[0])
+    d, realized, _pairs = lift_shifts(table, code.shifts, code.Z)
+    order = code.Z // math.gcd(code.Z, int(d[0]))
     canceled = None
     if code.labels is not None:
         canceled = bool(_canceled(table, code, np.flatnonzero(realized), d).any())
@@ -471,7 +501,19 @@ def frc_lifted(base: CycleRecord, code: QcCode) -> bool:
 
 
 def _spectrum(code: QcCode, depth: int, skip_canceled: bool) -> AceSpectrum:
-    """Group-by-min of lifted ACE over the realized lifts within ``depth``."""
+    """Group-by-min of lifted ACE over the realized lifts within ``depth``.
+
+    A code finds the minima once per depth and kind and keeps them; each
+    call returns a spectrum of its own.
+    """
+    key = (checked_depth(depth, "depth"), skip_canceled)
+    if key not in code._spectra:
+        code._spectra[key] = _min_ace(code, depth, skip_canceled)
+    return AceSpectrum(depth, code._spectra[key])
+
+
+def _min_ace(code: QcCode, depth: int, skip_canceled: bool) -> dict[int, int]:
+    """The finite minima of the spectrum, by lifted length."""
     table = walk_table(code.proto, depth).upto(depth)
     d, order, realized = lift_walks(table, code)
     lifted_len = table.length * order
@@ -480,8 +522,7 @@ def _spectrum(code: QcCode, depth: int, skip_canceled: bool) -> AceSpectrum:
         ids = ids[~_canceled(table, code, ids, d)]
     best = np.full(depth // 2 + 1, INF)
     np.minimum.at(best, lifted_len[ids] // 2, table.ace[ids] * order[ids])
-    return AceSpectrum(depth, {2 * i: int(v) for i, v in enumerate(best)
-                               if i and v != INF})
+    return {2 * i: int(v) for i, v in enumerate(best) if i and v != INF}
 
 
 def binary_ace_spectrum(code: QcCode, depth: int) -> AceSpectrum:

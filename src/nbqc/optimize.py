@@ -27,7 +27,8 @@ their argmin; a move re-evaluates only the rows that the moved walks have
 on other edges.  Both stages judge a walk by one rule, a lookup at the gcd
 of the number of values and the walk's total.
 
-Every stage reads the protograph's one walk table (``lift.walk_table``).
+Every stage reads the protograph's one walk table (``lift.walk_table``),
+and one shift assignment's lift of it (``lift.lift_walks``).
 :func:`construct` runs the two stages in order, and :func:`spectrum_search`
 runs it once per attempt.
 Success is never taken from internal bookkeeping alone: a reported success

@@ -99,12 +99,14 @@ class Protograph:
         for v, es in enumerate(self.var_edges):
             if not es:
                 raise ValueError(f"variable node {v} has degree 0")
-        # (depth, closed-walk table) kept by lift.walk_table
+        # (depth, closed-walk table) kept by lift.walk_table, and the last
+        # lift of that table's walks, kept by lift.lift_walks
         self._walks = (0, None)
+        self._lifted = None
 
     def __getstate__(self):
         # derived data stays out of pickles (simulation workers)
-        state = {**self.__dict__, "_walks": (0, None)}
+        state = {**self.__dict__, "_walks": (0, None), "_lifted": None}
         state.pop("node_arrays", None)
         return state
 
@@ -270,9 +272,12 @@ class WalkTable(Sequence):
       ``P[w, b] - P[w, a]`` equals its edge's shift there.
 
     Pairs are in walk order, and an enumerated table's walks in length
-    order, so the table up to a depth (:meth:`upto`) is a leading slice.
+    order, so the table up to a depth (:meth:`upto`) is a leading slice;
+    its ``head_of`` names the table it leads (None for any other table).
     A list of records with the same walks compares equal.
     """
+
+    head_of = None
 
     def __init__(self, proto: Protograph, rows, length):
         """Compile padded check-start edge rows of ``proto``.
@@ -391,7 +396,9 @@ class WalkTable(Sequence):
         walks and pairs, as walks are ordered by length and pairs by walk."""
         n = int(np.searchsorted(self.length, depth, side="right"))
         m = int(np.searchsorted(self.pair_walk, n))
-        return self._part(slice(n), slice(m), self.pair_walk[:m])
+        head = self._part(slice(n), slice(m), self.pair_walk[:m])
+        head.head_of = self if self.head_of is None else self.head_of
+        return head
 
 
 def signed_sums(terms: np.ndarray, dtype) -> np.ndarray:

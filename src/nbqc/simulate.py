@@ -40,7 +40,8 @@ class SimConfig:
     mode: str = TRANSMIT_ALL_ZERO
 
     def __post_init__(self):
-        self.snr_points_db = tuple(float(s) for s in self.snr_points_db)
+        # -0 dB is the point 0 dB: one substream key and one output row
+        self.snr_points_db = tuple(float(s) + 0.0 for s in self.snr_points_db)
         if not self.snr_points_db:
             raise ValueError("need at least one SNR point")
         for s in self.snr_points_db:

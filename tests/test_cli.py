@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import operator
+import pickle
 import time
 import tracemalloc
 from pathlib import Path
@@ -239,6 +240,22 @@ def test_simulate_command_noiseless_and_deterministic(tmp_path, proto_file,
     sidecar = json.loads((tmp_path / "run1.json").read_text())
     code, _ = load_descriptor(out)
     assert sidecar["code_digest"] == code.digest()
+
+
+def test_snr_minus_zero_is_the_zero_point(tmp_path, capsys):
+    # -0 dB and 0 dB are one operating point: one frame substream per
+    # frame, one CSV row and one JSON point
+    desc = Path(__file__).parent / "golden" / "gf16_z9_seed1.json"
+    outputs = []
+    for name, snr in (("minus", "-0"), ("plus", "0")):
+        prefix = tmp_path / name
+        assert main(["simulate", str(desc), "--snr", snr, "--max-frames", "20",
+                     "--min-block-errors", "21", "--seed", "1",
+                     "--out", str(prefix)]) == EXIT_OK
+        outputs.append([(tmp_path / f"{name}.{ext}").read_bytes()
+                        for ext in ("csv", "json")])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].decode().splitlines()[1].startswith("0,20,")
 
 
 def test_export_roundtrips(tmp_path, proto_file, capsys):
@@ -651,6 +668,43 @@ def test_wide_base_matrix_exits_3_at_the_prefix_cap_in_bounded_memory(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "prefixes" in err
+
+
+def test_walk_lifts_per_command(tmp_path, capsys, monkeypatch):
+    # a construct lifts the protograph's walks at the binary depth, then
+    # at the NB depth for the label stage, whose re-verification reuses
+    # that lift; a spectrum at the stored NB depth reuses what load-verify
+    # computed
+    import nbqc.lift
+
+    lifted = []
+    lift_shifts = nbqc.lift.lift_shifts
+
+    def counting(table, shifts, Z):
+        lifted.append(len(table))
+        return lift_shifts(table, shifts, Z)
+
+    monkeypatch.setattr(nbqc.lift, "lift_shifts", counting)
+    fixtures = Path(__file__).parent / "fixtures"
+    desc = tmp_path / "code.json"
+    assert main(["construct", "--proto", str(fixtures / "proto_gf16_z9.txt"),
+                 "--Z", "9", "--q", "16", "--ace-b", "inf,inf,inf,4",
+                 "--ace-nb", "inf,inf,inf,inf,inf,4", "--seed", "1",
+                 "--out", str(desc)]) == EXIT_OK
+    assert len(lifted) <= 2
+    lifted.clear()
+    assert main(["spectrum", str(desc), "--depth", "12", "--nb",
+                 "--json"]) == EXIT_OK
+    assert len(lifted) <= 2
+    capsys.readouterr()
+    # the kept lift and spectra stay out of pickles, which answer alike
+    code, _ = load_descriptor(desc)
+    assert code._spectra and code.proto._lifted is not None
+    shipped = pickle.loads(pickle.dumps(code))
+    assert shipped._spectra == {} and shipped.proto._lifted is None
+    for spectrum in (binary_ace_spectrum, nb_ace_spectrum):
+        for depth in (8, 12):
+            assert spectrum(shipped, depth) == spectrum(code, depth)
 
 
 def test_wide_base_matrix_constructs_at_depth_2_in_bounded_time_and_memory(

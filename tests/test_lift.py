@@ -649,3 +649,34 @@ def test_walk_table_memo_matches_fresh_enumeration(rows, shallow, extra):
         assert counted.call_count == 3
         _assert_same_walks(walk_table(grown, deep),
                            enumerate_closed_walks(grown, deep), grown)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=_base_matrices().filter(
+           lambda m: all(sum(c) >= 2 for c in zip(*m))),
+       Z=st.integers(1, 6), data=st.data())
+def test_lift_and_spectrum_memos_match_fresh_protographs(rows, Z, data, gf4):
+    # codes with other shifts, or only other labels, take turns on one
+    # protograph, and depths rise past its table, which enumerates again;
+    # every answer equals the one a fresh protograph gives
+    proto = from_base_matrix(rows)
+    values = st.lists(st.integers(0, Z - 1), min_size=proto.n_edges,
+                      max_size=proto.n_edges)
+    labels = st.lists(st.integers(0, 2), min_size=proto.n_edges,
+                      max_size=proto.n_edges)
+    first = QcCode(proto, Z, gf4, data.draw(values), data.draw(labels))
+    codes = [first, first.with_labels(data.draw(labels)),
+             QcCode(proto, Z, gf4, data.draw(values), data.draw(labels))]
+    steps = data.draw(st.lists(st.tuples(
+        st.sampled_from(codes), st.sampled_from([2, 4, 6, 8]),
+        st.sampled_from(["walks", "binary", "nb"])), min_size=1, max_size=8))
+    for code, depth, kind in [(first, 2, "walks")] + steps:
+        fresh = QcCode(from_base_matrix(rows), Z, gf4, code.shifts, code.labels)
+        if kind == "walks":
+            got, want = (lift_walks(walk_table(c.proto, depth).upto(depth), c)
+                         for c in (code, fresh))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        else:
+            spectrum = {"binary": binary_ace_spectrum, "nb": nb_ace_spectrum}[kind]
+            assert spectrum(code, depth) == spectrum(fresh, depth)
+        assert not any(a.flags.writeable for a in proto._lifted[2:])
