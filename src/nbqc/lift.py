@@ -54,6 +54,7 @@ from .protograph import (
     WalkTable,
     enumerate_closed_walks,
     from_base_matrix,
+    span_sums,
 )
 
 INF = math.inf
@@ -355,10 +356,10 @@ def lift_shifts(table: WalkTable, shifts: np.ndarray, Z: int):
     for b, lo in enumerate(starts[:-1].tolist()):
         walks = slice(lo, lo + _BLOCK)
         sums = table.prefix_sums(shifts, walks)
-        d[walks] = sums[:, -1] % Z
+        d[walks] = sums[-1] % Z
         k = slice(bounds[b], bounds[b + 1])
         w = table.pair_walk[k] - lo
-        pairs[k] = (sums[w, table.p2[k]] - sums[w, table.p1[k]]) % Z
+        pairs[k] = span_sums(sums, w, table.p1[k], table.p2[k]) % Z
         realized[walks] = realized_lifts(np.gcd(d[walks], Z), w, pairs[k])
     return d, realized, pairs
 
@@ -395,8 +396,8 @@ def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
     realizability.  Only meaningful for realized lifts.
     """
     k, a, b, edge = table.chords(code.proto, ids)
-    sums = table.prefix_sums(code.shifts, ids)
-    values = sums[k, b] - sums[k, a] - code.shifts[edge]
+    values = (span_sums(table.prefix_sums(code.shifts, ids), k, a, b)
+              - code.shifts.take(edge))
     return realized_lifts(np.gcd(d[ids], code.Z), k, values)
 
 
@@ -415,7 +416,7 @@ def _canceled(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
     """
     ids = np.asarray(ids, dtype=np.int64)
     order = code.Z // np.gcd(d[ids], code.Z)
-    sums = table.prefix_sums(code.labels, ids)[:, -1]
+    sums = table.prefix_sums(code.labels, ids)[-1]
     canceled = (order * sums) % (code.field.q - 1) != 0
     canceled[canceled] = lifts_minimal(table, code, ids[canceled], d)
     return canceled

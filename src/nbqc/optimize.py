@@ -61,7 +61,7 @@ from .lift import (  # lift_cycle, lift_is_minimal: traced by perfbench/spans.py
 )
 # enumerate_closed_walks: traced by perfbench/spans.py
 from .protograph import (Protograph, WalkTable, _ranges, enumerate_closed_walks,
-                         signed_sums)
+                         signed_sums, span_sums)
 
 
 @dataclass
@@ -164,8 +164,8 @@ _BLOCK = 1 << 14
 def _edge_counts(table: WalkTable):
     """Each edge on each walk, in (edge, walk) order: the walk, the edge
     and its signed count over the walk's positions before p, for every p
-    up to the row width (the last column counts the whole walk), which are
-    the walk's prefix sums of the edge's one-hot values."""
+    up to the row width (``signed_sums``, whose last row counts the whole
+    walk), which are the walk's prefix sums of the edge's one-hot values."""
     n, width = table.rows.shape
     walk, pos = np.nonzero(np.arange(width) < table.length[:, None])
     edge = table.rows[walk, pos]
@@ -222,13 +222,13 @@ class _Tracker:
         self.bad = bad
         self.pair_walk = table.pair_walk if pairs else table.pair_walk[:0]
         walk, edge, counted = _edge_counts(table)
-        factor = counted[:, -1]
+        factor = counted[-1]
         n_pairs = np.bincount(self.pair_walk, minlength=n)
         per_row = n_pairs[walk]
         pair = _ranges((np.cumsum(n_pairs) - n_pairs)[walk], per_row)
         owner = np.repeat(np.arange(len(walk)), per_row)
-        term_factor = (counted[owner, table.p2[pair]]
-                       - counted[owner, table.p1[pair]])
+        term_factor = span_sums(counted, owner, table.p1.take(pair),
+                                table.p2.take(pair))
         moves = factor != 0
         np.logical_or.at(moves, owner, term_factor != 0)
         if live is not None:
@@ -399,7 +399,7 @@ class _LabelTracker(_Tracker):
         self.total_shift = d[ids]
 
     def _start(self, labels: np.ndarray) -> np.ndarray:
-        return self.table.prefix_sums(labels)[:, -1] % self.n_values
+        return self.table.prefix_sums(labels)[-1] % self.n_values
 
 
 def _sweep(tracker, order: np.ndarray, max_sweeps: int,

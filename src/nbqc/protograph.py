@@ -12,9 +12,10 @@ shorter closed walk lifts to retraced copies of the shorter walk's lift and
 carries no extra information.
 
 The enumeration is array work.  The prefixes of all start edges grow
-together, a level at a time through padded successor tables; the last open
-level keeps only the prefixes that the last level can close, read from each
-base cell's two largest edge ids.  A closed word is kept when it is the
+together, a level at a time through padded successor tables, in blocks
+taken first to last, so the words come out in order with no sort; the last
+open level keeps only the prefixes that the last level can close, read from
+each base cell's two largest edge ids.  A closed word is kept when it is the
 least even rotation of itself and of its reversal and equals none of its
 proper even rotations, so every class appears once without a set of seen
 words.  The work is capped by a count of the prefixes the enumeration would
@@ -25,11 +26,15 @@ trackers, a :class:`WalkTable`: padded edge rows with length, ACE and the
 simple-minimal flag per walk, and each pair of visits to one node as visit
 positions, all as arrays.  Every quantity a lift depends on is a difference
 of two per-walk prefix sums of the edge values, read at visit positions.
-It builds a :class:`CycleRecord` only for the walk asked for.  A compile
-compares the nodes of same-side visit positions, a block of walks at a
-time sized from the row width.  The node arrays it reads are built once
-per protograph and the position pairs once per row width, so a one-row
-table (as ``lift.lift_cycle`` compiles) costs little more than its row.
+The sums are position-major (:func:`signed_sums`), read through their last
+row (the totals) and :func:`span_sums` alone.  It builds a
+:class:`CycleRecord` only for the walk asked for.  A compile compares the
+nodes of same-side visit positions, a block of walks at a time sized from
+the row width.  The node arrays it reads are built once per protograph and
+the position pairs once per row width, so a one-row table (as
+``lift.lift_cycle`` compiles) costs little more than its row.  Each
+multi-index gather, in the enumeration and in a compile, is one ``take``
+on a flat contiguous table with offsets formed in ``np.intp``.
 """
 
 from __future__ import annotations
@@ -130,22 +135,26 @@ class Protograph:
     def node_arrays(self) -> tuple[np.ndarray, ...]:
         """The node tables the enumeration and a table compile read, built once.
 
-        Per edge id, the padding id last: its check and variable (-1).  Per
-        node id, the padding id -1 last: a variable's ACE term, the base
-        matrix cells (0), each cell's edge ids (padded with -1) and its two
-        largest edge ids, largest first (padded with -1).  Read-only.
+        Per edge id, the padding id last: its check and variable (the
+        padding nodes ``n_checks`` and ``n_vars``).  Per node id, the padding
+        node last: a variable's ACE term, the base matrix cells (0), each
+        cell's edge ids (padded with -1) and, as two planes, each cell's
+        largest and second-largest edge id (-1 where there is none).
+        Read-only and C-contiguous, so a gather is one ``take`` on the
+        raveled table: cell (c, v) is flat entry ``c * (n_vars + 1) + v``.
         """
-        node_of = np.array([self.edge_check + [-1], self.edge_var + [-1]])
+        node_of = np.array([self.edge_check + [self.n_checks],
+                            self.edge_var + [self.n_vars]])
         ace_of = np.array([len(es) - 2 for es in self.var_edges] + [0])
         cells = np.zeros((self.n_checks + 1, self.n_vars + 1), np.int32)
         cells[:-1, :-1] = self.base_matrix()
         cell_edges = np.full(cells.shape + (cells.max(),), -1, np.int32)
-        top_two = np.full(cells.shape + (2,), -1, np.int32)
+        top_two = np.full((2,) + cells.shape, -1, np.int32)
         filled = np.zeros_like(cells)
         for e, (c, v) in enumerate(zip(self.edge_check, self.edge_var)):
             cell_edges[c, v, filled[c, v]] = e
             filled[c, v] += 1
-            top_two[c, v] = e, top_two[c, v, 0]  # ids arrive in order
+            top_two[:, c, v] = e, top_two[0, c, v]  # ids arrive in order
         for a in (node_of, ace_of, cells, cell_edges, top_two):
             a.flags.writeable = False
         return node_of, ace_of, cells, cell_edges, top_two
@@ -236,12 +245,20 @@ _CELLS = 1 << 18  # (start edges x edges) per prefix-count step
 @functools.lru_cache(maxsize=8)
 def _pair_positions(width: int):
     """Per row width: each position's parity, and the same-side position
-    pairs ``p1 < p2`` in (p1, p2) order.  Read-only."""
-    parity = np.arange(width) % 2
+    pairs ``p1 < p2`` in (p1, p2) order, all ``np.intp``.  Read-only."""
+    parity = np.arange(width, dtype=np.intp) % 2
     p1, p2 = np.nonzero(np.triu(parity[:, None] == parity, 1))
     for a in (parity, p1, p2):
         a.flags.writeable = False
     return parity, p1, p2
+
+
+def _visits(proto: Protograph, width: int):
+    """Each position's offset into the raveled ``node_of`` (its parity's
+    plane) and that table: ``nodes.take(at + rows)`` is the node visited
+    before each position of edge rows, the padding node on the padding."""
+    node_of = proto.node_arrays[0]
+    return _pair_positions(width)[0] * node_of.shape[1], node_of.ravel()
 
 
 def _edge_dtype(n_edges: int):
@@ -259,21 +276,22 @@ class WalkTable(Sequence):
     p, is its check for even p and its variable for odd p.
 
     Everything a lift depends on is read from the per-walk prefix sums of
-    per-edge values (:meth:`prefix_sums`), ``P[i, p]`` the signed sum over
-    the positions before p.  Applied to shifts, ``P[i, p]`` is the copy
-    index of visit p relative to visit 0, so
+    per-edge values (:meth:`prefix_sums`), position-major: ``P[p, i]`` is
+    the signed sum over the positions before p of walk i.  Applied to
+    shifts, ``P[p, i]`` is the copy index of visit p relative to visit 0, so
 
-    * ``P[i, -1]`` is the total shift, and over label exponents the
-      alternating label sum (padding adds 0);
+    * ``P[-1]`` holds the total shifts, and over label exponents the
+      alternating label sums (padding adds 0);
     * pair k, two visits ``p1[k] < p2[k]`` of one base node by walk
-      ``pair_walk[k]``, lands on one copy when ``P[w, p2] - P[w, p1]`` is 0
-      modulo the lift's gcd;
+      ``pair_walk[k]``, lands on one copy when ``P[p2, w] - P[p1, w]``
+      (:func:`span_sums`) is 0 modulo the lift's gcd;
     * a chord (:meth:`chords`) joins two visits of the lift when
-      ``P[w, b] - P[w, a]`` equals its edge's shift there.
+      ``P[b, w] - P[a, w]`` equals its edge's shift there.
 
-    Pairs are in walk order, and an enumerated table's walks in length
-    order, so the table up to a depth (:meth:`upto`) is a leading slice;
-    its ``head_of`` names the table it leads (None for any other table).
+    Pairs are in walk order, and an enumerated table's walks in (length,
+    edge_seq) order, so the table up to a depth (:meth:`upto`) is a leading
+    slice; its ``head_of`` names the table it leads (None for any other
+    table).
     A list of records with the same walks compares equal.
     """
 
@@ -291,8 +309,10 @@ class WalkTable(Sequence):
         self.rows = rows = np.asarray(rows, _edge_dtype(proto.n_edges))
         self.length = length = np.asarray(length, np.int32)
         n, width = rows.shape
-        parity, p1, p2 = _pair_positions(width)
-        node_of, ace_of, cells, *_ = proto.node_arrays
+        _, p1, p2 = _pair_positions(width)
+        at, node_of = _visits(proto, width)
+        _, ace_of, cells, *_ = proto.node_arrays
+        cells, stride = cells.ravel(), cells.shape[1]
         # a simple walk visits at most this many checks and variables
         most = min(proto.n_checks, proto.n_vars)
         self.ace = np.empty(n, np.int32)
@@ -302,18 +322,23 @@ class WalkTable(Sequence):
         step = max(1, _TABLE_CELLS // width**2)  # walks per block
         for lo in range(0, n, step):
             block, k = rows[lo:lo + step], length[lo:lo + step]
-            # the node visited before each position, -1 on the padding
-            nodes = node_of[parity, block]
-            checks, vars_ = nodes[:, 0::2], nodes[:, 1::2]
-            self.ace[lo:lo + step] = ace_of[vars_].sum(axis=1)
-            first = nodes[:, p1]
-            i, j = np.nonzero((first == nodes[:, p2]) & (first >= 0))
-            _extend(pairs, (i + lo, p1[j], p2[j]))
+            # nodes[p, i]: the node walk i visits before position p,
+            # position-major, so a position's nodes are one contiguous row
+            nodes = node_of.take(at[:, None] + block.T)
+            checks, vars_ = nodes[0::2], nodes[1::2]
+            self.ace[lo:lo + step] = ace_of.take(vars_).sum(axis=0)
+            same = nodes.take(p1, axis=0) == nodes.take(p2, axis=0)
+            i, j = np.divmod(np.flatnonzero(same.T), len(p1))
+            real = p1.take(j) < k.take(i)  # not two visits of the padding
+            i, j = i[real], j[real]
+            _extend(pairs, (i + lo, p1.take(j), p2.take(j)))
             simple = k >= 4
             simple[i] = False  # a pair is a node visited twice
             simple = np.flatnonzero(simple)
-            induced = cells[checks[simple, :most, None], vars_[simple, None, :most]]
-            self.simple_minimal[lo + simple] = induced.sum(axis=(1, 2)) == k[simple]
+            cell = (checks[:most].take(simple, axis=1)[:, None] * stride
+                    + vars_[:most].take(simple, axis=1))
+            induced = cells.take(cell).sum(axis=(0, 1))
+            self.simple_minimal[lo + simple] = induced == k[simple]
         self.pair_walk, self.p1, self.p2 = _joined(pairs)
 
     def __len__(self) -> int:
@@ -331,15 +356,17 @@ class WalkTable(Sequence):
     __hash__ = None
 
     def prefix_sums(self, values: np.ndarray, ids=slice(None)) -> np.ndarray:
-        """``P[k, p]``: per-edge ``values`` summed with each position's sign
+        """``P[p, k]``: per-edge ``values`` summed with each position's sign
         over the positions before p of walk ``ids[k]`` (every walk by
-        default), shape ``(walks, width + 1)``.
+        default), shape ``(width + 1, walks)``, position-major as
+        :func:`signed_sums` lays it out; ``P[-1]`` holds the totals and
+        :func:`span_sums` reads the rest.
 
         Values are integers below 2^22 in magnitude (shifts below
         ``gf.MAX_Z``, label exponents), so every sum fits int32.
         """
         ext = np.append(np.asarray(values, np.int32), np.int32(0))
-        return signed_sums(ext[self.rows[ids]], np.int32)
+        return signed_sums(ext.take(self.rows[ids]), np.int32)
 
     def chords(self, proto: Protograph, ids: np.ndarray):
         """The chords of the lifts of walks ``ids``, as ``(k, a, b, edge)``
@@ -354,25 +381,32 @@ class WalkTable(Sequence):
         lift rules out.)  A simple minimal walk has no chords.
         """
         ids = np.asarray(ids, np.int64)
-        node_of, _, _, cell_edges, _ = proto.node_arrays
+        cell_edges = proto.node_arrays[3]
+        stride = cell_edges.shape[1]
+        cell_edges = cell_edges.reshape(-1, cell_edges.shape[2])
+        rows, width = self.rows.ravel(), self.rows.shape[1]
+        at, node_of = _visits(proto, width)
         found = ([np.empty(0, np.int64)], [np.empty(0, np.int16)],
                  [np.empty(0, np.int16)], [np.empty(0, self.rows.dtype)])
-        asked = np.flatnonzero(~self.simple_minimal[ids])
+        asked = np.flatnonzero(~self.simple_minimal.take(ids))
         for lo in range(0, len(asked), _CHUNK):
             k = asked[lo:lo + _CHUNK]
-            length = self.length[ids[k], None]
-            block = self.rows[ids[k], :length.max()]  # to the longest walk
-            pos = np.arange(block.shape[1])
-            nodes = node_of[pos % 2, block]
+            walks = ids.take(k)
+            length = self.length.take(walks)[:, None]
+            longest = length.max()  # the block reaches the longest walk
+            block = self.rows.take(walks, axis=0)[:, :longest]
+            nodes = node_of.take(at[:longest] + block)
             # edges[w, i, j]: the base edges from check visit 2i to variable
             # visit 2j + 1, less the walk's edges at positions 2i and 2i - 1
-            edges = cell_edges[nodes[:, 0::2, None], nodes[:, None, 1::2]]
-            before = np.take_along_axis(block, (pos[0::2] - 1) % length, 1)
+            edges = cell_edges.take(nodes[:, 0::2, None] * stride
+                                    + nodes[:, None, 1::2], axis=0)
+            even = np.arange(0, longest, 2)
+            before = rows.take(walks[:, None] * width + (even - 1) % length)
             for own in (block[:, 0::2], before):
                 edges[edges == own[:, :, None, None]] = -1
             hit = np.flatnonzero(edges >= 0)
             w, i, j, _ = np.unravel_index(hit, edges.shape)
-            _extend(found, (k[w], 2 * i, 2 * j + 1, edges.ravel()[hit]))
+            _extend(found, (k[w], 2 * i, 2 * j + 1, edges.ravel().take(hit)))
         return tuple(_joined(found))
 
     def _part(self, walks, pairs, pair_walk) -> "WalkTable":
@@ -402,14 +436,34 @@ class WalkTable(Sequence):
 
 
 def signed_sums(terms: np.ndarray, dtype) -> np.ndarray:
-    """``P[k, p]``: the per-position ``terms`` of row k summed over the
-    positions before p, + at even positions and - at odd ones (a walk's
-    traversal signs), as ``dtype``, shape ``(rows, width + 1)``."""
-    sums = np.zeros((len(terms), terms.shape[1] + 1), dtype)
-    sums[:, 1:] = terms
-    sums[:, 2::2] *= -1
-    np.cumsum(sums[:, 1:], axis=1, dtype=dtype, out=sums[:, 1:])
+    """``P[p, k]``: the per-position ``terms[k, p]`` of row k summed over
+    the positions before p, + at even positions and - at odd ones (a
+    walk's traversal signs), as ``dtype`` (wrapping as it would), shape
+    ``(width + 1, rows)``.
+
+    Position-major, so the scan is one add of two contiguous rows per
+    position and the totals ``P[-1]`` are one contiguous row.  Read it
+    elsewhere through :func:`span_sums`.
+    """
+    sums = np.empty((terms.shape[1] + 1, len(terms)), dtype)
+    sums[0] = 0
+    for p, column in enumerate(terms.T):
+        (np.subtract if p % 2 else np.add)(sums[p], column, out=sums[p + 1])
     return sums
+
+
+def span_sums(sums: np.ndarray, walk, lo, hi) -> np.ndarray:
+    """``P[hi, w] - P[lo, w]`` for each walk w of ``walk`` and positions
+    ``lo``, ``hi`` beside it: the signed sum over positions lo to hi - 1,
+    read from prefix sums ``P`` (:func:`signed_sums`) by flat offsets.
+
+    The offsets are formed in ``np.intp``: positions come as int16, which
+    times the walk count would wrap silently.
+    """
+    flat, n = sums.ravel(), sums.shape[1]
+    walk = np.asarray(walk, np.intp)
+    return (flat.take(np.asarray(hi, np.intp) * n + walk)
+            - flat.take(np.asarray(lo, np.intp) * n + walk))
 
 
 def _extend(columns, blocks) -> None:
@@ -452,24 +506,25 @@ def _least_of_class(words: np.ndarray) -> np.ndarray:
     count).  Only a rotation that starts with the word's own e0 can tie or
     win.  Read from an even position p the word turns forward, and from an
     odd p it is an even rotation of the reversal, read backward from p.
-    Each word is compared with those rotations one position at a time, for
-    as long as they tie.
+    Each such rotation is read whole, ``_BLOCK`` rotations at a time, by one
+    take from the raveled words, and decides at its first position that
+    differs from the word; one that differs nowhere ties to the end, a
+    proper even rotation equal to the word (a reversal cannot tie, as that
+    needs two equal adjacent edges).
     """
     n = words.shape[1]
+    flat = words.ravel()
     w, p = divmod(np.flatnonzero(words[:, 1:] == words[:, :1]), n - 1)
-    p += 1
-    step = 1 - 2 * (p % 2)
     keep = np.ones(len(words), bool)
-    for t in range(1, n):
-        mine, theirs = words[w, t], words[w, (p + step * t) % n]
-        keep[w[theirs < mine]] = False
-        tie = (theirs == mine) & keep[w]
-        w, p, step = w[tie], p[tie], step[tie]
-        if not len(w):
-            break
-    # a tie to the end is a proper even rotation equal to the word; a
-    # reversal cannot tie, as that needs two equal adjacent edges
-    keep[w] = False
+    t = np.arange(n)
+    for lo in range(0, len(w), _BLOCK):
+        wb, pb = w[lo:lo + _BLOCK], p[lo:lo + _BLOCK, None] + 1
+        turn = 1 - 2 * (pb % 2)
+        mine = words.take(wb, axis=0)
+        theirs = flat.take(wb[:, None] * n + (pb + turn * t) % n)
+        first = (theirs != mine).argmax(axis=1)  # 0 on a tie to the end
+        first += np.arange(len(wb)) * n
+        keep[wb[theirs.ravel().take(first) <= mine.ravel().take(first)]] = False
     return keep
 
 
@@ -534,17 +589,20 @@ def enumerate_closed_walks(
     of every start edge e0 grow over edges >= e0 in one loop that reads e0
     per row, a level at a time, as ``(prefixes, k)`` arrays in blocks of at
     most ``_BLOCK`` rows, depth first, so the memory held does not grow with
-    the depth.  The last open level (position ``max_len - 2``) keeps only the
-    prefixes whose variable has an edge f > e0, other than the prefix's
-    last, to e0's check: the others could not close at the last level.  The
-    closed words of each level are kept when they are the least even
-    rotation of themselves and their reversal and primitive
-    (:func:`_least_of_class`), so no set of seen words is needed.  Raises
-    :class:`WalkEnumerationOverflow`, before any prefix grows, when the
-    unpruned enumeration would create more than ``max_prefixes`` prefixes
-    (the pruned one never creates more, and classes never outnumber
-    prefixes), or when ``max_len`` exceeds :data:`MAX_WALK_LEN`; the result
-    is never silently truncated.
+    the depth.  A block's prefixes are in edge_seq order, and so are the
+    ones it grows (successors come in increasing id); each level's blocks
+    are pushed in reverse and so popped first to last, so every length's
+    words come out in edge_seq order with no sort.  The last open level
+    (position ``max_len - 2``) keeps only the prefixes whose variable has
+    an edge f > e0, other than the prefix's last, to e0's check: the others
+    could not close at the last level.  The closed words of each level are
+    kept when they are the least even rotation of themselves and their
+    reversal and primitive (:func:`_least_of_class`), so no set of seen
+    words is needed.  Raises :class:`WalkEnumerationOverflow`, before any
+    prefix grows, when the unpruned enumeration would create more than
+    ``max_prefixes`` prefixes (the pruned one never creates more, and
+    classes never outnumber prefixes), or when ``max_len`` exceeds
+    :data:`MAX_WALK_LEN`; the result is never silently truncated.
     """
     checked_depth(max_len, "max_len")
     if max_len > MAX_WALK_LEN:
@@ -555,7 +613,11 @@ def enumerate_closed_walks(
     n_edges = proto.n_edges
     dtype = _edge_dtype(n_edges)
     node_of, *_, top_two = proto.node_arrays
-    edge_check = node_of[0]
+    # per edge id (-1 reads the padding): its check, its variable, and the
+    # flat offset of its check's row of cells in the raveled top_two planes
+    edge_check, edge_var = node_of
+    check_row = edge_check * top_two.shape[2]
+    top1, top2 = (plane.ravel() for plane in top_two)
     # follow[p % 2][e]: the edges that may come after e at position p of a
     # walk (from e's variable after an even p, from its check after an odd
     # one), e itself left out, padded with -1; a 2-walk reads no check side
@@ -566,46 +628,53 @@ def enumerate_closed_walks(
                                for e, c in enumerate(proto.edge_check)], dtype))
     found: dict[int, list[np.ndarray]] = {}  # length -> canonical words
     starts = np.arange(n_edges, dtype=dtype)[:, None]
-    stack = [starts[lo:lo + _BLOCK] for lo in range(0, n_edges, _BLOCK)]
+    stack = _blocks(starts)
     while stack:
         prefixes = stack.pop()
         k = prefixes.shape[1]  # the position of the edge added now
         e0 = prefixes[:, :1]
-        nxt = follow[(k - 1) % 2][prefixes[:, -1]]
+        nxt = follow[(k - 1) % 2].take(prefixes[:, -1], axis=0)
         grow = nxt >= e0
         if k % 2:  # back at a check: a word closes on e0's check, not via e0
-            closes = (edge_check[nxt] == edge_check[e0]) & (nxt != e0)
+            closes = (edge_check.take(nxt) == edge_check.take(e0)) & (nxt != e0)
             if k + 1 == max_len:
                 grow &= closes
         elif k + 2 == max_len:
             # the last level closes only by an edge f > e0, f != nxt, of the
-            # cell (e0's check, nxt's variable); its two largest ids decide,
-            # so the gather is (rows, width, 2) at any multiplicity
-            top = top_two[edge_check[e0], node_of[1, nxt]]
-            top1, top2 = top[..., 0], top[..., 1]
-            grow &= ((top1 > e0) & (top1 != nxt)) | (top2 > e0)
+            # cell (e0's check, nxt's variable); its two largest ids decide
+            # at any multiplicity
+            cell = check_row.take(e0) + edge_var.take(nxt)
+            first = top1.take(cell)
+            grow &= ((first > e0) & (first != nxt)) | (top2.take(cell) > e0)
         flat = np.flatnonzero(grow)
         grown = np.empty((len(flat), k + 1), dtype)
         grown[:, :k] = prefixes.take(flat // grow.shape[1], axis=0)
-        grown[:, k] = nxt.ravel()[flat]
+        grown[:, k] = nxt.ravel().take(flat)
         if k % 2:
-            words = grown[closes.ravel()[flat]]
+            words = grown[closes.ravel().take(flat)]
             words = words[_least_of_class(words)]
             if len(words):
                 found.setdefault(k + 1, []).append(words)
         if k + 1 < max_len:
-            stack.extend(grown[lo:lo + _BLOCK]
-                         for lo in range(0, len(grown), _BLOCK))
+            stack += _blocks(grown)
 
     return WalkTable(proto, *_ordered_rows(found, n_edges, dtype))
+
+
+def _blocks(prefixes: np.ndarray) -> list[np.ndarray]:
+    """``prefixes`` in blocks of ``_BLOCK`` rows, last block first, so a
+    stack pops them first to last."""
+    return [prefixes[lo:lo + _BLOCK]
+            for lo in reversed(range(0, len(prefixes), _BLOCK))]
 
 
 def _ordered_rows(found: dict, n_edges: int, dtype):
     """Padded rows and lengths of the words ``found`` per length.
 
-    (length, edge_seq) order: by length, then each length's words sorted.
-    ``found`` is emptied as the rows fill, and each length is sorted in its
-    rows, so no word array outlives the call and none is joined first.
+    (length, edge_seq) order: by length, then each length's word blocks in
+    the order found, which the enumeration's first-to-last block order
+    makes edge_seq order.  ``found`` is emptied as the rows fill, so no
+    word array outlives the call and none is joined first.
     """
     lengths = sorted(found)
     length = np.repeat(np.array(lengths, np.int32),
@@ -613,11 +682,9 @@ def _ordered_rows(found: dict, n_edges: int, dtype):
     rows = np.full((len(length), max(lengths, default=2)), n_edges, dtype)
     hi = 0
     for n in lengths:
-        lo = hi
         for words in found.pop(n):
             rows[hi:hi + len(words), :n] = words
             hi += len(words)
-        rows[lo:hi] = rows[lo:hi][np.lexsort(rows[lo:hi, :n].T[::-1])]
     return rows, length
 
 

@@ -250,6 +250,29 @@ def _build_record(proto: Protograph, canon: tuple[int, ...]) -> CycleRecord:
     return CycleRecord(edge_seq=canon, ace=ace, is_simple_minimal=minimal)
 
 
+def least_of_class_by_position_loop(words: np.ndarray) -> np.ndarray:
+    """``protograph._least_of_class`` by comparing each word with each of
+    its candidate rotations one position at a time, for as long as they
+    tie: a rotation from a position p that repeats the first edge, forward
+    from an even p and backward (the reversal) from an odd one, rejects
+    the word when it is smaller at the first position they differ or ties
+    to the end."""
+    n = words.shape[1]
+    w, p = divmod(np.flatnonzero(words[:, 1:] == words[:, :1]), n - 1)
+    p += 1
+    step = 1 - 2 * (p % 2)
+    keep = np.ones(len(words), bool)
+    for t in range(1, n):
+        mine, theirs = words[w, t], words[w, (p + step * t) % n]
+        keep[w[theirs < mine]] = False
+        tie = (theirs == mine) & keep[w]
+        w, p, step = w[tie], p[tie], step[tie]
+        if not len(w):
+            break
+    keep[w] = False
+    return keep
+
+
 def closed_walks_by_edge_dfs(proto: Protograph, max_len: int) -> list[CycleRecord]:
     """Primitive non-backtracking closed walks by recursive edge DFS.
 
@@ -343,6 +366,26 @@ def prefix_totals_by_edge_matrices(proto: Protograph, max_len: int) -> list[int]
             counts *= closing
         totals.append(totals[-1] + int(counts.sum()))
     return totals[1:]
+
+
+def walk_major_signed_sums(terms: np.ndarray, dtype) -> np.ndarray:
+    """``P[k, p]``: the per-position ``terms`` of row k summed over the
+    positions before p, + at even positions and - at odd ones, as
+    ``dtype``, shape ``(rows, width + 1)``: the walk-major reference for
+    the position-major ``protograph.signed_sums``, by a cumulative sum
+    along each row."""
+    sums = np.zeros((len(terms), terms.shape[1] + 1), dtype)
+    sums[:, 1:] = terms
+    sums[:, 2::2] *= -1
+    np.cumsum(sums[:, 1:], axis=1, dtype=dtype, out=sums[:, 1:])
+    return sums
+
+
+def walk_major_prefix_sums(table: WalkTable, values, ids=slice(None)):
+    """``P[k, p]``: per-edge ``values`` signed-summed over the positions
+    before p of walk ``ids[k]``, walk-major, in int64."""
+    ext = np.append(np.asarray(values, np.int64), 0)
+    return walk_major_signed_sums(ext[table.rows[ids]], np.int64)
 
 
 def coefficient_rows(table: WalkTable):

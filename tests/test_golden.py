@@ -15,6 +15,9 @@ the hard decision (and of the encoded word in random mode) per frame.
 on GF(16)/Z=9 (its result, assignment and a sha256 of its per-edge
 ``history``), and the exit-2 report of a construction that fails.
 
+The two reference codes are also checked against the brute-force
+lifted-graph oracle at their full depth, with no golden file.
+
 Regenerate both with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -31,13 +34,14 @@ import nbqc.optimize
 from nbqc.cli import EXIT_CONSTRAINT, EXIT_OK, main
 from nbqc.codec import Encoder, QspaDecoder
 from nbqc.gf import Field
-from nbqc.io_formats import read_base_matrix
-from nbqc.lift import QcCode, expand
+from nbqc.io_formats import load_descriptor, read_base_matrix
+from nbqc.lift import QcCode, binary_ace_spectrum, expand, nb_ace_spectrum
 from nbqc.optimize import OptimizerConfig, spectrum_search
 from nbqc.protograph import from_base_matrix
 from nbqc.simulate import _frame_rng, channel_priors
 
 from conftest import FIXTURES
+from oracles import LiftedGraph
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -79,6 +83,19 @@ def test_golden_nb_spectrum(capsys):
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert out == (GOLDEN / "gf16_z9_seed1.spectrum.json").read_text()
+
+
+@pytest.mark.parametrize("name, depth", [("gf16_z9_seed1.json", 12),
+                                         ("gf8_z21_seed1.json", 10)])
+def test_golden_code_spectra_match_the_lifted_graph(name, depth):
+    # the reference codes at their full depth (10 on GF(8), where 12 takes
+    # the brute-force oracle about 13 s): the pruned enumeration, the kept
+    # lift and the spectrum memo of a loaded, re-verified code against
+    # every simple cycle of the expanded graph
+    code, _ = load_descriptor(GOLDEN / name)
+    graph = LiftedGraph(code)
+    assert binary_ace_spectrum(code, depth).values == graph.spectrum(depth, False)
+    assert nb_ace_spectrum(code, depth).values == graph.spectrum(depth, True)
 
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))

@@ -31,6 +31,7 @@ from nbqc.lift import (
     realized_lifts,
     walk_table,
 )
+from nbqc.optimize import _edge_counts, _ShiftTracker
 from nbqc.protograph import WalkTable, enumerate_closed_walks, from_base_matrix
 
 from oracles import (
@@ -43,6 +44,8 @@ from oracles import (
     picked_chords,
     ring_protograph,
     traverse_lifted_cycle_set,
+    walk_major_prefix_sums,
+    walk_major_signed_sums,
 )
 
 
@@ -419,14 +422,56 @@ def test_lift_shifts_blocks_match_whole_table_prefix_sums(ensemble2_matrix,
     table = walk_table(proto, 10)
     shifts = np.random.default_rng(block).integers(0, 21, proto.n_edges)
     sums = table.prefix_sums(shifts)
-    pairs = (sums[table.pair_walk, table.p2] - sums[table.pair_walk, table.p1]) % 21
+    pairs = (sums[table.p2, table.pair_walk] - sums[table.p1, table.pair_walk]) % 21
     with mock.patch.object(nbqc.lift, "_BLOCK", block):
         d, realized, got = lift_shifts(table, shifts, 21)
     assert len(table) > nbqc.lift._BLOCK
-    assert np.array_equal(d, sums[:, -1] % 21)
+    assert np.array_equal(d, sums[-1] % 21)
     assert np.array_equal(got, pairs)
     assert np.array_equal(realized, realized_lifts(np.gcd(d, 21), table.pair_walk,
                                                    pairs))
+
+
+def test_prefix_sum_offsets_past_int16_match_walk_major_sums(ensemble2_matrix):
+    # position-major prefix sums are read at flat offsets position x walks
+    # + walk, and positions are int16: each read below passes 32 767,
+    # where an offset formed in int16 would wrap
+    proto = from_base_matrix(ensemble2_matrix)
+    table = walk_table(proto, 12)
+    width = table.rows.shape[1] + 1
+    shifts = np.random.default_rng(12).integers(0, 21, proto.n_edges)
+    sums = walk_major_prefix_sums(table, shifts)
+    pairs = (sums[table.pair_walk, table.p2] - sums[table.pair_walk, table.p1])
+    # lift_shifts, a block of 4096 walks at a time
+    assert width * 4096 > 32767
+    with mock.patch.object(nbqc.lift, "_BLOCK", 4096):
+        d, realized, got = lift_shifts(table, shifts, 21)
+    assert np.array_equal(d, sums[:, -1] % 21)
+    assert np.array_equal(got, pairs % 21)
+    # lifts_minimal on every realized walk
+    code = QcCode(proto, 21, Field(3), shifts)
+    ids = np.flatnonzero(realized)
+    assert len(ids) > 2600 and width * len(ids) > 32767
+    k, a, b, edge = table.chords(proto, ids)
+    at = walk_major_prefix_sums(table, shifts, ids)
+    assert np.array_equal(lifts_minimal(table, code, ids, d), realized_lifts(
+        np.gcd(d[ids], 21), k, at[k, b] - at[k, a] - shifts[edge]))
+    # the shift tracker's coefficients, read at (walk, edge) rows x width
+    # past 32 767 but with fewer rows than that, so int16 would wrap
+    # silently rather than refuse the row count
+    head = table.upto(10)
+    walk, edge, _ = _edge_counts(head)
+    assert width * len(walk) > 32767 > len(walk)
+    tracker = _ShiftTracker(head, 21, AceSpectrum.all_zero(10))
+    walk, edge, factor, _, per, _ = tracker.rows.T
+    counted = walk_major_signed_sums(head.rows[walk] == edge[:, None],
+                                     np.int64)
+    assert np.array_equal(factor, counted[:, -1])
+    owner = np.repeat(np.arange(len(walk)), per)
+    pair = tracker.terms[:, 0] - tracker.n
+    assert len(pair) and np.array_equal(
+        tracker.terms[:, 1],
+        counted[owner, head.p2[pair]] - counted[owner, head.p1[pair]])
 
 
 def _assert_minimality_matches_oracle(table: WalkTable, code: QcCode):
@@ -601,9 +646,9 @@ def _assert_same_walks(got: WalkTable, want: WalkTable, proto):
     on_rows = np.append(values, 0)[got.rows]
     coef, pair_coef = coefficient_rows(got)
     sums = got.prefix_sums(values)
-    assert np.array_equal(sums[:, -1], (coef * on_rows).sum(axis=1))
+    assert np.array_equal(sums[-1], (coef * on_rows).sum(axis=1))
     assert np.array_equal(
-        sums[got.pair_walk, got.p2] - sums[got.pair_walk, got.p1],
+        sums[got.p2, got.pair_walk] - sums[got.p1, got.pair_walk],
         (pair_coef * on_rows[got.pair_walk]).sum(axis=1))
 
 

@@ -541,14 +541,14 @@ def _check_coefficients(tracker, n_edges, live, with_pairs):
                 else np.empty(0, np.intp) for w in range(n)]
     for e in range(n_edges):
         sums = table.prefix_sums(np.arange(n_edges) == e)
-        diff = (sums[table.pair_walk, table.p2]
-                - sums[table.pair_walk, table.p1])
-        moved = [live[w] and (sums[w, -1] != 0 or diff[pairs_of[w]].any())
+        diff = (sums[table.p2, table.pair_walk]
+                - sums[table.p1, table.pair_walk])
+        moved = [live[w] and (sums[-1, w] != 0 or diff[pairs_of[w]].any())
                  for w in range(n)]
         assert {w for w, e2 in row_of if e2 == e} == set(np.flatnonzero(moved))
         for w in np.flatnonzero(moved).tolist():
             _, _, coef, ring, per, first = tracker.rows[row_of[w, e]].tolist()
-            assert coef == sums[w, -1]
+            assert coef == sums[-1, w]
             terms = tracker.terms[first:first + per]
             assert terms[:, 0].tolist() == (n + pairs_of[w]).tolist()
             assert terms[:, 1].tolist() == diff[pairs_of[w]].tolist()

@@ -1,8 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+import nbqc.protograph
 
 from nbqc.gf import MAX_Z
 from nbqc.protograph import (
@@ -15,6 +19,7 @@ from nbqc.protograph import (
     enumerate_closed_walks,
     from_base_matrix,
     read_base_matrix_text,
+    signed_sums,
     write_base_matrix_text,
 )
 
@@ -24,8 +29,10 @@ from oracles import (
     closed_walks_by_edge_dfs,
     count_closed_walks_by_node_dfs,
     count_prefixes_by_edge_dfs,
+    least_of_class_by_position_loop,
     prefix_totals_by_edge_matrices,
     ring_protograph,
+    walk_major_signed_sums,
 )
 
 
@@ -370,6 +377,18 @@ def test_least_of_class_of_mixed_start_edges_keeps_what_per_e0_calls_keep(
                                    for w in map(tuple, block.tolist())]
 
 
+@settings(max_examples=100, deadline=None)
+@given(words=st.integers(1, 8).flatmap(lambda half: arrays(
+    np.int16, st.tuples(st.integers(0, 30), st.just(2 * half)),
+    elements=st.integers(0, 3))))
+def test_least_of_class_matches_the_position_loop(words):
+    # whole rotations decided at their first difference against the loop
+    # that compares one position at a time; three edge ids give many
+    # repeated first edges, ties and periodic words
+    assert np.array_equal(_least_of_class(words),
+                          least_of_class_by_position_loop(words))
+
+
 def test_triple_cell_keeps_odd_period_words():
     # three parallel edges traversed cyclically repeat with period 3, which
     # does not split into closed walks: the word is primitive and kept
@@ -386,6 +405,56 @@ def test_enumeration_deterministic_order(ensemble1_matrix):
     assert a == b
     lengths = [w.length for w in a]
     assert lengths == sorted(lengths)
+
+
+_COLUMNS = ("rows", "length", "ace", "simple_minimal", "pair_walk", "p1", "p2")
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_blocks_taken_first_to_last_need_no_sort(ensemble1_matrix,
+                                                 ensemble2_matrix, block):
+    # nothing sorts the words: the order comes from taking each level's
+    # blocks first to last.  At the default block size only the last few
+    # levels span more than one block; 1-, 3- and 64-prefix blocks split
+    # every level, and the table must not move
+    for matrix in (ensemble1_matrix, ensemble2_matrix):
+        want = enumerate_closed_walks(from_base_matrix(matrix), 10)
+        keys = list(zip(want.length.tolist(), want.rows.tolist()))
+        assert keys == sorted(keys)  # (length, edge_seq) order
+        with mock.patch.object(nbqc.protograph, "_BLOCK", block):
+            got = enumerate_closed_walks(from_base_matrix(matrix), 10)
+        for name in _COLUMNS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_multigraph_matrices(), max_len=st.sampled_from([4, 6, 8, 10]),
+       block=st.sampled_from([1, 3, 64]))
+def test_small_blocks_enumerate_what_the_dfs_oracle_finds(rows, max_len,
+                                                          block):
+    p = from_base_matrix(rows)
+    with mock.patch.object(nbqc.protograph, "_BLOCK", block):
+        try:
+            table = enumerate_closed_walks(p, max_len, max_prefixes=1 << 15)
+        except WalkEnumerationOverflow:
+            assume(False)
+    assert list(table) == closed_walks_by_edge_dfs(p, max_len)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_position_major_sums_hold_the_walk_major_bytes(data):
+    # signed_sums lays P out position-major; read transposed, its bytes are
+    # those of the walk-major cumulative sum, wrapping included
+    kind = data.draw(st.sampled_from([np.int16, np.int32]))
+    dtype = data.draw(st.sampled_from([np.int16, np.int32]))
+    shape = st.tuples(st.integers(0, 40), st.integers(1, 16))
+    terms = data.draw(arrays(kind, shape))
+    got = signed_sums(terms, dtype)
+    want = walk_major_signed_sums(terms, dtype)
+    assert got.dtype == want.dtype and got.shape == want.T.shape
+    assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
 def test_base_matrix_text_roundtrip(ensemble1_matrix):
