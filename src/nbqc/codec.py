@@ -7,14 +7,16 @@ over the additive group of GF(2^r).
 
 Both work on tables built once per matrix.  The decoder numbers its edges
 variable-slot-major, so the variable update reads and writes contiguous
-blocks, keeps a padded ``(max degree, checks)`` slot table for the check
-update, and owns every message, scan and transform buffer an iteration
-uses (see :class:`QspaDecoder`).  The encoder works on a dense
-``(parity, info)`` coefficient matrix.
+blocks, runs the check update symbol-major in padded check-slot order, and
+owns every message, scan and transform buffer an iteration uses (see
+:class:`QspaDecoder`).  The encoder keeps one row of parity symbols per
+message bit and XORs the rows of the bits a message sets (see
+:class:`Encoder`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,24 +156,44 @@ class Encoder:
     Pivot columns hold parity symbols, the remaining columns carry the
     message; ``info_positions`` records the induced permutation so the
     mapping can be written into a code descriptor.
+
+    Parity symbol p is the GF(2^r) sum of ``C[p, j] * u[j]`` over the info
+    symbols u, with C the reduced pivot rows.  Multiplication by a
+    coefficient is GF(2)-linear in the bits of u[j], so the encoder keeps
+    one uint8 row per (info position j, bit b), the m parity symbols
+    ``C[:, j] * 2^b``, padded to whole 64-bit words, and a message's parity
+    is the XOR of the rows of the bits it sets.  The table takes about
+    k * r * m bytes.
     """
 
     def __init__(self, H: SparseGfMatrix):
         pivots = _echelon(H)
         if len(pivots) < H.n_rows:
             raise RankDeficiencyError(len(pivots), H.n_rows)
-        self.field = H.field
+        self.field = f = H.field
         self.n = H.n_cols
-        self.m = H.n_rows
+        self.m = m = H.n_rows
         self.parity_positions = sorted(pivots)
         self.info_positions = [
             c for c in range(H.n_cols) if c not in pivots
         ]
-        dense = np.zeros((self.m, self.n), dtype=np.int64)
-        for p, c in enumerate(self.parity_positions):
-            dense[p, list(pivots[c])] = list(pivots[c].values())
-        # reduced pivot rows hold info columns only
-        self._coef = dense[:, self.info_positions]
+        self._parity = np.array(self.parity_positions, dtype=np.intp)
+        self._info = np.array(self.info_positions, dtype=np.intp)
+        # reduced pivot rows hold info columns only: (parity, info, value)
+        rows = [pivots[c] for c in self.parity_positions]
+        lengths = [len(row) for row in rows]
+        nnz = sum(lengths)
+        parity = np.repeat(np.arange(m), lengths)
+        info_index = np.zeros(self.n, dtype=np.intp)
+        info_index[self._info] = np.arange(self.message_length)
+        info = info_index[np.fromiter(
+            itertools.chain.from_iterable(rows), np.intp, nnz)]
+        coef = np.fromiter(itertools.chain.from_iterable(
+            row.values() for row in rows), np.intp, nnz)
+        planes = np.zeros((self.message_length, f.r, -(-m // 8) * 8), np.uint8)
+        for b in range(f.r):
+            planes[info, b, parity] = f.mul_table[coef, 1 << b]
+        self._planes = planes.reshape(-1, planes.shape[2]).view(np.uint64)
 
     @property
     def message_length(self) -> int:
@@ -182,15 +204,20 @@ class Encoder:
             raise ValueError(
                 f"message length {len(message)} != {self.message_length}"
             )
-        msg = np.asarray(message, dtype=np.int64)
+        msg = np.asarray(message)
+        if msg.dtype.kind not in "iu" or msg.ndim != 1:
+            raise ValueError(f"message: need integer symbols, not a "
+                             f"{msg.dtype} array of shape {msg.shape}")
         if np.any((msg < 0) | (msg >= self.field.q)):
             raise ValueError("message symbol out of field range")
+        # table row j * r + b joins the XOR when bit b of symbol j is set
+        bits = np.unpackbits(msg.astype(np.uint8)[:, None], axis=1,
+                             count=self.field.r, bitorder="little")
+        parity = np.bitwise_xor.reduce(
+            self._planes.take(np.flatnonzero(bits), axis=0), axis=0)
         word = np.zeros(self.n, dtype=np.int64)
-        word[self.info_positions] = msg
-        # char-2 field: c[pivot] = sum of row coefficients times info symbols
-        word[self.parity_positions] = np.bitwise_xor.reduce(
-            self.field.mul_table[self._coef, msg], axis=1
-        )
+        word[self._info] = msg
+        word[self._parity] = parity.view(np.uint8)[:self.m]
         return word
 
 
@@ -201,32 +228,34 @@ def encode(H: SparseGfMatrix, message) -> np.ndarray:
 
 @dataclass
 class DecodeResult:
+    """One frame's decision; ``dead_row_resets`` counts the message and
+    posterior rows, over all iterations, that summed to zero and were
+    reset to uniform."""
+
     hard_decision: np.ndarray
     converged: bool
     iterations_used: int
+    dead_row_resets: int = 0
 
 
-def _fwht_stages(a: np.ndarray, bufs) -> tuple[list, np.ndarray]:
-    """The butterfly stages of :func:`fwht` on ``a``, and its result.
+def _fwht_stages(bufs) -> tuple[list, np.ndarray]:
+    """The butterfly stages of :func:`fwht` through ``bufs``, and its result.
 
-    ``a`` is the transpose of a C-ordered ``(q, ...)`` array.  Stage k
-    reads the previous stage's output (``a`` first) and writes
-    ``bufs[k % 2]``, two arrays of ``a``'s transposed shape; it is four
-    views, ``(top, bottom, out top, out bottom)``, of whole symbol rows.
-    The result is a view of the last buffer written, shaped like ``a``.
+    ``bufs`` holds log2(q) + 1 arrays of one shape, symbol axis first, and
+    stage k reads ``bufs[k]`` and writes ``bufs[k + 1]``.  A stage is four
+    views, ``(top, bottom, out top, out bottom)``, of whole symbol rows:
+    splitting the symbol axis keeps every view on its buffer's memory,
+    whatever the other axes' strides.  The result is ``bufs[-1]`` with the
+    symbol axis last.
     """
-    src = a.T
-    q = src.shape[0]
-    rows = src.reshape(q, src.size // q)
+    q = bufs[0].shape[0]
     stages = []
-    h = 1
-    while h < q:
-        pairs = rows.reshape(q // (2 * h), 2, -1)
-        rows = bufs[len(stages) % 2].reshape(rows.shape)
-        out = rows.reshape(pairs.shape)
+    for k, (src, dst) in enumerate(zip(bufs, bufs[1:])):
+        h = 1 << k
+        shape = (q // (2 * h), 2, h) + src.shape[1:]
+        pairs, out = src.reshape(shape), dst.reshape(shape)
         stages.append((pairs[:, 0], pairs[:, 1], out[:, 0], out[:, 1]))
-        h *= 2
-    return stages, rows.reshape(src.shape).T
+    return stages, bufs[-1].T
 
 
 def fwht(a: np.ndarray, stages=None) -> np.ndarray:
@@ -235,22 +264,24 @@ def fwht(a: np.ndarray, stages=None) -> np.ndarray:
     Self-inverse up to a factor of q; diagonalizes convolution over the
     XOR group, which is exactly GF(2^r) addition.
 
-    The butterflies run symbol-major: the symbol axis goes first, the rest
-    is flattened, and each stage adds and subtracts whole rows, so every
-    numpy call runs over ``h x (size / q)`` contiguous values.  The stages
-    alternate between two buffers.  The result is a view with the symbol
-    axis last again; an input that is the transpose of a C-ordered
-    ``(q, ...)`` array is read without a copy.
+    The butterflies run symbol-major: the symbol axis goes first and each
+    stage adds and subtracts whole rows, so on a C-ordered ``(q, ...)``
+    buffer every numpy call runs over ``h x (size / q)`` contiguous
+    values.  The stages alternate between two buffers.  The result is a
+    view with the symbol axis last again; the input is read in place.
 
     ``stages`` is a ``(butterflies, result)`` pair that
-    :func:`_fwht_stages` built once for ``a``'s buffer and two fixed
-    buffers, which may include that one; nothing is then allocated.
+    :func:`_fwht_stages` built once for fixed buffers, one of them
+    holding ``a``; nothing is then allocated.
     """
     if stages is None:
         a = np.asarray(a, dtype=np.float64)
-        if a.shape[-1] == 1:
+        q = a.shape[-1]
+        if q == 1:
             return a.copy()
-        stages = _fwht_stages(a, [np.empty(a.T.shape), np.empty(a.T.shape)])
+        bufs = [np.empty(a.T.shape), np.empty(a.T.shape)]
+        stages = _fwht_stages(
+            [a.T] + [bufs[k % 2] for k in range(q.bit_length() - 1)])
     butterflies, result = stages
     for top, bottom, out_top, out_bottom in butterflies:
         np.add(top, bottom, out=out_top)
@@ -258,26 +289,33 @@ def fwht(a: np.ndarray, stages=None) -> np.ndarray:
     return result
 
 
-def _normalize(msgs: np.ndarray) -> np.ndarray:
-    """Scale message rows to sum 1 in place; underflowed rows become uniform."""
-    np.maximum(msgs, 0.0, out=msgs)
+def _normalize(msgs: np.ndarray) -> int:
+    """Scale message rows to sum 1 in place; underflowed rows become
+    uniform.  Returns the number of rows reset that way.
+
+    Entries must be non-negative and free of -0.0, which would survive the
+    division; :class:`QspaDecoder` clamps what can break that.
+    """
     totals = msgs.sum(axis=-1, keepdims=True)
+    dead = 0
     if not totals.min() > 0.0:  # one reduction when no row is dead
-        np.copyto(msgs, 1.0, where=totals <= 0.0)
+        zero = totals <= 0.0
+        dead = int(np.count_nonzero(zero))
+        np.copyto(msgs, 1.0, where=zero)
         totals = msgs.sum(axis=-1, keepdims=True)
     msgs /= totals
-    return msgs
+    return dead
 
 
 def _leave_one_out(stack: np.ndarray, pref: np.ndarray,
                    suf: np.ndarray) -> np.ndarray:
     """Products over axis 0 omitting each slot, via prefix/suffix scans.
 
-    ``stack`` has shape (slots, nodes, q), so each scan step multiplies
-    two contiguous (nodes, q) planes; ``pref`` and ``suf`` are buffers of
-    that shape whose boundary planes, ``pref[0]`` and ``suf[-1]``, hold
-    1.0 and are never written.  Avoids dividing by zeros.  The products
-    overwrite ``stack``, which is returned.
+    ``stack`` has shape (slots, ...), so each scan step multiplies two
+    planes, contiguous ones when ``stack`` is C-ordered; ``pref`` and
+    ``suf`` are buffers of that shape whose boundary planes, ``pref[0]``
+    and ``suf[-1]``, hold 1.0 and are never written.  Avoids dividing by
+    zeros.  The products overwrite ``stack``, which is returned.
     """
     deg = len(stack)
     for i in range(1, deg):
@@ -318,19 +356,29 @@ class QspaDecoder:
     of the variables of degree d is the last prefix of slot d - 1 times
     that slot.
 
-    The check side keeps a padded ``(max degree, checks)`` slot table of
-    edge ids, gathered into ``(slots, checks, q)`` for one leave-one-out
-    product over contiguous planes and scattered back.  Pads point at a
-    spare column that holds the Hadamard spectrum of the point mass at 0
-    (all 1.0), so they only append exact factors of 1.0.  Work there
-    scales with the slot overhead, checks x max degree / edges: 1.03 on
-    the GF(16)/Z=9 reference code, 1.17 on GF(8)/Z=21.
+    The check side runs in padded check-slot order on two symbol-major
+    ``(q, max check degree x checks)`` buffers: column ``i * checks + c``
+    holds slot i (the i-th edge, in ``H.entries()`` order) of check c.
+    Pads read the spare point-mass row, whose spectrum is all 1.0, so they
+    only append exact factors of 1.0.  Work there scales with the slot
+    overhead, checks x max degree / edges: 1.03 on the GF(16)/Z=9
+    reference code, 1.17 on GF(8)/Z=21.  The to-check label permutation
+    is one flat ``take`` from the edge-major messages whose indices also
+    transpose and place each edge in its slot, and the butterflies of
+    :func:`fwht` add whole rows.  The forward transform's last stage
+    writes slot-major, ``(slots, q, checks)``, so each scan step of
+    :func:`_leave_one_out` multiplies two contiguous planes, in place on
+    the spectrum; the back transform's first stage reads the products
+    from there, and one flat ``take`` returns edge-major messages.
+    (Scanning ``(slots, checks, q)`` views of a symbol-major buffer is the
+    same arithmetic, but each of its 2 x (max degree - 1) steps then pays
+    numpy's strided-loop set-up, which costs more than the two strided
+    butterfly stages.)  Normalization and the posterior stay edge-major.
 
-    The check side runs symbol-major, ``(q, edges + 1)``: each label
-    permutation is one flat ``take`` whose indices also renumber and
-    transpose between the two orders, and the Hadamard butterflies of
-    :func:`fwht` add whole rows of edges.  Normalization and the posterior
-    stay edge-major.
+    Only the transform makes negative values (round-off) or -0.0, so the
+    check-to-variable messages are clamped at 0.0, and the priors once
+    per frame; every other product is then non-negative without -0.0, and
+    the other normalizations need no clamp.
 
     ``__init__`` builds every buffer and view an iteration uses, once:
     messages, scan buffers, the two FWHT buffers and each butterfly stage.
@@ -364,12 +412,17 @@ class QspaDecoder:
         # msg_y[y] = msg_x[h^-1 * y] is its inverse; the spare row has label 1
         from_check = self.field.mul_table[np.append(self.e_label, 1)]
         to_check = np.argsort(from_check, axis=1)
-        row = np.arange(n_rows)[:, None]
-        # flat indices: edge-major (edges + 1, q) -> symbol-major (q, edges + 1)
-        # on the way to the checks, and back on the way from them
-        self.to_check_flat = np.ascontiguousarray((row * q + to_check).T)
-        self.from_check_flat = (from_check * n_rows + row)[:spare]
         self.check_slots = renumber[_slots(edges[:, 0], H.n_rows, spare)]
+        # flat indices: edge-major (edges + 1, q) -> symbol-major
+        # (q, slots x checks) on the way to the checks, and back on the way
+        # from them; col[k] is the column of edge k
+        cols = self.check_slots.ravel()
+        width = len(cols)
+        self.to_check_flat = np.ascontiguousarray(cols * q + to_check[cols].T)
+        col = np.empty(spare, dtype=np.int64)
+        real = cols < spare
+        col[cols[real]] = np.flatnonzero(real)
+        self.from_check_flat = from_check[:spare] * width + col[:, None]
         # syndrome terms per check slot; pads multiply by label 0
         self.syn_label = np.append(self.e_label, 0)[self.check_slots]
         self.syn_var = np.append(self.e_var, 0)[self.check_slots]
@@ -400,19 +453,23 @@ class QspaDecoder:
         self._prior_edge = np.empty((spare, q))
         self._prior_var = np.empty((H.n_cols, q))
 
-        # check side: two symbol-major FWHT buffers and the scan buffers;
-        # the label take fills ``sym``, its transform ends in one buffer and
-        # the check products go to the other, ``conv``
-        sym, other = np.zeros((q, n_rows)), np.zeros((q, n_rows))
-        self._sym = sym
-        self._fwd = _fwht_stages(sym.T, [other, sym])
-        spec, conv = (sym, other) if len(self._fwd[0]) % 2 == 0 else (other, sym)
-        self._conv = conv.T
-        self._back = _fwht_stages(self._conv, [spec, conv])
-        stack_shape = self.check_slots.shape + (q,)
-        self._stack = np.empty(stack_shape)
-        self._cpref = np.ones(stack_shape)
-        self._csuf = np.ones(stack_shape)
+        # check side: two (q, slots x checks) buffers.  The label take
+        # fills bufs[0]; the forward transform alternates between them and
+        # its last stage writes the other buffer's memory slot-major,
+        # (slots, q, checks), where the scans multiply contiguous planes
+        # and leave the check products; the back transform's first stage
+        # reads them from there, and its last stage ends in bufs[0]
+        r = q.bit_length() - 1
+        bufs = [np.zeros((q, width)), np.zeros((q, width))]
+        self._sym = bufs[0]
+        rows = [b.reshape((q,) + self.check_slots.shape) for b in bufs]
+        self._slot = bufs[r % 2].reshape(len(self.check_slots), q, -1)
+        self._spec = self._slot.transpose(1, 0, 2)
+        self._fwd = _fwht_stages([rows[k % 2] for k in range(r)] + [self._spec])
+        self._back = _fwht_stages(
+            [self._spec] + [rows[(r + 1 + k) % 2] for k in range(r)])
+        self._cpref = np.ones(self._slot.shape)
+        self._csuf = np.ones(self._slot.shape)
 
     def syndrome_is_zero(self, hard: np.ndarray) -> bool:
         prods = self.field.mul_table[self.syn_label, hard[self.syn_var]]
@@ -432,29 +489,33 @@ class QspaDecoder:
         m_cv, m_vc, posterior = self._m_cv, self._m_vc[:spare], self._posterior
         np.take(priors, self.e_var, axis=0, out=self._prior_edge)
         np.take(priors, self.var_order, axis=0, out=self._prior_var)
+        # -0.0 passes validation; as +0.0 it keeps -0.0 out of every product
+        np.maximum(self._prior_edge, 0.0, out=self._prior_edge)
+        np.maximum(self._prior_var, 0.0, out=self._prior_var)
         m_cv.fill(1.0 / q)
+        dead = 0
         for it in range(1, max_iters + 1):
             for a, b, out in self._var_steps:
                 np.multiply(a, b, out=out)
             np.multiply(self._pref, self._suf, out=m_vc)
             m_vc *= self._prior_edge
-            _normalize(m_vc)
-            _normalize(np.multiply(self._prior_var, self._total, out=posterior))
+            dead += _normalize(m_vc)
+            dead += _normalize(
+                np.multiply(self._prior_var, self._total, out=posterior))
             hard = posterior.argmax(axis=1)[self.var_rank]
             converged = self.syndrome_is_zero(hard)
             if converged or it == max_iters:
                 break
 
             np.take(self._m_vc, self.to_check_flat, out=self._sym, mode="clip")
-            spec = fwht(self._sym.T, self._fwd)
-            np.take(spec, self.check_slots, axis=0, out=self._stack, mode="clip")
-            self._conv[self.check_slots] = _leave_one_out(
-                self._stack, self._cpref, self._csuf)
-            np.take(fwht(self._conv, self._back).T, self.from_check_flat,
+            fwht(self._sym.T, self._fwd)
+            _leave_one_out(self._slot, self._cpref, self._csuf)
+            np.take(fwht(self._spec.T, self._back).T, self.from_check_flat,
                     out=m_cv, mode="clip")
             m_cv /= q
-            _normalize(m_cv)
-        return DecodeResult(hard, converged, it)
+            np.maximum(m_cv, 0.0, out=m_cv)
+            dead += _normalize(m_cv)
+        return DecodeResult(hard, converged, it, dead)
 
 
 def qspa_decode(

@@ -16,7 +16,9 @@ realized lift is kept in its first form as well, a walk around one lifted
 cycle's copies that counts the edge copies its support induces
 (:func:`lift_chordless`), and so is the chord compile it was replaced by:
 every walk's chords compiled up front and read back per walk
-(:func:`chords_of_every_walk`, :func:`picked_chords`).
+(:func:`chords_of_every_walk`, :func:`picked_chords`).  The systematic
+encoder is kept in its first form, a dense coefficient matrix and one
+multiplication-table gather per message (:class:`DenseEncoder`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import math
 
 import numpy as np
 
-from nbqc.codec import DecodeResult, SparseGfMatrix
+from nbqc.codec import (DecodeResult, RankDeficiencyError, SparseGfMatrix,
+                        _echelon)
 from nbqc.gf import Field
 from nbqc.lift import (AceConstraint, QcCode, lift_shifts, lift_walks,
                        lifts_minimal, realized_lifts, walk_table)
@@ -1007,3 +1010,38 @@ def node_major_qspa(H: SparseGfMatrix, priors: np.ndarray, max_iters: int,
         normalize(m_cv[:spare])
         m_cv[spare] = 1.0
     raise AssertionError("unreachable")
+
+
+class DenseEncoder:
+    """Systematic encoder on the production echelon form, through a dense
+    ``(parity, info)`` int64 coefficient matrix: each parity symbol is the
+    XOR of one multiplication-table gather over its row."""
+
+    def __init__(self, H: SparseGfMatrix):
+        pivots = _echelon(H)
+        if len(pivots) < H.n_rows:
+            raise RankDeficiencyError(len(pivots), H.n_rows)
+        self.field = H.field
+        self.n = H.n_cols
+        self.m = H.n_rows
+        self.parity_positions = sorted(pivots)
+        self.info_positions = [
+            c for c in range(H.n_cols) if c not in pivots
+        ]
+        dense = np.zeros((self.m, self.n), dtype=np.int64)
+        for p, c in enumerate(self.parity_positions):
+            dense[p, list(pivots[c])] = list(pivots[c].values())
+        # reduced pivot rows hold info columns only
+        self._coef = dense[:, self.info_positions]
+
+    @property
+    def message_length(self) -> int:
+        return self.n - self.m
+
+    def encode(self, message) -> np.ndarray:
+        msg = np.asarray(message, dtype=np.int64)
+        word = np.zeros(self.n, dtype=np.int64)
+        word[self.info_positions] = msg
+        word[self.parity_positions] = np.bitwise_xor.reduce(
+            self.field.mul_table[self._coef, msg], axis=1)
+        return word

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nbqc.codec import (
     Encoder,
@@ -22,6 +23,7 @@ from nbqc.lift import QcCode, expand
 from nbqc.simulate import _frame_rng, channel_priors
 
 from oracles import (
+    DenseEncoder,
     dense_rank,
     map_decode,
     node_major_leave_one_out,
@@ -179,9 +181,9 @@ def _assert_normalized_like_node_major(decoder, frames, monkeypatch):
     orig = codec_mod._normalize
 
     def spy(msgs):
-        out = orig(msgs)
-        seen.append(out.copy())
-        return out
+        dead = orig(msgs)
+        seen.append(msgs.copy())
+        return dead
 
     monkeypatch.setattr(codec_mod, "_normalize", spy)
     for priors, max_iters in frames:
@@ -329,9 +331,9 @@ def test_message_normalization_contract(gf4, monkeypatch):
     orig = codec_mod._normalize
 
     def spy(msgs):
-        out = orig(msgs)
-        seen.append(float(np.abs(out.sum(axis=-1) - 1.0).max()))
-        return out
+        dead = orig(msgs)
+        seen.append(float(np.abs(msgs.sum(axis=-1) - 1.0).max()))
+        return dead
 
     monkeypatch.setattr(codec_mod, "_normalize", spy)
     rng = np.random.default_rng(99)
@@ -492,6 +494,67 @@ def test_slot_layout_degree_zero_variable(gf4, monkeypatch):
         assert res.hard_decision[2] == priors[2].argmax()
 
 
+def _degree_one_check_H(field):
+    """4x6 matrix: check 1 holds one edge, check 3 none, and variable 2
+    sits in the degree-1 check and in check 2."""
+    return SparseGfMatrix.from_entries(
+        4, 6,
+        [(0, 0, 1), (0, 1, 2), (0, 3, 3), (0, 5, 1),
+         (1, 2, 3),
+         (2, 1, 1), (2, 2, 2), (2, 4, 1), (2, 5, 3)],
+        field,
+    )
+
+
+@pytest.mark.parametrize("make_H, check_degrees", [
+    (_ragged_H, [0, 3, 3, 4, 4]), (_degree_one_check_H, [0, 1, 4, 4])])
+def test_check_slot_edge_cases_bitwise_equal_node_major(
+        make_H, check_degrees, gf4, monkeypatch):
+    # an all-pad check column, a degree-1 check, and priors holding -0.0
+    # (valid input), which must reach the products as +0.0
+    H = make_H(gf4)
+    assert sorted(len(r) for r in H.rows) == check_degrees
+    rng = np.random.default_rng(67)
+    frames = []
+    for _ in range(20):
+        priors = np.exp(rng.normal(0, 1.5, size=(H.n_cols, 4)))
+        zero = rng.random(priors.shape) < 0.3
+        zero[:, rng.integers(4)] = False  # every row keeps some mass
+        priors[zero] = 0.0
+        priors /= priors.sum(axis=1, keepdims=True)
+        priors[zero & (rng.random(priors.shape) < 0.5)] = -0.0
+        frames.append((priors, 15))
+    assert any(np.signbit(p[p == 0.0]).any() for p, _ in frames)
+    _assert_normalized_like_node_major(QspaDecoder(H), frames, monkeypatch)
+
+
+def test_dead_row_resets_count_the_rows_reset(gf4, monkeypatch):
+    # point masses on a word that is no codeword: the check messages
+    # contradict the priors, so message and posterior rows sum to zero
+    import nbqc.codec as codec_mod
+
+    H = _toy_H(gf4)
+    decoder = QspaDecoder(H)
+    zero_rows = []
+    orig = codec_mod._normalize
+
+    def spy(msgs):
+        zero_rows.append(int((msgs.sum(axis=-1) <= 0.0).sum()))
+        return orig(msgs)
+
+    monkeypatch.setattr(codec_mod, "_normalize", spy)
+    word = np.array([0, 1, 0, 0])
+    assert H.mul_vec(word).any()
+    res = decoder.decode(np.eye(4)[word], 5)
+    assert res.dead_row_resets >= 1
+    assert res.dead_row_resets == sum(zero_rows)
+    # a clean frame that converges resets nothing
+    zero_rows.clear()
+    cw = encode(H, [2, 3])
+    res = decoder.decode(np.eye(4)[cw], 10)
+    assert res.converged and res.dead_row_resets == 0 == sum(zero_rows)
+
+
 def test_decoder_reuse_is_stateless(gf4):
     # the decoder's buffers carry nothing from one frame to the next, nor
     # from a decode that raised on bad priors
@@ -535,3 +598,72 @@ def test_encoder_rejects_bad_messages(gf4):
     for msg in ([0, -1], [4, 0], [1], [1, 2, 3]):
         with pytest.raises(ValueError):
             enc.encode(msg)
+
+
+def test_encoder_rejects_non_integer_messages(gf4):
+    # a float or bool message is refused by its dtype and shape, not cast
+    enc = Encoder(_toy_H(gf4))
+    for msg, dtype in (([1.7, 2.2], "float64"), ([True, False], "bool"),
+                       (np.array([1.0, 2.0]), "float64")):
+        with pytest.raises(ValueError, match=rf"{dtype} array of shape \(2,\)"):
+            enc.encode(msg)
+    with pytest.raises(ValueError, match=r"shape \(2, 1\)"):
+        enc.encode(np.array([[1], [2]]))
+    # the dtype is checked before the range
+    with pytest.raises(ValueError, match="float64"):
+        enc.encode([9.5, -1.0])
+    for msg in ([1, 2], np.array([1, 2], dtype=np.uint8),
+                np.array([1, 2], dtype=np.int16)):
+        assert enc.encode(msg).tobytes() == enc.encode(
+            np.array([1, 2])).tobytes()
+
+
+def _assert_encoder_like_dense(H, rng, n_random):
+    # codewords of the zero message, the all-(q-1) one and n_random more
+    try:
+        want = DenseEncoder(H)
+    except RankDeficiencyError as err:
+        with pytest.raises(RankDeficiencyError) as info:
+            Encoder(H)
+        assert str(info.value) == str(err)
+        assert (info.value.rank, info.value.n_rows) == (err.rank, err.n_rows)
+        return
+    enc = Encoder(H)
+    assert enc.info_positions == want.info_positions
+    assert enc.parity_positions == want.parity_positions
+    k, q = enc.message_length, H.field.q
+    for msg in [np.zeros(k, dtype=np.int64), np.full(k, q - 1),
+                *rng.integers(0, q, size=(n_random, k))]:
+        word = enc.encode(msg)
+        assert word.dtype == np.int64
+        assert word.tobytes() == want.encode(msg).tobytes()
+
+
+@st.composite
+def _sparse_matrices(draw):
+    field = Field(draw(st.integers(1, 8)))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(m, m + 10))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, m - 1), st.integers(0, n - 1),
+                  st.integers(1, field.q - 1)),
+        max_size=3 * n))
+    # a unit diagonal over a random column set keeps most draws full rank
+    if draw(st.booleans()):
+        cols = draw(st.permutations(range(n)))[:m]
+        cells += [(i, c, 1) for i, c in enumerate(cols)]
+    return SparseGfMatrix.from_entries(m, n, cells, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(H=_sparse_matrices(), seed=st.integers(0, 2**32 - 1))
+@example(H=SparseGfMatrix.from_entries(
+    2, 4, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)], Field(2)), seed=0)
+def test_encoder_bitwise_equals_dense_encoder(H, seed):
+    _assert_encoder_like_dense(H, np.random.default_rng(seed), 4)
+
+
+@pytest.mark.parametrize("desc", ["gf16_z9_seed1.json", "gf8_z21_seed1.json"])
+def test_encoder_on_reference_codes_equals_dense_encoder(desc):
+    code = QcCode.from_json_dict(json.loads((GOLDEN / desc).read_text()))
+    _assert_encoder_like_dense(expand(code), np.random.default_rng(71), 20)
