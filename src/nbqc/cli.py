@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,7 +38,7 @@ from .protograph import (  # enumerate_closed_walks: traced by perfbench/spans.p
     enumerate_closed_walks,
     from_base_matrix,
 )
-from .simulate import SimConfig, run_campaign
+from .simulate import MAX_SNR_DB, SimConfig, run_campaign
 
 EXIT_OK = 0
 EXIT_CONSTRAINT = 2
@@ -189,14 +190,27 @@ def _load_code(path) -> QcCode:
     return code
 
 
+def _require_labels(code: QcCode, what: str) -> None:
+    if code.labels is None:
+        raise CliInputError(f"descriptor carries no labels; {what}")
+
+
+def _snr_point(token: str) -> float:
+    """An Eb/N0 point in dB; only a token spelling infinity is noiseless."""
+    value = float(token)
+    if math.isinf(value) and token.strip().lower().lstrip("+-") not in (
+            "inf", "infinity"):
+        raise ValueError(f"SNR point {token.strip()} dB is outside "
+                         f"[-{MAX_SNR_DB}, {MAX_SNR_DB}]")
+    return value
+
+
 def _cmd_spectrum(args) -> int:
     with _input_errors():
         checked_depth(args.depth, "--depth")  # before load-verify enumerates
     code = _load_code(args.code)
     if args.nb:
-        if code.labels is None:
-            raise CliInputError("descriptor carries no labels; "
-                                "the NB spectrum is undefined")
+        _require_labels(code, "the NB spectrum is undefined")
         spec = nb_ace_spectrum(code, args.depth)
     else:
         spec = binary_ace_spectrum(code, args.depth)
@@ -212,8 +226,9 @@ def _cmd_simulate(args) -> int:
     with _input_errors():
         checked_int(args.workers, "--workers", 1)
     code = _load_code(args.code)
+    _require_labels(code, "there is no NB code to simulate")
     with _input_errors():
-        snr_points = [float(tok) for tok in args.snr.split(",")]
+        snr_points = [_snr_point(tok) for tok in args.snr.split(",")]
         cfg = SimConfig(
             snr_points_db=tuple(snr_points),
             max_frames=args.max_frames,

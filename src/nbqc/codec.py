@@ -65,34 +65,10 @@ class SparseGfMatrix:
         rows = [[(c, v) for c, v in sorted(d.items()) if v != 0] for d in acc]
         return cls(n_rows, n_cols, rows, field)
 
-    @property
-    def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
-
     def entries(self):
         for i, row in enumerate(self.rows):
             for c, v in row:
                 yield i, c, v
-
-    def to_dense(self) -> np.ndarray:
-        d = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        for i, c, v in self.entries():
-            d[i, c] = v
-        return d
-
-    def mul_vec(self, vec) -> np.ndarray:
-        """Syndrome H * vec over GF(q)."""
-        f = self.field
-        out = np.zeros(self.n_rows, dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            s = 0
-            for c, v in row:
-                s ^= f.mul(v, int(vec[c]))
-            out[i] = s
-        return out
-
-    def support(self) -> set[tuple[int, int]]:
-        return {(i, c) for i, c, _ in self.entries()}
 
     def __eq__(self, other) -> bool:
         return (

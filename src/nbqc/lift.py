@@ -33,8 +33,9 @@ many walks at once, each of the last two decided by one rule
 (:func:`realized_lifts`), and spectra are a group-by-min over lifted
 lengths.  A protograph has one walk table, :func:`walk_table`, enumerated
 once at the deepest depth asked for.  Its walks are lifted once per shift
-assignment, and the last lift is kept beside the table (:func:`lift_walks`);
-a code never changes, so it computes each of its spectra once.
+assignment: the protograph keeps the lift of its leading walks, and a
+deeper head lifts only the walks it adds (:func:`lift_walks`); a code
+never changes, so it computes each of its spectra once.
 """
 
 from __future__ import annotations
@@ -331,60 +332,64 @@ def walk_table(proto: Protograph, depth: int) -> WalkTable:
     """The closed walks of ``proto`` up to at least ``depth``, as a table.
 
     A protograph never changes, so its table is enumerated at most once
-    per instance, at the deepest depth asked for so far, and kept there,
-    with the last lift of its walks (:func:`lift_walks`), which a deeper
-    table drops.  It may hold longer walks; callers filter by length or
-    with ``upto``.
+    per instance, at the deepest depth asked for so far, and kept there.
+    It may hold longer walks; callers filter by length or with ``upto``.
+    A deeper table leads with the same walks and pairs, in (length,
+    edge_seq) order, so a lift of its leading walks (:func:`lift_walks`)
+    stays valid.
     """
     known, table = proto._walks
     if known < depth:
-        proto._lifted = None
         table = enumerate_closed_walks(proto, depth)
         proto._walks = (depth, table)
     return table
 
 
-def lift_shifts(table: WalkTable, shifts: np.ndarray, Z: int):
-    """Total shift, realizability and pair differences, all mod Z."""
-    d = np.empty(len(table), np.int64)
-    realized = np.empty(len(table), bool)
-    pairs = np.empty(len(table.pair_walk), np.int32)
+def lift_shifts(table: WalkTable, shifts: np.ndarray, Z: int, start: int = 0):
+    """Total shift, realizability and pair differences, all mod Z, of the
+    walks ``start`` onward and of their pairs."""
+    d = np.empty(len(table) - start, np.int64)
+    realized = np.empty(len(d), bool)
     # a block of walks at a time bounds the temporaries; bounds[b] is the
     # first pair of block b (keys in the pairs' dtype, so none is cast)
-    starts = np.arange(0, len(table) + _BLOCK, _BLOCK, table.pair_walk.dtype)
+    starts = np.arange(start, len(table) + _BLOCK, _BLOCK,
+                       table.pair_walk.dtype)
     bounds = np.searchsorted(table.pair_walk, starts).tolist()
+    pairs = np.empty(bounds[-1] - bounds[0], np.int32)
     for b, lo in enumerate(starts[:-1].tolist()):
-        walks = slice(lo, lo + _BLOCK)
-        sums = table.prefix_sums(shifts, walks)
+        walks = slice(lo - start, lo - start + _BLOCK)
+        sums = table.prefix_sums(shifts, slice(lo, lo + _BLOCK))
         d[walks] = sums[-1] % Z
         k = slice(bounds[b], bounds[b + 1])
+        out = slice(bounds[b] - bounds[0], bounds[b + 1] - bounds[0])
         w = table.pair_walk[k] - lo
-        pairs[k] = span_sums(sums, w, table.p1[k], table.p2[k]) % Z
-        realized[walks] = realized_lifts(np.gcd(d[walks], Z), w, pairs[k])
+        pairs[out] = span_sums(sums, w, table.p1[k], table.p2[k]) % Z
+        realized[walks] = realized_lifts(np.gcd(d[walks], Z), w, pairs[out])
     return d, realized, pairs
 
 
-def lift_walks(table: WalkTable, code: QcCode):
-    """Total shift, cycle order and realizability of every walk's lift.
+def lift_walks(code: QcCode, depth: int):
+    """The protograph's walks up to ``depth`` (the ``upto`` head of
+    :func:`walk_table`), with the total shift, cycle order and
+    realizability of each one's lift.
 
-    The protograph's own table (:func:`walk_table`) and its ``upto`` heads
-    are lifted once per Z and shift values: the last lift's total shifts
-    and realizability are kept beside the table as read-only arrays, and a
-    head they cover is served as views of them.  Any other table is lifted
-    afresh.
+    The protograph keeps one lift of its leading walks per Z and shift
+    values, as read-only arrays: a head it covers is served as views of
+    them, and a deeper head lifts only the walks it adds.
     """
     proto, Z, shifts = code.proto, code.Z, code.shifts
-    own = (table if table.head_of is None else table.head_of) is proto._walks[1]
-    last = proto._lifted if own else None
-    if (last is not None and last[0] == Z and len(last[2]) >= len(table)
-            and np.array_equal(last[1], shifts)):
-        d, realized = (a[:len(table)] for a in last[2:])
-    else:
-        d, realized, _ = lift_shifts(table, shifts, Z)
-        if own:
-            d.flags.writeable = realized.flags.writeable = False
-            proto._lifted = (Z, shifts, d, realized)
-    return d, Z // np.gcd(d, Z), realized
+    table = walk_table(proto, depth).upto(depth)
+    kept = proto._lifted
+    if kept is None or kept[0] != Z or not np.array_equal(kept[1], shifts):
+        kept = (Z, shifts, np.empty(0, np.int64), np.empty(0, bool))
+    d, realized = kept[2:]
+    if len(d) < len(table):
+        more = lift_shifts(table, shifts, Z, start=len(d))
+        d, realized = np.append(d, more[0]), np.append(realized, more[1])
+    d.flags.writeable = realized.flags.writeable = False
+    proto._lifted = (Z, shifts, d, realized)
+    d, realized = d[:len(table)], realized[:len(table)]
+    return table, d, Z // np.gcd(d, Z), realized
 
 
 def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
@@ -515,8 +520,7 @@ def _spectrum(code: QcCode, depth: int, skip_canceled: bool) -> AceSpectrum:
 
 def _min_ace(code: QcCode, depth: int, skip_canceled: bool) -> dict[int, int]:
     """The finite minima of the spectrum, by lifted length."""
-    table = walk_table(code.proto, depth).upto(depth)
-    d, order, realized = lift_walks(table, code)
+    table, d, order, realized = lift_walks(code, depth)
     lifted_len = table.length * order
     ids = np.flatnonzero(realized & (lifted_len <= depth))
     if skip_canceled:

@@ -14,9 +14,10 @@ A walk's label sum, its total shift and the shift difference between any
 two of its visits to one base node are linear functionals of the per-edge
 values, so a tracker moves them through an edge by coefficient times
 change, for all candidate values at once.  Each tracker reads those
-coefficients off the rows of its own walks when it is built.  Cycle order
-and realizability follow from the moved values by the lifting module's
-rules.
+coefficients off the rows of its own walks when it is built, and starts
+each functional as the same coefficients times the edges' values, so the
+rows are the one source of every value a tracker holds.  Cycle order and
+realizability follow from those values by the lifting module's rules.
 
 The trackers keep their candidate verdicts between sweep steps, as local
 search keeps the make and break counts of its candidate moves (WalkSAT;
@@ -27,8 +28,9 @@ their argmin; a move re-evaluates only the rows that the moved walks have
 on other edges.  Both stages judge a walk by one rule, a lookup at the gcd
 of the number of values and the walk's total.
 
-Every stage reads the protograph's one walk table (``lift.walk_table``),
-and one shift assignment's lift of it (``lift.lift_walks``).
+Every stage reads the protograph's one walk table (``lift.walk_table``);
+the label stage reads the lift of its head under the frozen shifts
+(``lift.lift_walks``), which the spectra re-verifying either stage share.
 :func:`construct` runs the two stages in order, and :func:`spectrum_search`
 runs it once per attempt.
 Success is never taken from internal bookkeeping alone: a reported success
@@ -52,7 +54,6 @@ from .lift import (  # lift_cycle, lift_is_minimal: traced by perfbench/spans.py
     binary_ace_spectrum,
     lift_cycle,
     lift_is_minimal,
-    lift_shifts,
     lift_walks,
     lifts_minimal,
     nb_ace_spectrum,
@@ -202,9 +203,13 @@ class _Tracker:
     row's edge at value v and every other edge as it is.  A sweep step sums
     edge e's rows into its count row.  Moving edge e leaves e's own rows
     valid; only the rows its walks have on other edges are evaluated
-    again.  ``reset`` fills ``viol`` for the values it starts from.
+    again.
 
-    Subclasses give the starting functionals in ``_start``.
+    ``reset`` starts each functional as the sum of its rows' (or terms')
+    coefficients times the values of their edges, the rule a move applies
+    to a change, and fills ``viol`` for those values.  A walk without rows
+    keeps 0: no edge moves it, or it is not ``live`` and no verdict reads
+    its value.
     """
 
     n_permanent = 0
@@ -252,14 +257,18 @@ class _Tracker:
         ptr = ptr.tolist()
         self.spans = [(ptr[e], ptr[e + 1], term_ptr[e], term_ptr[e + 1])
                       if ptr[e] < ptr[e + 1] else None for e in range(n_edges)]
-
-    def _start(self, values: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        self.cur = np.zeros(n + len(self.pair_walk), np.int64)
 
     def reset(self, values: np.ndarray) -> None:
         """Start from ``values``, which the tracker then moves in place."""
         self.values = values
-        self.cur = self._start(values)
+        walk, edge, factor, _, per, _ = self.rows.T
+        self.cur.fill(0)
+        # add.at sums repeated functionals exactly, in int64
+        np.add.at(self.cur, walk, factor * values.take(edge))
+        np.add.at(self.cur, self.terms[:, 0],
+                  self.terms[:, 1] * values.take(np.repeat(edge, per)))
+        self.cur %= self.n_values
         n = self.n
         column = self.column[self.cur[:n]]
         self.violated = (self.bad[np.arange(n), column]
@@ -362,12 +371,7 @@ class _ShiftTracker(_Tracker):
     def __init__(self, table: WalkTable, Z: int, constraint: AceConstraint):
         super().__init__(table, Z, _order_violations(table, Z // _divisors(Z),
                                                      constraint), pairs=True)
-
-    def _start(self, shifts: np.ndarray) -> np.ndarray:
-        d, _, pairs = lift_shifts(self.table, shifts, self.n_values)
-        cur = np.concatenate([d, pairs])
-        self.total_shift = cur[:self.n]  # a view: moves update both
-        return cur
+        self.total_shift = self.cur[:self.n]  # a view: moves update both
 
 
 class _LabelTracker(_Tracker):
@@ -378,13 +382,13 @@ class _LabelTracker(_Tracker):
     lift of order O stays uncanceled (violates) while m = (q-1)/gcd(q-1, O)
     divides the sum, that is, divides gcd(q-1, sum).  Lifts with chorded
     supports (or m = 1, as over GF(2)) can never be canceled: they violate
-    at every gcd and count as permanent violations.
+    at every gcd and count as permanent violations.  Such a walk keeps no
+    rows, so its sum stays 0, which no verdict reads: its ``bad`` row is
+    all True.
     """
 
-    def __init__(self, code: QcCode, table: WalkTable,
-                 constraint: AceConstraint):
-        table = table.upto(constraint.depth)
-        d, order, realized = lift_walks(table, code)
+    def __init__(self, code: QcCode, constraint: AceConstraint):
+        table, d, order, realized = lift_walks(code, constraint.depth)
         problem = realized & _violates(table.length * order,
                                        table.ace * order, constraint)
         ids = np.flatnonzero(problem)
@@ -397,9 +401,6 @@ class _LabelTracker(_Tracker):
                          live=cancelable)
         self.n_permanent = int((~cancelable).sum())
         self.total_shift = d[ids]
-
-    def _start(self, labels: np.ndarray) -> np.ndarray:
-        return self.table.prefix_sums(labels)[-1] % self.n_values
 
 
 def _sweep(tracker, order: np.ndarray, max_sweeps: int,
@@ -504,8 +505,7 @@ def assign_labels(
     cancellation hypothesis (chorded lift support) the search cannot
     succeed and a single best-effort restart produces the failure report.
     """
-    table = walk_table(code.proto, constraint_nb.depth)
-    result = _optimize(_LabelTracker(code, table, constraint_nb),
+    result = _optimize(_LabelTracker(code, constraint_nb),
                        code.proto.n_edges, cfg, history)
     if result.success:
         _verify(result, "NB", nb_ace_spectrum,

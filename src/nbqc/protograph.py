@@ -104,8 +104,8 @@ class Protograph:
         for v, es in enumerate(self.var_edges):
             if not es:
                 raise ValueError(f"variable node {v} has degree 0")
-        # (depth, closed-walk table) kept by lift.walk_table, and the last
-        # lift of that table's walks, kept by lift.lift_walks
+        # (depth, closed-walk table) kept by lift.walk_table, and the lift
+        # of its leading walks under one Z and shifts, kept by lift.lift_walks
         self._walks = (0, None)
         self._lifted = None
 
@@ -207,17 +207,6 @@ class DegreeProfile:
     lambda_coeffs: dict[int, float]
     gamma_coeffs: dict[int, float]
 
-    def deviation(self, other: "DegreeProfile") -> float:
-        """Max absolute coefficient difference against a target profile."""
-        dev = 0.0
-        for mine, theirs in (
-            (self.lambda_coeffs, other.lambda_coeffs),
-            (self.gamma_coeffs, other.gamma_coeffs),
-        ):
-            for d in set(mine) | set(theirs):
-                dev = max(dev, abs(mine.get(d, 0.0) - theirs.get(d, 0.0)))
-        return dev
-
 
 def degree_profile(proto: Protograph) -> DegreeProfile:
     lam: dict[int, float] = {}
@@ -290,12 +279,8 @@ class WalkTable(Sequence):
 
     Pairs are in walk order, and an enumerated table's walks in (length,
     edge_seq) order, so the table up to a depth (:meth:`upto`) is a leading
-    slice; its ``head_of`` names the table it leads (None for any other
-    table).
-    A list of records with the same walks compares equal.
+    slice.  A list of records with the same walks compares equal.
     """
-
-    head_of = None
 
     def __init__(self, proto: Protograph, rows, length):
         """Compile padded check-start edge rows of ``proto``.
@@ -430,9 +415,7 @@ class WalkTable(Sequence):
         walks and pairs, as walks are ordered by length and pairs by walk."""
         n = int(np.searchsorted(self.length, depth, side="right"))
         m = int(np.searchsorted(self.pair_walk, n))
-        head = self._part(slice(n), slice(m), self.pair_walk[:m])
-        head.head_of = self if self.head_of is None else self.head_of
-        return head
+        return self._part(slice(n), slice(m), self.pair_walk[:m])
 
 
 def signed_sums(terms: np.ndarray, dtype) -> np.ndarray:

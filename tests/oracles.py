@@ -18,7 +18,10 @@ cycle's copies that counts the edge copies its support induces
 every walk's chords compiled up front and read back per walk
 (:func:`chords_of_every_walk`, :func:`picked_chords`).  The systematic
 encoder is kept in its first form, a dense coefficient matrix and one
-multiplication-table gather per message (:class:`DenseEncoder`).
+multiplication-table gather per message (:class:`DenseEncoder`).  The
+matrix and profile helpers only tests read live here too: :func:`to_dense`,
+:func:`mul_vec`, :func:`nnz`, :func:`support` and
+:func:`profile_deviation`.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ from nbqc.codec import (DecodeResult, RankDeficiencyError, SparseGfMatrix,
                         _echelon)
 from nbqc.gf import Field
 from nbqc.lift import (AceConstraint, QcCode, lift_shifts, lift_walks,
-                       lifts_minimal, realized_lifts, walk_table)
+                       lifts_minimal, realized_lifts)
 from nbqc.optimize import (OptimizeResult, OptimizerConfig, _divisors,
                            _order_violations, _violates,
                            find_problematic_binary)
-from nbqc.protograph import CycleRecord, Protograph, WalkTable
+from nbqc.protograph import CycleRecord, DegreeProfile, Protograph, WalkTable
 
 
 def ring_protograph(half: int) -> Protograph:
@@ -134,6 +137,42 @@ def dense_rank(mat, field: Field) -> int:
 
 def _mul(field: Field, a: int, b: int) -> int:
     return field.mul(a, b)
+
+
+def nnz(H: SparseGfMatrix) -> int:
+    return sum(len(r) for r in H.rows)
+
+
+def to_dense(H: SparseGfMatrix) -> np.ndarray:
+    d = np.zeros((H.n_rows, H.n_cols), dtype=np.int64)
+    for i, c, v in H.entries():
+        d[i, c] = v
+    return d
+
+
+def mul_vec(H: SparseGfMatrix, vec) -> np.ndarray:
+    """Syndrome H * vec over GF(q)."""
+    out = np.zeros(H.n_rows, dtype=np.int64)
+    for i, row in enumerate(H.rows):
+        s = 0
+        for c, v in row:
+            s ^= _mul(H.field, v, int(vec[c]))
+        out[i] = s
+    return out
+
+
+def support(H: SparseGfMatrix) -> set[tuple[int, int]]:
+    return {(i, c) for i, c, _ in H.entries()}
+
+
+def profile_deviation(mine: DegreeProfile, target: DegreeProfile) -> float:
+    """Max absolute coefficient difference against a target profile."""
+    dev = 0.0
+    for a, b in ((mine.lambda_coeffs, target.lambda_coeffs),
+                 (mine.gamma_coeffs, target.gamma_coeffs)):
+        for d in set(a) | set(b):
+            dev = max(dev, abs(a.get(d, 0.0) - b.get(d, 0.0)))
+    return dev
 
 
 def count_closed_walks_by_node_dfs(n_checks: int, n_vars: int, max_len: int):
@@ -596,10 +635,8 @@ class EdgeShiftTracker(EdgeTracker):
 
 
 class EdgeLabelTracker(EdgeTracker):
-    def __init__(self, code: QcCode, table: WalkTable,
-                 constraint: AceConstraint):
-        table = table.upto(constraint.depth)
-        d, order, realized = lift_walks(table, code)
+    def __init__(self, code: QcCode, constraint: AceConstraint):
+        table, d, order, realized = lift_walks(code, constraint.depth)
         problem = realized & _violates(table.length * order,
                                        table.ace * order, constraint)
         ids = np.flatnonzero(problem)
@@ -682,8 +719,7 @@ def assign_shifts_by_edge(proto: Protograph, Z: int, constraint: AceConstraint,
 def assign_labels_by_edge(code: QcCode, constraint: AceConstraint,
                           cfg: OptimizerConfig, history=None) -> OptimizeResult:
     """``optimize.assign_labels`` on the per-edge evaluating tracker."""
-    table = walk_table(code.proto, constraint.depth)
-    return _optimize_by_edge(EdgeLabelTracker(code, table, constraint),
+    return _optimize_by_edge(EdgeLabelTracker(code, constraint),
                              code.proto.n_edges, cfg, history)
 
 

@@ -34,6 +34,7 @@ from oracles import (
     decorated_ring,
     lifted_cycle_matrix,
     ring_protograph,
+    to_dense,
     traverse_lifted_cycle_set,
 )
 
@@ -235,7 +236,7 @@ def test_criterion_5_decoder_map_agreement():
     """QSPA matches exhaustive MAP on >=95% of noisy frames."""
     t0 = time.time()
     H, f4 = _single_loop_code()
-    dense = H.to_dense()
+    dense = to_dense(H)
     codebook = []
     for word in itertools.product(range(4), repeat=6):
         good = True

@@ -30,6 +30,8 @@ from nbqc.io_formats import (
 from nbqc.lift import QcCode, binary_ace_spectrum, expand, expand_binary, nb_ace_spectrum
 from nbqc.protograph import from_base_matrix
 
+from oracles import support
+
 
 TOY_PROTO = "1 1 1\n1 1 1\n"
 
@@ -338,7 +340,7 @@ NB_ALIST_HEAD = "2 2 4\n1 1\n1 1\n1 1\n"
 def test_alist_readers_reject_malformed_input(read, text):
     valid = {read_alist: ALIST_HEAD + "1\n2\n1\n2\n",
              read_nb_alist: NB_ALIST_HEAD + "1 1\n2 1\n1 1\n2 1\n"}[read]
-    assert read(valid).support() == {(0, 0), (1, 1)}
+    assert support(read(valid)) == {(0, 0), (1, 1)}
     with pytest.raises(ValueError):
         read(text)
 
@@ -458,6 +460,18 @@ def _gf2_descriptor(path, base, Z, shifts):
     return path
 
 
+def _unlabeled_descriptor(path):
+    """The GF(16) reference descriptor with every rho dropped: valid, as
+    either all edges carry rho or none, and without an NB code."""
+    obj = json.loads((Path(__file__).parent / "golden"
+                      / "gf16_z9_seed1.json").read_text())
+    for edge in obj["edges"]:
+        del edge["rho"]
+    obj["metadata"]["achieved_nb"] = None
+    path.write_text(json.dumps(obj))
+    return path
+
+
 def _bad_input_argv(tmp_path, desc):
     construct = ["construct", "--proto", str(tmp_path / "proto.txt"),
                  "--q", "16", "--ace-b", "inf,inf", "--ace-nb", "inf,inf",
@@ -486,6 +500,7 @@ def _bad_input_argv(tmp_path, desc):
     parallel.write_text("3 1\n1 1\n")
     parallel22 = tmp_path / "parallel22.txt"
     parallel22.write_text("2 2\n1 1\n")
+    unlabeled = _unlabeled_descriptor(tmp_path / "unlabeled.json")
     return {
         "Z0": construct + ["--Z", "0", "--out", out],
         "Z-huge": construct + ["--Z", str((1 << 16) + 1), "--out", out],
@@ -501,6 +516,9 @@ def _bad_input_argv(tmp_path, desc):
         "snr-nan": simulate + ["--snr", "nan", "--out", out],
         "snr-minus-inf": simulate + ["--snr=-inf", "--out", out],
         "snr-huge": simulate + ["--snr", "1e300", "--out", out],
+        # parse to +-inf, but only a token spelling infinity is noiseless
+        "snr-1e400": simulate + ["--snr", "1.4,1e400", "--out", out],
+        "snr-minus-1e400": simulate + ["--snr=-1e400", "--out", out],
         "workers0": simulate + ["--snr", "inf", "--workers", "0",
                                 "--out", out],
         "env-workers": simulate + ["--snr", "inf", "--out", out],
@@ -524,6 +542,10 @@ def _bad_input_argv(tmp_path, desc):
         "simulate-collision": ["simulate", str(collision), "--snr", "inf",
                                "--max-frames", "2", "--seed", "1",
                                "--out", out],
+        **{f"simulate-unlabeled-{mode}": [
+            "simulate", str(unlabeled), "--snr", "inf", "--max-frames", "2",
+            "--seed", "1", "--mode", mode, "--out", out]
+           for mode in ("zero", "random")},
         "spectrum-collision": ["spectrum", str(collision), "--depth", "4"],
         "export-collision": ["export", str(collision), "--format",
                              "base-matrix", "--out", out],
@@ -544,11 +566,13 @@ def _bad_input_argv(tmp_path, desc):
 @pytest.mark.parametrize("case", [
     "Z0", "Z-huge", "max-sweeps0", "max-restarts0", "overflow",
     "construct-out", "construct-seed-minus-1", "snr-abc", "snr-nan",
-    "snr-minus-inf", "snr-huge", "workers0", "env-workers", "simulate-out",
+    "snr-minus-inf", "snr-huge", "snr-1e400", "snr-minus-1e400", "workers0",
+    "env-workers", "simulate-out",
     "simulate-seed-minus-1", "export-out", "export-Z-huge", "spectrum-depth",
     "spectrum-depth-huge", "construct-degree-1", "json-entry-float",
     "json-entry-bool", "json-matrix-scalar", "simulate-rank-deficient",
-    "simulate-collision", "spectrum-collision", "export-collision",
+    "simulate-collision", "simulate-unlabeled-zero",
+    "simulate-unlabeled-random", "spectrum-collision", "export-collision",
     "auto-parallel-over-Z", "fixed-parallel-over-Z", "construct-edges-huge",
 ])
 def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
@@ -567,6 +591,20 @@ def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
     assert main(_bad_input_argv(tmp_path, desc)[case]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "1e400" in case:
+        assert "outside [-300.0, 300.0]" in err
+
+
+def test_spelled_infinity_is_the_noiseless_point(tmp_path, proto_file,
+                                                 capsys):
+    desc = construct_toy(tmp_path, proto_file)
+    for i, token in enumerate(["+Infinity", "INF", " inf"]):
+        prefix = tmp_path / f"sim{i}"
+        assert main(["simulate", str(desc), "--snr", token, "--max-frames",
+                     "2", "--seed", "1", "--out", str(prefix)]) == EXIT_OK
+        assert (prefix.with_suffix(".csv").read_text().splitlines()[1]
+                .startswith("inf,2,0,"))
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("ace", ["0,0", "auto"])
@@ -672,17 +710,18 @@ def test_wide_base_matrix_exits_3_at_the_prefix_cap_in_bounded_memory(
 
 def test_walk_lifts_per_command(tmp_path, capsys, monkeypatch):
     # a construct lifts the protograph's walks at the binary depth, then
-    # at the NB depth for the label stage, whose re-verification reuses
-    # that lift; a spectrum at the stored NB depth reuses what load-verify
-    # computed
+    # only the walks the NB depth adds for the label stage, whose
+    # re-verification reuses that lift; load-verify lifts each walk once
+    # too, and a spectrum at the stored NB depth reuses what it computed.
+    # Each command lifts every walk of the NB head (6 056 walks) once.
     import nbqc.lift
 
     lifted = []
     lift_shifts = nbqc.lift.lift_shifts
 
-    def counting(table, shifts, Z):
-        lifted.append(len(table))
-        return lift_shifts(table, shifts, Z)
+    def counting(table, shifts, Z, start=0):
+        lifted.append(len(table) - start)
+        return lift_shifts(table, shifts, Z, start)
 
     monkeypatch.setattr(nbqc.lift, "lift_shifts", counting)
     fixtures = Path(__file__).parent / "fixtures"
@@ -691,11 +730,11 @@ def test_walk_lifts_per_command(tmp_path, capsys, monkeypatch):
                  "--Z", "9", "--q", "16", "--ace-b", "inf,inf,inf,4",
                  "--ace-nb", "inf,inf,inf,inf,inf,4", "--seed", "1",
                  "--out", str(desc)]) == EXIT_OK
-    assert len(lifted) <= 2
+    assert sum(lifted) == 6056 and len(lifted) == 2
     lifted.clear()
     assert main(["spectrum", str(desc), "--depth", "12", "--nb",
                  "--json"]) == EXIT_OK
-    assert len(lifted) <= 2
+    assert sum(lifted) == 6056 and len(lifted) == 2
     capsys.readouterr()
     # the kept lift and spectra stay out of pickles, which answer alike
     code, _ = load_descriptor(desc)

@@ -41,8 +41,11 @@ from oracles import (
     lift_chordless,
     lifted_cycle_matrix,
     lifted_walk_is_simple,
+    nnz,
     picked_chords,
     ring_protograph,
+    support,
+    to_dense,
     traverse_lifted_cycle_set,
     walk_major_prefix_sums,
     walk_major_signed_sums,
@@ -406,7 +409,7 @@ def test_walk_realized_flags_match_lifted_copy_oracle(base, depth, gf2):
         Z = int(rng.integers(1, 13))
         code = QcCode(proto, Z, gf2,
                       [int(rng.integers(0, Z)) for _ in range(proto.n_edges)])
-        realized = lift_walks(table, code)[2].tolist()
+        realized = lift_walks(code, depth)[3].tolist()
         assert realized == [lifted_walk_is_simple(code, rec.edge_seq)
                             for rec in table]
         flags.update(realized)
@@ -425,6 +428,14 @@ def test_lift_shifts_blocks_match_whole_table_prefix_sums(ensemble2_matrix,
     pairs = (sums[table.p2, table.pair_walk] - sums[table.p1, table.pair_walk]) % 21
     with mock.patch.object(nbqc.lift, "_BLOCK", block):
         d, realized, got = lift_shifts(table, shifts, 21)
+        # a lift from walk ``start`` on is the tail of the whole lift,
+        # with the pairs of those walks
+        for start in (1, 10, len(table) - 3, len(table)):
+            tail = lift_shifts(table, shifts, 21, start)
+            first = np.searchsorted(table.pair_walk, start)
+            for part, whole in zip(tail, (d[start:], realized[start:],
+                                          got[first:])):
+                assert np.array_equal(part, whole)
     assert len(table) > nbqc.lift._BLOCK
     assert np.array_equal(d, sums[-1] % 21)
     assert np.array_equal(got, pairs)
@@ -475,7 +486,7 @@ def test_prefix_sum_offsets_past_int16_match_walk_major_sums(ensemble2_matrix):
 
 
 def _assert_minimality_matches_oracle(table: WalkTable, code: QcCode):
-    d, _, realized = lift_walks(table, code)
+    d, realized, _ = lift_shifts(table, code.shifts, code.Z)
     ids = np.flatnonzero(realized)
     assert lifts_minimal(table, code, ids, d).tolist() == [
         lift_chordless(table[i], code, int(d[i])) for i in ids]
@@ -547,7 +558,7 @@ def test_chords_of_asked_walks_match_whole_table_compile(data):
 
 def test_expand_degenerate_unit_lift(gf16, square22):
     code = QcCode(square22, 1, gf16, [0] * 4, [3, 0, 1, 0], lambda_mult=15)
-    dense = expand(code).to_dense()
+    dense = to_dense(expand(code))
     assert dense.shape == (2, 2)
     assert dense[0, 0] == gf16.pow_alpha(3)
     assert dense[1, 1] == 1
@@ -557,7 +568,7 @@ def test_expand_row_rule(gf8):
     # each MCPM row is the alpha^lambda multiple of the row above, shifted
     proto = from_base_matrix([[1, 1], [1, 1]])
     code = QcCode(proto, 7, gf8, [2] * 4, [3, 0, 0, 0], lambda_mult=3)
-    dense = expand(code).to_dense()
+    dense = to_dense(expand(code))
     block = dense[:7, :7]
     for i in range(7):
         prev = block[(i - 1) % 7]
@@ -572,7 +583,7 @@ def test_expand_requires_labels(gf16, square22):
     code = QcCode(square22, 3, gf16, [0] * 4)
     with pytest.raises(ValueError):
         expand(code)
-    assert expand_binary(code).nnz == 12
+    assert nnz(expand_binary(code)) == 12
 
 
 def test_expand_collision_error(gf4):
@@ -589,7 +600,7 @@ def test_expand_binary_support_matches_expand(gf16, theta23):
     shifts = [int(rng.integers(0, 6)) for _ in range(6)]
     labels = [int(rng.integers(0, 15)) for _ in range(6)]
     code = QcCode(theta23, 6, gf16, shifts, labels)
-    assert expand(code).support() == expand_binary(code).support()
+    assert support(expand(code)) == support(expand_binary(code))
 
 
 def test_mcpm_lambda_multiple_of_group_order_collapses_rows(gf8):
@@ -597,7 +608,7 @@ def test_mcpm_lambda_multiple_of_group_order_collapses_rows(gf8):
     proto = from_base_matrix([[1, 1], [1, 1]])
     code = QcCode(proto, 3, gf8, [1, 0, 0, 0], [0] * 4)
     assert code.lambda_mult == 7
-    block = expand(code).to_dense()[:3, :3]
+    block = to_dense(expand(code))[:3, :3]
     assert sorted(v for v in block.flatten() if v) == [1, 1, 1]
     for i in range(3):
         assert block[i, (i + 1) % 3] == 1
@@ -718,8 +729,7 @@ def test_lift_and_spectrum_memos_match_fresh_protographs(rows, Z, data, gf4):
     for code, depth, kind in [(first, 2, "walks")] + steps:
         fresh = QcCode(from_base_matrix(rows), Z, gf4, code.shifts, code.labels)
         if kind == "walks":
-            got, want = (lift_walks(walk_table(c.proto, depth).upto(depth), c)
-                         for c in (code, fresh))
+            got, want = (lift_walks(c, depth)[1:] for c in (code, fresh))
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
         else:
             spectrum = {"binary": binary_ace_spectrum, "nb": nb_ace_spectrum}[kind]

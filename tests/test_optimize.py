@@ -18,6 +18,7 @@ from nbqc.lift import (
     _check_collisions,
     binary_ace_spectrum,
     lift_cycle,
+    lift_shifts,
     nb_ace_spectrum,
     walk_table,
 )
@@ -516,7 +517,7 @@ def test_trackers_match_lift_cycle_recount(seed):
                    count_steps=count_steps)
 
     code = QcCode(proto, Z, field, rng.integers(0, Z, proto.n_edges))
-    tracker = _LabelTracker(code, walks, constraint)
+    tracker = _LabelTracker(code, constraint)
     assert tracker.table == [
         rec for rec in walks if _violating(lift_cycle(rec, code), constraint)
     ]
@@ -573,12 +574,53 @@ def test_tracker_coefficients_are_one_hot_prefix_sums(data):
     shifts = draw(st.lists(st.integers(0, Z - 1), min_size=proto.n_edges,
                            max_size=proto.n_edges))
     code = QcCode(proto, Z, Field(draw(st.integers(1, 4))), shifts)
-    tracker = _LabelTracker(code, table, constraint)
+    tracker = _LabelTracker(code, constraint)
     # a walk that violates at every gcd is permanent; only the others,
     # the cancelable walks, keep rows
     permanent = tracker.bad.all(axis=1)
     assert tracker.n_permanent == int(permanent.sum())
     _check_coefficients(tracker, proto.n_edges, ~permanent, with_pairs=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tracker_start_equals_lift_layer_values(data):
+    # reset sums each functional over the tracker's own coefficient rows;
+    # the lift layer reads the same numbers off prefix sums of the values.
+    # They agree after reset and after moves.
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    proto = _random_protograph(rng)
+    depth = draw(st.sampled_from([2, 4, 6]))
+    Z = draw(st.integers(1, 12))
+    constraint = AceConstraint(depth, dict.fromkeys(range(2, depth + 1, 2),
+                                                    INF))
+    table = enumerate_closed_walks(proto, depth)
+    shifts = rng.integers(0, Z, proto.n_edges)
+    tracker = _ShiftTracker(table, Z, constraint)
+    for step in range(4):
+        if step == 0:
+            tracker.reset(shifts.copy())
+        else:
+            e, y = int(rng.integers(proto.n_edges)), int(rng.integers(Z))
+            tracker.apply(e, y)
+            shifts[e] = y
+        d, _, pairs = lift_shifts(table, shifts, Z)
+        assert np.array_equal(tracker.cur, np.concatenate([d, pairs]))
+        assert np.array_equal(tracker.total_shift, d)
+    field = Field(draw(st.integers(1, 4)))
+    q1 = field.q - 1
+    tracker = _LabelTracker(QcCode(proto, Z, field, shifts), constraint)
+    labels = rng.integers(0, q1, proto.n_edges)
+    tracker.reset(labels.copy())
+    has_rows = np.zeros(tracker.n, bool)
+    has_rows[tracker.rows[:, 0]] = True
+    want = tracker.table.prefix_sums(labels)[-1] % q1
+    assert np.array_equal(tracker.cur[has_rows], want[has_rows])
+    # a walk without rows keeps 0: no edge moves its sum, or it cannot
+    # cancel and violates at every gcd
+    assert not tracker.cur[~has_rows].any()
+    assert (tracker.bad[~has_rows].all(axis=1) | (want[~has_rows] == 0)).all()
 
 
 def _constraint(draw, depth):
