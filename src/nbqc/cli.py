@@ -132,7 +132,19 @@ def _parse_constraint(text: str) -> AceConstraint | None:
         raise CliInputError(f"bad ACE constraint {text!r}: {exc}") from exc
 
 
+def _check_outputs(*paths) -> None:
+    """Refuse output paths that cannot be written, before any work: a
+    parent that is missing or not a directory, or a path that is one."""
+    for path in map(Path, paths):
+        if not path.parent.is_dir():
+            raise CliInputError(f"output directory {path.parent} is missing "
+                                "or not a directory")
+        if path.is_dir():
+            raise CliInputError(f"output path {path} is a directory")
+
+
 def _cmd_construct(args) -> int:
+    _check_outputs(args.out)
     try:
         rows = read_base_matrix(args.proto)
         proto = from_base_matrix(rows)
@@ -223,6 +235,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    csv_path = Path(f"{args.out}.csv")
+    json_path = Path(f"{args.out}.json")
+    _check_outputs(csv_path, json_path)
     with _input_errors():
         checked_int(args.workers, "--workers", 1)
     code = _load_code(args.code)
@@ -241,8 +256,6 @@ def _cmd_simulate(args) -> int:
         result = run_campaign(code, cfg, workers=args.workers)
     except RankDeficiencyError as exc:
         raise CliInputError(str(exc)) from exc
-    csv_path = Path(f"{args.out}.csv")
-    json_path = Path(f"{args.out}.json")
     csv_path.write_text(result.to_csv(), encoding="utf-8")
     json_path.write_text(
         json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n",
@@ -253,6 +266,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    _check_outputs(args.out)
     code = _load_code(args.code)
     with _input_errors():
         text = export_code(code, args.format)
@@ -288,3 +302,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

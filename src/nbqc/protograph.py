@@ -11,15 +11,15 @@ restricted to primitive (aperiodic) representatives: a walk that retraces a
 shorter closed walk lifts to retraced copies of the shorter walk's lift and
 carries no extra information.
 
-The enumeration is array work.  The prefixes of all start edges grow
-together, a level at a time through padded successor tables, in blocks
-taken first to last, so the words come out in order with no sort; the last
-open level keeps only the prefixes that the last level can close, read from
-each base cell's two largest edge ids.  A closed word is kept when it is the
-least even rotation of itself and of its reversal and equals none of its
-proper even rotations, so every class appears once without a set of seen
-words.  The work is capped by a count of the prefixes the enumeration would
-grow without that prune, taken before it grows any.
+The enumeration is array work and meets in the middle: a closed word of
+length 2m is two half paths of m edges from its first check that meet at
+one node, so the half paths grow once, for all start edges together, and
+each word joins one that starts with the word's least edge to another,
+read backward.  A closed word is kept when it is the least even rotation
+of itself and of its reversal and equals none of its proper even
+rotations, so every class appears once without a set of seen words.  The
+work is capped by a count of the prefixes a level-wise enumeration would
+grow, taken before any path grows.
 
 The result is the one form walks take from enumeration to the optimizer's
 trackers, a :class:`WalkTable`: padded edge rows with length, ACE and the
@@ -136,12 +136,11 @@ class Protograph:
         """The node tables the enumeration and a table compile read, built once.
 
         Per edge id, the padding id last: its check and variable (the
-        padding nodes ``n_checks`` and ``n_vars``).  Per node id, the padding
-        node last: a variable's ACE term, the base matrix cells (0), each
-        cell's edge ids (padded with -1) and, as two planes, each cell's
-        largest and second-largest edge id (-1 where there is none).
-        Read-only and C-contiguous, so a gather is one ``take`` on the
-        raveled table: cell (c, v) is flat entry ``c * (n_vars + 1) + v``.
+        padding nodes ``n_checks`` and ``n_vars``).  Per node id, the
+        padding node last: a variable's ACE term, the base matrix cells (0)
+        and each cell's edge ids (padded with -1).  Read-only and
+        C-contiguous, so a gather is one ``take`` on the raveled table:
+        cell (c, v) is flat entry ``c * (n_vars + 1) + v``.
         """
         node_of = np.array([self.edge_check + [self.n_checks],
                             self.edge_var + [self.n_vars]])
@@ -149,15 +148,13 @@ class Protograph:
         cells = np.zeros((self.n_checks + 1, self.n_vars + 1), np.int32)
         cells[:-1, :-1] = self.base_matrix()
         cell_edges = np.full(cells.shape + (cells.max(),), -1, np.int32)
-        top_two = np.full((2,) + cells.shape, -1, np.int32)
         filled = np.zeros_like(cells)
         for e, (c, v) in enumerate(zip(self.edge_check, self.edge_var)):
             cell_edges[c, v, filled[c, v]] = e
             filled[c, v] += 1
-            top_two[:, c, v] = e, top_two[0, c, v]  # ids arrive in order
-        for a in (node_of, ace_of, cells, cell_edges, top_two):
+        for a in (node_of, ace_of, cells, cell_edges):
             a.flags.writeable = False
-        return node_of, ace_of, cells, cell_edges, top_two
+        return node_of, ace_of, cells, cell_edges
 
     def __repr__(self) -> str:
         return (
@@ -225,7 +222,7 @@ def degree_profile(proto: Protograph) -> DegreeProfile:
 DEFAULT_PREFIX_CAP = 1 << 24
 # the longest walk the enumeration accepts; rows are at most this wide
 MAX_WALK_LEN = 512
-_BLOCK = 4096  # prefixes per array step; bounds the temporaries
+_BLOCK = 8192  # word pairs or rotations per array step; bounds temporaries
 _CHUNK = 256  # walks per chord step; bounds the temporaries
 _TABLE_CELLS = 1 << 16  # (walks x width^2) per table-compile step
 _CELLS = 1 << 18  # (start edges x edges) per prefix-count step
@@ -296,7 +293,7 @@ class WalkTable(Sequence):
         n, width = rows.shape
         _, p1, p2 = _pair_positions(width)
         at, node_of = _visits(proto, width)
-        _, ace_of, cells, *_ = proto.node_arrays
+        _, ace_of, cells, _ = proto.node_arrays
         cells, stride = cells.ravel(), cells.shape[1]
         # a simple walk visits at most this many checks and variables
         most = min(proto.n_checks, proto.n_vars)
@@ -514,15 +511,15 @@ def _least_of_class(words: np.ndarray) -> np.ndarray:
 def _check_prefixes(proto: Protograph, max_len: int, cap: int) -> None:
     """Raise before an enumeration that would create more than ``cap`` prefixes.
 
-    Counts the prefixes the enumeration would grow without its closing prune
-    (at the last open level it keeps only the prefixes the last level can
-    close), an upper bound on what it grows, so the cap decides the same
-    with or without the prune.  The count runs level by level for a block
-    of start edges at a time: ``counts[i, e]`` is the number from the block's
-    i-th start edge e0 ending in edge e.  A level moves each count on to the
-    other edges at the node its edge turns at (its variable after an even
-    position, its check after an odd one) through per-node sums, restricted
-    to edges >= e0 and, at the last level, to edges that close the word.
+    Counts the prefixes a level-wise enumeration of the words would grow
+    (at the last level only those that close), so the cap does not depend
+    on how the words are found.  The count runs level by level for a block
+    of start edges at a time: ``counts[i, e]`` is the number from the
+    block's i-th start edge e0 ending in edge e.  A level moves each count
+    on to the other edges at the node its edge turns at (its variable after
+    an even position, its check after an odd one) through per-node sums,
+    restricted to edges >= e0 and, at the last level, to edges that close
+    the word.
     The total only grows, so raising once it passes the cap decides as the
     whole count would.  The first level is counted from node degrees first:
     the pairs of edges at one variable, or in one cell when words close there.
@@ -568,24 +565,21 @@ def enumerate_closed_walks(
     """All primitive non-backtracking closed walks of even length <= max_len.
 
     One canonical representative per class under rotation and reversal, in
-    deterministic (length, edge_seq) order.  The non-backtracking prefixes
-    of every start edge e0 grow over edges >= e0 in one loop that reads e0
-    per row, a level at a time, as ``(prefixes, k)`` arrays in blocks of at
-    most ``_BLOCK`` rows, depth first, so the memory held does not grow with
-    the depth.  A block's prefixes are in edge_seq order, and so are the
-    ones it grows (successors come in increasing id); each level's blocks
-    are pushed in reverse and so popped first to last, so every length's
-    words come out in edge_seq order with no sort.  The last open level
-    (position ``max_len - 2``) keeps only the prefixes whose variable has
-    an edge f > e0, other than the prefix's last, to e0's check: the others
-    could not close at the last level.  The closed words of each level are
-    kept when they are the least even rotation of themselves and their
-    reversal and primitive (:func:`_least_of_class`), so no set of seen
-    words is needed.  Raises :class:`WalkEnumerationOverflow`, before any
-    prefix grows, when the unpruned enumeration would create more than
-    ``max_prefixes`` prefixes (the pruned one never creates more, and
-    classes never outnumber prefixes), or when ``max_len`` exceeds
-    :data:`MAX_WALK_LEN`; the result is never silently truncated.
+    deterministic (length, edge_seq) order.  A closed word w of length 2m
+    from start edge e0 (non-backtracking over edges >= e0, closing on e0's
+    check by an edge other than e0) is exactly a pair of half paths from
+    e0's check that end at one node by different last edges: F = w[:m],
+    whose least edge is its first, e0, and B = w[m:] reversed, whose first
+    edge is not e0 and whose edges are all >= e0.  Each F is joined with
+    the B of its (start check, end node), sorted by that key and then by
+    reversed sequence, so the words come out in edge_seq order, a block of
+    about ``_BLOCK`` candidate pairs at a time.  A word is kept when it is
+    the least even rotation of itself and its reversal and primitive
+    (:func:`_least_of_class`).  Raises :class:`WalkEnumerationOverflow`,
+    before any path grows, when a level-wise enumeration of these words
+    would create more than ``max_prefixes`` prefixes (classes never
+    outnumber them), or when ``max_len`` exceeds :data:`MAX_WALK_LEN`; the
+    result is never silently truncated.
     """
     checked_depth(max_len, "max_len")
     if max_len > MAX_WALK_LEN:
@@ -593,82 +587,87 @@ def enumerate_closed_walks(
             f"walk length {max_len} exceeds the enumeration limit {MAX_WALK_LEN}"
         )
     _check_prefixes(proto, max_len, max_prefixes)
-    n_edges = proto.n_edges
-    dtype = _edge_dtype(n_edges)
-    node_of, *_, top_two = proto.node_arrays
-    # per edge id (-1 reads the padding): its check, its variable, and the
-    # flat offset of its check's row of cells in the raveled top_two planes
-    edge_check, edge_var = node_of
-    check_row = edge_check * top_two.shape[2]
-    top1, top2 = (plane.ravel() for plane in top_two)
-    # follow[p % 2][e]: the edges that may come after e at position p of a
-    # walk (from e's variable after an even p, from its check after an odd
-    # one), e itself left out, padded with -1; a 2-walk reads no check side
-    follow = [_padded([[f for f in proto.var_edges[v] if f != e]
-                       for e, v in enumerate(proto.edge_var)], dtype)]
-    if max_len > 2:
-        follow.append(_padded([[f for f in proto.check_edges[c] if f != e]
-                               for e, c in enumerate(proto.edge_check)], dtype))
-    found: dict[int, list[np.ndarray]] = {}  # length -> canonical words
-    starts = np.arange(n_edges, dtype=dtype)[:, None]
-    stack = _blocks(starts)
-    while stack:
-        prefixes = stack.pop()
-        k = prefixes.shape[1]  # the position of the edge added now
-        e0 = prefixes[:, :1]
-        nxt = follow[(k - 1) % 2].take(prefixes[:, -1], axis=0)
-        grow = nxt >= e0
-        if k % 2:  # back at a check: a word closes on e0's check, not via e0
-            closes = (edge_check.take(nxt) == edge_check.take(e0)) & (nxt != e0)
-            if k + 1 == max_len:
-                grow &= closes
-        elif k + 2 == max_len:
-            # the last level closes only by an edge f > e0, f != nxt, of the
-            # cell (e0's check, nxt's variable); its two largest ids decide
-            # at any multiplicity
-            cell = check_row.take(e0) + edge_var.take(nxt)
-            first = top1.take(cell)
-            grow &= ((first > e0) & (first != nxt)) | (top2.take(cell) > e0)
-        flat = np.flatnonzero(grow)
-        grown = np.empty((len(flat), k + 1), dtype)
-        grown[:, :k] = prefixes.take(flat // grow.shape[1], axis=0)
-        grown[:, k] = nxt.ravel().take(flat)
-        if k % 2:
-            words = grown[closes.ravel().take(flat)]
+    dtype = _edge_dtype(proto.n_edges)
+    blocks = _closed_words(proto, max_len, dtype)
+    length = np.repeat(np.array([w.shape[1] for w in blocks], np.int32),
+                       np.array([len(w) for w in blocks], np.intp))
+    rows = np.full((len(length), length.max(initial=2)), proto.n_edges, dtype)
+    hi, blocks = 0, blocks[::-1]
+    while blocks:  # each block freed once copied
+        words = blocks.pop()
+        rows[hi:hi + len(words), :words.shape[1]] = words
+        hi += len(words)
+    return WalkTable(proto, rows, length)
+
+
+def _closed_words(proto: Protograph, max_len: int, dtype) -> list:
+    """The canonical words as blocks in (length, edge_seq) order."""
+    node_of = proto.node_arrays[0]
+    # per edge, the least edge at its check: no edge of a word is below it
+    floor = np.array([proto.check_edges[c][0] for c in proto.edge_check])
+    found = []
+    half = _half_paths(proto, max_len // 2, floor, dtype)
+    for m, (paths, least) in enumerate(half, 1):
+        first, last = paths[:, 0], paths[:, -1]
+        # the end node is the variable of the last edge for odd m, its
+        # check for even m
+        key = (node_of[0].take(first).astype(np.intp) * node_of.shape[1]
+               + node_of[m % 2].take(last))
+        # B pairs with an F of first edge e0 <= top: e0 <= its least edge,
+        # and e0 < its first edge when that is its least
+        top = least - (least == first)
+        usable = np.flatnonzero(top >= floor.take(first))
+        # by key, then by the edges from the last back to the first:
+        # lexsort sorts by its last key first
+        order = usable.take(np.lexsort((*paths.take(usable, axis=0).T,
+                                        key.take(usable))))
+        bkey, btop, blast = key.take(order), top.take(order), last.take(order)
+        f = np.flatnonzero(least == first)  # the F side, in edge_seq order
+        fkey = key.take(f)
+        lo = np.searchsorted(bkey, fkey, "left")
+        count = np.searchsorted(bkey, fkey, "right") - lo
+        block = (np.cumsum(count) - count) // _BLOCK
+        bounds = np.flatnonzero(np.diff(block)) + 1
+        for fb, lb, cb in zip(*(np.split(a, bounds) for a in (f, lo, count))):
+            fi, b = np.repeat(fb, cb), _ranges(lb, cb)
+            ok = ((btop.take(b) >= first.take(fi))
+                  & (blast.take(b) != last.take(fi)))
+            fi, b = fi[ok], order.take(b[ok])
+            words = np.empty((len(fi), 2 * m), dtype)
+            words[:, :m] = paths.take(fi, axis=0)
+            words[:, m:] = paths.take(b, axis=0)[:, ::-1]
             words = words[_least_of_class(words)]
             if len(words):
-                found.setdefault(k + 1, []).append(words)
-        if k + 1 < max_len:
-            stack += _blocks(grown)
-
-    return WalkTable(proto, *_ordered_rows(found, n_edges, dtype))
+                found.append(words)
+    return found
 
 
-def _blocks(prefixes: np.ndarray) -> list[np.ndarray]:
-    """``prefixes`` in blocks of ``_BLOCK`` rows, last block first, so a
-    stack pops them first to last."""
-    return [prefixes[lo:lo + _BLOCK]
-            for lo in reversed(range(0, len(prefixes), _BLOCK))]
-
-
-def _ordered_rows(found: dict, n_edges: int, dtype):
-    """Padded rows and lengths of the words ``found`` per length.
-
-    (length, edge_seq) order: by length, then each length's word blocks in
-    the order found, which the enumeration's first-to-last block order
-    makes edge_seq order.  ``found`` is emptied as the rows fill, so no
-    word array outlives the call and none is joined first.
+def _half_paths(proto: Protograph, half: int, floor: np.ndarray, dtype):
+    """Yields ``(paths, least)`` for 1 to ``half`` edges: the check-start
+    non-backtracking paths, in edge_seq order, whose edges are all >=
+    ``floor`` of their first, and each path's least edge.  The check-side
+    successors are built only when a path turns at a check.
     """
-    lengths = sorted(found)
-    length = np.repeat(np.array(lengths, np.int32),
-                       [sum(map(len, found[n])) for n in lengths])
-    rows = np.full((len(length), max(lengths, default=2)), n_edges, dtype)
-    hi = 0
-    for n in lengths:
-        for words in found.pop(n):
-            rows[hi:hi + len(words), :n] = words
-            hi += len(words)
-    return rows, length
+    # follow[p % 2][e]: the edges that may come after e at position p (from
+    # e's variable after an even p, from its check after an odd one), e
+    # itself left out, padded with -1
+    follow = [_padded([[f for f in proto.var_edges[v] if f != e]
+                       for e, v in enumerate(proto.edge_var)], dtype)]
+    if half >= 3:
+        follow.append(_padded([[f for f in proto.check_edges[c] if f != e]
+                               for e, c in enumerate(proto.edge_check)], dtype))
+    paths = np.arange(proto.n_edges, dtype=dtype)[:, None]
+    least = paths[:, 0]
+    yield paths, least
+    for k in range(1, half):
+        nxt = follow[(k - 1) % 2].take(paths[:, -1], axis=0)
+        grow = nxt >= floor.take(paths[:, 0])[:, None]
+        flat = np.flatnonzero(grow)
+        parent = flat // grow.shape[1]
+        paths = np.hstack([paths.take(parent, axis=0),
+                           nxt.ravel().take(flat)[:, None]])
+        least = np.minimum(least.take(parent), paths[:, k])
+        yield paths, least
 
 
 def read_base_matrix_text(text: str) -> list[list[int]]:

@@ -3,7 +3,10 @@ import functools
 import io
 import json
 import operator
+import os
 import pickle
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -510,6 +513,9 @@ def _bad_input_argv(tmp_path, desc):
                                       "--out", out],
         "overflow": construct + ["--Z", "3", "--out", out],
         "construct-out": construct + ["--Z", "3", "--out", nowhere],
+        "construct-out-dir": construct + ["--Z", "3", "--out", str(tmp_path)],
+        "construct-out-file-parent": construct + ["--Z", "3", "--out",
+                                                  str(desc / "x.json")],
         "construct-seed-minus-1": construct + ["--Z", "3", "--seed", "-1",
                                                "--out", out],
         "snr-abc": simulate + ["--snr", "abc", "--out", out],
@@ -523,10 +529,19 @@ def _bad_input_argv(tmp_path, desc):
                                 "--out", out],
         "env-workers": simulate + ["--snr", "inf", "--out", out],
         "simulate-out": simulate + ["--snr", "inf", "--out", nowhere],
+        # <prefix>.json is a directory: no CSV is written without its JSON
+        "simulate-out-json-dir": simulate + ["--snr", "inf", "--out",
+                                             str(tmp_path / "dir")],
+        "simulate-out-file-parent": simulate + ["--snr", "inf", "--out",
+                                                str(desc / "x")],
         "simulate-seed-minus-1": simulate + ["--snr", "inf", "--seed", "-1",
                                              "--out", out],
         "export-out": ["export", str(desc), "--format", "alist",
                        "--out", nowhere],
+        "export-out-dir": ["export", str(desc), "--format", "alist",
+                           "--out", str(tmp_path)],
+        "export-out-file-parent": ["export", str(desc), "--format", "alist",
+                                   "--out", str(desc / "x")],
         "export-Z-huge": ["export", str(_huge_z_descriptor(
             desc, tmp_path / "huge.json")), "--format", "alist",
             "--out", out],
@@ -565,10 +580,13 @@ def _bad_input_argv(tmp_path, desc):
 
 @pytest.mark.parametrize("case", [
     "Z0", "Z-huge", "max-sweeps0", "max-restarts0", "overflow",
-    "construct-out", "construct-seed-minus-1", "snr-abc", "snr-nan",
+    "construct-out", "construct-out-dir", "construct-out-file-parent",
+    "construct-seed-minus-1", "snr-abc", "snr-nan",
     "snr-minus-inf", "snr-huge", "snr-1e400", "snr-minus-1e400", "workers0",
-    "env-workers", "simulate-out",
-    "simulate-seed-minus-1", "export-out", "export-Z-huge", "spectrum-depth",
+    "env-workers", "simulate-out", "simulate-out-json-dir",
+    "simulate-out-file-parent", "simulate-seed-minus-1", "export-out",
+    "export-out-dir", "export-out-file-parent", "export-Z-huge",
+    "spectrum-depth",
     "spectrum-depth-huge", "construct-degree-1", "json-entry-float",
     "json-entry-bool", "json-matrix-scalar", "simulate-rank-deficient",
     "simulate-collision", "simulate-unlabeled-zero",
@@ -577,22 +595,52 @@ def _bad_input_argv(tmp_path, desc):
 ])
 def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
                                          monkeypatch, case):
+    import nbqc.cli
     import nbqc.lift
     from nbqc.protograph import WalkEnumerationOverflow
 
     desc = construct_toy(tmp_path, proto_file)
+    (tmp_path / "dir.json").mkdir()
     capsys.readouterr()
+    argv = _bad_input_argv(tmp_path, desc)[case]
     if case == "env-workers":
         monkeypatch.setenv("NBQC_WORKERS", "two")
     if case == "overflow":
         def overflow(*args, **kwargs):
             raise WalkEnumerationOverflow("more than 5 closed-walk classes")
         monkeypatch.setattr(nbqc.lift, "enumerate_closed_walks", overflow)
-    assert main(_bad_input_argv(tmp_path, desc)[case]) == EXIT_INPUT
+    if "-out" in case:  # refused before any enumeration or frame
+        def spy(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+        monkeypatch.setattr(nbqc.lift, "enumerate_closed_walks", spy)
+        monkeypatch.setattr(nbqc.cli, "run_campaign", spy)
+    assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     if "1e400" in case:
         assert "outside [-300.0, 300.0]" in err
+    assert not (tmp_path / "dir.csv").exists()
+
+
+def test_module_run_exits_as_main_does(tmp_path, capsys):
+    # python -m nbqc.cli runs its command with main's exit codes: 0 for
+    # --help, 3 with one stderr line for a missing descriptor
+    import nbqc
+
+    missing = ["spectrum", str(tmp_path / "missing.json"), "--depth", "4"]
+    with pytest.raises(SystemExit) as shown:
+        main(["--help"])
+    assert shown.value.code == EXIT_OK
+    assert main(missing) == EXIT_INPUT
+    capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(Path(nbqc.__file__).parents[1])}
+    for argv, code in ((["--help"], EXIT_OK), (missing, EXIT_INPUT)):
+        run = subprocess.run([sys.executable, "-m", "nbqc.cli", *argv],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert run.returncode == code
+    assert run.stderr.startswith("error: cannot load descriptor")
+    assert run.stderr.count("\n") == 1
 
 
 def test_spelled_infinity_is_the_noiseless_point(tmp_path, proto_file,

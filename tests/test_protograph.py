@@ -145,7 +145,8 @@ def test_k33_counts(theta23):
 
 
 @pytest.mark.parametrize(
-    "m,n,max_len", [(2, 2, 8), (2, 3, 8), (3, 3, 6), (3, 4, 6), (4, 4, 6)]
+    "m,n,max_len", [(2, 2, 8), (2, 3, 8), (3, 3, 6), (3, 4, 6), (4, 4, 6),
+                    (2, 3, 10), (3, 3, 10)]
 )
 def test_enumeration_matches_node_dfs_oracle(m, n, max_len):
     p = from_base_matrix([[1] * n] * m)
@@ -213,10 +214,13 @@ def test_overflow_guard_raises():
         enumerate_closed_walks(p, 8, max_prefixes=5)
 
 
-@pytest.mark.parametrize("rows, max_len", [
+_CAP_CASES = [
     ([[1, 1, 1], [1, 1, 1]], 12), ([[3, 1], [0, 1]], 10), ([[2]], 2),
     ([[2, 2], [1, 1]], 8), ([[1, 1, 1]] * 3, 8),
-])
+]
+
+
+@pytest.mark.parametrize("rows, max_len", _CAP_CASES)
 def test_prefix_cap_counts_every_prefix_grown(rows, max_len):
     p = from_base_matrix(rows)
     grown = count_prefixes_by_edge_dfs(p, max_len)
@@ -414,10 +418,11 @@ _COLUMNS = ("rows", "length", "ace", "simple_minimal", "pair_walk", "p1", "p2")
 @pytest.mark.parametrize("block", [1, 3, 64])
 def test_blocks_taken_first_to_last_need_no_sort(ensemble1_matrix,
                                                  ensemble2_matrix, block):
-    # nothing sorts the words: the order comes from taking each level's
-    # blocks first to last.  At the default block size only the last few
-    # levels span more than one block; 1-, 3- and 64-prefix blocks split
-    # every level, and the table must not move
+    # nothing sorts the words after the join: each F half takes its B
+    # halves in the sorted B side's order, and the F are joined in
+    # edge_seq order a block at a time.  At the default block size each
+    # half length is one or a few blocks; 1-, 3- and 64-candidate blocks
+    # split every join, and the table must not move
     for matrix in (ensemble1_matrix, ensemble2_matrix):
         want = enumerate_closed_walks(from_base_matrix(matrix), 10)
         keys = list(zip(want.length.tolist(), want.rows.tolist()))
@@ -441,6 +446,115 @@ def test_small_blocks_enumerate_what_the_dfs_oracle_finds(rows, max_len,
         except WalkEnumerationOverflow:
             assume(False)
     assert list(table) == closed_walks_by_edge_dfs(p, max_len)
+
+
+def _oracle_table(p, max_len):
+    """The recursive DFS oracle's walks compiled into a table, their rows
+    padded as the enumeration pads them."""
+    records = closed_walks_by_edge_dfs(p, max_len)
+    rows = np.full((len(records), max((r.length for r in records), default=2)),
+                   p.n_edges)
+    for i, record in enumerate(records):
+        rows[i, :record.length] = record.edge_seq
+    return WalkTable(p, rows, [r.length for r in records])
+
+
+def _assert_same_table(got, want):
+    for name in _COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("rows, max_len", [
+    # odd half lengths 3 and 5: the halves meet at a variable
+    ([[1, 1, 1], [1, 1, 1]], 6), ([[1, 1, 1], [1, 1, 1]], 10),
+    # two and three parallel edges: halves that end in one cell
+    ([[2, 1], [1, 2]], 6), ([[2, 1], [1, 2]], 10),
+    ([[3, 1], [1, 1]], 6), ([[3, 1], [1, 1]], 10),
+    # one edge per half
+    ([[3]], 2), ([[2, 2], [1, 1]], 2), ([[1, 1, 1], [1, 1, 1]], 2),
+])
+def test_join_matches_the_dfs_oracle_byte_for_byte(rows, max_len):
+    p = from_base_matrix(rows)
+    _assert_same_table(enumerate_closed_walks(p, max_len),
+                       _oracle_table(p, max_len))
+
+
+@pytest.mark.parametrize("max_len", [6, 10])
+def test_join_matches_the_dfs_oracle_on_the_reference_ensembles(
+        ensemble1_matrix, ensemble2_matrix, max_len):
+    for matrix in (ensemble1_matrix, ensemble2_matrix):
+        p = from_base_matrix(matrix)
+        _assert_same_table(enumerate_closed_walks(p, max_len),
+                           _oracle_table(p, max_len))
+
+
+@pytest.mark.parametrize("max_len, tables", [(2, 1), (4, 1), (6, 2), (8, 2)])
+def test_check_side_successors_only_where_a_half_path_turns_at_a_check(
+        monkeypatch, max_len, tables):
+    # half paths of one or two edges turn only at their variable, so depths
+    # 2 and 4 build no (edges x check degree) successor table: on a 2 x 20000
+    # all-ones matrix it would hold 8e8 entries
+    built = []
+    padded = nbqc.protograph._padded
+
+    def spy(lists, dtype):
+        built.append(len(lists))
+        return padded(lists, dtype)
+
+    monkeypatch.setattr(nbqc.protograph, "_padded", spy)
+    p = from_base_matrix([[2, 1, 1], [1, 1, 0]])
+    table = enumerate_closed_walks(p, max_len)
+    assert len(built) == tables
+    _assert_same_table(table, _oracle_table(p, max_len))
+
+
+@pytest.mark.parametrize("rows, max_len", _CAP_CASES + [([[1] * 4] * 4, 8)])
+def test_prefix_cap_refuses_before_any_half_path_grows(monkeypatch, rows,
+                                                       max_len):
+    # the cap still counts the prefixes a level-wise enumeration grows: one
+    # below that count is refused as before, and no half path grows first
+    p = from_base_matrix(rows)
+    grown = count_prefixes_by_edge_dfs(p, max_len)
+
+    def refuse(*args):
+        raise AssertionError("grew half paths")
+
+    monkeypatch.setattr(nbqc.protograph, "_half_paths", refuse)
+    with pytest.raises(WalkEnumerationOverflow, match=f"than {grown - 1} "):
+        enumerate_closed_walks(p, max_len, max_prefixes=grown - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=_multigraph_matrices(), max_len=st.sampled_from([2, 6, 10, 14]),
+       block=st.sampled_from([1, 7, nbqc.protograph._BLOCK]))
+def test_join_matches_the_dfs_oracle_on_random_multigraphs(rows, max_len,
+                                                           block):
+    # odd and even half lengths, blocks of one candidate up to the default;
+    # up to 2^16 level-wise prefixes keeps each oracle call short
+    p = from_base_matrix(rows)
+    with mock.patch.object(nbqc.protograph, "_BLOCK", block):
+        try:
+            table = enumerate_closed_walks(p, max_len, max_prefixes=1 << 16)
+        except WalkEnumerationOverflow:
+            assume(False)
+    _assert_same_table(table, _oracle_table(p, max_len))
+
+
+def test_join_memory_stays_at_the_level_wise_figure(ensemble2_matrix):
+    # the GF(8) reference protograph at depth 14 (82 499 walks): the
+    # level-wise enumeration that the join replaced peaked at 5 892 459
+    # bytes under tracemalloc (numpy 2.4), the join at about 5.62e6
+    p = from_base_matrix(ensemble2_matrix)
+    tracemalloc.start()
+    try:
+        table = enumerate_closed_walks(p, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 82499
+    assert peak <= 5_892_459
 
 
 @settings(max_examples=100, deadline=None)
