@@ -17,9 +17,6 @@ from .codec import (
     QspaDecoder,
     RankDeficiencyError,
     SparseGfMatrix,
-    encode,
-    is_full_rank,
-    qspa_decode,
     rank,
 )
 from .lift import (

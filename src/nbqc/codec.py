@@ -122,10 +122,6 @@ def rank(matrix: SparseGfMatrix) -> int:
     return len(_echelon(matrix))
 
 
-def is_full_rank(matrix: SparseGfMatrix) -> bool:
-    return rank(matrix) == min(matrix.n_rows, matrix.n_cols)
-
-
 class Encoder:
     """Systematic encoder from the reduced row echelon form of H.
 
@@ -195,11 +191,6 @@ class Encoder:
         word[self._info] = msg
         word[self._parity] = parity.view(np.uint8)[:self.m]
         return word
-
-
-def encode(H: SparseGfMatrix, message) -> np.ndarray:
-    """One-shot systematic encoding; builds the echelon form each call."""
-    return Encoder(H).encode(message)
 
 
 @dataclass
@@ -383,7 +374,7 @@ class QspaDecoder:
             [var_slots[i, self.var_order[:b]] for i, b in enumerate(blocks)])
         renumber = np.empty(n_rows, dtype=np.int64)
         renumber[np.append(self.edge_order, spare)] = np.arange(n_rows)
-        self.e_check, self.e_var, self.e_label = edges[self.edge_order].T
+        _, self.e_var, self.e_label = edges[self.edge_order].T
         # from-check gather msg_x[x] = conv[h * x]; the to-check gather
         # msg_y[y] = msg_x[h^-1 * y] is its inverse; the spare row has label 1
         from_check = self.field.mul_table[np.append(self.e_label, 1)]
@@ -488,14 +479,10 @@ class QspaDecoder:
             _leave_one_out(self._slot, self._cpref, self._csuf)
             np.take(fwht(self._spec.T, self._back).T, self.from_check_flat,
                     out=m_cv, mode="clip")
-            m_cv /= q
+            # no 1/q after the inverse transform: _normalize scales each row
+            # to sum 1, and dividing first by a power of two changes no
+            # normalized value (only where x/q is subnormal, and loses bits)
             np.maximum(m_cv, 0.0, out=m_cv)
             dead += _normalize(m_cv)
         return DecodeResult(hard, converged, it, dead)
 
-
-def qspa_decode(
-    H: SparseGfMatrix, priors: np.ndarray, max_iters: int = 80
-) -> DecodeResult:
-    """Decode one frame; builds the decoder structure each call."""
-    return QspaDecoder(H).decode(priors, max_iters)

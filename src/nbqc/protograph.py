@@ -19,7 +19,8 @@ read backward.  A closed word is kept when it is the least even rotation
 of itself and of its reversal and equals none of its proper even
 rotations, so every class appears once without a set of seen words.  The
 work is capped by a count of the prefixes a level-wise enumeration would
-grow, taken before any path grows.
+grow, taken before any path grows.  The count, the floors and the half
+paths all read the protograph as its edge runs (``Protograph.edge_runs``).
 
 The result is the one form walks take from enumeration to the optimizer's
 trackers, a :class:`WalkTable`: padded edge rows with length, ACE and the
@@ -113,6 +114,7 @@ class Protograph:
         # derived data stays out of pickles (simulation workers)
         state = {**self.__dict__, "_walks": (0, None), "_lifted": None}
         state.pop("node_arrays", None)
+        state.pop("edge_runs", None)
         return state
 
     @property
@@ -133,7 +135,7 @@ class Protograph:
 
     @functools.cached_property
     def node_arrays(self) -> tuple[np.ndarray, ...]:
-        """The node tables the enumeration and a table compile read, built once.
+        """The node tables a table compile reads, built once.
 
         Per edge id, the padding id last: its check and variable (the
         padding nodes ``n_checks`` and ``n_vars``).  Per node id, the
@@ -155,6 +157,24 @@ class Protograph:
         for a in (node_of, ace_of, cells, cell_edges):
             a.flags.writeable = False
         return node_of, ace_of, cells, cell_edges
+
+    @functools.cached_property
+    def edge_runs(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The enumeration's one adjacency form, built once, read-only: per
+        side, variables (read after an even position) then checks, the node
+        each edge turns at, the edge ids by node in id order, and each
+        node's first index there and its degree.  Built from the edge lists
+        alone, so the prefix cap reads it before any node table exists."""
+        runs = []
+        for at, n in ((self.edge_var, self.n_vars),
+                      (self.edge_check, self.n_checks)):
+            at = np.array(at, np.intp)
+            degree = np.bincount(at, minlength=n)
+            runs.append((at, np.argsort(at, kind="stable"),
+                         np.cumsum(degree) - degree, degree))
+            for a in runs[-1]:
+                a.flags.writeable = False
+        return tuple(runs)
 
     def __repr__(self) -> str:
         return (
@@ -469,13 +489,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
             + np.repeat(starts - ends + counts, counts))
 
 
-def _padded(lists, dtype) -> np.ndarray:
-    table = np.full((len(lists), max(map(len, lists), default=0)), -1, dtype)
-    for i, items in enumerate(lists):
-        table[i, :len(items)] = items
-    return table
-
-
 def _least_of_class(words: np.ndarray) -> np.ndarray:
     """Which closed words are the canonical representative of their class.
 
@@ -517,42 +530,41 @@ def _check_prefixes(proto: Protograph, max_len: int, cap: int) -> None:
     of start edges at a time: ``counts[i, e]`` is the number from the
     block's i-th start edge e0 ending in edge e.  A level moves each count
     on to the other edges at the node its edge turns at (its variable after
-    an even position, its check after an odd one) through per-node sums,
-    restricted to edges >= e0 and, at the last level, to edges that close
-    the word.
+    an even position, its check after an odd one) through per-node sums
+    over the edge runs (:attr:`Protograph.edge_runs`), restricted to edges
+    >= e0 and, at the last level, to edges that close the word.
     The total only grows, so raising once it passes the cap decides as the
-    whole count would.  The first level is counted from node degrees first:
+    whole count would.  The first level is counted from the runs first:
     the pairs of edges at one variable, or in one cell when words close there.
+    It stays because it decides before any path grows: a cap on the join's
+    own work, tried on the 2 x 3 all-ones matrix, refused depth 50 after
+    38 s and let depth 48 through (66 s, 2.4 GB traced peak).
     """
     overflow = WalkEnumerationOverflow(f"closed-walk enumeration up to length "
                                        f"{max_len} needs more than {cap} prefixes")
-    degrees = (proto.base_matrix() if max_len == 2
-               else [list(map(len, proto.var_edges))])
-    if sum(m * (m - 1) // 2 for row in degrees for m in row) > cap:
+    runs = proto.edge_runs
+    (var_of, _, _, degree), (check_of, _, _, _) = runs
+    if max_len == 2:  # words close in the cell of their first two edges
+        degree = np.unique(check_of * proto.n_vars + var_of,
+                           return_counts=True)[1]
+    if int((degree * (degree - 1) // 2).sum()) > cap:
         raise overflow
     if max_len == 2:  # the first level is the whole count
         return
     n = proto.n_edges
     ids = np.arange(n)
-    edge_check = np.array(proto.edge_check)
-    # per parity: the node each edge turns at, the edges in node order and
-    # where each node's edges begin there (every node has an edge)
-    sides = []
-    for at in (np.array(proto.edge_var), edge_check):
-        order = np.argsort(at, kind="stable")
-        sides.append((at, order, np.flatnonzero(np.diff(at[order], prepend=-1))))
     total, step = 0, max(1, _CELLS // n)
     for lo in range(0, n, step):
         e0 = ids[lo:lo + step, None]
         counts = (ids == e0).astype(np.int64)
         for k in range(1, max_len):
-            at, order, begin = sides[(k - 1) % 2]
+            at, order, begin, _ = runs[(k - 1) % 2]
             # the counts summed per node, less the edge's own: no step back
             moved = np.add.reduceat(counts[:, order], begin, axis=1)[:, at]
             moved -= counts
             moved *= ids >= e0
             if k + 1 == max_len:
-                moved *= (edge_check == edge_check[e0]) & (ids != e0)
+                moved *= (check_of == check_of[e0]) & (ids != e0)
             counts = moved
             total += int(counts.sum())
             if total > cap:
@@ -602,17 +614,18 @@ def enumerate_closed_walks(
 
 def _closed_words(proto: Protograph, max_len: int, dtype) -> list:
     """The canonical words as blocks in (length, edge_seq) order."""
-    node_of = proto.node_arrays[0]
+    runs = proto.edge_runs
+    check_of, by_check, begin, _ = runs[1]
     # per edge, the least edge at its check: no edge of a word is below it
-    floor = np.array([proto.check_edges[c][0] for c in proto.edge_check])
+    floor = by_check.take(begin.take(check_of))
     found = []
-    half = _half_paths(proto, max_len // 2, floor, dtype)
+    half = _half_paths(runs, max_len // 2, floor, dtype)
     for m, (paths, least) in enumerate(half, 1):
         first, last = paths[:, 0], paths[:, -1]
         # the end node is the variable of the last edge for odd m, its
         # check for even m
-        key = (node_of[0].take(first).astype(np.intp) * node_of.shape[1]
-               + node_of[m % 2].take(last))
+        key = (check_of.take(first) * proto.n_edges
+               + runs[(m - 1) % 2][0].take(last))
         # B pairs with an F of first edge e0 <= top: e0 <= its least edge,
         # and e0 < its first edge when that is its least
         top = least - (least == first)
@@ -642,30 +655,27 @@ def _closed_words(proto: Protograph, max_len: int, dtype) -> list:
     return found
 
 
-def _half_paths(proto: Protograph, half: int, floor: np.ndarray, dtype):
+def _half_paths(runs, half: int, floor: np.ndarray, dtype):
     """Yields ``(paths, least)`` for 1 to ``half`` edges: the check-start
     non-backtracking paths, in edge_seq order, whose edges are all >=
-    ``floor`` of their first, and each path's least edge.  The check-side
-    successors are built only when a path turns at a check.
+    ``floor`` of their first, and each path's least edge.  A level appends
+    the run at the node each last edge turns at, less that edge and the
+    edges below the floor; runs are in id order, so the order holds.
     """
-    # follow[p % 2][e]: the edges that may come after e at position p (from
-    # e's variable after an even p, from its check after an odd one), e
-    # itself left out, padded with -1
-    follow = [_padded([[f for f in proto.var_edges[v] if f != e]
-                       for e, v in enumerate(proto.edge_var)], dtype)]
-    if half >= 3:
-        follow.append(_padded([[f for f in proto.check_edges[c] if f != e]
-                               for e, c in enumerate(proto.edge_check)], dtype))
-    paths = np.arange(proto.n_edges, dtype=dtype)[:, None]
+    paths = np.arange(len(floor), dtype=dtype)[:, None]
     least = paths[:, 0]
     yield paths, least
     for k in range(1, half):
-        nxt = follow[(k - 1) % 2].take(paths[:, -1], axis=0)
-        grow = nxt >= floor.take(paths[:, 0])[:, None]
-        flat = np.flatnonzero(grow)
-        parent = flat // grow.shape[1]
+        at, order, begin, degree = runs[(k - 1) % 2]
+        node = at.take(paths[:, -1])
+        count = degree.take(node)
+        parent = np.repeat(np.arange(len(paths)), count)
+        nxt = order.take(_ranges(begin.take(node), count))
+        grow = ((nxt != paths[:, -1].repeat(count))
+                & (nxt >= floor.take(paths[:, 0]).repeat(count)))
+        parent, nxt = parent[grow], nxt[grow]
         paths = np.hstack([paths.take(parent, axis=0),
-                           nxt.ravel().take(flat)[:, None]])
+                           nxt.astype(dtype)[:, None]])
         least = np.minimum(least.take(parent), paths[:, k])
         yield paths, least
 

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import importlib
 import io
 import json
 import operator
@@ -641,6 +642,22 @@ def test_module_run_exits_as_main_does(tmp_path, capsys):
         assert run.returncode == code
     assert run.stderr.startswith("error: cannot load descriptor")
     assert run.stderr.count("\n") == 1
+
+
+def test_console_script_target_runs_main(monkeypatch, capsys):
+    # the tests import the source tree and never start the installed `nbqc`
+    # script, so the target that pyproject.toml names is resolved here
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["nbqc"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert callable(entry)
+    monkeypatch.setattr(sys, "argv", ["nbqc", "--help"])
+    with pytest.raises(SystemExit) as shown:
+        entry()
+    assert shown.value.code == EXIT_OK
+    assert "construct" in capsys.readouterr().out
 
 
 def test_spelled_infinity_is_the_noiseless_point(tmp_path, proto_file,

@@ -11,6 +11,7 @@ import nbqc.protograph
 from nbqc.gf import MAX_Z
 from nbqc.protograph import (
     DegreeProfile,
+    Protograph,
     WalkEnumerationOverflow,
     WalkTable,
     _check_prefixes,
@@ -277,6 +278,18 @@ def test_prefix_cap_counts_the_first_level_before_any_edge_matrix():
     assert peak < 1 << 20
 
 
+def test_prefix_cap_refuses_before_the_node_tables_exist():
+    # a 300 x 300 diagonal and 60 000 edges in one cell: the cell-edge
+    # table of the node tables would hold 301 * 301 * 60 000 int32, 22 GB
+    rows = [[int(i == j) for j in range(300)] for i in range(300)]
+    rows[0][1] = 60000
+    p = from_base_matrix(rows)
+    for max_len in (2, 4):
+        with pytest.raises(WalkEnumerationOverflow):
+            enumerate_closed_walks(p, max_len)
+    assert "node_arrays" not in vars(p)
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=_multigraph_matrices(), max_len=st.sampled_from([2, 4, 6, 8, 10]))
 def test_enumeration_matches_recursive_dfs_oracle(rows, max_len):
@@ -474,6 +487,9 @@ def _assert_same_table(got, want):
     ([[3, 1], [1, 1]], 6), ([[3, 1], [1, 1]], 10),
     # one edge per half
     ([[3]], 2), ([[2, 2], [1, 1]], 2), ([[1, 1, 1], [1, 1, 1]], 2),
+    # a variable of degree 1, at which no path goes on
+    ([[2, 1, 1], [1, 1, 0]], 2), ([[2, 1, 1], [1, 1, 0]], 4),
+    ([[2, 1, 1], [1, 1, 0]], 6), ([[2, 1, 1], [1, 1, 0]], 8),
 ])
 def test_join_matches_the_dfs_oracle_byte_for_byte(rows, max_len):
     p = from_base_matrix(rows)
@@ -490,24 +506,22 @@ def test_join_matches_the_dfs_oracle_on_the_reference_ensembles(
                            _oracle_table(p, max_len))
 
 
-@pytest.mark.parametrize("max_len, tables", [(2, 1), (4, 1), (6, 2), (8, 2)])
-def test_check_side_successors_only_where_a_half_path_turns_at_a_check(
-        monkeypatch, max_len, tables):
-    # half paths of one or two edges turn only at their variable, so depths
-    # 2 and 4 build no (edges x check degree) successor table: on a 2 x 20000
-    # all-ones matrix it would hold 8e8 entries
-    built = []
-    padded = nbqc.protograph._padded
-
-    def spy(lists, dtype):
-        built.append(len(lists))
-        return padded(lists, dtype)
-
-    monkeypatch.setattr(nbqc.protograph, "_padded", spy)
-    p = from_base_matrix([[2, 1, 1], [1, 1, 0]])
-    table = enumerate_closed_walks(p, max_len)
-    assert len(built) == tables
-    _assert_same_table(table, _oracle_table(p, max_len))
+@pytest.mark.parametrize("rows", [
+    [[1, 1, 1], [1, 1, 1]], [[3, 1], [1, 2]], [[2, 1, 0], [1, 1, 2], [0, 2, 1]],
+])
+@pytest.mark.parametrize("max_len", [2, 6, 10])
+def test_join_matches_the_dfs_oracle_with_permuted_edge_ids(rows, max_len):
+    # every builder numbers a check's edges as one run of ids; here a check's
+    # least edge is not the first id after the checks before it
+    base = from_base_matrix(rows)
+    perm = np.random.default_rng(5).permutation(base.n_edges)
+    p = Protograph(base.n_checks, base.n_vars,
+                   [(c, v, int(perm[e])) for e, (c, v)
+                    in enumerate(zip(base.edge_check, base.edge_var))])
+    assert any(es != list(range(es[0], es[0] + len(es)))
+               for es in p.check_edges)
+    _assert_same_table(enumerate_closed_walks(p, max_len),
+                       _oracle_table(p, max_len))
 
 
 @pytest.mark.parametrize("rows, max_len", _CAP_CASES + [([[1] * 4] * 4, 8)])
