@@ -38,7 +38,7 @@ from .protograph import (  # enumerate_closed_walks: traced by perfbench/spans.p
     enumerate_closed_walks,
     from_base_matrix,
 )
-from .simulate import MAX_SNR_DB, SimConfig, run_campaign
+from .simulate import MAX_SNR_DB, DesignRateError, SimConfig, run_campaign
 
 EXIT_OK = 0
 EXIT_CONSTRAINT = 2
@@ -254,7 +254,7 @@ def _cmd_simulate(args) -> int:
         )
     try:
         result = run_campaign(code, cfg, workers=args.workers)
-    except RankDeficiencyError as exc:
+    except (RankDeficiencyError, DesignRateError) as exc:
         raise CliInputError(str(exc)) from exc
     csv_path.write_text(result.to_csv(), encoding="utf-8")
     json_path.write_text(

@@ -8,10 +8,12 @@ over the additive group of GF(2^r).
 Both work on tables built once per matrix.  The decoder numbers its edges
 variable-slot-major, so the variable update reads and writes contiguous
 blocks, runs the check update symbol-major in padded check-slot order, and
-owns every message, scan and transform buffer an iteration uses (see
-:class:`QspaDecoder`).  The encoder keeps one row of parity symbols per
-message bit and XORs the rows of the bits a message sets (see
-:class:`Encoder`).
+owns every message, scan and transform buffer an iteration uses.  It
+decodes a stream of frames in lanes, the copies of one block-diagonal
+graph, and refills a lane as soon as its frame stops; each lane is
+bit-identical to decoding its frame alone (see :class:`QspaDecoder`).
+The encoder keeps one row of parity symbols per message bit and XORs the
+rows of the bits a message sets (see :class:`Encoder`).
 """
 
 from __future__ import annotations
@@ -256,22 +258,23 @@ def fwht(a: np.ndarray, stages=None) -> np.ndarray:
     return result
 
 
-def _normalize(msgs: np.ndarray) -> int:
+def _normalize(msgs: np.ndarray):
     """Scale message rows to sum 1 in place; underflowed rows become
-    uniform.  Returns the number of rows reset that way.
+    uniform.  ``msgs`` is a ``(rows, lanes, q)`` view, row r of lane b
+    being row ``r * lanes + b`` of its buffer.  Returns 0 when no row
+    summed to zero, else the rows reset per lane.
 
     Entries must be non-negative and free of -0.0, which would survive the
     division; :class:`QspaDecoder` clamps what can break that.
     """
     totals = msgs.sum(axis=-1, keepdims=True)
-    dead = 0
-    if not totals.min() > 0.0:  # one reduction when no row is dead
-        zero = totals <= 0.0
-        dead = int(np.count_nonzero(zero))
-        np.copyto(msgs, 1.0, where=zero)
-        totals = msgs.sum(axis=-1, keepdims=True)
-    msgs /= totals
-    return dead
+    if totals.min() > 0.0:  # one reduction when no row is dead
+        msgs /= totals
+        return 0
+    zero = totals <= 0.0
+    np.copyto(msgs, 1.0, where=zero)
+    msgs /= msgs.sum(axis=-1, keepdims=True)
+    return np.count_nonzero(zero, axis=(0, 2))
 
 
 def _leave_one_out(stack: np.ndarray, pref: np.ndarray,
@@ -280,9 +283,10 @@ def _leave_one_out(stack: np.ndarray, pref: np.ndarray,
 
     ``stack`` has shape (slots, ...), so each scan step multiplies two
     planes, contiguous ones when ``stack`` is C-ordered; ``pref`` and
-    ``suf`` are buffers of that shape whose boundary planes, ``pref[0]``
-    and ``suf[-1]``, hold 1.0 and are never written.  Avoids dividing by
-    zeros.  The products overwrite ``stack``, which is returned.
+    ``suf`` are buffers of that shape, and the caller sets their boundary
+    planes, ``pref[0]`` and ``suf[-1]``, to 1.0 before each call (this
+    function reads them and never writes them).  Avoids dividing by zeros.
+    The products overwrite ``stack``, which is returned.
     """
     deg = len(stack)
     for i in range(1, deg):
@@ -347,26 +351,50 @@ class QspaDecoder:
     per frame; every other product is then non-negative without -0.0, and
     the other normalizations need no clamp.
 
+    A decoder has ``lanes`` lanes and decodes one frame in each: it is the
+    decoder above built on the block-diagonal matrix of ``lanes`` copies of
+    H, numbered lane-minor (copy b of variable v is variable
+    ``v * lanes + b``, copy b of check c is check ``c * lanes + b``).  The
+    stable degree sort then puts edge k of lane b on row
+    ``k * lanes + b``, so every buffer keeps its 2-D shape and a lane's
+    state is a strided view, such as ``m_cv.reshape(-1, lanes, q)[:, b]``.
+    Each row sees the operands of its serial decode in the same order, and
+    every reduction runs over one row's contiguous q symbols or one check
+    column's slots, so each lane is bit-identical to a one-lane decode of
+    its frame.  :meth:`stream` refills a lane with the next frame as soon
+    as its frame stops; :meth:`decode` is the one-frame stream.
+
     ``__init__`` builds every buffer and view an iteration uses, once:
     messages, scan buffers, the two FWHT buffers and each butterfly stage.
-    They belong to the decoder, so :meth:`decode` is not reentrant: one
-    decoder decodes one frame at a time, and each simulation worker builds
-    its own.
+    The scans of both half-iterations borrow the memory of buffers that
+    are idle while they run, and their boundary rows are set to 1.0
+    before each scan: on the GF(8)/Z=21 reference code a one-lane decoder
+    holds 0.53 MiB and a four-lane one 2.03 MiB (tracemalloc).  The
+    buffers belong to the decoder, so one decoder runs one stream at a
+    time, and each simulation worker builds its own.
     """
 
-    def __init__(self, H: SparseGfMatrix):
+    def __init__(self, H: SparseGfMatrix, lanes: int = 1):
         self.H = H
         self.field = H.field
         self.q = q = H.field.q
+        self.lanes = B = checked_int(lanes, "lanes", 1)
         edges = np.array(list(H.entries()), dtype=np.int64).reshape(-1, 3)
         if not len(edges):
             raise ValueError("cannot decode an all-zero parity-check matrix")
+        # the block-diagonal matrix's entries: check, then copy, then H's
+        # order within the check
+        copies = edges[:, None].repeat(B, axis=1)
+        copies[..., :2] = copies[..., :2] * B + np.arange(B)[:, None]
+        edges = copies.reshape(-1, 3)[
+            np.argsort(copies[..., 0].ravel(), kind="stable")]
+        n_checks, n_vars = H.n_rows * B, H.n_cols * B
         self.n_edges = spare = len(edges)
         n_rows = spare + 1
         # variable-slot-major numbering; blocks[i] counts the variables of
         # degree > i, the rows of slot i
-        var_slots = _slots(edges[:, 1], H.n_cols, spare)
-        deg = np.bincount(edges[:, 1], minlength=H.n_cols)
+        var_slots = _slots(edges[:, 1], n_vars, spare)
+        deg = np.bincount(edges[:, 1], minlength=n_vars)
         self.var_order = np.argsort(-deg, kind="stable")
         self.var_rank = np.argsort(self.var_order)
         blocks = (deg[:, None] > np.arange(len(var_slots))).sum(axis=0)
@@ -374,41 +402,61 @@ class QspaDecoder:
             [var_slots[i, self.var_order[:b]] for i, b in enumerate(blocks)])
         renumber = np.empty(n_rows, dtype=np.int64)
         renumber[np.append(self.edge_order, spare)] = np.arange(n_rows)
-        _, self.e_var, self.e_label = edges[self.edge_order].T
-        # from-check gather msg_x[x] = conv[h * x]; the to-check gather
-        # msg_y[y] = msg_x[h^-1 * y] is its inverse; the spare row has label 1
-        from_check = self.field.mul_table[np.append(self.e_label, 1)]
+        self.e_var = edges[self.edge_order, 1]
+        e_label = edges[self.edge_order, 2]
+        check_slots = renumber[_slots(edges[:, 0], n_checks, spare)]
+        # per label h, the from-check gather msg_x[x] = conv[h * x] and its
+        # inverse, the to-check gather msg_y[y] = msg_x[h^-1 * y]; the spare
+        # row has label 1
+        from_check = self.field.mul_table
         to_check = np.argsort(from_check, axis=1)
-        self.check_slots = renumber[_slots(edges[:, 0], H.n_rows, spare)]
         # flat indices: edge-major (edges + 1, q) -> symbol-major
         # (q, slots x checks) on the way to the checks, and back on the way
         # from them; col[k] is the column of edge k
-        cols = self.check_slots.ravel()
+        cols = check_slots.ravel()
         width = len(cols)
-        self.to_check_flat = np.ascontiguousarray(cols * q + to_check[cols].T)
+        self.to_check_flat = np.ascontiguousarray(
+            cols * q + to_check[np.append(e_label, 1)[cols]].T)
         col = np.empty(spare, dtype=np.int64)
         real = cols < spare
         col[cols[real]] = np.flatnonzero(real)
-        self.from_check_flat = from_check[:spare] * width + col[:, None]
+        self.from_check_flat = from_check[e_label] * width + col[:, None]
         # syndrome terms per check slot; pads multiply by label 0
-        self.syn_label = np.append(self.e_label, 0)[self.check_slots]
-        self.syn_var = np.append(self.e_var, 0)[self.check_slots]
+        self.syn_label = np.append(e_label, 0)[check_slots]
+        self.syn_var = np.append(self.e_var, 0)[check_slots]
+        # the build tables go before the buffers exist, off the peak
+        del edges, copies, var_slots, renumber, col, real
 
-        # variable side: block i of the (edges, q) arrays is slot i; the
-        # scan buffers' boundary rows (prefix block 0, and each suffix row
-        # past its variable's last slot) hold 1.0 and are never written
-        self._m_cv = m_cv = np.empty((spare, q))
+        # buffers whose live ranges do not overlap share memory.  The two
+        # transform buffers are free in the variable half-iteration and
+        # hold its prefix and suffix scans; m_cv is free from the variable
+        # update to the from-check take and holds the check scans' suffix
+        # products, and the transform buffer the forward transform does not
+        # end in holds their prefix products (q x slots x checks >= q x
+        # edges).  The boundary rows and planes that a scan reads as 1.0
+        # are set before it.
+        r = q.bit_length() - 1
+        bufs = [np.empty((q, width)), np.empty((q, width))]
+        scratch = np.empty(q * width)
+        self._m_cv = m_cv = scratch[:spare * q].reshape(spare, q)
+        pref, suf = (b.reshape(-1)[:spare * q].reshape(spare, q) for b in bufs)
+        self._pref, self._suf = pref, suf
         self._m_vc = np.empty((n_rows, q))
         self._m_vc[spare] = np.arange(q) == 0  # the point mass, never written
-        self._pref, self._suf = pref, suf = np.ones((spare, q)), np.ones((spare, q))
         # degree-0 variables keep a product of 1.0
-        self._total = np.ones((H.n_cols, q))
+        self._total = np.ones((n_vars, q))
+
+        # variable side: block i of the (edges, q) arrays is slot i; the
+        # scans' boundary rows are prefix block 0 and each suffix row past
+        # its variable's last slot
         ends = np.cumsum(blocks)
         blk = [slice(e - b, e) for e, b in zip(ends, blocks)]
+        last = np.append(blocks[1:], 0)  # degree > d + 1 ends degree d + 1
+        self._var_ones = [pref[blk[0]]] + [
+            suf[s][lo:] for s, lo, b in zip(blk, last, blocks) if lo < b]
         # (a, b, out) products, in order: the prefix scan up the slots, the
         # suffix scan down them, and for the variables of degree d the
         # product of all slots, prefix d - 1 times slot d - 1
-        last = np.append(blocks[1:], 0)  # degree > d + 1 ends degree d + 1
         self._var_steps = (
             [(pref[blk[i - 1]][:b], m_cv[blk[i - 1]][:b], pref[blk[i]])
              for i, b in enumerate(blocks) if i]
@@ -416,9 +464,14 @@ class QspaDecoder:
                for i, b in reversed(list(enumerate(blocks[1:])))]
             + [(pref[s][lo:], m_cv[s][lo:], self._total[lo:b])
                for s, lo, b in zip(blk, last, blocks) if lo < b])
-        self._posterior = np.empty((H.n_cols, q))
-        self._prior_edge = np.empty((spare, q))
-        self._prior_var = np.empty((H.n_cols, q))
+        self._posterior = np.empty((n_vars, q))
+        # a lane that never holds a frame decodes uniform priors
+        self._prior_edge = np.full((spare, q), 1.0 / q)
+        self._prior_var = np.full((n_vars, q), 1.0 / q)
+        # in H's numbering, the variable of each edge and of each sorted
+        # position of a lane: where a frame's priors go
+        self._frame_var = self.e_var[::B] // B
+        self._frame_order = self.var_order[::B] // B
 
         # check side: two (q, slots x checks) buffers.  The label take
         # fills bufs[0]; the forward transform alternates between them and
@@ -426,63 +479,109 @@ class QspaDecoder:
         # (slots, q, checks), where the scans multiply contiguous planes
         # and leave the check products; the back transform's first stage
         # reads them from there, and its last stage ends in bufs[0]
-        r = q.bit_length() - 1
-        bufs = [np.zeros((q, width)), np.zeros((q, width))]
         self._sym = bufs[0]
-        rows = [b.reshape((q,) + self.check_slots.shape) for b in bufs]
-        self._slot = bufs[r % 2].reshape(len(self.check_slots), q, -1)
+        rows = [b.reshape((q,) + check_slots.shape) for b in bufs]
+        self._slot = bufs[r % 2].reshape(len(check_slots), q, -1)
         self._spec = self._slot.transpose(1, 0, 2)
         self._fwd = _fwht_stages([rows[k % 2] for k in range(r)] + [self._spec])
         self._back = _fwht_stages(
             [self._spec] + [rows[(r + 1 + k) % 2] for k in range(r)])
-        self._cpref = np.ones(self._slot.shape)
-        self._csuf = np.ones(self._slot.shape)
+        self._cpref = bufs[(r + 1) % 2].reshape(self._slot.shape)
+        self._csuf = scratch.reshape(self._slot.shape)
 
-    def syndrome_is_zero(self, hard: np.ndarray) -> bool:
+    def syndrome_is_zero(self, hard: np.ndarray) -> np.ndarray:
+        """Per lane, whether its word has a zero syndrome; ``hard`` holds
+        every lane's symbols, lane-minor."""
         prods = self.field.mul_table[self.syn_label, hard[self.syn_var]]
-        return not np.bitwise_xor.reduce(prods, axis=0).any()
+        return ~np.bitwise_xor.reduce(prods, axis=0).reshape(
+            -1, self.lanes).any(axis=0)
 
     def decode(self, priors: np.ndarray, max_iters: int = 80) -> DecodeResult:
+        """One frame's decision: the stream of that frame alone."""
+        [(_, result)] = self.stream([(None, priors)], max_iters)
+        return result
+
+    def _load(self, lane: int, priors) -> None:
+        """Validate one frame's ``(variables, q)`` priors and place them in
+        ``lane``."""
         priors = np.asarray(priors, dtype=np.float64)
-        n, q = self.H.n_cols, self.q
+        n, B, q = self.H.n_cols, self.lanes, self.q
         if priors.shape != (n, q):
             raise ValueError(f"priors must have shape ({n}, {q})")
         if (not np.all(np.isfinite(priors)) or np.any(priors < 0)
                 or np.any(np.abs(priors.sum(axis=1) - 1.0) > 1e-6)):
             raise ValueError("priors must be normalized probability vectors")
-        checked_int(max_iters, "max_iters", 1)
-
-        spare = self.n_edges
-        m_cv, m_vc, posterior = self._m_cv, self._m_vc[:spare], self._posterior
-        np.take(priors, self.e_var, axis=0, out=self._prior_edge)
-        np.take(priors, self.var_order, axis=0, out=self._prior_var)
         # -0.0 passes validation; as +0.0 it keeps -0.0 out of every product
-        np.maximum(self._prior_edge, 0.0, out=self._prior_edge)
-        np.maximum(self._prior_var, 0.0, out=self._prior_var)
-        m_cv.fill(1.0 / q)
-        dead = 0
-        for it in range(1, max_iters + 1):
+        priors = np.maximum(priors, 0.0)
+        self._prior_edge.reshape(-1, B, q)[:, lane] = priors[self._frame_var]
+        self._prior_var.reshape(-1, B, q)[:, lane] = priors[self._frame_order]
+
+    def stream(self, frames, max_iters: int = 80):
+        """Decode ``(tag, priors)`` pairs; yield ``(tag, DecodeResult)`` as
+        each frame stops, which need not be the order they came in.
+
+        A frame takes the first free lane and frees it at the first
+        iteration where its syndrome is zero, or after ``max_iters``.  A
+        lane with no frame left keeps computing, and its results are
+        ignored.
+        """
+        checked_int(max_iters, "max_iters", 1)
+        B, q, spare = self.lanes, self.q, self.n_edges
+        m_cv, m_vc, posterior = self._m_cv, self._m_vc[:spare], self._posterior
+        lane_cv, lane_vc, lane_posterior = (
+            a.reshape(-1, B, q) for a in (m_cv, m_vc, posterior))
+        frames = iter(frames)
+        tags, live = [None] * B, [False] * B
+        first = [0] * B  # the iteration each lane's frame started in
+        dead = np.zeros(B, dtype=np.int64)
+        stopped = list(range(B))
+        for it in itertools.count():
+            if stopped:
+                for b in stopped:
+                    frame = next(frames, None)
+                    live[b] = frame is not None
+                    if live[b]:
+                        tags[b], priors = frame
+                        self._load(b, priors)
+                        first[b] = it
+                if not any(live):
+                    return
+                # the next iteration at which a lane reaches max_iters
+                cap = min(first[b] for b in range(B) if live[b]) + max_iters - 1
+            if it:  # the first pass starts every lane: no check update
+                np.take(self._m_vc, self.to_check_flat, out=self._sym,
+                        mode="clip")
+                fwht(self._sym.T, self._fwd)
+                self._cpref[0] = self._csuf[-1] = 1.0
+                _leave_one_out(self._slot, self._cpref, self._csuf)
+                np.take(fwht(self._spec.T, self._back).T,
+                        self.from_check_flat, out=m_cv, mode="clip")
+                # no 1/q after the inverse transform: _normalize scales each
+                # row to sum 1, and dividing first by a power of two changes
+                # no normalized value (only where x/q is subnormal, and
+                # loses bits)
+                np.maximum(m_cv, 0.0, out=m_cv)
+                dead += _normalize(lane_cv)
+            if stopped:  # a refilled lane starts from uniform messages
+                lane_cv[:, stopped] = 1.0 / q
+                dead[stopped] = 0
+
+            for ones in self._var_ones:
+                ones.fill(1.0)
             for a, b, out in self._var_steps:
                 np.multiply(a, b, out=out)
             np.multiply(self._pref, self._suf, out=m_vc)
             m_vc *= self._prior_edge
-            dead += _normalize(m_vc)
-            dead += _normalize(
-                np.multiply(self._prior_var, self._total, out=posterior))
+            dead += _normalize(lane_vc)
+            np.multiply(self._prior_var, self._total, out=posterior)
+            dead += _normalize(lane_posterior)
             hard = posterior.argmax(axis=1)[self.var_rank]
             converged = self.syndrome_is_zero(hard)
-            if converged or it == max_iters:
-                break
-
-            np.take(self._m_vc, self.to_check_flat, out=self._sym, mode="clip")
-            fwht(self._sym.T, self._fwd)
-            _leave_one_out(self._slot, self._cpref, self._csuf)
-            np.take(fwht(self._spec.T, self._back).T, self.from_check_flat,
-                    out=m_cv, mode="clip")
-            # no 1/q after the inverse transform: _normalize scales each row
-            # to sum 1, and dividing first by a power of two changes no
-            # normalized value (only where x/q is subnormal, and loses bits)
-            np.maximum(m_cv, 0.0, out=m_cv)
-            dead += _normalize(m_cv)
-        return DecodeResult(hard, converged, it, dead)
-
+            stopped = []
+            if it == cap or converged.any():  # some lane may stop
+                stopped = [b for b in range(B) if live[b] and (
+                    converged[b] or it - first[b] + 1 == max_iters)]
+            for b in stopped:
+                yield tags[b], DecodeResult(hard[b::B].copy(),
+                                            bool(converged[b]),
+                                            it - first[b] + 1, int(dead[b]))

@@ -11,9 +11,12 @@ depend on the order of SNR points or on how frames are distributed.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +28,17 @@ TRANSMIT_ALL_ZERO = "all-zero"
 TRANSMIT_RANDOM = "random-message"
 # 10^(SNR/10) and the noise variance stay far inside the float range
 MAX_SNR_DB = 300.0
+# each SNR point keeps one histogram bin per iteration count
+MAX_ITERS = 1 << 16
 # frames a point runs at a time: the most a pool can keep busy, so a
 # pool never holds more workers
 _CHUNK = 32
+# frames one decoder decodes at once, in the lanes of a block-diagonal QSPA
+_LANES = 4
+
+
+class DesignRateError(ValueError):
+    """A code whose design rate is not in (0, 1): Eb/N0 sets no noise."""
 
 
 @dataclass
@@ -53,7 +64,7 @@ class SimConfig:
                                  f"[-{MAX_SNR_DB}, {MAX_SNR_DB}]")
         checked_int(self.min_block_errors, "min_block_errors", 1)
         checked_int(self.max_frames, "max_frames", 1)
-        checked_int(self.max_iters, "max_iters", 1)
+        checked_int(self.max_iters, "max_iters", 1, MAX_ITERS)
         checked_int(self.seed, "seed", 0)
         if self.mode not in (TRANSMIT_ALL_ZERO, TRANSMIT_RANDOM):
             raise ValueError(f"unknown transmission mode {self.mode!r}")
@@ -70,14 +81,49 @@ class SimConfig:
         }
 
 
+class FrameOutcome(NamedTuple):
+    """What one decoded frame adds to its SNR point."""
+
+    converged: bool
+    wrong: bool  # the hard decision is not the word sent
+    symbol_errors: int
+    bit_errors: int
+    iterations: int
+    dead_row_resets: int
+
+
 @dataclass
 class SimPoint:
+    """Counts over the frames of one SNR point.  A block error is a
+    detected failure (no convergence) or an undetected error (convergence
+    to a wrong word); only block errors count symbol and bit errors."""
+
     snr_db: float
-    frames: int
-    block_errors: int
-    bit_errors: int
-    symbol_errors: int
-    iterations_total: int
+    # frames that stopped after 1, 2, ..., max_iters iterations
+    iteration_histogram: list[int]
+    frames: int = 0
+    detected_failures: int = 0
+    undetected_errors: int = 0
+    bit_errors: int = 0
+    symbol_errors: int = 0
+    dead_row_resets: int = 0
+
+    def add(self, outcome: FrameOutcome) -> None:
+        self.frames += 1
+        self.iteration_histogram[outcome.iterations - 1] += 1
+        self.dead_row_resets += outcome.dead_row_resets
+        self.detected_failures += not outcome.converged
+        self.undetected_errors += outcome.converged and outcome.wrong
+        self.symbol_errors += outcome.symbol_errors
+        self.bit_errors += outcome.bit_errors
+
+    @property
+    def block_errors(self) -> int:
+        return self.detected_failures + self.undetected_errors
+
+    @property
+    def iterations_total(self) -> int:
+        return sum(i * n for i, n in enumerate(self.iteration_histogram, 1))
 
     @property
     def bler(self) -> float:
@@ -132,6 +178,10 @@ class SimResult:
                     "ber": p.ber(self.bits_per_frame),
                     "symbol_errors": p.symbol_errors,
                     "mean_iters": p.mean_iterations,
+                    "detected_failures": p.detected_failures,
+                    "undetected_errors": p.undetected_errors,
+                    "iteration_histogram": p.iteration_histogram,
+                    "dead_row_resets": p.dead_row_resets,
                 }
                 for p in self.points
             ],
@@ -188,43 +238,83 @@ def _frame_rng(seed: int, snr_db: float, frame: int) -> np.random.Generator:
 class _FrameEvaluator:
     """Per-frame transmit/decode pipeline shared by workers."""
 
-    def __init__(self, code: QcCode, cfg: SimConfig):
-        H = expand(code)
+    def __init__(self, code: QcCode, cfg: SimConfig, lanes: int = _LANES):
+        self.H = H = expand(code)
+        self.lanes = lanes
         self.field = code.field
         self.n = H.n_cols
         self.rate = (H.n_cols - H.n_rows) / H.n_cols
-        self.decoder = QspaDecoder(H)
         self.encoder = Encoder(H) if cfg.mode == TRANSMIT_RANDOM else None
+        if not 0.0 < self.rate < 1.0:
+            raise DesignRateError(
+                f"design rate {H.n_cols - H.n_rows}/{H.n_cols} is not in "
+                "(0, 1), so no Eb/N0 sets a noise level")
         self.popcount = _bits_table(self.field).sum(axis=1)
         self.seed = cfg.seed
         self.max_iters = cfg.max_iters
 
-    def eval(self, snr_db: float, frame: int) -> tuple[bool, int, int, int]:
-        rng = _frame_rng(self.seed, snr_db, frame)
-        if self.encoder is not None:
-            msg = rng.integers(0, self.field.q, size=self.encoder.message_length)
-            tx = self.encoder.encode(msg)
-        else:
-            tx = np.zeros(self.n, dtype=np.int64)
-        priors = channel_priors(tx, snr_db, self.rate, self.field, rng)
-        res = self.decoder.decode(priors, self.max_iters)
-        diff = res.hard_decision != tx
-        frame_bad = bool(diff.any()) or not res.converged
-        sym_err = int(diff.sum()) if frame_bad else 0
-        bit_err = int(self.popcount[res.hard_decision ^ tx].sum()) if frame_bad else 0
-        return frame_bad, sym_err, bit_err, res.iterations_used
+    @functools.cached_property
+    def decoder(self) -> QspaDecoder:
+        """Built at the first frame, so a process that only checks the
+        code never holds one."""
+        return QspaDecoder(self.H, self.lanes)
+
+    def _sent(self, snr_db: float, frames):
+        """``((frame, word sent), channel priors)`` of each frame."""
+        for frame in frames:
+            rng = _frame_rng(self.seed, snr_db, frame)
+            if self.encoder is not None:
+                msg = rng.integers(0, self.field.q,
+                                   size=self.encoder.message_length)
+                tx = self.encoder.encode(msg)
+            else:
+                tx = np.zeros(self.n, dtype=np.int64)
+            yield ((frame, tx),
+                   channel_priors(tx, snr_db, self.rate, self.field, rng))
+
+    def outcomes(self, snr_db: float, frames):
+        """``(frame, FrameOutcome)`` of each of ``frames``, in the order the
+        decoder's lanes finish them."""
+        for (frame, tx), res in self.decoder.stream(
+                self._sent(snr_db, frames), self.max_iters):
+            diff = res.hard_decision != tx
+            wrong = bool(diff.any())
+            yield frame, FrameOutcome(
+                res.converged, wrong, int(diff.sum()),
+                int(self.popcount[res.hard_decision ^ tx].sum()) if wrong else 0,
+                res.iterations_used, res.dead_row_resets)
 
 
 _POOL_EVAL: _FrameEvaluator | None = None
 
 
-def _pool_init(code: QcCode, cfg: SimConfig) -> None:
+def _pool_init(code: QcCode, cfg: SimConfig, lanes: int) -> None:
     global _POOL_EVAL
-    _POOL_EVAL = _FrameEvaluator(code, cfg)
+    _POOL_EVAL = _FrameEvaluator(code, cfg, lanes)
 
 
-def _pool_eval(args) -> tuple[bool, int, int, int]:
-    return _POOL_EVAL.eval(*args)
+def _pool_eval(args) -> list[tuple[int, FrameOutcome]]:
+    snr_db, frames = args
+    return list(_POOL_EVAL.outcomes(snr_db, frames))
+
+
+def _pool_outcomes(pool, workers: int, snr_db: float, max_frames: int):
+    """``(frame, FrameOutcome)`` of every frame, each chunk split into one
+    contiguous slice per worker."""
+    for start in range(0, max_frames, _CHUNK):
+        chunk = range(start, min(start + _CHUNK, max_frames))
+        step = -(-len(chunk) // workers)
+        slices = [(snr_db, chunk[i:i + step])
+                  for i in range(0, len(chunk), step)]
+        for outcomes in pool.map(_pool_eval, slices):
+            yield from outcomes
+
+
+def _pool_lanes(workers: int) -> int:
+    """Lanes of a pool worker's decoder.  Its lanes drain at the end of
+    each slice, where a lane whose frame runs long holds the others, so
+    each lane gets at least ``_LANES`` frames of a full chunk's slice."""
+    return max(1, min(_LANES, -(-_CHUNK // workers) // _LANES))
 
 
 def run_campaign(code: QcCode, cfg: SimConfig, workers: int = 1) -> SimResult:
@@ -234,31 +324,35 @@ def run_campaign(code: QcCode, cfg: SimConfig, workers: int = 1) -> SimResult:
     block error is any frame that fails to converge or converges to the
     wrong codeword.  Results are bit-identical for a given (code, cfg)
     regardless of the worker count: frames draw from substreams keyed by
-    (seed, SNR, frame index) and are accumulated in frame order.  More
-    than ``_CHUNK`` workers run as ``_CHUNK``.
+    (seed, SNR, frame index) and are accumulated in frame order.
+
+    One worker decodes a point's frames as one stream through the
+    ``_LANES`` lanes of its decoder (see :class:`QspaDecoder`), each lane
+    refilled with the next frame as soon as its frame stops.  A pool runs
+    ``_CHUNK`` frames at a time, each worker a contiguous slice of them
+    through its own lanes, fewer of them when the slices are short (see
+    :func:`_pool_lanes`); more than ``_CHUNK`` workers run as ``_CHUNK``.
+    Frames decoded past the point's stop are discarded.
     """
     checked_int(workers, "workers", 1)
-    # built up front: a rank-deficient code aborts with the rank report
-    # before any frames, and the encoder records the systematic permutation
+    # built up front: a rank-deficient code in random mode, then a code
+    # whose design rate is not in (0, 1), aborts before any frames, and the
+    # encoder records the systematic permutation
     evaluator = _FrameEvaluator(code, cfg)
     info_positions = (evaluator.encoder.info_positions
                       if evaluator.encoder is not None else None)
     if workers == 1:
-        points = [
-            _run_point(snr, cfg, lambda frames, s=snr: map(
-                evaluator.eval, [s] * len(frames), frames))
-            for snr in cfg.snr_points_db
-        ]
+        points = [_run_point(snr, cfg, evaluator.outcomes(
+            snr, range(cfg.max_frames))) for snr in cfg.snr_points_db]
     else:
+        workers = min(workers, _CHUNK)
         with ProcessPoolExecutor(
-            max_workers=min(workers, _CHUNK), initializer=_pool_init,
-            initargs=(code, cfg),
+            max_workers=workers, initializer=_pool_init,
+            initargs=(code, cfg, _pool_lanes(workers)),
         ) as pool:
-            points = [
-                _run_point(snr, cfg, lambda frames, s=snr: pool.map(
-                    _pool_eval, [(s, f) for f in frames]))
-                for snr in cfg.snr_points_db
-            ]
+            points = [_run_point(snr, cfg, _pool_outcomes(
+                pool, workers, snr, cfg.max_frames))
+                for snr in cfg.snr_points_db]
     return SimResult(
         points=points,
         code_digest=code.digest(),
@@ -269,18 +363,18 @@ def run_campaign(code: QcCode, cfg: SimConfig, workers: int = 1) -> SimResult:
     )
 
 
-def _run_point(snr_db: float, cfg: SimConfig, run_chunk) -> SimPoint:
-    frames = block_errors = bit_errors = symbol_errors = iters = 0
-    while frames < cfg.max_frames and block_errors < cfg.min_block_errors:
-        chunk = list(range(frames, min(frames + _CHUNK, cfg.max_frames)))
-        for frame_bad, sym_err, bit_err, used in run_chunk(chunk):
-            frames += 1
-            iters += used
-            if frame_bad:
-                block_errors += 1
-                symbol_errors += sym_err
-                bit_errors += bit_err
-            if frames >= cfg.max_frames or block_errors >= cfg.min_block_errors:
-                break
-    return SimPoint(snr_db, frames, block_errors, bit_errors, symbol_errors,
-                    iters)
+def _run_point(snr_db: float, cfg: SimConfig, outcomes) -> SimPoint:
+    """Add up ``(frame, FrameOutcome)`` pairs of frames 0, 1, ... in frame
+    order until max_frames or min_block_errors; a frame that arrives
+    before an earlier one waits for it."""
+    point = SimPoint(snr_db, [0] * cfg.max_iters)
+    waiting = {}
+    with contextlib.closing(outcomes):
+        for frame, outcome in outcomes:
+            waiting[frame] = outcome
+            while point.frames in waiting:
+                point.add(waiting.pop(point.frames))
+                if (point.frames >= cfg.max_frames
+                        or point.block_errors >= cfg.min_block_errors):
+                    return point
+    raise AssertionError(f"frame {point.frames} never arrived")

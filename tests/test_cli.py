@@ -464,6 +464,16 @@ def _gf2_descriptor(path, base, Z, shifts):
     return path
 
 
+def _square_descriptor(path):
+    """A metadata-free GF(4) code on the 3 x 3 all-ones base matrix whose
+    21 x 21 H has full rank: its design rate is 0, in either mode."""
+    proto = from_base_matrix([[1] * 3] * 3)
+    code = QcCode(proto, 7, Field(2), [5, 4, 3, 1, 2, 0, 0, 0, 1],
+                  [2, 1, 2, 1, 1, 2, 2, 1, 1])
+    path.write_text(json.dumps(code.to_json_dict()))
+    return path
+
+
 def _unlabeled_descriptor(path):
     """The GF(16) reference descriptor with every rho dropped: valid, as
     either all edges carry rho or none, and without an NB code."""
@@ -505,6 +515,7 @@ def _bad_input_argv(tmp_path, desc):
     parallel22 = tmp_path / "parallel22.txt"
     parallel22.write_text("2 2\n1 1\n")
     unlabeled = _unlabeled_descriptor(tmp_path / "unlabeled.json")
+    square = _square_descriptor(tmp_path / "square.json")
     return {
         "Z0": construct + ["--Z", "0", "--out", out],
         "Z-huge": construct + ["--Z", str((1 << 16) + 1), "--out", out],
@@ -526,6 +537,9 @@ def _bad_input_argv(tmp_path, desc):
         # parse to +-inf, but only a token spelling infinity is noiseless
         "snr-1e400": simulate + ["--snr", "1.4,1e400", "--out", out],
         "snr-minus-1e400": simulate + ["--snr=-1e400", "--out", out],
+        # one histogram bin per iteration count: 2^30 would be 8 GiB a point
+        "max-iters-huge": simulate + ["--snr", "inf", "--max-iters",
+                                      str(1 << 30), "--out", out],
         "workers0": simulate + ["--snr", "inf", "--workers", "0",
                                 "--out", out],
         "env-workers": simulate + ["--snr", "inf", "--out", out],
@@ -562,6 +576,10 @@ def _bad_input_argv(tmp_path, desc):
             "simulate", str(unlabeled), "--snr", "inf", "--max-frames", "2",
             "--seed", "1", "--mode", mode, "--out", out]
            for mode in ("zero", "random")},
+        **{f"simulate-rate-0-{mode}": [
+            "simulate", str(square), "--snr", "1", "--max-frames", "2",
+            "--seed", "1", "--mode", mode, "--out", out]
+           for mode in ("zero", "random")},
         "spectrum-collision": ["spectrum", str(collision), "--depth", "4"],
         "export-collision": ["export", str(collision), "--format",
                              "base-matrix", "--out", out],
@@ -583,7 +601,8 @@ def _bad_input_argv(tmp_path, desc):
     "Z0", "Z-huge", "max-sweeps0", "max-restarts0", "overflow",
     "construct-out", "construct-out-dir", "construct-out-file-parent",
     "construct-seed-minus-1", "snr-abc", "snr-nan",
-    "snr-minus-inf", "snr-huge", "snr-1e400", "snr-minus-1e400", "workers0",
+    "snr-minus-inf", "snr-huge", "snr-1e400", "snr-minus-1e400",
+    "max-iters-huge", "workers0",
     "env-workers", "simulate-out", "simulate-out-json-dir",
     "simulate-out-file-parent", "simulate-seed-minus-1", "export-out",
     "export-out-dir", "export-out-file-parent", "export-Z-huge",
@@ -591,7 +610,8 @@ def _bad_input_argv(tmp_path, desc):
     "spectrum-depth-huge", "construct-degree-1", "json-entry-float",
     "json-entry-bool", "json-matrix-scalar", "simulate-rank-deficient",
     "simulate-collision", "simulate-unlabeled-zero",
-    "simulate-unlabeled-random", "spectrum-collision", "export-collision",
+    "simulate-unlabeled-random", "simulate-rate-0-zero",
+    "simulate-rate-0-random", "spectrum-collision", "export-collision",
     "auto-parallel-over-Z", "fixed-parallel-over-Z", "construct-edges-huge",
 ])
 def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
@@ -620,6 +640,8 @@ def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
     if "1e400" in case:
         assert "outside [-300.0, 300.0]" in err
+    if "rate-0" in case:
+        assert "design rate 0/21 is not in (0, 1)" in err
     assert not (tmp_path / "dir.csv").exists()
 
 

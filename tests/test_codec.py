@@ -555,6 +555,33 @@ def test_dead_row_resets_count_the_rows_reset(gf4, monkeypatch):
     assert res.converged and res.dead_row_resets == 0 == sum(zero_rows)
 
 
+def test_lanes_equal_serial_decodes_field_for_field(gf4):
+    # one stream through four lanes mixes frames that converge at
+    # different iterations, frames that run all max_iters and the point
+    # mass on a non-codeword, whose lane resets rows; then a stream of
+    # fewer frames than lanes on the same decoder
+    H = _toy_H(gf4)
+    rng = np.random.default_rng(71)
+    frames = [p / p.sum(axis=1, keepdims=True)
+              for p in np.exp(rng.normal(0, 1.5, size=(12, 4, 4)))]
+    frames.insert(5, np.eye(4)[[0, 1, 0, 0]])
+    serial = QspaDecoder(H)
+    ref = [serial.decode(p, 6) for p in frames]
+    assert len({r.iterations_used for r in ref if r.converged}) > 1
+    assert sum(not r.converged and r.iterations_used == 6 for r in ref) > 1
+    assert ref[5].dead_row_resets >= 1
+    decoder = QspaDecoder(H, lanes=4)
+    for first, last in ((0, len(frames)), (4, 7)):
+        got = dict(decoder.stream(enumerate(frames[first:last], first), 6))
+        assert sorted(got) == list(range(first, last))
+        for f, res in got.items():
+            want = ref[f]
+            assert res.hard_decision.tobytes() == want.hard_decision.tobytes()
+            assert (res.converged, res.iterations_used, res.dead_row_resets) \
+                == (want.converged, want.iterations_used,
+                    want.dead_row_resets)
+
+
 def test_decoder_reuse_is_stateless(gf4):
     # the decoder's buffers carry nothing from one frame to the next, nor
     # from a decode that raised on bad priors

@@ -18,7 +18,9 @@ on GF(16)/Z=9 (its result, assignment and a sha256 of its per-edge
 The two reference codes are also checked against the brute-force
 lifted-graph oracle at their full depth, with no golden file.
 
-Regenerate both with ``PYTHONPATH=src python tests/test_golden.py``.
+Regenerate every file but the three descriptors and the spectrum (the four
+campaign files, ``decoder_frames.json`` and ``optimize_runs.json``) with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -98,17 +100,31 @@ def test_golden_code_spectra_match_the_lifted_graph(name, depth):
     assert nb_ace_spectrum(code, depth).values == graph.spectrum(depth, True)
 
 
-@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
-def test_golden_campaign(tmp_path, capsys, name):
+def _campaign_argv(name: str, prefix: Path) -> list[str]:
     desc, extra = CAMPAIGNS[name]
-    prefix = tmp_path / name
-    argv = ["simulate", str(GOLDEN / desc), *extra, "--max-frames", "32",
+    return ["simulate", str(GOLDEN / desc), *extra, "--max-frames", "32",
             "--seed", "1", "--out", str(prefix)]
+
+
+def _assert_golden_campaign(capsys, name, argv):
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     for suffix in (".csv", ".json"):
-        got = Path(f"{prefix}{suffix}").read_bytes()
+        got = Path(f"{argv[-1]}{suffix}").read_bytes()
         assert got == (GOLDEN / f"{name}{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_golden_campaign(tmp_path, capsys, name):
+    _assert_golden_campaign(capsys, name, _campaign_argv(name, tmp_path / name))
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_golden_campaign_with_two_workers(tmp_path, capsys, name):
+    # each pool task decodes a slice of a chunk through its own lanes
+    argv = _campaign_argv(name, tmp_path / name)
+    _assert_golden_campaign(capsys, name, argv[:-2] + ["--workers", "2",
+                                                       *argv[-2:]])
 
 
 # record name -> (descriptor, transmission mode, Eb/N0 in dB)
@@ -123,33 +139,46 @@ def _sha256(symbols) -> str:
     return hashlib.sha256(np.asarray(symbols, dtype="<i8").tobytes()).hexdigest()
 
 
+def _channel_frames(desc: str, mode: str, snr: float, seed: int = 1):
+    """H of ``desc`` and the (word sent, channel priors) of its frames, the
+    word None in zero mode."""
+    code = QcCode.from_json_dict(json.loads((GOLDEN / desc).read_text()))
+    H = expand(code)
+    rate = (H.n_cols - H.n_rows) / H.n_cols
+    encoder = Encoder(H) if mode == "random" else None
+    frames = []
+    for frame in range(N_FRAMES):
+        rng = _frame_rng(seed, snr, frame)
+        if encoder is None:
+            tx = np.zeros(H.n_cols, dtype=np.int64)
+        else:
+            msg = rng.integers(0, code.field.q, size=encoder.message_length)
+            tx = encoder.encode(msg)
+        frames.append((None if encoder is None else tx,
+                       channel_priors(tx, snr, rate, code.field, rng)))
+    return H, frames
+
+
+def _frame_entry(res, tx) -> dict:
+    entry = {"iterations_used": res.iterations_used,
+             "converged": res.converged,
+             "hard_sha256": _sha256(res.hard_decision)}
+    if tx is not None:
+        entry["word_sha256"] = _sha256(tx)
+    return entry
+
+
 def decoder_frames(seed: int = 1, max_iters: int = 80) -> dict:
     """Per-frame decoder record of each entry of ``DECODER_FRAMES``."""
     record = {}
     for name, (desc, mode, snr) in sorted(DECODER_FRAMES.items()):
-        code = QcCode.from_json_dict(json.loads((GOLDEN / desc).read_text()))
-        H = expand(code)
-        rate = (H.n_cols - H.n_rows) / H.n_cols
+        H, frames = _channel_frames(desc, mode, snr, seed)
         decoder = QspaDecoder(H)
-        encoder = Encoder(H) if mode == "random" else None
-        frames = []
-        for frame in range(N_FRAMES):
-            rng = _frame_rng(seed, snr, frame)
-            if encoder is None:
-                tx = np.zeros(H.n_cols, dtype=np.int64)
-            else:
-                msg = rng.integers(0, code.field.q, size=encoder.message_length)
-                tx = encoder.encode(msg)
-            res = decoder.decode(channel_priors(tx, snr, rate, code.field, rng),
-                                 max_iters)
-            entry = {"iterations_used": res.iterations_used,
-                     "converged": res.converged,
-                     "hard_sha256": _sha256(res.hard_decision)}
-            if encoder is not None:
-                entry["word_sha256"] = _sha256(tx)
-            frames.append(entry)
-        record[name] = {"descriptor": desc, "mode": mode, "snr_db": snr,
-                        "seed": seed, "max_iters": max_iters, "frames": frames}
+        record[name] = {
+            "descriptor": desc, "mode": mode, "snr_db": snr, "seed": seed,
+            "max_iters": max_iters,
+            "frames": [_frame_entry(decoder.decode(priors, max_iters), tx)
+                       for tx, priors in frames]}
     return record
 
 
@@ -160,6 +189,25 @@ def _dump(record: dict) -> str:
 def test_golden_decoder_frames():
     expected = (GOLDEN / "decoder_frames.json").read_text()
     assert _dump(decoder_frames()) == expected
+
+
+@pytest.mark.parametrize("name", sorted(DECODER_FRAMES))
+def test_lanes_decode_the_golden_frames_as_serial_decode(name):
+    # the 24 frames of a record as one stream through four lanes: each
+    # frame's record and dead-row count equal its serial decode's
+    desc, mode, snr = DECODER_FRAMES[name]
+    record = json.loads((GOLDEN / "decoder_frames.json").read_text())[name]
+    H, frames = _channel_frames(desc, mode, snr)
+    serial = QspaDecoder(H)
+    lanes = dict(QspaDecoder(H, lanes=4).stream(
+        ((f, priors) for f, (_, priors) in enumerate(frames)), 80))
+    assert sorted(lanes) == list(range(N_FRAMES))
+    for f, (tx, priors) in enumerate(frames):
+        res, want = lanes[f], serial.decode(priors, 80)
+        assert _frame_entry(res, tx) == record["frames"][f]
+        assert res.hard_decision.tobytes() == want.hard_decision.tobytes()
+        assert (res.converged, res.iterations_used, res.dead_row_resets) == (
+            want.converged, want.iterations_used, want.dead_row_resets)
 
 
 def _recorded(stage: str, fn, constraint_at: int, calls: list):
@@ -221,3 +269,6 @@ if __name__ == "__main__":
     (GOLDEN / "decoder_frames.json").write_text(_dump(decoder_frames()))
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "optimize_runs.json").write_text(_dump(optimize_runs(Path(tmp))))
+        for name in sorted(CAMPAIGNS):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(_campaign_argv(name, GOLDEN / name)) == EXIT_OK

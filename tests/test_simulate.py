@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from nbqc.codec import RankDeficiencyError
+from nbqc.codec import QspaDecoder, RankDeficiencyError
 from nbqc.gf import Field
-from nbqc.lift import QcCode
+from nbqc.lift import QcCode, expand
 from nbqc.protograph import from_base_matrix
 from nbqc.simulate import (
+    FrameOutcome,
     SimConfig,
+    _frame_rng,
+    _run_point,
     channel_priors,
     noise_sigma,
     run_campaign,
@@ -134,6 +137,7 @@ def test_worker_count_does_not_change_results(gf4):
     seq = run_campaign(code, cfg, workers=1)
     par = run_campaign(code, cfg, workers=2)
     assert seq.to_csv() == par.to_csv()
+    assert seq.to_json_dict() == par.to_json_dict()
 
 
 def test_pool_holds_at_most_one_chunk_of_workers(gf4, monkeypatch):
@@ -166,6 +170,111 @@ def test_pool_holds_at_most_one_chunk_of_workers(gf4, monkeypatch):
     wide = run_campaign(code, cfg, workers=100_000)
     assert sizes == [32]
     assert wide == run_campaign(code, cfg, workers=1)
+
+
+class _InProcessPool:
+    """Stands in for the process pool: one worker, in this process."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, lanes", [(2, 4), (3, 2), (4, 2), (5, 1),
+                                            (8, 1), (100, 1)])
+def test_pool_decoders_live_in_the_workers_only(gf4, monkeypatch, workers,
+                                                lanes):
+    # the parent process checks the code but decodes no frame, so it
+    # builds no decoder; a worker's decoder has one lane per four frames
+    # of its slice of a chunk, from one to four
+    import nbqc.simulate
+
+    built = []
+
+    class CountingDecoder(QspaDecoder):
+        def __init__(self, H, lanes=1):
+            built.append(lanes)
+            super().__init__(H, lanes)
+
+    monkeypatch.setattr(nbqc.simulate, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(nbqc.simulate, "QspaDecoder", CountingDecoder)
+    monkeypatch.setattr(nbqc.simulate, "_POOL_EVAL", None)
+    code = toy_code(gf4)
+    cfg = SimConfig(snr_points_db=(0.0, 2.0), max_frames=40,
+                    min_block_errors=41, max_iters=15, seed=13)
+    pooled = run_campaign(code, cfg, workers=workers)
+    assert built == [lanes]
+    assert pooled == run_campaign(code, cfg, workers=1)
+    assert built == [lanes, 4]
+
+
+def test_point_counts_are_the_sums_over_serial_decodes(gf4):
+    # every frame decoded alone, drawn as the campaign draws it: the
+    # sidecar's outcome split, iteration histogram and dead-row resets are
+    # the sums over those decodes, with no frame dropped or counted twice
+    code = toy_code(gf4)
+    cfg = SimConfig(snr_points_db=(-2.0, 1.0), max_frames=60,
+                    min_block_errors=61, max_iters=8, seed=7)
+    res = run_campaign(code, cfg)
+    H = expand(code)
+    rate = (H.n_cols - H.n_rows) / H.n_cols
+    decoder = QspaDecoder(H)
+    zero = np.zeros(H.n_cols, dtype=np.int64)
+    for point in res.to_json_dict()["points"]:
+        snr = point["snr_db"]
+        frames = [decoder.decode(channel_priors(
+            zero, snr, rate, gf4, _frame_rng(7, snr, f)), 8)
+            for f in range(point["frames"])]
+        detected = sum(not r.converged for r in frames)
+        undetected = sum(r.converged and r.hard_decision.any() for r in frames)
+        assert (point["detected_failures"], point["undetected_errors"]) == (
+            detected, undetected)
+        assert detected > 0 and undetected > 0
+        assert detected + undetected == point["block_errors"]
+        hist = point["iteration_histogram"]
+        assert hist == np.bincount([r.iterations_used for r in frames],
+                                   minlength=9)[1:].tolist()
+        assert sum(hist) == point["frames"]
+        mean = sum(i * n for i, n in enumerate(hist, 1)) / point["frames"]
+        assert mean == point["mean_iters"]
+        assert point["dead_row_resets"] == sum(r.dead_row_resets
+                                               for r in frames)
+
+
+def test_point_reads_outcomes_in_frame_order_and_closes_the_stream():
+    # outcomes arrive out of frame order; the stop rule reads them in
+    # order, frames past the stop are never counted and the stream is
+    # closed
+    stalled = FrameOutcome(False, True, 2, 3, 5, 1)
+    clean = FrameOutcome(True, False, 0, 0, 2, 0)
+    wrong = FrameOutcome(True, True, 1, 1, 3, 4)
+    arrivals = [(1, stalled), (0, clean), (3, stalled), (2, wrong),
+                (5, clean), (4, stalled)]
+    closed = []
+
+    def stream():
+        try:
+            yield from arrivals
+        finally:
+            closed.append(True)
+
+    cfg = SimConfig(snr_points_db=(1.0,), max_frames=6, min_block_errors=3,
+                    max_iters=5)
+    point = _run_point(1.0, cfg, stream())
+    assert (point.frames, point.detected_failures,
+            point.undetected_errors, point.block_errors) == (4, 2, 1, 3)
+    assert point.iteration_histogram == [0, 1, 1, 0, 2]
+    assert point.dead_row_resets == 6
+    assert (point.symbol_errors, point.bit_errors) == (5, 7)
+    assert closed == [True]
 
 
 def test_stopping_rule(gf4):
