@@ -518,7 +518,7 @@ def check_parallel_edges(proto: Protograph, Z: int) -> None:
 
     No shift assignment can succeed otherwise, whatever the constraint.
     """
-    most = max(max(row) for row in proto.base_matrix())
+    most = int(proto.edge_runs[2][3].max())
     if most > Z:
         raise ValueError(f"a base cell holds {most} parallel edges, "
                          f"more than the Z={Z} distinct shifts")

@@ -19,8 +19,11 @@ read backward.  A closed word is kept when it is the least even rotation
 of itself and of its reversal and equals none of its proper even
 rotations, so every class appears once without a set of seen words.  The
 work is capped by a count of the prefixes a level-wise enumeration would
-grow, taken before any path grows.  The count, the floors and the half
-paths all read the protograph as its edge runs (``Protograph.edge_runs``).
+grow, taken before any path grows.  The whole walk layer reads the
+protograph in one form, its edge runs (``Protograph.edge_runs``): the edge
+ids grouped by variable, by check and by cell (check, variable), each group
+a run of one sorted order.  The count, the floors, the half paths, the
+table compile and the chords all read those runs.
 
 The result is the one form walks take from enumeration to the optimizer's
 trackers, a :class:`WalkTable`: padded edge rows with length, ACE and the
@@ -31,8 +34,8 @@ The sums are position-major (:func:`signed_sums`), read through their last
 row (the totals) and :func:`span_sums` alone.  It builds a
 :class:`CycleRecord` only for the walk asked for.  A compile compares the
 nodes of same-side visit positions, a block of walks at a time sized from
-the row width.  The node arrays it reads are built once per protograph and
-the position pairs once per row width, so a one-row table (as
+the row width.  The runs it reads are built once per protograph and the
+position pairs once per row width, so a one-row table (as
 ``lift.lift_cycle`` compiles) costs little more than its row.  Each
 multi-index gather, in the enumeration and in a compile, is one ``take``
 on a flat contiguous table with offsets formed in ``np.intp``.
@@ -113,7 +116,6 @@ class Protograph:
     def __getstate__(self):
         # derived data stays out of pickles (simulation workers)
         state = {**self.__dict__, "_walks": (0, None), "_lifted": None}
-        state.pop("node_arrays", None)
         state.pop("edge_runs", None)
         return state
 
@@ -128,47 +130,26 @@ class Protograph:
         return len(self.var_edges[v])
 
     def base_matrix(self) -> list[list[int]]:
-        m = [[0] * self.n_vars for _ in range(self.n_checks)]
-        for e in range(self.n_edges):
-            m[self.edge_check[e]][self.edge_var[e]] += 1
-        return m
-
-    @functools.cached_property
-    def node_arrays(self) -> tuple[np.ndarray, ...]:
-        """The node tables a table compile reads, built once.
-
-        Per edge id, the padding id last: its check and variable (the
-        padding nodes ``n_checks`` and ``n_vars``).  Per node id, the
-        padding node last: a variable's ACE term, the base matrix cells (0)
-        and each cell's edge ids (padded with -1).  Read-only and
-        C-contiguous, so a gather is one ``take`` on the raveled table:
-        cell (c, v) is flat entry ``c * (n_vars + 1) + v``.
-        """
-        node_of = np.array([self.edge_check + [self.n_checks],
-                            self.edge_var + [self.n_vars]])
-        ace_of = np.array([len(es) - 2 for es in self.var_edges] + [0])
-        cells = np.zeros((self.n_checks + 1, self.n_vars + 1), np.int32)
-        cells[:-1, :-1] = self.base_matrix()
-        cell_edges = np.full(cells.shape + (cells.max(),), -1, np.int32)
-        filled = np.zeros_like(cells)
-        for e, (c, v) in enumerate(zip(self.edge_check, self.edge_var)):
-            cell_edges[c, v, filled[c, v]] = e
-            filled[c, v] += 1
-        for a in (node_of, ace_of, cells, cell_edges):
-            a.flags.writeable = False
-        return node_of, ace_of, cells, cell_edges
+        cells = self.edge_runs[2][3].reshape(self.n_checks + 1, -1)
+        return cells[:-1, :-1].tolist()
 
     @functools.cached_property
     def edge_runs(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The enumeration's one adjacency form, built once, read-only: per
-        side, variables (read after an even position) then checks, the node
-        each edge turns at, the edge ids by node in id order, and each
-        node's first index there and its degree.  Built from the edge lists
-        alone, so the prefix cap reads it before any node table exists."""
+        """The walk layer's one adjacency form, built once, read-only: per
+        side, variables (read after an even position), checks, then cells,
+        the node or cell of each edge, the edge ids by node or cell in id
+        order, and each one's first index there and its count (a node's
+        degree, a cell's base matrix entry).  Cell (c, v) is
+        ``c * (n_vars + 1) + v``, so the padding check ``n_checks`` and
+        padding variable ``n_vars`` have empty cells.  Built from the edge
+        lists alone, with no largest-cell factor."""
+        cell = np.array(self.edge_check, np.intp) * (self.n_vars + 1)
+        cell += self.edge_var
         runs = []
         for at, n in ((self.edge_var, self.n_vars),
-                      (self.edge_check, self.n_checks)):
-            at = np.array(at, np.intp)
+                      (self.edge_check, self.n_checks),
+                      (cell, (self.n_checks + 1) * (self.n_vars + 1))):
+            at = np.asarray(at, np.intp)
             degree = np.bincount(at, minlength=n)
             runs.append((at, np.argsort(at, kind="stable"),
                          np.cumsum(degree) - degree, degree))
@@ -260,11 +241,15 @@ def _pair_positions(width: int):
 
 
 def _visits(proto: Protograph, width: int):
-    """Each position's offset into the raveled ``node_of`` (its parity's
-    plane) and that table: ``nodes.take(at + rows)`` is the node visited
-    before each position of edge rows, the padding node on the padding."""
-    node_of = proto.node_arrays[0]
-    return _pair_positions(width)[0] * node_of.shape[1], node_of.ravel()
+    """Each position's offset into a table of each edge's check then each
+    edge's variable, each with the padding node for the padding id, and
+    that table: ``nodes.take(at + rows)`` is the node visited before each
+    position of edge rows, the padding node on the padding.  Read from the
+    runs' node of each edge (:attr:`Protograph.edge_runs`)."""
+    (var_of, *_), (check_of, *_), _ = proto.edge_runs
+    node_of = np.concatenate((check_of, [proto.n_checks],
+                              var_of, [proto.n_vars]))
+    return _pair_positions(width)[0] * (proto.n_edges + 1), node_of
 
 
 def _edge_dtype(n_edges: int):
@@ -313,8 +298,9 @@ class WalkTable(Sequence):
         n, width = rows.shape
         _, p1, p2 = _pair_positions(width)
         at, node_of = _visits(proto, width)
-        _, ace_of, cells, _ = proto.node_arrays
-        cells, stride = cells.ravel(), cells.shape[1]
+        (_, _, _, degree), _, (_, _, _, cells) = proto.edge_runs
+        ace_of = np.append(degree - 2, 0)  # the padding variable adds 0
+        stride = proto.n_vars + 1
         # a simple walk visits at most this many checks and variables
         most = min(proto.n_checks, proto.n_vars)
         self.ace = np.empty(n, np.int32)
@@ -381,11 +367,17 @@ class WalkTable(Sequence):
         own edge of a reaches another visit of its variable only where that
         visit and the edge's own one land on one copy, which a realized
         lift rules out.)  A simple minimal walk has no chords.
+
+        A cell's base edges are read from its run (the cell side of
+        :attr:`Protograph.edge_runs`) into as many slots as the largest
+        cell has edges, the slots past the cell's own count masked: only
+        the per-block temporary has a largest-cell factor.  (A gather of
+        the exact runs by ``_ranges`` measured 1.6 times slower.)
         """
         ids = np.asarray(ids, np.int64)
-        cell_edges = proto.node_arrays[3]
-        stride = cell_edges.shape[1]
-        cell_edges = cell_edges.reshape(-1, cell_edges.shape[2])
+        _, by_cell, begin, count = proto.edge_runs[2]
+        by_cell = by_cell.astype(self.rows.dtype)  # compared with rows
+        stride, slot = proto.n_vars + 1, np.arange(count.max())
         rows, width = self.rows.ravel(), self.rows.shape[1]
         at, node_of = _visits(proto, width)
         found = ([np.empty(0, np.int64)], [np.empty(0, np.int16)],
@@ -399,14 +391,18 @@ class WalkTable(Sequence):
             block = self.rows.take(walks, axis=0)[:, :longest]
             nodes = node_of.take(at[:longest] + block)
             # edges[w, i, j]: the base edges from check visit 2i to variable
-            # visit 2j + 1, less the walk's edges at positions 2i and 2i - 1
-            edges = cell_edges.take(nodes[:, 0::2, None] * stride
-                                    + nodes[:, None, 1::2], axis=0)
+            # visit 2j + 1, read from the cell's run; a hit is a slot within
+            # the cell's count that holds neither of the walk's edges at
+            # positions 2i and 2i - 1
+            cell = (nodes[:, 0::2, None, None] * stride
+                    + nodes[:, None, 1::2, None])
+            edges = by_cell.take(begin.take(cell) + slot, mode="clip")
+            hit = slot < count.take(cell)
             even = np.arange(0, longest, 2)
             before = rows.take(walks[:, None] * width + (even - 1) % length)
             for own in (block[:, 0::2], before):
-                edges[edges == own[:, :, None, None]] = -1
-            hit = np.flatnonzero(edges >= 0)
+                hit &= edges != own[:, :, None, None]
+            hit = np.flatnonzero(hit)
             w, i, j, _ = np.unravel_index(hit, edges.shape)
             _extend(found, (k[w], 2 * i, 2 * j + 1, edges.ravel().take(hit)))
         return tuple(_joined(found))
@@ -535,7 +531,8 @@ def _check_prefixes(proto: Protograph, max_len: int, cap: int) -> None:
     >= e0 and, at the last level, to edges that close the word.
     The total only grows, so raising once it passes the cap decides as the
     whole count would.  The first level is counted from the runs first:
-    the pairs of edges at one variable, or in one cell when words close there.
+    the pairs of edges at one variable, or in one cell (the cell runs'
+    counts) when words close there.
     It stays because it decides before any path grows: a cap on the join's
     own work, tried on the 2 x 3 all-ones matrix, refused depth 50 after
     38 s and let depth 48 through (66 s, 2.4 GB traced peak).
@@ -543,10 +540,9 @@ def _check_prefixes(proto: Protograph, max_len: int, cap: int) -> None:
     overflow = WalkEnumerationOverflow(f"closed-walk enumeration up to length "
                                        f"{max_len} needs more than {cap} prefixes")
     runs = proto.edge_runs
-    (var_of, _, _, degree), (check_of, _, _, _) = runs
+    (_, _, _, degree), (check_of, _, _, _), (_, _, _, cells) = runs
     if max_len == 2:  # words close in the cell of their first two edges
-        degree = np.unique(check_of * proto.n_vars + var_of,
-                           return_counts=True)[1]
+        degree = cells
     if int((degree * (degree - 1) // 2).sum()) > cap:
         raise overflow
     if max_len == 2:  # the first level is the whole count

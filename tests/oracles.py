@@ -459,11 +459,21 @@ def chords_of_every_walk(table: WalkTable, proto: Protograph):
     """``(start, a, b, edge)``: the chords of every walk of ``table``, one
     walk at a time at the table's full row width, walk i's at ``start[i]``
     to ``start[i + 1]`` (the first form of ``WalkTable.chords``, which
-    compiled every walk and kept the result).
+    compiled every walk and kept the result), from its own dense tables:
+    each edge id's check and variable, the padding nodes for the padding id,
+    and each cell's edge ids in id order, padded with -1.
     """
     width = table.rows.shape[1]
     parity = np.arange(width) % 2
-    node_of, _, _, cell_edges = proto.node_arrays
+    node_of = np.array([proto.edge_check + [proto.n_checks],
+                        proto.edge_var + [proto.n_vars]])
+    cells = [[[] for _ in range(proto.n_vars + 1)]
+             for _ in range(proto.n_checks + 1)]
+    for e, (c, v) in enumerate(zip(proto.edge_check, proto.edge_var)):
+        cells[c][v].append(e)
+    most = max(len(edges) for row in cells for edges in row)
+    cell_edges = np.array([[edges + [-1] * (most - len(edges))
+                            for edges in row] for row in cells])
     start = np.zeros(len(table) + 1, np.int64)
     found = ([], [], [])
     for i in np.flatnonzero(~table.simple_minimal):

@@ -15,12 +15,17 @@ the hard decision (and of the encoded word in random mode) per frame.
 on GF(16)/Z=9 (its result, assignment and a sha256 of its per-edge
 ``history``), and the exit-2 report of a construction that fails.
 
+``walk_tables.json`` locks the walk layer: per reference ensemble, a
+sha256 and the dtype of each column of ``enumerate_closed_walks(p, 16)``
+up to each depth 2 to 16, and of the chords of every walk of its depth-14
+head.
+
 The two reference codes are also checked against the brute-force
 lifted-graph oracle at their full depth, with no golden file.
 
 Regenerate every file but the three descriptors and the spectrum (the four
-campaign files, ``decoder_frames.json`` and ``optimize_runs.json``) with
-``PYTHONPATH=src python tests/test_golden.py``.
+campaign files, ``decoder_frames.json``, ``optimize_runs.json`` and
+``walk_tables.json``) with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -39,7 +44,7 @@ from nbqc.gf import Field
 from nbqc.io_formats import load_descriptor, read_base_matrix
 from nbqc.lift import QcCode, binary_ace_spectrum, expand, nb_ace_spectrum
 from nbqc.optimize import OptimizerConfig, spectrum_search
-from nbqc.protograph import from_base_matrix
+from nbqc.protograph import enumerate_closed_walks, from_base_matrix
 from nbqc.simulate import _frame_rng, channel_priors
 
 from conftest import FIXTURES
@@ -263,10 +268,44 @@ def test_golden_optimize_runs(tmp_path):
     assert _dump(record) == (GOLDEN / "optimize_runs.json").read_text()
 
 
+WALK_TABLE_COLUMNS = ("rows", "length", "ace", "simple_minimal",
+                      "pair_walk", "p1", "p2")
+
+
+def _column(array) -> dict:
+    """An array's dtype and the sha256 of its C-order bytes."""
+    return {"dtype": str(array.dtype),
+            "sha256": hashlib.sha256(array.tobytes()).hexdigest()}
+
+
+def walk_tables(max_len: int = 16, chord_depth: int = 14) -> dict:
+    """Each reference ensemble's walk table columns up to each depth, and
+    the chords of every walk of its ``chord_depth`` head."""
+    record = {}
+    for name in ("proto_gf16_z9.txt", "proto_gf8_z21.txt"):
+        proto = from_base_matrix(read_base_matrix(FIXTURES / name))
+        table = enumerate_closed_walks(proto, max_len)
+        head = table.upto(chord_depth)
+        record[name] = {
+            "max_len": max_len,
+            "upto": {str(d): {c: _column(getattr(table.upto(d), c))
+                              for c in WALK_TABLE_COLUMNS}
+                     for d in range(2, max_len + 1, 2)},
+            "chord_depth": chord_depth,
+            "chords": [_column(c) for c in
+                       head.chords(proto, np.arange(len(head)))]}
+    return record
+
+
+def test_golden_walk_tables():
+    assert _dump(walk_tables()) == (GOLDEN / "walk_tables.json").read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
     (GOLDEN / "decoder_frames.json").write_text(_dump(decoder_frames()))
+    (GOLDEN / "walk_tables.json").write_text(_dump(walk_tables()))
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "optimize_runs.json").write_text(_dump(optimize_runs(Path(tmp))))
         for name in sorted(CAMPAIGNS):

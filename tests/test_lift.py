@@ -32,7 +32,12 @@ from nbqc.lift import (
     walk_table,
 )
 from nbqc.optimize import _edge_counts, _ShiftTracker
-from nbqc.protograph import WalkTable, enumerate_closed_walks, from_base_matrix
+from nbqc.protograph import (
+    Protograph,
+    WalkTable,
+    enumerate_closed_walks,
+    from_base_matrix,
+)
 
 from oracles import (
     LiftedGraph,
@@ -492,20 +497,45 @@ def _assert_minimality_matches_oracle(table: WalkTable, code: QcCode):
         lift_chordless(table[i], code, int(d[i])) for i in ids]
 
 
+def _chord_protograph(draw, least_column: int) -> Protograph:
+    """A base graph for the chord tests, of one of three kinds: a small
+    base matrix with cells up to 3 (no column summing below
+    ``least_column``); the same with cells of 2 or 3 edges under permuted
+    edge ids, so a cell's edge ids are neither consecutive nor in cell
+    order; or a wide diagonal of 2-edge cells (no variable of degree 1)
+    with one thick cell, so most cells are empty and one is long."""
+    kind = draw(st.sampled_from(["matrix", "permuted", "thick"]))
+    if kind == "thick":
+        n = draw(st.integers(3, 12))
+        matrix = 2 * np.eye(n, dtype=int)
+        matrix[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = \
+            draw(st.integers(4, 8))
+        return from_base_matrix(matrix.tolist())
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cell = st.integers(0, 3) if kind == "matrix" else st.sampled_from([0, 2, 3])
+    matrix = np.array(draw(st.lists(cell, min_size=n_rows * n_cols,
+                                    max_size=n_rows * n_cols)))
+    matrix = matrix.reshape(n_rows, n_cols)
+    assume(matrix.sum(axis=1).min() >= 1
+           and matrix.sum(axis=0).min() >= least_column)
+    proto = from_base_matrix(matrix.tolist())
+    if kind == "permuted":
+        ids = draw(st.permutations(range(proto.n_edges)))
+        proto = Protograph(n_rows, n_cols, [
+            (c, v, ids[e]) for e, (c, v) in enumerate(zip(proto.edge_check,
+                                                          proto.edge_var))])
+    return proto
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_compiled_minimality_matches_chordless_oracle(data):
-    # cells up to 3: a parallel twin of a walk edge is a chord of the lift
-    # when its shift agrees with the walk's copy offset mod gcd(Z, d)
+    # cells up to 3 (or one thick cell): a parallel twin of a walk edge is
+    # a chord of the lift when its shift agrees with the walk's copy offset
+    # mod gcd(Z, d)
     draw = data.draw
-    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    matrix = np.array(draw(st.lists(st.integers(0, 3),
-                                    min_size=n_rows * n_cols,
-                                    max_size=n_rows * n_cols)))
-    matrix = matrix.reshape(n_rows, n_cols)
-    assume(matrix.sum(axis=1).min() >= 1 and matrix.sum(axis=0).min() >= 2)
-    proto = from_base_matrix(matrix.tolist())
-    depth = draw(st.sampled_from([4, 6, 8] if matrix.sum() <= 8 else [4]))
+    proto = _chord_protograph(draw, 2)
+    depth = draw(st.sampled_from([4, 6, 8] if proto.n_edges <= 8 else [4]))
     Z = draw(st.integers(1, 12))
     shifts = draw(st.lists(st.integers(0, Z - 1), min_size=proto.n_edges,
                            max_size=proto.n_edges))
@@ -536,14 +566,8 @@ def test_chords_of_asked_walks_match_whole_table_compile(data):
     # every kind of ids: empty, unsorted with repeats, only simple-minimal
     # walks (which have no chords), and every walk
     draw = data.draw
-    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    matrix = np.array(draw(st.lists(st.integers(0, 3),
-                                    min_size=n_rows * n_cols,
-                                    max_size=n_rows * n_cols)))
-    matrix = matrix.reshape(n_rows, n_cols)
-    assume(matrix.sum(axis=1).min() >= 1 and matrix.sum(axis=0).min() >= 1)
-    proto = from_base_matrix(matrix.tolist())
-    depth = draw(st.sampled_from([2, 4, 6, 8] if matrix.sum() <= 8 else [2, 4]))
+    proto = _chord_protograph(draw, 1)
+    depth = draw(st.sampled_from([2, 4, 6, 8] if proto.n_edges <= 8 else [2, 4]))
     table = enumerate_closed_walks(proto, depth)
     n = len(table)
     ids = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=3 * n)
@@ -692,10 +716,10 @@ def test_walk_table_memo_matches_fresh_enumeration(rows, shallow, extra):
         assert walk_table(fresh, shallow) is table
         assert counted.call_count == 1
         # derived data stays out of pickles sent to simulation workers
-        assert {"node_arrays", "edge_runs"} <= vars(fresh).keys()
+        assert "edge_runs" in vars(fresh)
         shipped = pickle.loads(pickle.dumps(fresh))
         assert shipped._walks == (0, None)
-        assert not {"node_arrays", "edge_runs"} & vars(shipped).keys()
+        assert "edge_runs" not in vars(shipped)
         _assert_same_walks(table.upto(shallow),
                            enumerate_closed_walks(fresh, shallow), fresh)
         # a deeper request after a shallower one enumerates again

@@ -278,16 +278,22 @@ def test_prefix_cap_counts_the_first_level_before_any_edge_matrix():
     assert peak < 1 << 20
 
 
-def test_prefix_cap_refuses_before_the_node_tables_exist():
-    # a 300 x 300 diagonal and 60 000 edges in one cell: the cell-edge
-    # table of the node tables would hold 301 * 301 * 60 000 int32, 22 GB
+def test_prefix_cap_refuses_a_thick_cell_in_little_memory():
+    # a 300 x 300 diagonal and 60 000 edges in one cell: a dense table of
+    # each cell's edge ids would hold 301 * 301 * 60 000 int32, 22 GB; the
+    # runs the cap reads are (edges) and (cells) long
     rows = [[int(i == j) for j in range(300)] for i in range(300)]
     rows[0][1] = 60000
     p = from_base_matrix(rows)
-    for max_len in (2, 4):
-        with pytest.raises(WalkEnumerationOverflow):
-            enumerate_closed_walks(p, max_len)
-    assert "node_arrays" not in vars(p)
+    tracemalloc.start()
+    try:
+        for max_len in (2, 4):
+            with pytest.raises(WalkEnumerationOverflow):
+                enumerate_closed_walks(p, max_len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20
 
 
 @settings(max_examples=60, deadline=None)
