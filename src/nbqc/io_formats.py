@@ -270,25 +270,19 @@ def write_base_matrix_pair(code: QcCode) -> str:
     """Shift matrix and (when labeled) exponent matrix as text blocks.
 
     Empty cells print -1; parallel edges print comma-joined values in edge
-    order.
+    order, each cell's run of the cell side of ``Protograph.edge_runs``.
     """
     proto = code.proto
+    by_cell, begin, count = (a.tolist() for a in proto.edge_runs[2][1:])
+    # each check's cells, less the padding variable's
+    stride = proto.n_vars + 1
+    rows = [range(c * stride, c * stride + proto.n_vars)
+            for c in range(proto.n_checks)]
 
     def block(values: list[int]) -> list[str]:
-        cells: list[list[list[int]]] = [
-            [[] for _ in range(proto.n_vars)] for _ in range(proto.n_checks)
-        ]
-        for e in range(proto.n_edges):
-            cells[proto.edge_check[e]][proto.edge_var[e]].append(values[e])
-        out = []
-        for row in cells:
-            out.append(
-                " ".join(
-                    ",".join(str(v) for v in cell) if cell else "-1"
-                    for cell in row
-                )
-            )
-        return out
+        return [" ".join(",".join(str(values[e]) for e in
+                                  by_cell[begin[k]:begin[k] + count[k]]) or "-1"
+                         for k in row) for row in rows]
 
     lines = ["# shifts"]
     lines += block(code.shifts.tolist())

@@ -182,8 +182,8 @@ class QcCode:
         lambda_mult: int | None = None,
     ):
         checked_int(Z, "lifting order Z", 1, MAX_Z)
-        if min(map(len, proto.var_edges), default=2) < 2:
-            v = next(v for v, es in enumerate(proto.var_edges) if len(es) < 2)
+        v = int(proto.edge_runs[0][3].argmin())
+        if proto.var_degree(v) < 2:
             raise ValueError(
                 f"variable {v} has degree {proto.var_degree(v)} < 2; "
                 "degree-1 variables cannot be lifted meaningfully"
@@ -220,7 +220,8 @@ class QcCode:
 
     def to_json_dict(self) -> dict:
         edges = [{"check": c, "var": v, "shift": d} for c, v, d in zip(
-            self.proto.edge_check, self.proto.edge_var, self.shifts.tolist())]
+            self.proto.edge_check.tolist(), self.proto.edge_var.tolist(),
+            self.shifts.tolist())]
         if self.labels is not None:
             for entry, rho in zip(edges, self.labels.tolist()):
                 entry["rho"] = rho
@@ -246,10 +247,10 @@ class QcCode:
         shifts, labels = [], []
         entries = [_member(edges, i, dict, f"edge {i}") for i in range(len(edges))]
         has_labels = any("rho" in e for e in entries)
-        for eid, entry in enumerate(entries):
+        for eid, (entry, c, v) in enumerate(zip(
+                entries, proto.edge_check.tolist(), proto.edge_var.tolist())):
             # the endpoints row-major base order gives this edge
-            for key, node in (("check", proto.edge_check[eid]),
-                              ("var", proto.edge_var[eid])):
+            for key, node in (("check", c), ("var", v)):
                 checked_int(entry[key], f"edge {eid} {key}", node, node)
             shifts.append(checked_int(entry["shift"], f"shift of edge {eid}",
                                       0, Z - 1))
@@ -543,12 +544,15 @@ def nb_ace_spectrum(code: QcCode, depth: int) -> AceSpectrum:
 
 
 def _check_collisions(code: QcCode) -> None:
-    first: dict[tuple[int, int, int], int] = {}
-    for e, key in enumerate(zip(code.proto.edge_check, code.proto.edge_var,
+    """Refuse equal shifts in one cell (the cell side of
+    :attr:`Protograph.edge_runs`), naming the first repeat by edge id."""
+    proto, first = code.proto, {}
+    for e, key in enumerate(zip(proto.edge_runs[2][0].tolist(),
                                 code.shifts.tolist())):
         if (e0 := first.setdefault(key, e)) != e:
+            cell = int(proto.edge_check[e]), int(proto.edge_var[e])
             raise ShiftCollisionError(f"edges {e0} and {e} share cell "
-                                      f"{key[:2]} with equal shift {key[2]}")
+                                      f"{cell} with equal shift {key[1]}")
 
 
 def expand(code: QcCode) -> SparseGfMatrix:
@@ -564,7 +568,8 @@ def expand(code: QcCode) -> SparseGfMatrix:
     f, Z, lam = code.field, code.Z, code.lambda_mult
     qm1 = f.q - 1
     entries = []
-    for c, v, d, rho in zip(code.proto.edge_check, code.proto.edge_var,
+    for c, v, d, rho in zip(code.proto.edge_check.tolist(),
+                            code.proto.edge_var.tolist(),
                             code.shifts.tolist(), code.labels.tolist()):
         for i in range(Z):
             entries.append(

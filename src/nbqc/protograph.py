@@ -19,11 +19,12 @@ read backward.  A closed word is kept when it is the least even rotation
 of itself and of its reversal and equals none of its proper even
 rotations, so every class appears once without a set of seen words.  The
 work is capped by a count of the prefixes a level-wise enumeration would
-grow, taken before any path grows.  The whole walk layer reads the
-protograph in one form, its edge runs (``Protograph.edge_runs``): the edge
-ids grouped by variable, by check and by cell (check, variable), each group
-a run of one sorted order.  The count, the floors, the half paths, the
-table compile and the chords all read those runs.
+grow, taken before any path grows.  A protograph keeps each edge's check
+and variable by edge id, grouped only by its edge runs
+(``Protograph.edge_runs``): the ids by variable, by check and by cell
+(check, variable), each group a run of one sorted order.  The count, the
+floors, the half paths, the compile, the chords, the degrees, the
+shift-collision test and the base-matrix export read those runs.
 
 The result is the one form walks take from enumeration to the optimizer's
 trackers, a :class:`WalkTable`: padded edge rows with length, ACE and the
@@ -79,35 +80,34 @@ class CycleRecord:
 
 
 class Protograph:
-    """Base graph with parallel-edge support and two-way adjacency."""
+    """Base graph with parallel-edge support: each edge's check and
+    variable by edge id (``edge_check``, ``edge_var``, read-only
+    ``np.intp``), grouped only by :attr:`edge_runs`."""
 
     def __init__(self, n_checks: int, n_vars: int, edges):
         if n_checks < 1 or n_vars < 1:
             raise ValueError("protograph needs at least one check and one variable")
-        edges = [tuple(e) for e in edges]
-        ids = sorted(e[2] for e in edges)
-        if ids != list(range(len(edges))):
+        ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if ends.size and ends.dtype.kind not in "iu":
+            raise TypeError("edge ends and ids must be integers")
+        check, var, ids = ends.reshape(len(ends), 3).T.astype(np.intp)
+        if not np.array_equal(np.sort(ids), np.arange(len(ids))):
             raise ValueError("edge ids must be unique and dense in [0, |E|-1]")
+        out = (check < 0) | (check >= n_checks) | (var < 0) | (var >= n_vars)
+        if out.any():  # the first in input order
+            c, v, e = ends[out.argmax()].tolist()
+            raise ValueError(f"edge {e} endpoints ({c}, {v}) out of range")
         self.n_checks = n_checks
         self.n_vars = n_vars
-        self.edge_check = [0] * len(edges)
-        self.edge_var = [0] * len(edges)
-        self.check_edges: list[list[int]] = [[] for _ in range(n_checks)]
-        self.var_edges: list[list[int]] = [[] for _ in range(n_vars)]
-        for c, v, e in edges:
-            if not (0 <= c < n_checks and 0 <= v < n_vars):
-                raise ValueError(f"edge {e} endpoints ({c}, {v}) out of range")
-            self.edge_check[e] = c
-            self.edge_var[e] = v
-        for e in range(len(edges)):
-            self.check_edges[self.edge_check[e]].append(e)
-            self.var_edges[self.edge_var[e]].append(e)
-        for c, es in enumerate(self.check_edges):
-            if not es:
-                raise ValueError(f"check node {c} has degree 0")
-        for v, es in enumerate(self.var_edges):
-            if not es:
-                raise ValueError(f"variable node {v} has degree 0")
+        at = np.empty((2, len(ids)), np.intp)
+        at[:, ids] = check, var
+        at.flags.writeable = False
+        self.edge_check, self.edge_var = at
+        for node, n, kind in ((self.edge_check, n_checks, "check"),
+                              (self.edge_var, n_vars, "variable")):
+            degree = np.bincount(node, minlength=n)
+            if not degree.all():
+                raise ValueError(f"{kind} node {degree.argmin()} has degree 0")
         # (depth, closed-walk table) kept by lift.walk_table, and the lift
         # of its leading walks under one Z and shifts, kept by lift.lift_walks
         self._walks = (0, None)
@@ -119,15 +119,19 @@ class Protograph:
         state.pop("edge_runs", None)
         return state
 
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.edge_check.flags.writeable = self.edge_var.flags.writeable = False
+
     @property
     def n_edges(self) -> int:
         return len(self.edge_check)
 
     def check_degree(self, c: int) -> int:
-        return len(self.check_edges[c])
+        return int(self.edge_runs[1][3][c])
 
     def var_degree(self, v: int) -> int:
-        return len(self.var_edges[v])
+        return int(self.edge_runs[0][3][v])
 
     def base_matrix(self) -> list[list[int]]:
         cells = self.edge_runs[2][3].reshape(self.n_checks + 1, -1)
@@ -135,21 +139,19 @@ class Protograph:
 
     @functools.cached_property
     def edge_runs(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The walk layer's one adjacency form, built once, read-only: per
-        side, variables (read after an even position), checks, then cells,
-        the node or cell of each edge, the edge ids by node or cell in id
-        order, and each one's first index there and its count (a node's
-        degree, a cell's base matrix entry).  Cell (c, v) is
-        ``c * (n_vars + 1) + v``, so the padding check ``n_checks`` and
-        padding variable ``n_vars`` have empty cells.  Built from the edge
-        lists alone, with no largest-cell factor."""
-        cell = np.array(self.edge_check, np.intp) * (self.n_vars + 1)
-        cell += self.edge_var
+        """The one grouping of the edges, built once, read-only: per side,
+        variables (read after an even position), checks, then cells, the
+        node or cell of each edge (``edge_var`` and ``edge_check`` themselves
+        on the node sides), the edge ids by node or cell in id order, and
+        each one's first index there and its count (a node's degree, a
+        cell's base matrix entry).  Cell (c, v) is ``c * (n_vars + 1) + v``,
+        so the padding check ``n_checks`` and padding variable ``n_vars``
+        have empty cells."""
+        cell = self.edge_check * (self.n_vars + 1) + self.edge_var
         runs = []
         for at, n in ((self.edge_var, self.n_vars),
                       (self.edge_check, self.n_checks),
                       (cell, (self.n_checks + 1) * (self.n_vars + 1))):
-            at = np.asarray(at, np.intp)
             degree = np.bincount(at, minlength=n)
             runs.append((at, np.argsort(at, kind="stable"),
                          np.cumsum(degree) - degree, degree))
@@ -188,10 +190,9 @@ def from_base_matrix(rows) -> Protograph:
     for j in range(n_vars):
         if not any(row[j] for row in rows):
             raise ValueError(f"all-zero column {j}")
-    cells = [(i, j) for i, row in enumerate(rows) for j, mult in enumerate(row)
-             for _ in range(mult)]
-    return Protograph(len(rows), n_vars,
-                      [(i, j, e) for e, (i, j) in enumerate(cells)])
+    cell = np.repeat(np.arange(len(rows) * n_vars), np.ravel(rows))
+    return Protograph(len(rows), n_vars, np.column_stack(
+        (*np.divmod(cell, n_vars), np.arange(len(cell)))))
 
 
 @dataclass(frozen=True)
@@ -210,9 +211,9 @@ def degree_profile(proto: Protograph) -> DegreeProfile:
     lam: dict[int, float] = {}
     gam: dict[int, float] = {}
     ne = proto.n_edges
-    for e in range(ne):
-        dv = proto.var_degree(proto.edge_var[e])
-        dc = proto.check_degree(proto.edge_check[e])
+    var_degree, check_degree = (side[3] for side in proto.edge_runs[:2])
+    for dv, dc in zip(var_degree.take(proto.edge_var).tolist(),
+                      check_degree.take(proto.edge_check).tolist()):
         lam[dv] = lam.get(dv, 0.0) + 1.0 / ne
         gam[dc] = gam.get(dc, 0.0) + 1.0 / ne
     return DegreeProfile(lam, gam)
@@ -244,11 +245,9 @@ def _visits(proto: Protograph, width: int):
     """Each position's offset into a table of each edge's check then each
     edge's variable, each with the padding node for the padding id, and
     that table: ``nodes.take(at + rows)`` is the node visited before each
-    position of edge rows, the padding node on the padding.  Read from the
-    runs' node of each edge (:attr:`Protograph.edge_runs`)."""
-    (var_of, *_), (check_of, *_), _ = proto.edge_runs
-    node_of = np.concatenate((check_of, [proto.n_checks],
-                              var_of, [proto.n_vars]))
+    position of edge rows, the padding node on the padding."""
+    node_of = np.concatenate((proto.edge_check, [proto.n_checks],
+                              proto.edge_var, [proto.n_vars]))
     return _pair_positions(width)[0] * (proto.n_edges + 1), node_of
 
 

@@ -21,7 +21,9 @@ encoder is kept in its first form, a dense coefficient matrix and one
 multiplication-table gather per message (:class:`DenseEncoder`).  The
 matrix and profile helpers only tests read live here too: :func:`to_dense`,
 :func:`mul_vec`, :func:`nnz`, :func:`support` and
-:func:`profile_deviation`.
+:func:`profile_deviation`.  The oracles group a protograph's edges by node
+themselves (:func:`adjacency`), from each edge's check and variable, so
+none reads the grouping it checks.
 """
 
 from __future__ import annotations
@@ -65,6 +67,32 @@ def decorated_ring(half: int, extra_per_var, rng) -> Protograph:
             eid += 1
             check_id += 1
     return Protograph(check_id, half, edges)
+
+
+def adjacency(proto: Protograph):
+    """``(check_of, var_of, by_check, by_var)``: each edge's check and
+    variable, and each check's and each variable's edge ids in id order,
+    as lists, grouped here from ``edge_check`` and ``edge_var`` alone
+    rather than read from the grouping under test
+    (``Protograph.edge_runs``)."""
+    check_of, var_of = proto.edge_check.tolist(), proto.edge_var.tolist()
+    by_check = [[] for _ in range(proto.n_checks)]
+    by_var = [[] for _ in range(proto.n_vars)]
+    for e, (c, v) in enumerate(zip(check_of, var_of)):
+        by_check[c].append(e)
+        by_var[v].append(e)
+    return check_of, var_of, by_check, by_var
+
+
+def permuted_protograph(rows, seed: int) -> Protograph:
+    """The protograph of base matrix ``rows`` with its row-major edge ids
+    permuted by ``default_rng(seed)``, so a cell's or a node's edge ids are
+    neither consecutive nor in cell order."""
+    ends = [(c, v) for c, row in enumerate(rows) for v, mult in enumerate(row)
+            for _ in range(mult)]
+    perm = np.random.default_rng(seed).permutation(len(ends)).tolist()
+    return Protograph(len(rows), len(rows[0]),
+                      [(c, v, perm[e]) for e, (c, v) in enumerate(ends)])
 
 
 def lifted_cycle_matrix(half, Z, field: Field, lam, shifts, rhos) -> SparseGfMatrix:
@@ -262,33 +290,36 @@ def _is_periodic(word: tuple[int, ...]) -> bool:
     return False
 
 
-def _support_is_chordless(proto: Protograph, checks, vars_) -> bool:
-    """Every support node has exactly two edge endpoints inside the support.
+def _support_is_chordless(adj, checks, vars_) -> bool:
+    """Every support node has exactly two edge endpoints inside the support,
+    read from :func:`adjacency` ``adj``.
 
     Counts parallel copies individually, so a cycle running along one edge
     of a parallel pair is not minimal (the twin is a chord).
     """
+    check_of, var_of, by_check, by_var = adj
     cset, vset = set(checks), set(vars_)
     for c in cset:
-        if sum(1 for e in proto.check_edges[c] if proto.edge_var[e] in vset) != 2:
+        if sum(1 for e in by_check[c] if var_of[e] in vset) != 2:
             return False
     for v in vset:
-        if sum(1 for e in proto.var_edges[v] if proto.edge_check[e] in cset) != 2:
+        if sum(1 for e in by_var[v] if check_of[e] in cset) != 2:
             return False
     return True
 
 
-def _build_record(proto: Protograph, canon: tuple[int, ...]) -> CycleRecord:
+def _build_record(adj, canon: tuple[int, ...]) -> CycleRecord:
+    check_of, var_of, _, by_var = adj
     # the even (check-to-variable) edges meet every visited node once
-    checks = [proto.edge_check[e] for e in canon[0::2]]
-    vars_ = [proto.edge_var[e] for e in canon[0::2]]
-    ace = sum(proto.var_degree(v) - 2 for v in vars_)
+    checks = [check_of[e] for e in canon[0::2]]
+    vars_ = [var_of[e] for e in canon[0::2]]
+    ace = sum(len(by_var[v]) - 2 for v in vars_)
     simple = (
         len(canon) >= 4
         and len(set(checks)) == len(checks)
         and len(set(vars_)) == len(vars_)
     )
-    minimal = simple and _support_is_chordless(proto, checks, vars_)
+    minimal = simple and _support_is_chordless(adj, checks, vars_)
     return CycleRecord(edge_seq=canon, ace=ace, is_simple_minimal=minimal)
 
 
@@ -325,14 +356,15 @@ def closed_walks_by_edge_dfs(proto: Protograph, max_len: int) -> list[CycleRecor
     """
     seen: set[tuple[int, ...]] = set()
     path: list[int] = []
+    adj = check_of, var_of, by_check, by_var = adjacency(proto)
 
     def dfs(node: int, at_var: bool, prev_edge: int, e0: int, c_start: int):
-        incident = proto.var_edges[node] if at_var else proto.check_edges[node]
+        incident = by_var[node] if at_var else by_check[node]
         room = len(path) + 1 < max_len
         for e in incident:
             if e < e0 or e == prev_edge:
                 continue
-            nxt = proto.edge_check[e] if at_var else proto.edge_var[e]
+            nxt = check_of[e] if at_var else var_of[e]
             path.append(e)
             if at_var and nxt == c_start and e != e0:
                 word = tuple(path)
@@ -344,10 +376,10 @@ def closed_walks_by_edge_dfs(proto: Protograph, max_len: int) -> list[CycleRecor
 
     for e0 in range(proto.n_edges):
         path.append(e0)
-        dfs(proto.edge_var[e0], True, e0, e0, proto.edge_check[e0])
+        dfs(var_of[e0], True, e0, e0, check_of[e0])
         path.pop()
 
-    records = [_build_record(proto, word) for word in seen]
+    records = [_build_record(adj, word) for word in seen]
     records.sort(key=lambda rec: (rec.length, rec.edge_seq))
     return records
 
@@ -361,16 +393,17 @@ def count_prefixes_by_edge_dfs(proto: Protograph, max_len: int) -> int:
     count.
     """
     count = 0
+    check_of, var_of, by_check, by_var = adjacency(proto)
 
     def dfs(e: int, k: int, e0: int):
         nonlocal count
         at_var = k % 2 == 1  # the edge at position k - 1 ended at a variable
-        node = proto.edge_var[e] if at_var else proto.edge_check[e]
-        for f in (proto.var_edges if at_var else proto.check_edges)[node]:
+        node = var_of[e] if at_var else check_of[e]
+        for f in (by_var if at_var else by_check)[node]:
             if f == e or f < e0:
                 continue
             if k + 1 == max_len and (
-                    proto.edge_check[f] != proto.edge_check[e0] or f == e0):
+                    check_of[f] != check_of[e0] or f == e0):
                 continue
             count += 1
             if k + 1 < max_len:
@@ -394,7 +427,7 @@ def prefix_totals_by_edge_matrices(proto: Protograph, max_len: int) -> list[int]
     """
     n = proto.n_edges
     ids = np.arange(n)
-    edge_check, edge_var = np.array(proto.edge_check), np.array(proto.edge_var)
+    edge_check, edge_var = proto.edge_check, proto.edge_var
     allowed = ids >= ids[:, None]
     other = ids != ids[:, None]
     closing = (edge_check == edge_check[:, None]) & other
@@ -465,11 +498,11 @@ def chords_of_every_walk(table: WalkTable, proto: Protograph):
     """
     width = table.rows.shape[1]
     parity = np.arange(width) % 2
-    node_of = np.array([proto.edge_check + [proto.n_checks],
-                        proto.edge_var + [proto.n_vars]])
+    check_of, var_of, _, _ = adjacency(proto)
+    node_of = np.array([check_of + [proto.n_checks], var_of + [proto.n_vars]])
     cells = [[[] for _ in range(proto.n_vars + 1)]
              for _ in range(proto.n_checks + 1)]
-    for e, (c, v) in enumerate(zip(proto.edge_check, proto.edge_var)):
+    for e, (c, v) in enumerate(zip(check_of, var_of)):
         cells[c][v].append(e)
     most = max(len(edges) for row in cells for edges in row)
     cell_edges = np.array([[edges + [-1] * (most - len(edges))
@@ -517,22 +550,23 @@ def lift_chordless(record: CycleRecord, code: QcCode, d: int) -> bool:
     already accounts for every induced copy, so the variable side needs no
     separate pass.
     """
-    proto, Z, shifts = code.proto, code.Z, code.shifts.tolist()
+    Z, shifts = code.Z, code.shifts.tolist()
+    check_of, var_of, by_check, _ = adjacency(code.proto)
     check_copies: set[tuple[int, int]] = set()
     var_copies: set[tuple[int, int]] = set()
     copy = 0
     for _ in range(Z // math.gcd(Z, d)):
         for p, e in enumerate(record.edge_seq):
             if p % 2 == 0:
-                check_copies.add((proto.edge_check[e], copy))
+                check_copies.add((check_of[e], copy))
                 copy = (copy + shifts[e]) % Z
             else:
-                var_copies.add((proto.edge_var[e], copy))
+                var_copies.add((var_of[e], copy))
                 copy = (copy - shifts[e]) % Z
     for c, i in check_copies:
         cnt = 0
-        for e in proto.check_edges[c]:
-            if (proto.edge_var[e], (i + shifts[e]) % Z) in var_copies:
+        for e in by_check[c]:
+            if (var_of[e], (i + shifts[e]) % Z) in var_copies:
                 cnt += 1
                 if cnt > 2:
                     return False
@@ -759,9 +793,9 @@ class LiftedGraph:
         shifts = code.shifts.tolist()
         labels = ([0] * proto.n_edges if code.labels is None
                   else code.labels.tolist())
-        for e in range(proto.n_edges):
-            c, v = proto.edge_check[e], proto.edge_var[e]
-            d, rho = shifts[e], labels[e]
+        check_of, var_of, _, _ = adjacency(proto)
+        for e, (c, v, d, rho) in enumerate(zip(check_of, var_of, shifts,
+                                               labels)):
             for i in range(Z):
                 cid = len(self.copy_base)
                 self.copy_check.append(c * Z + i)
@@ -892,7 +926,8 @@ def traverse_lifted_cycle_set(code: QcCode, base_edges: list[int]):
     Follows the circulant index maps copy by copy and returns the list of
     distinct lifted cycles as (length, ace) pairs.
     """
-    proto, Z, shifts = code.proto, code.Z, code.shifts.tolist()
+    Z, shifts = code.Z, code.shifts.tolist()
+    _, var_of, _, by_var = adjacency(code.proto)
     # orient the base cycle: edge list alternates check->var, var->check
     cycles = []
     visited_states = set()
@@ -910,7 +945,7 @@ def traverse_lifted_cycle_set(code: QcCode, base_edges: list[int]):
             if pos % 2 == 0:
                 # check side -> var side through edge e
                 copy = (copy + shifts[e]) % Z
-                ace += proto.var_degree(proto.edge_var[e]) - 2
+                ace += len(by_var[var_of[e]]) - 2
             else:
                 copy = (copy - shifts[e]) % Z
             pos = (pos + 1) % len(base_edges)
@@ -930,7 +965,8 @@ def lifted_walk_is_simple(code: QcCode, edge_seq) -> bool:
     ``traverse_lifted_cycle_set`` does, around each lifted cycle and reports
     whether some (node, copy) repeats within one of them.
     """
-    proto, Z, shifts = code.proto, code.Z, code.shifts.tolist()
+    Z, shifts = code.Z, code.shifts.tolist()
+    check_of, var_of, _, _ = adjacency(code.proto)
     started = set()
     for z0 in range(Z):
         if z0 in started:
@@ -940,10 +976,10 @@ def lifted_walk_is_simple(code: QcCode, edge_seq) -> bool:
         while True:
             e = edge_seq[pos]
             if pos % 2 == 0:
-                state = ("check", proto.edge_check[e], copy)
+                state = ("check", check_of[e], copy)
                 copy = (copy + shifts[e]) % Z
             else:
-                state = ("var", proto.edge_var[e], copy)
+                state = ("var", var_of[e], copy)
                 copy = (copy - shifts[e]) % Z
             if state in seen:
                 return False

@@ -15,6 +15,11 @@ the hard decision (and of the encoded word in random mode) per frame.
 on GF(16)/Z=9 (its result, assignment and a sha256 of its per-edge
 ``history``), and the exit-2 report of a construction that fails.
 
+``exports.json`` locks the three export formats (``alist``, ``nb-alist``
+and ``base-matrix``) of each golden descriptor by sha256, and the
+base-matrix export of a code whose edge ids are permuted, so a cell's
+parallel edges print in id order, not in cell order.
+
 ``walk_tables.json`` locks the walk layer: per reference ensemble, a
 sha256 and the dtype of each column of ``enumerate_closed_walks(p, 16)``
 up to each depth 2 to 16, and of the chords of every walk of its depth-14
@@ -24,8 +29,9 @@ The two reference codes are also checked against the brute-force
 lifted-graph oracle at their full depth, with no golden file.
 
 Regenerate every file but the three descriptors and the spectrum (the four
-campaign files, ``decoder_frames.json``, ``optimize_runs.json`` and
-``walk_tables.json``) with ``PYTHONPATH=src python tests/test_golden.py``.
+campaign files, ``decoder_frames.json``, ``exports.json``,
+``optimize_runs.json`` and ``walk_tables.json``) with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -41,14 +47,14 @@ import nbqc.optimize
 from nbqc.cli import EXIT_CONSTRAINT, EXIT_OK, main
 from nbqc.codec import Encoder, QspaDecoder
 from nbqc.gf import Field
-from nbqc.io_formats import load_descriptor, read_base_matrix
+from nbqc.io_formats import export_code, load_descriptor, read_base_matrix
 from nbqc.lift import QcCode, binary_ace_spectrum, expand, nb_ace_spectrum
 from nbqc.optimize import OptimizerConfig, spectrum_search
 from nbqc.protograph import enumerate_closed_walks, from_base_matrix
 from nbqc.simulate import _frame_rng, channel_priors
 
 from conftest import FIXTURES
-from oracles import LiftedGraph
+from oracles import LiftedGraph, permuted_protograph
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -268,6 +274,42 @@ def test_golden_optimize_runs(tmp_path):
     assert _dump(record) == (GOLDEN / "optimize_runs.json").read_text()
 
 
+EXPORT_FORMATS = ("alist", "nb-alist", "base-matrix")
+# cells of 3, 2 and 1 edges; under the ids of default_rng(7) no cell's ids
+# are consecutive
+PERMUTED_MATRIX = [[3, 1, 0], [1, 2, 2], [0, 1, 3]]
+
+
+def permuted_code() -> QcCode:
+    """``PERMUTED_MATRIX`` at Z=5 over GF(4), edge ids permuted by
+    ``default_rng(7)``; edge e has shift e mod 5 and label e mod 3, so the
+    two blocks together tell every two edges of a cell apart."""
+    proto = permuted_protograph(PERMUTED_MATRIX, 7)
+    ids = np.arange(proto.n_edges)
+    return QcCode(proto, 5, Field(2), ids % 5, ids % 3)
+
+
+def _text_sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def exports() -> dict:
+    """The sha256 of each export of each golden descriptor, and of the
+    base-matrix export of :func:`permuted_code`."""
+    record = {}
+    for name in sorted(DESCRIPTORS):
+        code = QcCode.from_json_dict(json.loads((GOLDEN / name).read_text()))
+        record[name] = {fmt: _text_sha256(export_code(code, fmt))
+                        for fmt in EXPORT_FORMATS}
+    record["permuted_3x3_z5_gf4_seed7"] = {
+        "base-matrix": _text_sha256(export_code(permuted_code(), "base-matrix"))}
+    return record
+
+
+def test_golden_exports():
+    assert _dump(exports()) == (GOLDEN / "exports.json").read_text()
+
+
 WALK_TABLE_COLUMNS = ("rows", "length", "ace", "simple_minimal",
                       "pair_walk", "p1", "p2")
 
@@ -305,6 +347,7 @@ if __name__ == "__main__":
     import tempfile
 
     (GOLDEN / "decoder_frames.json").write_text(_dump(decoder_frames()))
+    (GOLDEN / "exports.json").write_text(_dump(exports()))
     (GOLDEN / "walk_tables.json").write_text(_dump(walk_tables()))
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "optimize_runs.json").write_text(_dump(optimize_runs(Path(tmp))))

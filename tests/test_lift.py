@@ -47,6 +47,7 @@ from oracles import (
     lifted_cycle_matrix,
     lifted_walk_is_simple,
     nnz,
+    permuted_protograph,
     picked_chords,
     ring_protograph,
     support,
@@ -611,12 +612,29 @@ def test_expand_requires_labels(gf16, square22):
 
 
 def test_expand_collision_error(gf4):
-    proto = from_base_matrix([[2]])
-    code = QcCode(proto, 4, gf4, [2, 2], [0, 1])
-    with pytest.raises(ShiftCollisionError):
-        expand(code)
-    with pytest.raises(ShiftCollisionError):
-        expand_binary(code)
+    # the permuted 3 x 3 code's cells: (0, 0) holds edges 0, 6, 8, (1, 1)
+    # 1, 10, (1, 2) 3, 12 and (2, 2) 5, 9, 11
+    permuted = permuted_protograph([[3, 1, 0], [1, 2, 2], [0, 1, 3]], 7)
+    for proto, shifts, message in [
+        (from_base_matrix([[2]]), [2, 2],
+         "edges 0 and 1 share cell (0, 0) with equal shift 2"),
+        # collisions in (0, 0), (1, 1), (1, 2) and (2, 2): the first repeat
+        # in edge-id order is named, beside the first edge of its cell and
+        # shift
+        (permuted, [1, 4, 0, 3, 0, 2, 0, 0, 0, 2, 4, 3, 3],
+         "edges 6 and 8 share cell (0, 0) with equal shift 0"),
+        (permuted, [4, 0, 0, 1, 0, 3, 2, 0, 4, 3, 1, 1, 1],
+         "edges 0 and 8 share cell (0, 0) with equal shift 4"),
+        # the higher cell is named when its repeat has the lower id
+        (permuted, [0, 2, 0, 0, 0, 1, 3, 0, 4, 1, 2, 0, 2],
+         "edges 5 and 9 share cell (2, 2) with equal shift 1"),
+    ]:
+        labels = [e % 3 for e in range(proto.n_edges)]
+        code = QcCode(proto, 5, gf4, shifts, labels)
+        for build in (expand, expand_binary):
+            with pytest.raises(ShiftCollisionError) as info:
+                build(code)
+            assert str(info.value) == message
 
 
 def test_expand_binary_support_matches_expand(gf16, theta23):

@@ -1,3 +1,5 @@
+import pickle
+import re
 import tracemalloc
 from unittest import mock
 
@@ -27,10 +29,12 @@ from nbqc.protograph import (
 from oracles import (
     _canonical,
     _is_periodic,
+    adjacency,
     closed_walks_by_edge_dfs,
     count_closed_walks_by_node_dfs,
     count_prefixes_by_edge_dfs,
     least_of_class_by_position_loop,
+    permuted_protograph,
     prefix_totals_by_edge_matrices,
     profile_deviation,
     ring_protograph,
@@ -64,6 +68,53 @@ def test_zero_row_and_column_rejected():
         from_base_matrix([[1, -1]])
     with pytest.raises(ValueError):
         from_base_matrix([])
+
+
+def _exactly(message: str) -> str:
+    return f"^{re.escape(message)}$"
+
+
+@pytest.mark.parametrize("n_checks, n_vars, edges, error, pattern", [
+    (0, 1, [], ValueError,
+     _exactly("protograph needs at least one check and one variable")),
+    (1, 1, [(0, 0, 0), (0, 0, 0)], ValueError,
+     _exactly("edge ids must be unique and dense in [0, |E|-1]")),
+    (1, 1, [(0, 0, 0), (0, 0, 2)], ValueError,
+     _exactly("edge ids must be unique and dense in [0, |E|-1]")),
+    # the first offender in input order, not in id order
+    (1, 1, [(0, 0, 2), (0, 5, 1), (3, 0, 0)], ValueError,
+     _exactly("edge 1 endpoints (0, 5) out of range")),
+    # a degree-0 check is named before a degree-0 variable
+    (2, 2, [(0, 0, 0)], ValueError, _exactly("check node 1 has degree 0")),
+    (1, 1, [], ValueError, _exactly("check node 0 has degree 0")),
+    (1, 2, [(0, 1, 0)], ValueError, _exactly("variable node 0 has degree 0")),
+    # an end or id that equals an integer is still no integer
+    (1, 1, [(0, 0, 1.0), (0, 0, 0)], TypeError, "integers"),
+    (1, 1, [(0.0, 0, 0)], TypeError, "integers"),
+])
+def test_constructor_refuses_a_malformed_graph(n_checks, n_vars, edges, error,
+                                               pattern):
+    with pytest.raises(error, match=pattern):
+        Protograph(n_checks, n_vars, edges)
+
+
+def test_edges_are_one_read_only_form():
+    # each edge's check and variable are the arrays the runs group, built
+    # on first use, kept read-only through a pickle, and left out of it
+    p = permuted_protograph([[3, 1, 0], [1, 2, 2], [0, 1, 3]], 7)
+    assert "edge_runs" not in vars(p)
+    check_of, var_of, by_check, by_var = adjacency(p)
+    assert p.edge_runs  # built, then left out of the pickle
+    shipped = pickle.loads(pickle.dumps(p))
+    assert "edge_runs" not in vars(shipped)
+    for q in (p, shipped):
+        assert (q.edge_check.tolist(), q.edge_var.tolist()) == (check_of, var_of)
+        for at in (q.edge_check, q.edge_var):
+            assert at.dtype == np.intp and not at.flags.writeable
+        (at_var, by_v, _, _), (at_check, by_c, _, _), _ = q.edge_runs
+        assert at_var is q.edge_var and at_check is q.edge_check
+        assert by_v.tolist() == sum(by_var, [])
+        assert by_c.tolist() == sum(by_check, [])
 
 
 def test_edge_total_is_capped_before_any_edge(monkeypatch):
@@ -176,12 +227,16 @@ def test_canonicalization_idempotence(theta23):
 
 def test_ace_recomputed_from_adjacency(ensemble1_matrix):
     p = from_base_matrix(ensemble1_matrix)
+    _, var_of, by_check, by_var = adjacency(p)
+    assert [p.check_degree(c) for c in range(p.n_checks)] == \
+        list(map(len, by_check))
+    assert [p.var_degree(v) for v in range(p.n_vars)] == list(map(len, by_var))
     for rec in enumerate_closed_walks(p, 8):
-        var_seq = [p.edge_var[e] for e in rec.edge_seq[0::2]]
-        assert rec.ace == sum(p.var_degree(v) - 2 for v in var_seq)
+        var_seq = [var_of[e] for e in rec.edge_seq[0::2]]
+        assert rec.ace == sum(len(by_var[v]) - 2 for v in var_seq)
         assert rec.ace >= 0
         if rec.ace == 0:
-            assert all(p.var_degree(v) == 2 for v in var_seq)
+            assert all(len(by_var[v]) == 2 for v in var_seq)
 
 
 def test_walk_structure_invariants(theta23):
@@ -362,16 +417,16 @@ def _closed_words(p, max_len):
     """Every non-backtracking closed word of length <= max_len over edges
     >= its first edge, as the enumeration meets them, by length."""
     words = {}
+    check_of, var_of, by_check, by_var = adjacency(p)
 
     def grow(word):
         at_var = len(word) % 2
         e = word[-1]
-        node = (p.edge_var if at_var else p.edge_check)[e]
-        for f in (p.var_edges if at_var else p.check_edges)[node]:
+        node = (var_of if at_var else check_of)[e]
+        for f in (by_var if at_var else by_check)[node]:
             if f == e or f < word[0]:
                 continue
-            if at_var and p.edge_check[f] == p.edge_check[word[0]] \
-                    and f != word[0]:
+            if at_var and check_of[f] == check_of[word[0]] and f != word[0]:
                 words.setdefault(len(word) + 1, []).append(word + [f])
             if len(word) + 1 < max_len:
                 grow(word + [f])
@@ -519,13 +574,9 @@ def test_join_matches_the_dfs_oracle_on_the_reference_ensembles(
 def test_join_matches_the_dfs_oracle_with_permuted_edge_ids(rows, max_len):
     # every builder numbers a check's edges as one run of ids; here a check's
     # least edge is not the first id after the checks before it
-    base = from_base_matrix(rows)
-    perm = np.random.default_rng(5).permutation(base.n_edges)
-    p = Protograph(base.n_checks, base.n_vars,
-                   [(c, v, int(perm[e])) for e, (c, v)
-                    in enumerate(zip(base.edge_check, base.edge_var))])
+    p = permuted_protograph(rows, 5)
     assert any(es != list(range(es[0], es[0] + len(es)))
-               for es in p.check_edges)
+               for es in adjacency(p)[2])
     _assert_same_table(enumerate_closed_walks(p, max_len),
                        _oracle_table(p, max_len))
 
