@@ -99,6 +99,8 @@ class OptimizeResult:
     restarts_used: int
     worst_cycle: dict | None
     achieved: AceSpectrum | None = None  # a success's re-verified spectrum
+    # problematic walks no assignment fixes; not part of the JSON report
+    n_permanent: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,6 +207,8 @@ class _Tracker:
     valid; only the rows its walks have on other edges are evaluated
     again.
 
+    ``counts`` is ``_edge_counts(table)``, for a caller that has it.
+
     ``reset`` starts each functional as the sum of its rows' (or terms')
     coefficients times the values of their edges, the rule a move applies
     to a change, and fills ``viol`` for those values.  A walk without rows
@@ -215,7 +219,7 @@ class _Tracker:
     n_permanent = 0
 
     def __init__(self, table: WalkTable, n_values: int, bad: np.ndarray,
-                 pairs: bool, live=None):
+                 pairs: bool, live=None, counts=None):
         self.table = table
         self.n = n = len(table)
         self.n_values = V = n_values
@@ -226,7 +230,7 @@ class _Tracker:
                                               np.gcd(np.arange(V), V)), 2)
         self.bad = bad
         self.pair_walk = table.pair_walk if pairs else table.pair_walk[:0]
-        walk, edge, counted = _edge_counts(table)
+        walk, edge, counted = _edge_counts(table) if counts is None else counts
         factor = counted[-1]
         n_pairs = np.bincount(self.pair_walk, minlength=n)
         per_row = n_pairs[walk]
@@ -380,11 +384,12 @@ class _LabelTracker(_Tracker):
     Shifts are frozen, so the problematic walks are those whose realized
     lifts fall within the constraint with too little ACE.  A problematic
     lift of order O stays uncanceled (violates) while m = (q-1)/gcd(q-1, O)
-    divides the sum, that is, divides gcd(q-1, sum).  Lifts with chorded
-    supports (or m = 1, as over GF(2)) can never be canceled: they violate
-    at every gcd and count as permanent violations.  Such a walk keeps no
-    rows, so its sum stays 0, which no verdict reads: its ``bad`` row is
-    all True.
+    divides the sum, that is, divides gcd(q-1, sum).  Two kinds of lift can
+    never be canceled: one with a chorded support (or m = 1, as over
+    GF(2)), and one where m divides every coefficient of the sum, and so
+    the sum under every labeling.  Such a walk violates at every gcd and
+    counts as a permanent violation.  It keeps no rows, so its sum stays
+    0, which no verdict reads: its ``bad`` row is all True.
     """
 
     def __init__(self, code: QcCode, constraint: AceConstraint):
@@ -394,11 +399,17 @@ class _LabelTracker(_Tracker):
         ids = np.flatnonzero(problem)
         q = code.field.q
         m = (q - 1) // np.gcd(q - 1, order[ids])
-        cancelable = lifts_minimal(table, code, ids, d) & (m > 1)
+        walks = table.subset(problem)
+        walk, _, counted = counts = _edge_counts(walks)
+        # gcd(q-1, every coefficient of each walk's sum), in the
+        # coefficients' dtype: a gcd.at that casts is five times slower
+        g = np.full(len(ids), q - 1, counted.dtype)
+        np.gcd.at(g, walk, counted[-1])
+        cancelable = (lifts_minimal(table, code, ids, d) & (m > 1)
+                      & (g % m != 0))
         m = np.where(cancelable, m, 1)
-        super().__init__(table.subset(problem), q - 1,
-                         _divisors(q - 1) % m[:, None] == 0, pairs=False,
-                         live=cancelable)
+        super().__init__(walks, q - 1, _divisors(q - 1) % m[:, None] == 0,
+                         pairs=False, live=cancelable, counts=counts)
         self.n_permanent = int((~cancelable).sum())
         self.total_shift = d[ids]
 
@@ -433,7 +444,9 @@ def _optimize(tracker: _Tracker, n_edges: int, cfg: OptimizerConfig,
     Each restart draws the initial values, then the edge order.  The
     result reports the best restart, the first clean one ending the loop.
     With permanent violations no assignment can succeed, so a single
-    restart produces the best-effort failure report.
+    restart produces the best-effort failure report.  Only the label
+    stage has them: a lift with a chorded support, and one whose sum no
+    labeling moves off the multiples of m (see :class:`_LabelTracker`).
     """
     rng = np.random.default_rng(cfg.rng_seed)
     restarts = 1 if tracker.n_permanent > 0 else cfg.max_restarts
@@ -461,6 +474,7 @@ def _optimize(tracker: _Tracker, n_edges: int, cfg: OptimizerConfig,
         sweeps_used=sweeps_total,
         restarts_used=restart,
         worst_cycle=worst,
+        n_permanent=tracker.n_permanent,
     )
 
 
@@ -501,9 +515,11 @@ def assign_labels(
     """Search label exponents whose NB spectrum meets the constraint.
 
     Shifts are frozen; the problematic set is fixed by the lift and only
-    cancellation statuses move.  If any problematic cycle is outside the
-    cancellation hypothesis (chorded lift support) the search cannot
-    succeed and a single best-effort restart produces the failure report.
+    cancellation statuses move.  If any problematic cycle can never be
+    canceled, because its lift has a chorded support or because m divides
+    every coefficient of its label sum, the search cannot succeed and a
+    single best-effort restart produces the failure report, whose
+    ``n_permanent`` counts those cycles.
     """
     result = _optimize(_LabelTracker(code, constraint_nb),
                        code.proto.n_edges, cfg, history)
@@ -533,10 +549,14 @@ class SearchCandidate:
 
 class ConstructionFailure(Exception):
     """A stage of :func:`construct` missed its constraint; ``result`` is
-    that stage's best-effort report."""
+    that stage's best-effort report.  The message names the label stage's
+    permanent violations, when there are any."""
 
     def __init__(self, stage: str, result: OptimizeResult):
-        super().__init__(f"{stage} constraint not achieved")
+        n = result.n_permanent
+        reason = (f": {n} problematic cycle{'s are' if n > 1 else ' is'} "
+                  "uncanceled under every labeling" if n else "")
+        super().__init__(f"{stage} constraint not achieved{reason}")
         self.stage = stage
         self.result = result
 

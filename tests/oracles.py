@@ -686,9 +686,14 @@ class EdgeLabelTracker(EdgeTracker):
         ids = np.flatnonzero(problem)
         q = code.field.q
         m = (q - 1) // np.gcd(q - 1, order[ids])
-        cancelable = lifts_minimal(table, code, ids, d) & (m > 1)
+        minimal = lifts_minimal(table, code, ids, d)
         table = table.subset(problem)
         self.coef, _ = coefficient_rows(table)
+        # m divides the sum under every labeling when it divides q-1 and
+        # every coefficient: such a lift is never canceled
+        g = np.gcd.reduce(np.column_stack([self.coef,
+                                           np.full(len(ids), q - 1)]), axis=1)
+        cancelable = minimal & (m > 1) & (g % m != 0)
         super().__init__(table, np.where(cancelable, m, 1),
                          (self.coef != 0) & cancelable[:, None], q - 1,
                          self.coef)

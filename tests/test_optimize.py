@@ -15,14 +15,18 @@ from nbqc.lift import (
     AceConstraint,
     INF,
     QcCode,
+    _canceled,
     _check_collisions,
     binary_ace_spectrum,
     lift_cycle,
     lift_shifts,
+    lift_walks,
+    lifts_minimal,
     nb_ace_spectrum,
     walk_table,
 )
 from nbqc.optimize import (
+    ConstructionFailure,
     OptimizerConfig,
     _LabelTracker,
     _ShiftTracker,
@@ -36,6 +40,7 @@ from nbqc.optimize import (
 )
 from nbqc.protograph import enumerate_closed_walks, from_base_matrix
 
+from conftest import FIXTURES
 from oracles import (assign_labels_by_edge, assign_shifts_by_edge,
                      ring_protograph)
 
@@ -274,6 +279,40 @@ def test_assign_labels_gf2_degenerate(gf2, square22):
     assert not harder.success and harder.restarts_used == 1
 
 
+# the shifts of the greedy search's call 44 in tests/golden/optimize_runs.json
+# (GF(16)/Z=9, seed 1); call 45 labels them for (inf,inf,inf,inf,inf,5)
+SEARCH_CALL_44_SHIFTS = [1, 6, 0, 7, 0, 2, 7, 4, 5, 1, 8, 2, 5, 0, 0, 2, 0, 3,
+                         2, 5, 6, 7, 5, 3, 3, 3, 3, 0, 0, 3, 8, 8, 4, 1]
+
+
+def test_label_tracker_counts_walks_no_labeling_moves(ensemble1_matrix, gf16):
+    # two problematic 12-walks have label coefficients that m divides
+    # (all zero), so call 45 runs one restart and its residual is 4
+    proto = from_base_matrix(ensemble1_matrix)
+    code = QcCode(proto, 9, gf16, SEARCH_CALL_44_SHIFTS)
+    constraint = AceConstraint.parse("inf,inf,inf,inf,inf,5")
+    tracker = _LabelTracker(code, constraint)
+    assert tracker.n_permanent == 2
+    res = assign_labels(code, constraint, OptimizerConfig(rng_seed=1))
+    assert not res.success and res.restarts_used == 1
+    assert res.n_permanent == 2 and "n_permanent" not in res.to_json_dict()
+
+
+def test_label_failure_names_its_permanent_cycles(tmp_path, capsys):
+    # GF(2) cancels nothing: every problematic cycle is permanent
+    argv = ["construct", "--proto", str(FIXTURES / "proto_gf16_z9.txt"),
+            "--Z", "9", "--q", "2", "--ace-b", "inf,inf,inf,4",
+            "--ace-nb", "inf,inf,inf,inf,inf,4", "--seed", "1",
+            "--out", str(tmp_path / "code.json")]
+    assert main(argv) == EXIT_CONSTRAINT
+    assert capsys.readouterr().err == (
+        "error: label-assignment constraint not achieved: 212 problematic "
+        "cycles are uncanceled under every labeling\n"
+        '{"residual": 212, "restarts_used": 1, "stage": "label-assignment", '
+        '"success": false, "sweeps_used": 0, "worst_cycle": '
+        '{"ace": 1, "length": 4, "total_shift": 3}}\n')
+
+
 def test_assign_labels_single_4cycle_matches_bruteforce(gf16, square22):
     shifts = [0, 0, 0, 0]
     code = QcCode(square22, 3, gf16, shifts)
@@ -405,12 +444,13 @@ def test_spectrum_search_reaches_reference_pair(ensemble1_matrix, gf16):
     assert res.nb.achieves(target_nb)
 
 
-def _random_protograph(rng):
-    """Small base graph, parallel edges allowed, every variable degree >= 2,
-    at most 12 edges so a recount over every walk stays quick."""
+def _random_protograph(rng, most: int = 2):
+    """Small base graph, up to ``most`` parallel edges a cell, every
+    variable degree >= 2, at most 12 edges so a recount over every walk
+    stays quick."""
     while True:
-        m = rng.integers(0, 3, size=(int(rng.integers(2, 4)),
-                                     int(rng.integers(2, 5))))
+        m = rng.integers(0, most + 1, size=(int(rng.integers(2, 4)),
+                                            int(rng.integers(2, 5))))
         if (m.sum(axis=0).min() >= 2 and m.sum(axis=1).min() >= 1
                 and m.sum() <= 12):
             return from_base_matrix(m.tolist())
@@ -623,6 +663,40 @@ def test_tracker_start_equals_lift_layer_values(data):
     assert (tracker.bad[~has_rows].all(axis=1) | (want[~has_rows] == 0)).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_permanent_label_walks_never_cancel_and_the_others_can(data):
+    # a permanent walk stays uncanceled under random labelings; a kept
+    # walk is canceled by 1 on one edge whose coefficient m does not
+    # divide and 0 on every other edge.  Cells of three parallel edges
+    # give walks such as (a, b, c, a, b, c), whose coefficients are all 0
+    # (in about one draw in eight)
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    proto = _random_protograph(rng, most=3)
+    depth = draw(st.sampled_from([4, 6]))
+    Z = draw(st.integers(1, 12))
+    constraint = AceConstraint(depth, dict.fromkeys(range(2, depth + 1, 2),
+                                                    INF))
+    field = Field(draw(st.integers(2, 4)))
+    code = QcCode(proto, Z, field, rng.integers(0, Z, proto.n_edges))
+    tracker = _LabelTracker(code, constraint)
+    table, d = tracker.table, tracker.total_shift
+    permanent = np.flatnonzero(tracker.bad.all(axis=1))
+    for _ in range(8):
+        labels = rng.integers(0, field.q - 1, proto.n_edges)
+        assert not _canceled(table, code.with_labels(labels), permanent,
+                             d).any()
+    q1 = field.q - 1
+    m = q1 // np.gcd(q1, Z // np.gcd(d, Z))
+    coef = np.stack([table.prefix_sums(np.arange(proto.n_edges) == e)[-1]
+                     for e in range(proto.n_edges)])
+    for w in np.setdiff1d(np.arange(tracker.n), permanent).tolist():
+        e = np.flatnonzero(coef[:, w] % m[w])[0]
+        labels = (np.arange(proto.n_edges) == e).astype(np.int64)
+        assert _canceled(table, code.with_labels(labels), [w], d)[0]
+
+
 def _constraint(draw, depth):
     return AceConstraint(depth, {
         ll: draw(st.sampled_from([0, 1, 2, 3, 4, INF]))
@@ -672,3 +746,25 @@ def test_optimizers_match_per_edge_oracle(data):
         code = QcCode(proto, Z, field, shifts)
         _same_run(assign_labels, assign_labels_by_edge, code,
                   _constraint(draw, depth), cfg)
+
+
+def test_label_oracle_agrees_where_m_divides_every_coefficient():
+    # all six problematic lifts are minimal with m = 7, but one walk,
+    # (5, 6, 7, 5, 6, 7), crosses each edge once at an even position and
+    # once at an odd one: no labeling moves its sum, so both optimizers
+    # run one restart
+    proto = from_base_matrix([[1, 1], [1, 2], [3, 0]])
+    code = QcCode(proto, 8, Field(3), [2, 4, 4, 5, 4, 5, 1, 0])
+    constraint = AceConstraint(6, dict.fromkeys((2, 4, 6), INF))
+    table, d, order, realized = lift_walks(code, 6)
+    ids = np.flatnonzero(realized & (table.length * order <= 6))
+    assert len(ids) == 6 and lifts_minimal(table, code, ids, d).all()
+    assert _LabelTracker(code, constraint).n_permanent == 1
+    for seed in range(4):
+        cfg = OptimizerConfig(rng_seed=seed, max_restarts=4)
+        _same_run(assign_labels, assign_labels_by_edge, code, constraint, cfg)
+        res = assign_labels(code, constraint, cfg)
+        assert res.restarts_used == 1
+    assert str(ConstructionFailure("label-assignment", res)) == (
+        "label-assignment constraint not achieved: 1 problematic cycle is "
+        "uncanceled under every labeling")
