@@ -51,17 +51,20 @@ class SimConfig:
     mode: str = TRANSMIT_ALL_ZERO
 
     def __post_init__(self):
-        # -0 dB is the point 0 dB: one substream key and one output row
+        # -0 dB is the point 0 dB: one substream key and one output row,
+        # so giving both is giving one point twice
         self.snr_points_db = tuple(float(s) + 0.0 for s in self.snr_points_db)
         if not self.snr_points_db:
             raise ValueError("need at least one SNR point")
-        for s in self.snr_points_db:
+        for k, s in enumerate(self.snr_points_db):
             if math.isnan(s) or s == -math.inf:
                 raise ValueError(f"SNR point {s} is not a channel; "
                                  "only +inf (noiseless) may be infinite")
             if math.isfinite(s) and abs(s) > MAX_SNR_DB:
                 raise ValueError(f"SNR point {s} dB is outside "
                                  f"[-{MAX_SNR_DB}, {MAX_SNR_DB}]")
+            if s in self.snr_points_db[:k]:
+                raise ValueError(f"SNR point {s} dB is given twice")
         checked_int(self.min_block_errors, "min_block_errors", 1)
         checked_int(self.max_frames, "max_frames", 1)
         checked_int(self.max_iters, "max_iters", 1, MAX_ITERS)

@@ -537,6 +537,8 @@ def _bad_input_argv(tmp_path, desc):
         # parse to +-inf, but only a token spelling infinity is noiseless
         "snr-1e400": simulate + ["--snr", "1.4,1e400", "--out", out],
         "snr-minus-1e400": simulate + ["--snr=-1e400", "--out", out],
+        "snr-repeated": simulate + ["--snr", "2,2", "--out", out],
+        "snr-signed-zero": simulate + ["--snr", "0,-0", "--out", out],
         # one histogram bin per iteration count: 2^30 would be 8 GiB a point
         "max-iters-huge": simulate + ["--snr", "inf", "--max-iters",
                                       str(1 << 30), "--out", out],
@@ -602,7 +604,7 @@ def _bad_input_argv(tmp_path, desc):
     "construct-out", "construct-out-dir", "construct-out-file-parent",
     "construct-seed-minus-1", "snr-abc", "snr-nan",
     "snr-minus-inf", "snr-huge", "snr-1e400", "snr-minus-1e400",
-    "max-iters-huge", "workers0",
+    "snr-repeated", "snr-signed-zero", "max-iters-huge", "workers0",
     "env-workers", "simulate-out", "simulate-out-json-dir",
     "simulate-out-file-parent", "simulate-seed-minus-1", "export-out",
     "export-out-dir", "export-out-file-parent", "export-Z-huge",
@@ -642,6 +644,8 @@ def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
         assert "outside [-300.0, 300.0]" in err
     if "rate-0" in case:
         assert "design rate 0/21 is not in (0, 1)" in err
+    if case in ("snr-repeated", "snr-signed-zero"):
+        assert "is given twice" in err
     assert not (tmp_path / "dir.csv").exists()
 
 

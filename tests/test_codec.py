@@ -12,6 +12,8 @@ from nbqc.codec import (
     RankDeficiencyError,
     SparseGfMatrix,
     _leave_one_out,
+    _normalize,
+    _row_sums,
     fwht,
     rank,
 )
@@ -21,6 +23,7 @@ from nbqc.simulate import _frame_rng, channel_priors
 
 from oracles import (
     DenseEncoder,
+    _reference_normalize,
     dense_rank,
     map_decode,
     mul_vec,
@@ -343,6 +346,58 @@ def test_message_normalization_contract(gf4, monkeypatch):
     assert seen and max(seen) < 1e-9
 
 
+def _spread_rows(rng, rows, q):
+    """Rows over many binades, down into the subnormals, within a few
+    binades of each other inside a row so that the order of the adds
+    shows, with exact zeros (+0.0, and -0.0 past the first column) among
+    the values and one all-zero row."""
+    scale = 2.0 ** rng.integers(-1080, 60, size=(rows, 1))
+    a = rng.random((rows, q)) * 2.0 ** rng.integers(0, 6, size=(rows, q))
+    a *= scale
+    a[rng.random(a.shape) < 0.2] = 0.0
+    neg = rng.random(a.shape) < 0.1
+    neg[:, 0] = False
+    a[neg] = -0.0
+    a[1] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128, 256])
+def test_row_sums_bitwise_equal_numpy_sum(q):
+    rng = np.random.default_rng(q)
+    a = _spread_rows(rng, 400, q)
+    a[2] = 0.0
+    a[2, 0] = -0.0  # -0.0 plus +0.0 is +0.0 in every order
+    tiny = np.finfo(np.float64).tiny
+    assert ((a > 0.0) & (a < tiny)).any() and np.signbit(a[a == 0.0]).any()
+    for v in (a, a.reshape(100, 4, q)):  # the (rows, lanes, q) views
+        want = v.sum(axis=-1, keepdims=True)
+        assert _row_sums(v).tobytes() == want.tobytes()
+        if q >= 8:  # the data tells the orders apart: one by one differs
+            assert (np.cumsum(v, axis=-1)[..., -1:] != want).any()
+    # a row of only -0.0 is the one difference: numpy starts from +0.0
+    neg = np.full((3, q), -0.0)
+    assert (_row_sums(neg) == 0.0).all() and (neg.sum(axis=-1) == 0.0).all()
+
+
+def test_normalize_with_dead_rows_equals_reference(gf8):
+    # q = 8: the butterfly sums on both paths of _normalize
+    rng = np.random.default_rng(73)
+    a = np.abs(_spread_rows(rng, 4 * 300, 8))
+    a[rng.integers(0, len(a), 40)] = 0.0
+    zero = a.sum(axis=-1) <= 0.0
+    assert zero.sum() > 1
+    msgs = a.copy().reshape(-1, 4, 8)
+    dead = _normalize(msgs)
+    assert msgs.tobytes() == _reference_normalize(a).tobytes()
+    assert list(dead) == list(np.count_nonzero(zero.reshape(-1, 4), axis=0))
+    fine = np.abs(_spread_rows(rng, 4 * 300, 8))
+    fine[:, 0] = 1.0
+    msgs = fine.copy().reshape(-1, 4, 8)
+    assert _normalize(msgs) == 0
+    assert msgs.tobytes() == _reference_normalize(fine).tobytes()
+
+
 def _binary_spa(H01, prior1, max_iters):
     """Independent probability-domain binary sum-product (flooding)."""
     m, n = H01.shape
@@ -465,12 +520,16 @@ def test_slot_layout_matches_map_mostly(gf4):
     assert agree / trials >= 0.9
 
 
-def test_slot_layout_bitwise_equals_node_major_loop(gf4, monkeypatch):
-    rng = np.random.default_rng(53)
+def _noisy_frames(rng, n_vars, q, count, max_iters):
     frames = []
-    for _ in range(20):
-        priors = np.exp(rng.normal(0, 1.5, size=(6, 4)))
-        frames.append((priors / priors.sum(axis=1, keepdims=True), 15))
+    for _ in range(count):
+        priors = np.exp(rng.normal(0, 1.5, size=(n_vars, q)))
+        frames.append((priors / priors.sum(axis=1, keepdims=True), max_iters))
+    return frames
+
+
+def test_slot_layout_bitwise_equals_node_major_loop(gf4, monkeypatch):
+    frames = _noisy_frames(np.random.default_rng(53), 6, 4, 20, 15)
     _assert_normalized_like_node_major(QspaDecoder(_ragged_H(gf4)), frames,
                                        monkeypatch)
 
@@ -483,11 +542,7 @@ def test_slot_layout_degree_zero_variable(gf4, monkeypatch):
     decoder = QspaDecoder(H)
     assert list(np.bincount(decoder.e_var, minlength=4)) == [1, 2, 0, 2]
     assert decoder.var_order[-1] == 2
-    rng = np.random.default_rng(59)
-    frames = []
-    for _ in range(20):
-        priors = np.exp(rng.normal(0, 1.5, size=(4, 4)))
-        frames.append((priors / priors.sum(axis=1, keepdims=True), 15))
+    frames = _noisy_frames(np.random.default_rng(59), 4, 4, 20, 15)
     _assert_normalized_like_node_major(decoder, frames, monkeypatch)
     for priors, max_iters in frames:
         res = decoder.decode(priors, max_iters)
@@ -525,6 +580,22 @@ def test_check_slot_edge_cases_bitwise_equal_node_major(
         priors[zero & (rng.random(priors.shape) < 0.5)] = -0.0
         frames.append((priors, 15))
     assert any(np.signbit(p[p == 0.0]).any() for p, _ in frames)
+    _assert_normalized_like_node_major(QspaDecoder(H), frames, monkeypatch)
+
+
+def test_binary_ragged_bitwise_equals_node_major(gf2, gf4, monkeypatch):
+    # GF(2): rows of 2 symbols, below numpy's 8-accumulator loop
+    H = SparseGfMatrix.from_entries(
+        5, 6, [(r, c, 1) for r, c, _ in _ragged_H(gf4).entries()], gf2)
+    frames = _noisy_frames(np.random.default_rng(79), 6, 2, 20, 15)
+    _assert_normalized_like_node_major(QspaDecoder(H), frames, monkeypatch)
+
+
+def test_gf256_bitwise_equals_node_major(gf256, monkeypatch):
+    # GF(256): rows of 256 symbols, where numpy splits a row in halves
+    rng = np.random.default_rng(83)
+    H = random_sparse(rng, 3, 6, gf256, density=0.6)
+    frames = _noisy_frames(rng, 6, 256, 15, 8)
     _assert_normalized_like_node_major(QspaDecoder(H), frames, monkeypatch)
 
 

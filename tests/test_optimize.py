@@ -527,15 +527,31 @@ def _memo_recount(walks, code_of, violates):
     return recount
 
 
-@pytest.mark.parametrize("seed", range(16))
+def _divisible_walks(tracker, n_edges, Z, q1):
+    """Walks of the label tracker whose lift order's m > 1 divides every
+    label coefficient: no labeling cancels them."""
+    d = tracker.total_shift
+    m = q1 // np.gcd(q1, Z // np.gcd(d, Z))
+    coef = np.stack([tracker.table.prefix_sums(np.arange(n_edges) == e)[-1]
+                     for e in range(n_edges)])
+    return int(((m > 1) & (coef % m == 0).all(axis=0)).sum())
+
+
+# cells of up to three parallel edges: each of these seeds draws a code
+# with a walk that m divides, which 300 draws of cells of two never gave
+_DIVISIBLE_SEEDS = (45, 152)
+
+
+@pytest.mark.parametrize("seed", [*range(16), *_DIVISIBLE_SEEDS])
 def test_trackers_match_lift_cycle_recount(seed):
     rng = np.random.default_rng(seed)
     # the fixed graph reaches walks that cross one edge both ways around
     # a revisited node, so that edge moves only a partial-sum difference
     # the count rows are recounted after reset and the first count_steps
     # applies; each recount of the depth-10 graph lifts many more walks
-    if seed < 12:
-        proto, depth, count_steps = _random_protograph(rng), 6, 5
+    if seed < 12 or seed in _DIVISIBLE_SEEDS:
+        most = 3 if seed in _DIVISIBLE_SEEDS else 2
+        proto, depth, count_steps = _random_protograph(rng, most), 6, 5
     else:
         proto, depth, count_steps = from_base_matrix([[2, 2], [1, 1]]), 10, 2
     Z = int(rng.integers(1, 9))
@@ -561,10 +577,12 @@ def test_trackers_match_lift_cycle_recount(seed):
     assert tracker.table == [
         rec for rec in walks if _violating(lift_cycle(rec, code), constraint)
     ]
+    q1 = field.q - 1
+    if seed in _DIVISIBLE_SEEDS:
+        assert _divisible_walks(tracker, proto.n_edges, Z, q1) > 0
 
     label_count = _memo_recount(tracker.table, code.with_labels,
                                 lambda lc: not lc.canceled)
-    q1 = field.q - 1
     _check_tracker(tracker, rng.integers(0, q1, proto.n_edges), label_count,
                    rng, q1, count_steps=count_steps)
 
@@ -602,7 +620,7 @@ def _check_coefficients(tracker, n_edges, live, with_pairs):
 def test_tracker_coefficients_are_one_hot_prefix_sums(data):
     draw = data.draw
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    proto = _random_protograph(rng)
+    proto = _random_protograph(rng, most=draw(st.sampled_from([2, 3])))
     depth = draw(st.sampled_from([2, 4, 6]))
     Z = draw(st.integers(1, 12))
     # every realized lift within the depth is problematic
@@ -630,7 +648,8 @@ def test_tracker_start_equals_lift_layer_values(data):
     # They agree after reset and after moves.
     draw = data.draw
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    proto = _random_protograph(rng)
+    # cells of three parallel edges give walks that m divides
+    proto = _random_protograph(rng, most=draw(st.sampled_from([2, 3])))
     depth = draw(st.sampled_from([2, 4, 6]))
     Z = draw(st.integers(1, 12))
     constraint = AceConstraint(depth, dict.fromkeys(range(2, depth + 1, 2),

@@ -33,6 +33,10 @@ def test_config_validation():
         SimConfig(snr_points_db=(1.0,), max_frames=10, min_block_errors=0)
     with pytest.raises(ValueError):
         SimConfig(snr_points_db=(1.0,), max_frames=10, mode="qam")
+    # -0 dB is 0 dB: one substream key and one output row
+    for twice in ((2.0, 2.0), (0.0, -0.0), (1.0, math.inf, math.inf)):
+        with pytest.raises(ValueError, match="is given twice"):
+            SimConfig(snr_points_db=twice, max_frames=10)
 
 
 def test_config_rejects_non_finite_snr_except_noiseless():
