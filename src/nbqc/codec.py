@@ -39,46 +39,47 @@ class RankDeficiencyError(ValueError):
 
 
 class SparseGfMatrix:
-    """Row-major sparse matrix over GF(q); no stored zeros, no duplicates."""
+    """Sparse matrix over GF(q) as its sorted nonzero entries.
 
-    def __init__(self, n_rows: int, n_cols: int, rows, field: Field):
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.field = field
-        self.rows: list[list[tuple[int, int]]] = [sorted(r) for r in rows]
-        if len(self.rows) != n_rows:
-            raise ValueError("row count mismatch")
-        for r in self.rows:
-            cols = [c for c, _ in r]
-            if len(set(cols)) != len(cols):
-                raise ValueError("duplicate column in row")
-            for c, v in r:
-                if not 0 <= c < n_cols:
-                    raise ValueError("column index out of range")
-                if not 0 < v < field.q:
-                    raise ValueError("stored values must be nonzero field elements")
+    ``row``, ``col`` and ``value`` are read-only int64 arrays in row-major
+    order, with no zero value and no cell twice; row i is the span
+    ``row_ptr[i]:row_ptr[i + 1]``.  ``entries`` is an integer array or
+    sequence of ``(row, col, value)`` triplets; triplets of one cell are
+    summed with GF addition (XOR), and a cell that sums to 0 is dropped.
+    """
 
-    @classmethod
-    def from_entries(cls, n_rows, n_cols, entries, field: Field) -> "SparseGfMatrix":
-        """Accumulate (row, col, value) triplets with GF addition."""
-        acc: list[dict[int, int]] = [dict() for _ in range(n_rows)]
-        for r, c, v in entries:
-            acc[r][c] = field.add(acc[r].get(c, 0), v)
-        rows = [[(c, v) for c, v in sorted(d.items()) if v != 0] for d in acc]
-        return cls(n_rows, n_cols, rows, field)
-
-    def entries(self):
-        for i, row in enumerate(self.rows):
-            for c, v in row:
-                yield i, c, v
+    def __init__(self, n_rows: int, n_cols: int, entries, field: Field):
+        self.n_rows, self.n_cols, self.field = n_rows, n_cols, field
+        t = np.asarray(entries)
+        if t.size and (t.ndim != 2 or t.shape[1] != 3
+                       or t.dtype.kind not in "iu"):
+            raise ValueError("entries must be integer (row, col, value) "
+                             "triplets")
+        t = t.astype(np.int64).reshape(-1, 3)
+        for a, hi, name in zip(t.T, (n_rows, n_cols, field.q),
+                               ("row", "column", "value")):
+            if len(a) and (a.min() < 0 or a.max() >= hi):
+                bad = a[(a < 0) | (a >= hi)][0]
+                raise ValueError(f"{name} {bad} out of range [0, {hi})")
+        # cells in row-major order, each the XOR of its triplets' values
+        cell, at = np.unique(t[:, 0] * n_cols + t[:, 1], return_inverse=True)
+        value = np.zeros(len(cell), np.int64)
+        np.bitwise_xor.at(value, at, t[:, 2])
+        keep = value != 0
+        self.row, self.col = np.divmod(cell[keep], n_cols)
+        self.value = value[keep]
+        self.row_ptr = np.searchsorted(self.row, np.arange(n_rows + 1))
+        for a in (self.row, self.col, self.value, self.row_ptr):
+            a.flags.writeable = False
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseGfMatrix)
-            and self.n_rows == other.n_rows
-            and self.n_cols == other.n_cols
-            and self.field == other.field
-            and self.rows == other.rows
+            and (self.n_rows, self.n_cols, self.field)
+            == (other.n_rows, other.n_cols, other.field)
+            and all(np.array_equal(a, b) for a, b in zip(
+                (self.row, self.col, self.value),
+                (other.row, other.col, other.value)))
         )
 
 
@@ -91,7 +92,9 @@ def _echelon(H: SparseGfMatrix) -> dict[int, dict[int, int]]:
     """
     f = H.field
     pivots: dict[int, dict[int, int]] = {}
-    for r in (dict(row) for row in H.rows):
+    cols, values, ptr = H.col.tolist(), H.value.tolist(), H.row_ptr.tolist()
+    for lo, hi in zip(ptr, ptr[1:]):
+        r = dict(zip(cols[lo:hi], values[lo:hi]))
         # eliminate known pivots, then normalize on the first survivor
         for c in sorted(set(r) & set(pivots)):
             factor = r.pop(c)
@@ -339,9 +342,9 @@ class QspaDecoder:
     Messages are stored edge-major, one row per edge, with edges numbered
     variable-slot-major: variables are sorted by degree (descending,
     stable; ``var_order[k]`` is the variable at sorted position k), and
-    slot i (the i-th edge of a variable, in ``H.entries()`` order) of every
+    slot i (the i-th edge of a variable, in H's entry order) of every
     variable of degree > i is one contiguous block of rows, in sorted
-    order.  ``edge_order[k]`` is the ``H.entries()`` index of edge k.  The
+    order.  ``edge_order[k]`` is the H entry index of edge k.  The
     variable half-iteration therefore reads and writes whole blocks: its
     prefix and suffix scans multiply shrinking row prefixes of consecutive
     blocks, with no gather, no scatter and no padding, and the posterior
@@ -350,7 +353,7 @@ class QspaDecoder:
 
     The check side runs in padded check-slot order on two symbol-major
     ``(q, max check degree x checks)`` buffers: column ``i * checks + c``
-    holds slot i (the i-th edge, in ``H.entries()`` order) of check c.
+    holds slot i (the i-th edge, in H's entry order) of check c.
     Pads read the spare point-mass row, whose spectrum is all 1.0, so they
     only append exact factors of 1.0.  Work there scales with the slot
     overhead, checks x max degree / edges: 1.03 on the GF(16)/Z=9
@@ -400,7 +403,7 @@ class QspaDecoder:
         self.field = H.field
         self.q = q = H.field.q
         self.lanes = B = checked_int(lanes, "lanes", 1)
-        edges = np.array(list(H.entries()), dtype=np.int64).reshape(-1, 3)
+        edges = np.stack([H.row, H.col, H.value], axis=1)
         if not len(edges):
             raise ValueError("cannot decode an all-zero parity-check matrix")
         # the block-diagonal matrix's entries: check, then copy, then H's

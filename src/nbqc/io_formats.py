@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__ as _tool_version
 from .codec import SparseGfMatrix
 from .gf import Field, checked_int
@@ -157,26 +159,22 @@ def _verify_metadata(code: QcCode, meta: dict) -> None:
             )
 
 
-def _column_entries(H: SparseGfMatrix) -> list[list[tuple[int, int]]]:
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(H.n_cols)]
-    for i, c, v in H.entries():
-        cols[c].append((i, v))
-    return cols
-
-
 def _write_alist(H: SparseGfMatrix, header: str, entry) -> str:
     """alist skeleton; ``entry(index, value)`` prints one list entry."""
-    cols = _column_entries(H)
-    col_deg = [len(c) for c in cols]
-    row_deg = [len(r) for r in H.rows]
+    by_col = np.lexsort((H.row, H.col))
+    col_deg = np.bincount(H.col, minlength=H.n_cols)
+    row_deg = np.diff(H.row_ptr)
+    words = [entry(i, v) for i, v in zip(
+        H.row[by_col].tolist() + H.col.tolist(),
+        H.value[by_col].tolist() + H.value.tolist())]
+    ends = np.cumsum(np.append(col_deg, row_deg)).tolist()
     lines = [
         header,
-        f"{max(col_deg)} {max(row_deg)}",
-        " ".join(str(d) for d in col_deg),
-        " ".join(str(d) for d in row_deg),
+        f"{col_deg.max()} {row_deg.max()}",
+        " ".join(map(str, col_deg.tolist())),
+        " ".join(map(str, row_deg.tolist())),
     ]
-    for entries in cols + H.rows:
-        lines.append(" ".join(entry(i, v) for i, v in entries))
+    lines += [" ".join(words[lo:hi]) for lo, hi in zip([0] + ends, ends)]
     return "\n".join(lines) + "\n"
 
 
@@ -235,7 +233,7 @@ def write_alist(H: SparseGfMatrix) -> str:
 def read_alist(text: str) -> SparseGfMatrix:
     """Binary matrix from alist text; padding zeros are tolerated."""
     (n, m), entries = _read_alist(text, 2, 1)
-    return SparseGfMatrix.from_entries(
+    return SparseGfMatrix(
         m, n, [(i, j, 1) for i, j in entries], Field(1)
     )
 
@@ -261,7 +259,7 @@ def read_nb_alist(text: str, field: Field | None = None) -> SparseGfMatrix:
         raise ValueError(f"field size {field.q} does not match header q={q}")
     for i, j, val in entries:
         checked_int(val, f"value of column {j + 1}", 1, q - 1)
-    return SparseGfMatrix.from_entries(
+    return SparseGfMatrix(
         m, n, [(i, j, field.pow_alpha(val - 1)) for i, j, val in entries], field
     )
 

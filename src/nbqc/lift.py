@@ -347,8 +347,7 @@ def walk_table(proto: Protograph, depth: int) -> WalkTable:
 
 
 def lift_shifts(table: WalkTable, shifts: np.ndarray, Z: int, start: int = 0):
-    """Total shift, realizability and pair differences, all mod Z, of the
-    walks ``start`` onward and of their pairs."""
+    """Total shift mod Z and realizability of the walks ``start`` onward."""
     d = np.empty(len(table) - start, np.int64)
     realized = np.empty(len(d), bool)
     # a block of walks at a time bounds the temporaries; bounds[b] is the
@@ -356,17 +355,15 @@ def lift_shifts(table: WalkTable, shifts: np.ndarray, Z: int, start: int = 0):
     starts = np.arange(start, len(table) + _BLOCK, _BLOCK,
                        table.pair_walk.dtype)
     bounds = np.searchsorted(table.pair_walk, starts).tolist()
-    pairs = np.empty(bounds[-1] - bounds[0], np.int32)
     for b, lo in enumerate(starts[:-1].tolist()):
         walks = slice(lo - start, lo - start + _BLOCK)
         sums = table.prefix_sums(shifts, slice(lo, lo + _BLOCK))
         d[walks] = sums[-1] % Z
         k = slice(bounds[b], bounds[b + 1])
-        out = slice(bounds[b] - bounds[0], bounds[b + 1] - bounds[0])
         w = table.pair_walk[k] - lo
-        pairs[out] = span_sums(sums, w, table.p1[k], table.p2[k]) % Z
-        realized[walks] = realized_lifts(np.gcd(d[walks], Z), w, pairs[out])
-    return d, realized, pairs
+        pairs = span_sums(sums, w, table.p1[k], table.p2[k]) % Z
+        realized[walks] = realized_lifts(np.gcd(d[walks], Z), w, pairs)
+    return d, realized
 
 
 def lift_walks(code: QcCode, depth: int):
@@ -410,7 +407,7 @@ def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
 def lift_is_minimal(base: CycleRecord, code: QcCode) -> bool:
     """Whether the realized lifts of a base walk are chordless in the lift."""
     table = WalkTable(code.proto, [base.edge_seq], [base.length])
-    d, _realized, _pairs = lift_shifts(table, code.shifts, code.Z)
+    d, _realized = lift_shifts(table, code.shifts, code.Z)
     return bool(lifts_minimal(table, code, [0], d)[0])
 
 
@@ -431,7 +428,7 @@ def _canceled(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
 def lift_cycle(base: CycleRecord, code: QcCode) -> LiftedCycleClass:
     """Order, multiplicity, realizability and cancellation of a walk's lift."""
     table = WalkTable(code.proto, [base.edge_seq], [base.length])
-    d, realized, _pairs = lift_shifts(table, code.shifts, code.Z)
+    d, realized = lift_shifts(table, code.shifts, code.Z)
     order = code.Z // math.gcd(code.Z, int(d[0]))
     canceled = None
     if code.labels is not None:
@@ -471,7 +468,7 @@ class CanonicalCycleMatrix:
         for i in range(half):
             entries.append((i, i, self.betas[2 * i]))
             entries.append((i, (i + 1) % half, self.betas[2 * i + 1]))
-        return SparseGfMatrix.from_entries(half, half, entries, field)
+        return SparseGfMatrix(half, half, entries, field)
 
 
 def frc_canonical(betas, field: Field) -> bool:
@@ -565,19 +562,16 @@ def expand(code: QcCode) -> SparseGfMatrix:
         raise ValueError("expansion over GF(q) requires labels; "
                          "use expand_binary for the mother matrix")
     _check_collisions(code)
-    f, Z, lam = code.field, code.Z, code.lambda_mult
-    qm1 = f.q - 1
-    entries = []
-    for c, v, d, rho in zip(code.proto.edge_check.tolist(),
-                            code.proto.edge_var.tolist(),
-                            code.shifts.tolist(), code.labels.tolist()):
-        for i in range(Z):
-            entries.append(
-                (c * Z + i, v * Z + (i + d) % Z, f.pow_alpha((rho + i * lam) % qm1))
-            )
-    return SparseGfMatrix.from_entries(
-        code.proto.n_checks * Z, code.proto.n_vars * Z, entries, f
-    )
+    f, Z, proto, qm1 = code.field, code.Z, code.proto, code.field.q - 1
+    i = np.arange(Z)
+    # lambda is reduced first: a descriptor may give any multiple
+    exponents = (code.labels[:, None] + i * (code.lambda_mult % qm1)) % qm1
+    entries = np.stack(np.broadcast_arrays(
+        proto.edge_check[:, None] * Z + i,
+        proto.edge_var[:, None] * Z + (i + code.shifts[:, None]) % Z,
+        np.array(f.exp_table, np.int64)[exponents]), axis=-1)
+    return SparseGfMatrix(proto.n_checks * Z, proto.n_vars * Z,
+                          entries.reshape(-1, 3), f)
 
 
 def expand_binary(code: QcCode) -> SparseGfMatrix:

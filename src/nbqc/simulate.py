@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -348,6 +347,9 @@ def run_campaign(code: QcCode, cfg: SimConfig, workers: int = 1) -> SimResult:
         points = [_run_point(snr, cfg, evaluator.outcomes(
             snr, range(cfg.max_frames))) for snr in cfg.snr_points_db]
     else:
+        # imported here: it loads multiprocessing, which only a pool needs
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(workers, _CHUNK)
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init,

@@ -41,7 +41,8 @@ from nbqc.lift import (AceConstraint, QcCode, lift_shifts, lift_walks,
 from nbqc.optimize import (OptimizeResult, OptimizerConfig, _divisors,
                            _order_violations, _violates,
                            find_problematic_binary)
-from nbqc.protograph import CycleRecord, DegreeProfile, Protograph, WalkTable
+from nbqc.protograph import (CycleRecord, DegreeProfile, Protograph, WalkTable,
+                             span_sums)
 
 
 def ring_protograph(half: int) -> Protograph:
@@ -115,7 +116,7 @@ def lifted_cycle_matrix(half, Z, field: Field, lam, shifts, rhos) -> SparseGfMat
                         field.pow_alpha((rho + row * lam) % qm1),
                     )
                 )
-    return SparseGfMatrix.from_entries(half * Z, half * Z, entries, field)
+    return SparseGfMatrix(half * Z, half * Z, entries, field)
 
 
 def clmul_mod(a: int, b: int, poly: int, r: int) -> int:
@@ -168,12 +169,12 @@ def _mul(field: Field, a: int, b: int) -> int:
 
 
 def nnz(H: SparseGfMatrix) -> int:
-    return sum(len(r) for r in H.rows)
+    return len(H.value)
 
 
 def to_dense(H: SparseGfMatrix) -> np.ndarray:
     d = np.zeros((H.n_rows, H.n_cols), dtype=np.int64)
-    for i, c, v in H.entries():
+    for i, c, v in zip(H.row.tolist(), H.col.tolist(), H.value.tolist()):
         d[i, c] = v
     return d
 
@@ -181,16 +182,13 @@ def to_dense(H: SparseGfMatrix) -> np.ndarray:
 def mul_vec(H: SparseGfMatrix, vec) -> np.ndarray:
     """Syndrome H * vec over GF(q)."""
     out = np.zeros(H.n_rows, dtype=np.int64)
-    for i, row in enumerate(H.rows):
-        s = 0
-        for c, v in row:
-            s ^= _mul(H.field, v, int(vec[c]))
-        out[i] = s
+    for i, c, v in zip(H.row.tolist(), H.col.tolist(), H.value.tolist()):
+        out[i] ^= _mul(H.field, v, int(vec[c]))
     return out
 
 
 def support(H: SparseGfMatrix) -> set[tuple[int, int]]:
-    return {(i, c) for i, c, _ in H.entries()}
+    return set(zip(H.row.tolist(), H.col.tolist()))
 
 
 def profile_deviation(mine: DegreeProfile, target: DegreeProfile) -> float:
@@ -665,7 +663,9 @@ class EdgeShiftTracker(EdgeTracker):
 
     def reset(self, shifts: np.ndarray) -> None:
         self.values = shifts
-        d, realized, pairs = lift_shifts(self.table, shifts, self.Z)
+        d, realized = lift_shifts(self.table, shifts, self.Z)
+        t = self.table
+        pairs = span_sums(t.prefix_sums(shifts), t.pair_walk, t.p1, t.p2) % self.Z
         self.cur = np.concatenate([d, pairs])
         self.total_shift = self.cur[:self.n]
         self.violated = self.viol_by_order[np.arange(self.n), self.column[d]] & realized
@@ -1057,7 +1057,7 @@ def node_major_qspa(H: SparseGfMatrix, priors: np.ndarray, max_iters: int,
     to ``normalized`` as a copy when a list is given.
     """
     field, q = H.field, H.field.q
-    edges = np.array(list(H.entries()), dtype=np.int64).reshape(-1, 3)
+    edges = np.stack([H.row, H.col, H.value], axis=1)
     spare = len(edges)
     e_check, e_var, e_label = edges.T
     from_check_idx = field.mul_table[np.append(e_label, 1)]

@@ -229,7 +229,7 @@ def _single_loop_code():
     for i in range(6):
         entries.append((i, i, 1))
         entries.append((i, (i + 1) % 6, 1))
-    return SparseGfMatrix.from_entries(6, 6, entries, f4), f4
+    return SparseGfMatrix(6, 6, entries, f4), f4
 
 
 def test_criterion_5_decoder_map_agreement():

@@ -291,7 +291,7 @@ def test_export_roundtrips(tmp_path, proto_file, capsys):
 
 def test_alist_matches_handwritten_fixture(gf2):
     # 2x4 binary H: rows (1,1,0,1) and (0,1,1,1)
-    H = SparseGfMatrix.from_entries(
+    H = SparseGfMatrix(
         2, 4,
         [(0, 0, 1), (0, 1, 1), (0, 3, 1), (1, 1, 1), (1, 2, 1), (1, 3, 1)],
         gf2,
@@ -313,7 +313,7 @@ def test_alist_matches_handwritten_fixture(gf2):
 
 
 def test_nb_alist_value_convention(gf4):
-    H = SparseGfMatrix.from_entries(1, 2, [(0, 0, 1), (0, 1, 3)], gf4)
+    H = SparseGfMatrix(1, 2, [(0, 0, 1), (0, 1, 3)], gf4)
     text = write_nb_alist(H)
     lines = text.splitlines()
     assert lines[0] == "2 1 4"
@@ -668,6 +668,19 @@ def test_module_run_exits_as_main_does(tmp_path, capsys):
         assert run.returncode == code
     assert run.stderr.startswith("error: cannot load descriptor")
     assert run.stderr.count("\n") == 1
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only a campaign with workers > 1 imports the pool and multiprocessing
+    import nbqc
+
+    env = {**os.environ, "PYTHONPATH": str(Path(nbqc.__file__).parents[1])}
+    probe = ("import sys, nbqc.cli; print(sorted(m for m in sys.modules if m "
+             "in ('concurrent.futures.process', 'multiprocessing')))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_console_script_target_runs_main(monkeypatch, capsys):

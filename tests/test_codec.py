@@ -43,18 +43,39 @@ def random_sparse(rng, m, n, field, density=0.4):
         for j in range(n):
             if rng.random() < density:
                 entries.append((i, j, int(rng.integers(1, field.q))))
-    return SparseGfMatrix.from_entries(m, n, entries, field)
+    return SparseGfMatrix(m, n, entries, field)
 
 
 def test_identity_rank(gf16):
-    I = SparseGfMatrix.from_entries(5, 5, [(i, i, 1) for i in range(5)], gf16)
+    I = SparseGfMatrix(5, 5, [(i, i, 1) for i in range(5)], gf16)
     assert rank(I) == 5
     assert rank(I) == min(I.n_rows, I.n_cols)
 
 
 def test_duplicate_entries_accumulate(gf4):
-    M = SparseGfMatrix.from_entries(1, 1, [(0, 0, 3), (0, 0, 3)], gf4)
+    M = SparseGfMatrix(1, 1, [(0, 0, 3), (0, 0, 3)], gf4)
     assert nnz(M) == 0
+    # 1 ^ 2 ^ 1 = 2 in cell (1, 0); cell (0, 1) keeps its one entry
+    M = SparseGfMatrix(2, 2, [(1, 0, 1), (0, 1, 3), (1, 0, 2), (1, 0, 1)],
+                       gf4)
+    assert (M.row.tolist(), M.col.tolist(), M.value.tolist()) == (
+        [0, 1], [1, 0], [3, 2])
+    assert M.row_ptr.tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("entry", [(-1, 0, 1), (2, 0, 1), (0, -1, 1),
+                                   (0, 3, 1), (0, 0, -1), (0, 0, 4)])
+def test_entry_out_of_range_is_refused(gf4, entry):
+    # a negative row would index the last row, and row n_rows past it
+    with pytest.raises(ValueError, match="out of range"):
+        SparseGfMatrix(2, 3, [(1, 1, 1), entry], gf4)
+
+
+@pytest.mark.parametrize("entries", [[(0, 0)], [(0, 0, 1.0)], [[(0, 0, 1)]],
+                                     [("0", 0, 1)]])
+def test_entries_must_be_integer_triplets(gf4, entries):
+    with pytest.raises(ValueError, match="triplets"):
+        SparseGfMatrix(2, 3, entries, gf4)
 
 
 def test_rank_matches_dense_oracle_random(gf16):
@@ -74,7 +95,7 @@ def test_rank_matches_dense_oracle_other_fields(q):
 
 
 def test_encoder_zero_message_gives_zero_codeword(gf4):
-    H = SparseGfMatrix.from_entries(
+    H = SparseGfMatrix(
         2, 4,
         [(0, 0, 1), (0, 1, 2), (0, 2, 1), (1, 1, 3), (1, 2, 1), (1, 3, 2)],
         gf4,
@@ -97,7 +118,7 @@ def test_encoder_outputs_satisfy_syndrome(gf8):
 
 
 def test_encoder_matches_bruteforce_codeword_set(gf4):
-    H = SparseGfMatrix.from_entries(
+    H = SparseGfMatrix(
         2, 4,
         [(0, 0, 1), (0, 1, 2), (0, 2, 1), (1, 1, 3), (1, 2, 1), (1, 3, 2)],
         gf4,
@@ -113,7 +134,7 @@ def test_encoder_matches_bruteforce_codeword_set(gf4):
 
 
 def test_rank_deficient_encode_reports_rank(gf4):
-    H = SparseGfMatrix.from_entries(
+    H = SparseGfMatrix(
         2, 4, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)], gf4
     )
     with pytest.raises(RankDeficiencyError) as info:
@@ -201,7 +222,7 @@ def _assert_normalized_like_node_major(decoder, frames, monkeypatch):
         # per iteration: variable-to-check messages and check-to-variable
         # messages, one row per edge in the decoder's numbering, and the
         # posterior, one row per variable in its sorted order; each goes
-        # back to H.entries() edge order or node order before comparing
+        # back to H's entry order (row-major) or node order before comparing
         for k, (a, b) in enumerate(zip(seen, ref)):
             order = decoder.var_order if k % 3 == 1 else decoder.edge_order
             back = np.empty_like(a)
@@ -224,7 +245,7 @@ def test_decoder_bitwise_equals_node_major_loop(desc, monkeypatch):
 
 
 def _toy_H(field):
-    return SparseGfMatrix.from_entries(
+    return SparseGfMatrix(
         2, 4,
         [(0, 0, 1), (0, 1, 2), (0, 2, 1), (1, 1, 3), (1, 2, 1), (1, 3, 2)],
         field,
@@ -446,7 +467,7 @@ def test_qspa_with_unit_labels_equals_binary_spa(gf4):
         for j in range(6):
             if H01[i, j]:
                 entries.append((i, j, 1))
-    H = SparseGfMatrix.from_entries(3, 6, entries, gf4)
+    H = SparseGfMatrix(3, 6, entries, gf4)
     decoder = QspaDecoder(H)
     for _ in range(40):
         prior1 = rng.uniform(0.05, 0.95, size=6)
@@ -462,7 +483,7 @@ def test_qspa_with_unit_labels_equals_binary_spa(gf4):
 
 def _ragged_H(field):
     """5x6 matrix with an empty check (row 2) and variable degrees 1..4."""
-    return SparseGfMatrix.from_entries(
+    return SparseGfMatrix(
         5, 6,
         [(0, 0, 1), (0, 2, 2), (0, 3, 3), (0, 5, 1),
          (1, 1, 2), (1, 2, 1), (1, 3, 1),
@@ -482,7 +503,7 @@ def test_slot_layout_edge_cases(gf4):
     # variable degrees 1 to 4
     H = _ragged_H(gf4)
     decoder = QspaDecoder(H)
-    assert sorted(len(r) for r in H.rows) == [0, 3, 3, 4, 4]
+    assert sorted(np.diff(H.row_ptr).tolist()) == [0, 3, 3, 4, 4]
     assert sorted(np.bincount(decoder.e_var)) == [1, 2, 2, 2, 3, 4]
     codewords = _codewords(H)
     assert len(codewords) == 16
@@ -537,7 +558,7 @@ def test_slot_layout_bitwise_equals_node_major_loop(gf4, monkeypatch):
 def test_slot_layout_degree_zero_variable(gf4, monkeypatch):
     # an all-zero column: the variable has no slot at all, sorts last and
     # its posterior is its prior
-    H = SparseGfMatrix.from_entries(
+    H = SparseGfMatrix(
         2, 4, [(0, 0, 1), (0, 1, 2), (0, 3, 3), (1, 1, 3), (1, 3, 1)], gf4)
     decoder = QspaDecoder(H)
     assert list(np.bincount(decoder.e_var, minlength=4)) == [1, 2, 0, 2]
@@ -552,7 +573,7 @@ def test_slot_layout_degree_zero_variable(gf4, monkeypatch):
 def _degree_one_check_H(field):
     """4x6 matrix: check 1 holds one edge, check 3 none, and variable 2
     sits in the degree-1 check and in check 2."""
-    return SparseGfMatrix.from_entries(
+    return SparseGfMatrix(
         4, 6,
         [(0, 0, 1), (0, 1, 2), (0, 3, 3), (0, 5, 1),
          (1, 2, 3),
@@ -568,7 +589,7 @@ def test_check_slot_edge_cases_bitwise_equal_node_major(
     # an all-pad check column, a degree-1 check, and priors holding -0.0
     # (valid input), which must reach the products as +0.0
     H = make_H(gf4)
-    assert sorted(len(r) for r in H.rows) == check_degrees
+    assert sorted(np.diff(H.row_ptr).tolist()) == check_degrees
     rng = np.random.default_rng(67)
     frames = []
     for _ in range(20):
@@ -585,8 +606,9 @@ def test_check_slot_edge_cases_bitwise_equal_node_major(
 
 def test_binary_ragged_bitwise_equals_node_major(gf2, gf4, monkeypatch):
     # GF(2): rows of 2 symbols, below numpy's 8-accumulator loop
-    H = SparseGfMatrix.from_entries(
-        5, 6, [(r, c, 1) for r, c, _ in _ragged_H(gf4).entries()], gf2)
+    ragged = _ragged_H(gf4)
+    H = SparseGfMatrix(5, 6, [(r, c, 1) for r, c in zip(
+        ragged.row.tolist(), ragged.col.tolist())], gf2)
     frames = _noisy_frames(np.random.default_rng(79), 6, 2, 20, 15)
     _assert_normalized_like_node_major(QspaDecoder(H), frames, monkeypatch)
 
@@ -750,12 +772,12 @@ def _sparse_matrices(draw):
     if draw(st.booleans()):
         cols = draw(st.permutations(range(n)))[:m]
         cells += [(i, c, 1) for i, c in enumerate(cols)]
-    return SparseGfMatrix.from_entries(m, n, cells, field)
+    return SparseGfMatrix(m, n, cells, field)
 
 
 @settings(max_examples=150, deadline=None)
 @given(H=_sparse_matrices(), seed=st.integers(0, 2**32 - 1))
-@example(H=SparseGfMatrix.from_entries(
+@example(H=SparseGfMatrix(
     2, 4, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)], Field(2)), seed=0)
 def test_encoder_bitwise_equals_dense_encoder(H, seed):
     _assert_encoder_like_dense(H, np.random.default_rng(seed), 4)

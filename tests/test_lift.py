@@ -433,18 +433,14 @@ def test_lift_shifts_blocks_match_whole_table_prefix_sums(ensemble2_matrix,
     sums = table.prefix_sums(shifts)
     pairs = (sums[table.p2, table.pair_walk] - sums[table.p1, table.pair_walk]) % 21
     with mock.patch.object(nbqc.lift, "_BLOCK", block):
-        d, realized, got = lift_shifts(table, shifts, 21)
-        # a lift from walk ``start`` on is the tail of the whole lift,
-        # with the pairs of those walks
+        d, realized = lift_shifts(table, shifts, 21)
+        # a lift from walk ``start`` on is the tail of the whole lift
         for start in (1, 10, len(table) - 3, len(table)):
             tail = lift_shifts(table, shifts, 21, start)
-            first = np.searchsorted(table.pair_walk, start)
-            for part, whole in zip(tail, (d[start:], realized[start:],
-                                          got[first:])):
+            for part, whole in zip(tail, (d[start:], realized[start:])):
                 assert np.array_equal(part, whole)
     assert len(table) > nbqc.lift._BLOCK
     assert np.array_equal(d, sums[-1] % 21)
-    assert np.array_equal(got, pairs)
     assert np.array_equal(realized, realized_lifts(np.gcd(d, 21), table.pair_walk,
                                                    pairs))
 
@@ -462,9 +458,10 @@ def test_prefix_sum_offsets_past_int16_match_walk_major_sums(ensemble2_matrix):
     # lift_shifts, a block of 4096 walks at a time
     assert width * 4096 > 32767
     with mock.patch.object(nbqc.lift, "_BLOCK", 4096):
-        d, realized, got = lift_shifts(table, shifts, 21)
+        d, realized = lift_shifts(table, shifts, 21)
     assert np.array_equal(d, sums[:, -1] % 21)
-    assert np.array_equal(got, pairs % 21)
+    assert np.array_equal(realized, realized_lifts(
+        np.gcd(d, 21), table.pair_walk, pairs % 21))
     # lifts_minimal on every realized walk
     code = QcCode(proto, 21, Field(3), shifts)
     ids = np.flatnonzero(realized)
@@ -492,7 +489,7 @@ def test_prefix_sum_offsets_past_int16_match_walk_major_sums(ensemble2_matrix):
 
 
 def _assert_minimality_matches_oracle(table: WalkTable, code: QcCode):
-    d, realized, _ = lift_shifts(table, code.shifts, code.Z)
+    d, realized = lift_shifts(table, code.shifts, code.Z)
     ids = np.flatnonzero(realized)
     assert lifts_minimal(table, code, ids, d).tolist() == [
         lift_chordless(table[i], code, int(d[i])) for i in ids]
@@ -602,6 +599,25 @@ def test_expand_row_rule(gf8):
             [gf8.mul(int(x), gf8.pow_alpha(3)) for x in shifted]
         )
         assert (block[i] == expected).all()
+
+
+def test_expand_matches_per_entry_rule(gf8):
+    # every entry of every edge's block, written out one at a time, on a
+    # code with parallel edges; a lambda past int64 expands as its residue
+    proto = from_base_matrix([[2, 1, 0], [1, 1, 3]])
+    shifts, labels = [0, 4, 1, 2, 5, 0, 3, 6], [3, 0, 6, 1, 2, 5, 4, 0]
+    for lam in (1, 3, 7 * 10**30 + 3):
+        code = QcCode(proto, 7, gf8, shifts, labels, lambda_mult=lam)
+        want = np.zeros((2 * 7, 3 * 7), np.int64)
+        for e in range(proto.n_edges):
+            c, v = int(proto.edge_check[e]), int(proto.edge_var[e])
+            for i in range(7):
+                want[c * 7 + i, v * 7 + (i + shifts[e]) % 7] = gf8.pow_alpha(
+                    labels[e] + i * lam)
+        H = expand(code)
+        assert np.array_equal(to_dense(H), want)
+        assert (H.row.tolist(), H.col.tolist()) == tuple(
+            a.tolist() for a in np.nonzero(want))
 
 
 def test_expand_requires_labels(gf16, square22):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -166,7 +167,7 @@ def test_pool_holds_at_most_one_chunk_of_workers(gf4, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(nbqc.simulate, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(nbqc.simulate, "_POOL_EVAL", None)
     code = toy_code(gf4)
     cfg = SimConfig(snr_points_db=(2.0,), max_frames=40, min_block_errors=41,
@@ -208,7 +209,8 @@ def test_pool_decoders_live_in_the_workers_only(gf4, monkeypatch, workers,
             built.append(lanes)
             super().__init__(H, lanes)
 
-    monkeypatch.setattr(nbqc.simulate, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
     monkeypatch.setattr(nbqc.simulate, "QspaDecoder", CountingDecoder)
     monkeypatch.setattr(nbqc.simulate, "_POOL_EVAL", None)
     code = toy_code(gf4)
