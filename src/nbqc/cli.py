@@ -132,19 +132,25 @@ def _parse_constraint(text: str) -> AceConstraint | None:
         raise CliInputError(f"bad ACE constraint {text!r}: {exc}") from exc
 
 
-def _check_outputs(*paths) -> None:
+def _check_outputs(source, *paths) -> None:
     """Refuse output paths that cannot be written, before any work: a
-    parent that is missing or not a directory, or a path that is one."""
+    parent that is missing or not a directory, a path that is one, or the
+    input file ``source`` (a link to it included)."""
     for path in map(Path, paths):
         if not path.parent.is_dir():
             raise CliInputError(f"output directory {path.parent} is missing "
                                 "or not a directory")
         if path.is_dir():
             raise CliInputError(f"output path {path} is a directory")
+        same = (os.path.samefile(path, source)
+                if path.exists() and os.path.exists(source)
+                else path.resolve() == Path(source).resolve())
+        if same:
+            raise CliInputError(f"output path {path} is the input file")
 
 
 def _cmd_construct(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args.proto, args.out)
     try:
         rows = read_base_matrix(args.proto)
         proto = from_base_matrix(rows)
@@ -237,7 +243,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_simulate(args) -> int:
     csv_path = Path(f"{args.out}.csv")
     json_path = Path(f"{args.out}.json")
-    _check_outputs(csv_path, json_path)
+    _check_outputs(args.code, csv_path, json_path)
     with _input_errors():
         checked_int(args.workers, "--workers", 1)
     code = _load_code(args.code)
@@ -266,7 +272,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args.code, args.out)
     code = _load_code(args.code)
     with _input_errors():
         text = export_code(code, args.format)

@@ -40,11 +40,26 @@ from .lift import (
     nb_ace_spectrum,
     walk_table,
 )
-from .protograph import read_base_matrix_text, write_base_matrix_text
 
 
 class DescriptorError(ValueError):
     """Descriptor missing fields or failing its self-verification."""
+
+
+def read_base_matrix_text(text: str) -> list[list[int]]:
+    """Whitespace-separated integer rows, one matrix row per line."""
+    rows = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            rows.append([int(tok) for tok in line.split()])
+    if not rows:
+        raise ValueError("no matrix rows found")
+    return rows
+
+
+def write_base_matrix_text(rows) -> str:
+    return "\n".join(" ".join(str(x) for x in row) for row in rows) + "\n"
 
 
 def read_base_matrix(path) -> list[list[int]]:

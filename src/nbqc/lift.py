@@ -34,12 +34,14 @@ many walks at once, each of the last two decided by one rule
 lengths.  A protograph has one walk table, :func:`walk_table`, enumerated
 once at the deepest depth asked for.  Its walks are lifted once per shift
 assignment: the protograph keeps the lift of its leading walks, and a
-deeper head lifts only the walks it adds (:func:`lift_walks`); a code
+deeper head lifts only the walks it adds (:func:`lift_walks`), testing
+realizability only where the lift fits the enumerated depth; a code
 never changes, so it computes each of its spectra once.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -53,6 +55,7 @@ from .protograph import (
     CycleRecord,
     Protograph,
     WalkTable,
+    _unasked,
     enumerate_closed_walks,
     from_base_matrix,
     span_sums,
@@ -346,48 +349,79 @@ def walk_table(proto: Protograph, depth: int) -> WalkTable:
     return table
 
 
-def lift_shifts(table: WalkTable, shifts: np.ndarray, Z: int, start: int = 0):
-    """Total shift mod Z and realizability of the walks ``start`` onward."""
+def lift_shifts(table: WalkTable, shifts: np.ndarray, Z: int, start: int = 0,
+                within: int | None = None):
+    """Total shift mod Z and realizability of the walks ``start`` onward.
+
+    With ``within``, realizability is tested only where the lift is at most
+    that long, and reads False elsewhere.  Each step takes a block of walks
+    (the tested walks in the second pass), which bounds the temporaries.
+    """
     d = np.empty(len(table) - start, np.int64)
-    realized = np.empty(len(d), bool)
-    # a block of walks at a time bounds the temporaries; bounds[b] is the
-    # first pair of block b (keys in the pairs' dtype, so none is cast)
-    starts = np.arange(start, len(table) + _BLOCK, _BLOCK,
-                       table.pair_walk.dtype)
-    bounds = np.searchsorted(table.pair_walk, starts).tolist()
-    for b, lo in enumerate(starts[:-1].tolist()):
-        walks = slice(lo - start, lo - start + _BLOCK)
+    for lo in range(start, len(table), _BLOCK):
         sums = table.prefix_sums(shifts, slice(lo, lo + _BLOCK))
-        d[walks] = sums[-1] % Z
-        k = slice(bounds[b], bounds[b + 1])
-        w = table.pair_walk[k] - lo
-        pairs = span_sums(sums, w, table.p1[k], table.p2[k]) % Z
-        realized[walks] = realized_lifts(np.gcd(d[walks], Z), w, pairs)
+        d[lo - start:lo - start + _BLOCK] = sums[-1] % Z
+    gcd, order = _residues(Z)
+    ids = np.arange(len(d))
+    if within is not None:
+        ids = ids[table.length[start:] * order.take(d) <= within]
+    realized = np.zeros(len(d), bool)
+    for lo in range(0, len(ids), _BLOCK):
+        tested = ids[lo:lo + _BLOCK]
+        w, p1, p2 = table.pairs(start + tested)
+        pairs = span_sums(table.prefix_sums(shifts, start + tested), w, p1, p2)
+        realized[tested] = realized_lifts(gcd.take(d[tested]), w, pairs % Z)
     return d, realized
+
+
+@functools.lru_cache(maxsize=16)
+def _residues(Z: int) -> tuple[np.ndarray, np.ndarray]:
+    """gcd(d, Z) and the cycle order Z / gcd(d, Z) for each d in [0, Z),
+    read-only: a take from them is many times cheaper than ``np.gcd`` over
+    the totals of a table."""
+    gcd = np.gcd(np.arange(Z), Z)
+    tables = gcd, Z // gcd
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def lift_walks(code: QcCode, depth: int):
     """The protograph's walks up to ``depth`` (the ``upto`` head of
     :func:`walk_table`), with the total shift, cycle order and
-    realizability of each one's lift.
+    realizability within ``depth`` of each one's lift: a lift longer than
+    ``depth`` reads as not realized.
 
-    The protograph keeps one lift of its leading walks per Z and shift
-    values, as read-only arrays: a head it covers is served as views of
-    them, and a deeper head lifts only the walks it adds.
+    The protograph keeps one lift of its leading walks per Z, shift values
+    and walk table, as read-only arrays (totals and realizability), and a
+    deeper head lifts only the walks it adds.  Realizability is decided
+    once a walk, and only for walks whose lift fits the enumerated depth;
+    the kept lift also holds the verdicts of :func:`lifts_minimal` on the
+    head's walks.
     """
     proto, Z, shifts = code.proto, code.Z, code.shifts
     table = walk_table(proto, depth).upto(depth)
-    kept = proto._lifted
-    if kept is None or kept[0] != Z or not np.array_equal(kept[1], shifts):
-        kept = (Z, shifts, np.empty(0, np.int64), np.empty(0, bool))
-    d, realized = kept[2:]
+    if (kept := _kept_lift(code, table.root)) is None:
+        kept = (Z, shifts, table.root, np.empty(0, np.int64),
+                np.empty(0, bool), np.full(len(table.root), -1, np.int8))
+    d, realized = kept[3:5]
     if len(d) < len(table):
-        more = lift_shifts(table, shifts, Z, start=len(d))
+        more = lift_shifts(table, shifts, Z, len(d), within=proto._walks[0])
         d, realized = np.append(d, more[0]), np.append(realized, more[1])
     d.flags.writeable = realized.flags.writeable = False
-    proto._lifted = (Z, shifts, d, realized)
+    proto._lifted = (*kept[:3], d, realized, kept[5])
     d, realized = d[:len(table)], realized[:len(table)]
-    return table, d, Z // np.gcd(d, Z), realized
+    order = _residues(Z)[1].take(d)
+    return table, d, order, realized & (table.length * order <= depth)
+
+
+def _kept_lift(code: QcCode, root: WalkTable):
+    """The protograph's kept lift if it is of ``code``'s Z and shifts on
+    walk table ``root``."""
+    kept = code.proto._lifted
+    if (kept and kept[0] == code.Z and kept[2] is root
+            and np.array_equal(kept[1], code.shifts)):
+        return kept
 
 
 def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
@@ -396,12 +430,19 @@ def lifts_minimal(table: WalkTable, code: QcCode, ids, d) -> np.ndarray:
     ``d`` holds the total shifts of every walk in the table.  A chord
     (:meth:`~nbqc.protograph.WalkTable.chords`) is present when its copy
     offset matches its edge's shift modulo gcd(Z, d), the rule that decides
-    realizability.  Only meaningful for realized lifts.
+    realizability.  Only meaningful for realized lifts.  Each walk is
+    decided once; on the head of a kept lift (:func:`lift_walks`) the
+    verdicts are kept there, so a code compiles each walk's chords once.
     """
-    k, a, b, edge = table.chords(code.proto, ids)
-    values = (span_sums(table.prefix_sums(code.shifts, ids), k, a, b)
-              - code.shifts.take(edge))
-    return realized_lifts(np.gcd(d[ids], code.Z), k, values)
+    ids = np.asarray(ids, np.int64)
+    kept = _kept_lift(code, table.root) if table.root_ids is None else None
+    memo = np.full(len(table), -1, np.int8) if kept is None else kept[5]
+    if len(new := _unasked(memo, ids)):
+        k, a, b, edge = table.chords(code.proto, new)
+        values = (span_sums(table.prefix_sums(code.shifts, new), k, a, b)
+                  - code.shifts.take(edge))
+        memo[new] = realized_lifts(np.gcd(d[new], code.Z), k, values)
+    return memo.take(ids) == 1
 
 
 def lift_is_minimal(base: CycleRecord, code: QcCode) -> bool:
@@ -520,7 +561,7 @@ def _min_ace(code: QcCode, depth: int, skip_canceled: bool) -> dict[int, int]:
     """The finite minima of the spectrum, by lifted length."""
     table, d, order, realized = lift_walks(code, depth)
     lifted_len = table.length * order
-    ids = np.flatnonzero(realized & (lifted_len <= depth))
+    ids = np.flatnonzero(realized)
     if skip_canceled:
         ids = ids[~_canceled(table, code, ids, d)]
     best = np.full(depth // 2 + 1, INF)

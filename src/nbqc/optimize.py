@@ -229,15 +229,15 @@ class _Tracker:
         self.column = np.tile(np.searchsorted(self.divisors,
                                               np.gcd(np.arange(V), V)), 2)
         self.bad = bad
-        self.pair_walk = table.pair_walk if pairs else table.pair_walk[:0]
+        # without pairs no walk of the table is asked for, or compiled
+        self.pair_walk, p1, p2 = table.pairs(np.arange(n if pairs else 0))
         walk, edge, counted = _edge_counts(table) if counts is None else counts
         factor = counted[-1]
         n_pairs = np.bincount(self.pair_walk, minlength=n)
         per_row = n_pairs[walk]
         pair = _ranges((np.cumsum(n_pairs) - n_pairs)[walk], per_row)
         owner = np.repeat(np.arange(len(walk)), per_row)
-        term_factor = span_sums(counted, owner, table.p1.take(pair),
-                                table.p2.take(pair))
+        term_factor = span_sums(counted, owner, p1.take(pair), p2.take(pair))
         moves = factor != 0
         np.logical_or.at(moves, owner, term_factor != 0)
         if live is not None:

@@ -11,35 +11,11 @@ restricted to primitive (aperiodic) representatives: a walk that retraces a
 shorter closed walk lifts to retraced copies of the shorter walk's lift and
 carries no extra information.
 
-The enumeration is array work and meets in the middle: a closed word of
-length 2m is two half paths of m edges from its first check that meet at
-one node, so the half paths grow once, for all start edges together, and
-each word joins one that starts with the word's least edge to another,
-read backward.  A closed word is kept when it is the least even rotation
-of itself and of its reversal and equals none of its proper even
-rotations, so every class appears once without a set of seen words.  The
-work is capped by a count of the prefixes a level-wise enumeration would
-grow, taken before any path grows.  A protograph keeps each edge's check
-and variable by edge id, grouped only by its edge runs
-(``Protograph.edge_runs``): the ids by variable, by check and by cell
-(check, variable), each group a run of one sorted order.  The count, the
-floors, the half paths, the compile, the chords, the degrees, the
-shift-collision test and the base-matrix export read those runs.
-
-The result is the one form walks take from enumeration to the optimizer's
-trackers, a :class:`WalkTable`: padded edge rows with length, ACE and the
-simple-minimal flag per walk, and each pair of visits to one node as visit
-positions, all as arrays.  Every quantity a lift depends on is a difference
-of two per-walk prefix sums of the edge values, read at visit positions.
-The sums are position-major (:func:`signed_sums`), read through their last
-row (the totals) and :func:`span_sums` alone.  It builds a
-:class:`CycleRecord` only for the walk asked for.  A compile compares the
-nodes of same-side visit positions, a block of walks at a time sized from
-the row width.  The runs it reads are built once per protograph and the
-position pairs once per row width, so a one-row table (as
-``lift.lift_cycle`` compiles) costs little more than its row.  Each
-multi-index gather, in the enumeration and in a compile, is one ``take``
-on a flat contiguous table with offsets formed in ``np.intp``.
+The enumeration joins half paths (:func:`enumerate_closed_walks`), capped
+before any path grows, and reads one edge grouping, the edge runs
+(:attr:`Protograph.edge_runs`).  Walks take one form up to the optimizer's
+trackers, a :class:`WalkTable`.  Each multi-index gather is one ``take`` on
+a flat contiguous table with offsets formed in ``np.intp``.
 """
 
 from __future__ import annotations
@@ -260,10 +236,10 @@ class WalkTable(Sequence):
     """Closed walks as arrays; indexing builds one :class:`CycleRecord`.
 
     ``rows[i]`` holds the edge ids of walk i padded with the edge count,
-    beside its ``length``, ``ace`` and ``simple_minimal`` flag.  The edge at
-    position p is traversed check-to-variable for even p (sign +1) and
-    variable-to-check for odd p (sign -1); the node visited before it, visit
-    p, is its check for even p and its variable for odd p.
+    beside its ``length`` and ``ace``.  The edge at position p is traversed
+    check-to-variable for even p (sign +1) and variable-to-check for odd p
+    (sign -1); the node visited before it, visit p, is its check for even
+    p and its variable for odd p.
 
     Everything a lift depends on is read from the per-walk prefix sums of
     per-edge values (:meth:`prefix_sums`), position-major: ``P[p, i]`` is
@@ -278,42 +254,64 @@ class WalkTable(Sequence):
     * a chord (:meth:`chords`) joins two visits of the lift when
       ``P[b, w] - P[a, w]`` equals its edge's shift there.
 
-    Pairs are in walk order, and an enumerated table's walks in (length,
-    edge_seq) order, so the table up to a depth (:meth:`upto`) is a leading
-    slice.  A list of records with the same walks compares equal.
+    A table of rows is a ``root``: it compiles a walk's pairs and
+    ``simple_minimal`` flag when first asked (:meth:`pairs`, :meth:`chords`
+    or a whole column) and keeps them.  :meth:`subset` and :meth:`upto` are
+    views with the ``root_ids`` of their walks (None for leading walks).
+    Pairs are in (walk, p1, p2) order and an enumerated table's walks in
+    (length, edge_seq) order, so a head is a leading slice.  A list of
+    records with the same walks compares equal.
     """
 
     def __init__(self, proto: Protograph, rows, length):
-        """Compile padded check-start edge rows of ``proto``.
-
-        ACE sums (deg(v) - 2) over the visited variables.  A walk is simple
-        when it has length >= 4 and no pair (no node visited twice), and a
-        simple walk is minimal (chordless) when its support induces only
-        its own ``length`` edges, parallel copies counted: a twin of a walk
-        edge is a chord.
-        """
+        """Padded check-start edge rows of ``proto``; ACE sums (deg(v) - 2)
+        over the variables of the edges at odd positions."""
         self.rows = rows = np.asarray(rows, _edge_dtype(proto.n_edges))
-        self.length = length = np.asarray(length, np.int32)
-        n, width = rows.shape
-        _, p1, p2 = _pair_positions(width)
-        at, node_of = _visits(proto, width)
+        self.length = np.asarray(length, np.int32)
+        self.root_ids, self._memo = None, None
         (_, _, _, degree), _, (_, _, _, cells) = proto.edge_runs
-        ace_of = np.append(degree - 2, 0)  # the padding variable adds 0
-        stride = proto.n_vars + 1
-        # a simple walk visits at most this many checks and variables
-        most = min(proto.n_checks, proto.n_vars)
-        self.ace = np.empty(n, np.int32)
-        self.simple_minimal = np.zeros(n, bool)
-        pairs = ([np.empty(0, np.int32)], [np.empty(0, np.int16)],
+        ace_of = np.append(degree.take(proto.edge_var) - 2, 0)
+        self.ace = np.empty(len(rows), np.int32)
+        step = max(1, _TABLE_CELLS // rows.shape[1])
+        for lo in range(0, len(rows), step):  # summed position-major
+            odd = rows[lo:lo + step, 1::2].T
+            self.ace[lo:lo + step] = ace_of.take(odd).sum(0)
+        # what a compile reads; a simple walk visits at most `most` checks
+        self._reads = (*_visits(proto, rows.shape[1]), cells, proto.n_vars + 1,
+                       min(proto.n_checks, proto.n_vars))
+
+    def _compiled(self, ids):
+        """Root ids of walks ``ids``, compiled, and the root's memo: per walk
+        its first pair in the pool ``[p1, p2]``, count (-1 until compiled)
+        and flag."""
+        root, ids = self.root, np.asarray(ids, np.intp)
+        ids = ids if self.root_ids is None else self.root_ids.take(ids)
+        if root._memo is None:
+            n = len(root)
+            root._memo = (np.zeros(n, np.intp), np.full(n, -1, np.int32),
+                          np.zeros(n, bool), [np.empty(0, np.int16)] * 2)
+        if len(new := _unasked(root._memo[1], ids)):
+            root._compile(new)
+        return ids, root._memo
+
+    def _compile(self, new):
+        """Compile root walks ``new``, blocks sized from the row width.  A
+        walk is simple when it has length >= 4 and no pair, and minimal
+        (chordless) when its support induces only its own ``length`` edges,
+        parallel copies counted: a twin of a walk edge is a chord."""
+        at, node_of, cells, stride, most = self._reads
+        first, count, flag, pool = self._memo
+        _, p1, p2 = _pair_positions(self.rows.shape[1])
+        pairs = ([np.empty(0, np.intp)], [np.empty(0, np.int16)],
                  [np.empty(0, np.int16)])
-        step = max(1, _TABLE_CELLS // width**2)  # walks per block
-        for lo in range(0, n, step):
-            block, k = rows[lo:lo + step], length[lo:lo + step]
+        step = max(1, _TABLE_CELLS // self.rows.shape[1]**2)  # walks per block
+        for lo in range(0, len(new), step):
+            walks = new[lo:lo + step]
+            block, k = self.rows.take(walks, axis=0), self.length.take(walks)
             # nodes[p, i]: the node walk i visits before position p,
             # position-major, so a position's nodes are one contiguous row
             nodes = node_of.take(at[:, None] + block.T)
             checks, vars_ = nodes[0::2], nodes[1::2]
-            self.ace[lo:lo + step] = ace_of.take(vars_).sum(axis=0)
             same = nodes.take(p1, axis=0) == nodes.take(p2, axis=0)
             i, j = np.divmod(np.flatnonzero(same.T), len(p1))
             real = p1.take(j) < k.take(i)  # not two visits of the padding
@@ -325,8 +323,32 @@ class WalkTable(Sequence):
             cell = (checks[:most].take(simple, axis=1)[:, None] * stride
                     + vars_[:most].take(simple, axis=1))
             induced = cells.take(cell).sum(axis=(0, 1))
-            self.simple_minimal[lo + simple] = induced == k[simple]
-        self.pair_walk, self.p1, self.p2 = _joined(pairs)
+            flag[new[lo + simple]] = induced == k[simple]
+        walk, *found = _joined(pairs)
+        counts = np.bincount(walk, minlength=len(new))
+        first[new] = len(pool[0]) + np.cumsum(counts) - counts
+        count[new] = counts
+        pool[:] = (np.concatenate(parts) for parts in zip(pool, found))
+
+    def pairs(self, ids):
+        """Pairs of walks ``ids`` as ``(k, p1, p2)``, k the index in ids."""
+        rid, (first, count, _, (p1, p2)) = self._compiled(ids)
+        per = count.take(rid)
+        at = _ranges(first.take(rid), per)
+        return (np.repeat(np.arange(len(rid), dtype=np.int32), per),
+                p1.take(at), p2.take(at))
+
+    @functools.cached_property
+    def _columns(self):
+        ids = np.arange(len(self))
+        rid, memo = self._compiled(ids)
+        return (*self.pairs(ids), memo[2].take(rid))
+
+    pair_walk, p1, p2, simple_minimal = (
+        property(lambda self, c=c: self._columns[c]) for c in range(4))
+    # a view's root; a root is its own without referring to itself, so
+    # refcounting frees it (a cycle would wait for the garbage collector)
+    root = property(lambda self: self.__dict__.get("_root", self))
 
     def __len__(self) -> int:
         return len(self.length)
@@ -367,11 +389,9 @@ class WalkTable(Sequence):
         visit and the edge's own one land on one copy, which a realized
         lift rules out.)  A simple minimal walk has no chords.
 
-        A cell's base edges are read from its run (the cell side of
-        :attr:`Protograph.edge_runs`) into as many slots as the largest
-        cell has edges, the slots past the cell's own count masked: only
-        the per-block temporary has a largest-cell factor.  (A gather of
-        the exact runs by ``_ranges`` measured 1.6 times slower.)
+        A cell's base edges are read from its run into as many slots as
+        the largest cell has edges, those past its count masked (a gather
+        of the exact runs measured 1.6 times slower).
         """
         ids = np.asarray(ids, np.int64)
         _, by_cell, begin, count = proto.edge_runs[2]
@@ -381,7 +401,8 @@ class WalkTable(Sequence):
         at, node_of = _visits(proto, width)
         found = ([np.empty(0, np.int64)], [np.empty(0, np.int16)],
                  [np.empty(0, np.int16)], [np.empty(0, self.rows.dtype)])
-        asked = np.flatnonzero(~self.simple_minimal.take(ids))
+        rid, memo = self._compiled(ids)
+        asked = np.flatnonzero(~memo[2].take(rid))
         for lo in range(0, len(asked), _CHUNK):
             k = asked[lo:lo + _CHUNK]
             walks = ids.take(k)
@@ -406,28 +427,26 @@ class WalkTable(Sequence):
             _extend(found, (k[w], 2 * i, 2 * j + 1, edges.ravel().take(hit)))
         return tuple(_joined(found))
 
-    def _part(self, walks, pairs, pair_walk) -> "WalkTable":
-        """The table of the walks and pairs that ``walks`` and ``pairs``
-        index, the pairs' walks renumbered as ``pair_walk``."""
+    def _view(self, walks, root_ids) -> "WalkTable":
         sub = WalkTable.__new__(WalkTable)
-        for name in ("rows", "length", "ace", "simple_minimal"):
+        for name in ("rows", "length", "ace"):
             setattr(sub, name, getattr(self, name)[walks])
-        sub.pair_walk, sub.p1, sub.p2 = pair_walk, self.p1[pairs], self.p2[pairs]
+        sub._root, sub.root_ids = self.root, root_ids
         return sub
 
     def subset(self, keep: np.ndarray) -> "WalkTable":
         """The walks selected by a boolean mask, in table order; pairs keep
         their positions under the new walk ids."""
-        kept = keep[self.pair_walk]
-        renumbered = np.cumsum(keep, dtype=np.int32) - 1
-        return self._part(keep, kept, renumbered[self.pair_walk[kept]])
+        ids = np.flatnonzero(keep)
+        return self._view(keep, ids if self.root_ids is None
+                          else self.root_ids.take(ids))
 
     def upto(self, depth: int) -> "WalkTable":
         """The walks of length at most ``depth``: views of the leading
-        walks and pairs, as walks are ordered by length and pairs by walk."""
+        walks, as walks are ordered by length."""
         n = int(np.searchsorted(self.length, depth, side="right"))
-        m = int(np.searchsorted(self.pair_walk, n))
-        return self._part(slice(n), slice(m), self.pair_walk[:m])
+        return self._view(slice(n), None if self.root_ids is None
+                          else self.root_ids[:n])
 
 
 def signed_sums(terms: np.ndarray, dtype) -> np.ndarray:
@@ -484,6 +503,16 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
             + np.repeat(starts - ends + counts, counts))
 
 
+def _unasked(memo: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The ids of ``ids`` whose ``memo`` entry is -1, once each, in order."""
+    new = ids[memo.take(ids) < 0]
+    if len(new):  # a mark, not a sort
+        mark = np.zeros(len(memo), bool)
+        mark[new] = True
+        new = np.flatnonzero(mark)
+    return new
+
+
 def _least_of_class(words: np.ndarray) -> np.ndarray:
     """Which closed words are the canonical representative of their class.
 
@@ -532,9 +561,8 @@ def _check_prefixes(proto: Protograph, max_len: int, cap: int) -> None:
     whole count would.  The first level is counted from the runs first:
     the pairs of edges at one variable, or in one cell (the cell runs'
     counts) when words close there.
-    It stays because it decides before any path grows: a cap on the join's
-    own work, tried on the 2 x 3 all-ones matrix, refused depth 50 after
-    38 s and let depth 48 through (66 s, 2.4 GB traced peak).
+    It stays because it decides before any path grows (a cap on the join's
+    own work was dropped, see ROADMAP's Closed items).
     """
     overflow = WalkEnumerationOverflow(f"closed-walk enumeration up to length "
                                        f"{max_len} needs more than {cap} prefixes")
@@ -673,19 +701,3 @@ def _half_paths(runs, half: int, floor: np.ndarray, dtype):
                            nxt.astype(dtype)[:, None]])
         least = np.minimum(least.take(parent), paths[:, k])
         yield paths, least
-
-
-def read_base_matrix_text(text: str) -> list[list[int]]:
-    """Whitespace-separated integer rows, one matrix row per line."""
-    rows = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            rows.append([int(tok) for tok in line.split()])
-    if not rows:
-        raise ValueError("no matrix rows found")
-    return rows
-
-
-def write_base_matrix_text(rows) -> str:
-    return "\n".join(" ".join(str(x) for x in row) for row in rows) + "\n"

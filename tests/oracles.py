@@ -16,8 +16,10 @@ realized lift is kept in its first form as well, a walk around one lifted
 cycle's copies that counts the edge copies its support induces
 (:func:`lift_chordless`), and so is the chord compile it was replaced by:
 every walk's chords compiled up front and read back per walk
-(:func:`chords_of_every_walk`, :func:`picked_chords`).  The systematic
-encoder is kept in its first form, a dense coefficient matrix and one
+(:func:`chords_of_every_walk`, :func:`picked_chords`), and so is the
+walk-table compile that the on-demand compile replaced: every walk's pairs
+and flags compiled up front (:func:`eagerly_compiled_columns`).  The
+systematic encoder is kept in its first form, a dense coefficient matrix and one
 multiplication-table gather per message (:class:`DenseEncoder`).  The
 matrix and profile helpers only tests read live here too: :func:`to_dense`,
 :func:`mul_vec`, :func:`nnz`, :func:`support` and
@@ -41,8 +43,9 @@ from nbqc.lift import (AceConstraint, QcCode, lift_shifts, lift_walks,
 from nbqc.optimize import (OptimizeResult, OptimizerConfig, _divisors,
                            _order_violations, _violates,
                            find_problematic_binary)
-from nbqc.protograph import (CycleRecord, DegreeProfile, Protograph, WalkTable,
-                             span_sums)
+from nbqc.protograph import (_TABLE_CELLS, CycleRecord, DegreeProfile,
+                             Protograph, WalkTable, _edge_dtype,
+                             _pair_positions, _visits, span_sums)
 
 
 def ring_protograph(half: int) -> Protograph:
@@ -439,6 +442,48 @@ def prefix_totals_by_edge_matrices(proto: Protograph, max_len: int) -> list[int]
             counts *= closing
         totals.append(totals[-1] + int(counts.sum()))
     return totals[1:]
+
+
+def eagerly_compiled_columns(proto: Protograph, rows, length) -> dict:
+    """``ace``, ``simple_minimal``, ``pair_walk``, ``p1`` and ``p2`` of every
+    walk of padded edge rows, as ``WalkTable`` compiled them up front in its
+    first form: the position-major block loop over every walk in order, a
+    block of walks at a time sized from the row width (which the on-demand
+    compile keeps for the walks asked for)."""
+    rows = np.asarray(rows, _edge_dtype(proto.n_edges))
+    length = np.asarray(length, np.int32)
+    n, width = rows.shape
+    _, p1, p2 = _pair_positions(width)
+    at, node_of = _visits(proto, width)
+    (_, _, _, degree), _, (_, _, _, cells) = proto.edge_runs
+    ace_of = np.append(degree - 2, 0)  # the padding variable adds 0
+    stride = proto.n_vars + 1
+    most = min(proto.n_checks, proto.n_vars)
+    ace = np.empty(n, np.int32)
+    minimal = np.zeros(n, bool)
+    pairs = ([np.empty(0, np.int32)], [np.empty(0, np.int16)],
+             [np.empty(0, np.int16)])
+    step = max(1, _TABLE_CELLS // width**2)
+    for lo in range(0, n, step):
+        block, k = rows[lo:lo + step], length[lo:lo + step]
+        nodes = node_of.take(at[:, None] + block.T)
+        checks, vars_ = nodes[0::2], nodes[1::2]
+        ace[lo:lo + step] = ace_of.take(vars_).sum(axis=0)
+        same = nodes.take(p1, axis=0) == nodes.take(p2, axis=0)
+        i, j = np.divmod(np.flatnonzero(same.T), len(p1))
+        real = p1.take(j) < k.take(i)
+        i, j = i[real], j[real]
+        for column, part in zip(pairs, (i + lo, p1.take(j), p2.take(j))):
+            column.append(part.astype(column[0].dtype))
+        simple = k >= 4
+        simple[i] = False
+        simple = np.flatnonzero(simple)
+        cell = (checks[:most].take(simple, axis=1)[:, None] * stride
+                + vars_[:most].take(simple, axis=1))
+        minimal[lo + simple] = cells.take(cell).sum(axis=(0, 1)) == k[simple]
+    pair_walk, q1, q2 = (np.concatenate(column) for column in pairs)
+    return {"ace": ace, "simple_minimal": minimal, "pair_walk": pair_walk,
+            "p1": q1, "p2": q2}
 
 
 def walk_major_signed_sums(terms: np.ndarray, dtype) -> np.ndarray:

@@ -12,6 +12,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -516,6 +517,8 @@ def _bad_input_argv(tmp_path, desc):
     parallel22.write_text("2 2\n1 1\n")
     unlabeled = _unlabeled_descriptor(tmp_path / "unlabeled.json")
     square = _square_descriptor(tmp_path / "square.json")
+    link = tmp_path / "link.json"
+    link.symlink_to(desc)
     return {
         "Z0": construct + ["--Z", "0", "--out", out],
         "Z-huge": construct + ["--Z", str((1 << 16) + 1), "--out", out],
@@ -530,6 +533,9 @@ def _bad_input_argv(tmp_path, desc):
                                                   str(desc / "x.json")],
         "construct-seed-minus-1": construct + ["--Z", "3", "--seed", "-1",
                                                "--out", out],
+        # an output that is the input file, by its own path or a link
+        "construct-out-is-proto": construct + ["--Z", "3", "--out",
+                                               construct[2]],
         "snr-abc": simulate + ["--snr", "abc", "--out", out],
         "snr-nan": simulate + ["--snr", "nan", "--out", out],
         "snr-minus-inf": simulate + ["--snr=-inf", "--out", out],
@@ -553,12 +559,17 @@ def _bad_input_argv(tmp_path, desc):
                                                 str(desc / "x")],
         "simulate-seed-minus-1": simulate + ["--snr", "inf", "--seed", "-1",
                                              "--out", out],
+        # <prefix>.json is the descriptor read
+        "simulate-out-is-input": simulate + ["--snr", "inf", "--out",
+                                             str(desc.with_suffix(""))],
         "export-out": ["export", str(desc), "--format", "alist",
                        "--out", nowhere],
         "export-out-dir": ["export", str(desc), "--format", "alist",
                            "--out", str(tmp_path)],
         "export-out-file-parent": ["export", str(desc), "--format", "alist",
                                    "--out", str(desc / "x")],
+        "export-out-is-input": ["export", str(desc), "--format", "alist",
+                                "--out", str(link)],
         "export-Z-huge": ["export", str(_huge_z_descriptor(
             desc, tmp_path / "huge.json")), "--format", "alist",
             "--out", out],
@@ -602,12 +613,13 @@ def _bad_input_argv(tmp_path, desc):
 @pytest.mark.parametrize("case", [
     "Z0", "Z-huge", "max-sweeps0", "max-restarts0", "overflow",
     "construct-out", "construct-out-dir", "construct-out-file-parent",
-    "construct-seed-minus-1", "snr-abc", "snr-nan",
+    "construct-seed-minus-1", "construct-out-is-proto", "snr-abc", "snr-nan",
     "snr-minus-inf", "snr-huge", "snr-1e400", "snr-minus-1e400",
     "snr-repeated", "snr-signed-zero", "max-iters-huge", "workers0",
     "env-workers", "simulate-out", "simulate-out-json-dir",
-    "simulate-out-file-parent", "simulate-seed-minus-1", "export-out",
-    "export-out-dir", "export-out-file-parent", "export-Z-huge",
+    "simulate-out-file-parent", "simulate-seed-minus-1",
+    "simulate-out-is-input", "export-out", "export-out-dir",
+    "export-out-file-parent", "export-out-is-input", "export-Z-huge",
     "spectrum-depth",
     "spectrum-depth-huge", "construct-degree-1", "json-entry-float",
     "json-entry-bool", "json-matrix-scalar", "simulate-rank-deficient",
@@ -637,7 +649,9 @@ def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
             raise AssertionError("ran before the output path was checked")
         monkeypatch.setattr(nbqc.lift, "enumerate_closed_walks", spy)
         monkeypatch.setattr(nbqc.cli, "run_campaign", spy)
+    inputs = {path: path.read_bytes() for path in (desc, proto_file)}
     assert main(argv) == EXIT_INPUT
+    assert inputs == {path: path.read_bytes() for path in inputs}
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     if "1e400" in case:
@@ -646,6 +660,8 @@ def test_bad_inputs_exit_3_with_one_line(tmp_path, proto_file, capsys,
         assert "design rate 0/21 is not in (0, 1)" in err
     if case in ("snr-repeated", "snr-signed-zero"):
         assert "is given twice" in err
+    if case.endswith(("-is-input", "-is-proto")):
+        assert "is the input file" in err
     assert not (tmp_path / "dir.csv").exists()
 
 
@@ -681,6 +697,33 @@ def test_cli_import_leaves_the_process_pool_out():
                          text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_commands_leave_numpy_ma_out(tmp_path, proto_file):
+    # a plain np.unique imports numpy.ma, about 1.1 MiB of RSS that the
+    # benchmark's peak_rss_mb would count; no command imports it
+    import nbqc
+
+    desc, sim = tmp_path / "code.json", tmp_path / "sim"
+    commands = [
+        ["construct", "--proto", str(proto_file), "--Z", "3", "--q", "16",
+         "--ace-b", "inf,inf", "--ace-nb", "inf,inf,inf", "--seed", "5",
+         "--out", str(desc)],
+        ["spectrum", str(desc), "--depth", "6", "--nb"],
+        ["simulate", str(desc), "--snr", "2", "--max-frames", "4", "--seed",
+         "1", "--mode", "random", "--out", str(sim)],
+        ["export", str(desc), "--format", "alist",
+         "--out", str(tmp_path / "h.alist")],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(nbqc.__file__).parents[1])}
+    probe = ("import sys; from nbqc.cli import main\n"
+             f"for argv in {commands!r}:\n"
+             "    assert main(argv) == 0, argv\n"
+             "print('numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_console_script_target_runs_main(monkeypatch, capsys):
@@ -817,15 +860,20 @@ def test_walk_lifts_per_command(tmp_path, capsys, monkeypatch):
     # only the walks the NB depth adds for the label stage, whose
     # re-verification reuses that lift; load-verify lifts each walk once
     # too, and a spectrum at the stored NB depth reuses what it computed.
-    # Each command lifts every walk of the NB head (6 056 walks) once.
+    # Each command takes the total shift of every walk of the NB head
+    # (6 056 walks) once, and tests realizability for the 706 whose lift
+    # fits the enumerated depth 12
     import nbqc.lift
 
-    lifted = []
+    lifted, tested = [], []
     lift_shifts = nbqc.lift.lift_shifts
 
-    def counting(table, shifts, Z, start=0):
+    def counting(table, shifts, Z, start=0, within=None):
+        d, realized = lift_shifts(table, shifts, Z, start, within)
         lifted.append(len(table) - start)
-        return lift_shifts(table, shifts, Z, start)
+        fits = table.length[start:] * (Z // np.gcd(d, Z)) <= within
+        tested.append(int(fits.sum()))
+        return d, realized
 
     monkeypatch.setattr(nbqc.lift, "lift_shifts", counting)
     fixtures = Path(__file__).parent / "fixtures"
@@ -834,11 +882,12 @@ def test_walk_lifts_per_command(tmp_path, capsys, monkeypatch):
                  "--Z", "9", "--q", "16", "--ace-b", "inf,inf,inf,4",
                  "--ace-nb", "inf,inf,inf,inf,inf,4", "--seed", "1",
                  "--out", str(desc)]) == EXIT_OK
-    assert sum(lifted) == 6056 and len(lifted) == 2
+    assert sum(lifted) == 6056 and len(lifted) == 2 and sum(tested) == 706
     lifted.clear()
+    tested.clear()
     assert main(["spectrum", str(desc), "--depth", "12", "--nb",
                  "--json"]) == EXIT_OK
-    assert sum(lifted) == 6056 and len(lifted) == 2
+    assert sum(lifted) == 6056 and len(lifted) == 2 and sum(tested) == 706
     capsys.readouterr()
     # the kept lift and spectra stay out of pickles, which answer alike
     code, _ = load_descriptor(desc)
@@ -848,6 +897,35 @@ def test_walk_lifts_per_command(tmp_path, capsys, monkeypatch):
     for spectrum in (binary_ace_spectrum, nb_ace_spectrum):
         for depth in (8, 12):
             assert spectrum(shipped, depth) == spectrum(code, depth)
+
+
+def test_chords_of_each_walk_compile_once_per_command(tmp_path, capsys,
+                                                      monkeypatch):
+    # the label stage's minimality verdicts stay beside the kept lift, so
+    # the NB re-verification compiles chords only for walks they lack
+    from nbqc.protograph import WalkTable
+
+    asked, chords = [], WalkTable.chords
+
+    def spy(self, proto, ids):
+        ids = np.asarray(ids, np.int64)
+        assert self.root_ids is None  # a head, whose ids are root ids
+        walks = ids[~self.simple_minimal[ids]].tolist()
+        asked.extend((id(self.root), w) for w in walks)
+        return chords(self, proto, ids)
+
+    monkeypatch.setattr(WalkTable, "chords", spy)
+    fixtures = Path(__file__).parent / "fixtures"
+    desc = tmp_path / "code.json"
+    for argv in (["construct", "--proto", str(fixtures / "proto_gf8_z21.txt"),
+                  "--Z", "21", "--q", "8", "--ace-b", "inf,inf,inf,6,2",
+                  "--ace-nb", "inf,inf,inf,inf,6,2", "--seed", "1",
+                  "--out", str(desc)],
+                 ["spectrum", str(desc), "--depth", "12", "--nb"]):
+        asked.clear()
+        assert main(argv) == EXIT_OK
+        assert asked and len(asked) == len(set(asked))
+    capsys.readouterr()
 
 
 def test_wide_base_matrix_constructs_at_depth_2_in_bounded_time_and_memory(

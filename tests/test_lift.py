@@ -406,7 +406,9 @@ def test_walk_lift_realizability_matches_oracle(gf4):
 ])
 def test_walk_realized_flags_match_lifted_copy_oracle(base, depth, gf2):
     # per walk, not through spectrum minima: a wrong flag on a walk whose
-    # lift is never the shortest would not show in any spectrum
+    # lift is never the shortest would not show in any spectrum.
+    # lift_shifts tests every walk; lift_walks tests the walks whose lift
+    # fits the depth and reads False for the rest
     proto = from_base_matrix(base)
     table = walk_table(proto, depth).upto(depth)
     rng = np.random.default_rng(depth * 10 + len(base[0]))
@@ -415,10 +417,12 @@ def test_walk_realized_flags_match_lifted_copy_oracle(base, depth, gf2):
         Z = int(rng.integers(1, 13))
         code = QcCode(proto, Z, gf2,
                       [int(rng.integers(0, Z)) for _ in range(proto.n_edges)])
-        realized = lift_walks(code, depth)[3].tolist()
-        assert realized == [lifted_walk_is_simple(code, rec.edge_seq)
-                            for rec in table]
-        flags.update(realized)
+        want = [lifted_walk_is_simple(code, rec.edge_seq) for rec in table]
+        assert lift_shifts(table, code.shifts, Z)[1].tolist() == want
+        _, _, order, within = lift_walks(code, depth)
+        fits = table.length * order <= depth
+        assert within.tolist() == (fits & want).tolist()
+        flags.update(want[i] for i in np.flatnonzero(fits).tolist())
     assert flags == {False, True}
 
 
@@ -725,7 +729,7 @@ def _assert_same_walks(got: WalkTable, want: WalkTable, proto):
 @given(rows=_base_matrices(), depth=st.sampled_from([2, 4, 6, 8]))
 def test_upto_is_the_leading_slice_of_the_length_subset(rows, depth):
     # walks are ordered by length and pairs by walk, so each depth's table
-    # is a view of the leading walks and pairs, equal to the masked copy
+    # is a view of the leading walks, equal to the masked copy
     table = enumerate_closed_walks(from_base_matrix(rows), depth)
     for d in range(0, depth + 3):
         got, want = table.upto(d), table.subset(table.length <= d)
@@ -733,6 +737,9 @@ def test_upto_is_the_leading_slice_of_the_length_subset(rows, depth):
                      "p1", "p2"):
             view, copy = getattr(got, name), getattr(want, name)
             assert view.dtype == copy.dtype and np.array_equal(view, copy)
+        # pairs and flags are gathered from the root's memo on each table
+        for name in ("rows", "length", "ace"):
+            view = getattr(got, name)
             assert np.shares_memory(view, getattr(table, name)) or not len(view)
         assert got == want
 
@@ -792,4 +799,6 @@ def test_lift_and_spectrum_memos_match_fresh_protographs(rows, Z, data, gf4):
         else:
             spectrum = {"binary": binary_ace_spectrum, "nb": nb_ace_spectrum}[kind]
             assert spectrum(code, depth) == spectrum(fresh, depth)
-        assert not any(a.flags.writeable for a in proto._lifted[2:])
+        # the kept totals and realizability flags (the minimality memo
+        # beside them fills as walks are asked for)
+        assert not any(a.flags.writeable for a in proto._lifted[3:5])

@@ -1,6 +1,8 @@
+import gc
 import pickle
 import re
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,8 @@ from hypothesis.extra.numpy import arrays
 import nbqc.protograph
 
 from nbqc.gf import MAX_Z
+from nbqc.io_formats import read_base_matrix_text, write_base_matrix_text
+from nbqc.lift import QcCode, nb_ace_spectrum, walk_table
 from nbqc.protograph import (
     DegreeProfile,
     Protograph,
@@ -21,9 +25,7 @@ from nbqc.protograph import (
     degree_profile,
     enumerate_closed_walks,
     from_base_matrix,
-    read_base_matrix_text,
     signed_sums,
-    write_base_matrix_text,
 )
 
 from oracles import (
@@ -33,6 +35,7 @@ from oracles import (
     closed_walks_by_edge_dfs,
     count_closed_walks_by_node_dfs,
     count_prefixes_by_edge_dfs,
+    eagerly_compiled_columns,
     least_of_class_by_position_loop,
     permuted_protograph,
     prefix_totals_by_edge_matrices,
@@ -626,6 +629,133 @@ def test_join_memory_stays_at_the_level_wise_figure(ensemble2_matrix):
         tracemalloc.stop()
     assert len(table) == 82499
     assert peak <= 5_892_459
+
+
+def test_enumeration_peak_leaves_the_compile_out(ensemble2_matrix):
+    # the GF(8) reference protograph at depth 16 (517 173 walks): with
+    # every walk's pairs (1.91 M) and flag compiled up front the
+    # enumeration peaked at 44 940 780 bytes under tracemalloc (numpy 2.4);
+    # compiled on demand, it peaks at 34 800 802
+    p = from_base_matrix(ensemble2_matrix)
+    tracemalloc.start()
+    try:
+        table = enumerate_closed_walks(p, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 517173
+    assert peak <= 35_000_000
+
+
+def test_walk_tables_free_without_the_garbage_collector(gf4):
+    # no reference cycle through a table, its views, the kept lift or the
+    # protograph: refcounting frees them when the last reference goes, as
+    # a cycle would keep each command's tables until a collection
+    p = from_base_matrix([[1, 1, 1], [1, 1, 1]])
+    code = QcCode(p, 3, gf4, [0, 1, 2, 1, 2, 0], [0, 1, 2, 0, 1, 2])
+    gc.disable()
+    try:
+        nb_ace_spectrum(code, 8)
+        table = walk_table(p, 8)
+        head = table.upto(6).subset(table.upto(6).length > 4)
+        head.pairs(np.arange(len(head)))
+        refs = [weakref.ref(x) for x in (p, code, table, head)]
+        del p, code, table, head
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+_ASKED = ("simple_minimal", "pair_walk", "p1", "p2")
+
+
+def _asked_of(want, ids):
+    """The eager compile's flags and pairs of walks ``ids`` (repeats
+    allowed), the pairs renumbered by position in ``ids``."""
+    lo, hi = (np.searchsorted(want["pair_walk"], ids, side) for side in
+              ("left", "right"))
+    picked = np.array([k for a, b in zip(lo, hi) for k in range(a, b)], np.intp)
+    return {"simple_minimal": want["simple_minimal"][ids],
+            "pair_walk": np.repeat(np.arange(len(ids), dtype=np.int32), hi - lo),
+            "p1": want["p1"][picked], "p2": want["p2"][picked]}
+
+
+def _assert_columns(got, want):
+    for name, column in want.items():
+        assert got[name].dtype == column.dtype, name
+        assert np.array_equal(got[name], column), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=_multigraph_matrices(), max_len=st.sampled_from([2, 4, 6, 8, 10]),
+       data=st.data())
+def test_asked_walks_compile_once_as_the_eager_compile_does(rows, max_len,
+                                                            data):
+    # asks in any order: subsets and heads of any table, repeated and
+    # overlapping ids, one-row tables of their walks; every answer is the
+    # eager compile's, dtypes included, and no root compiles a walk twice
+    p = from_base_matrix(rows)
+    try:
+        table = enumerate_closed_walks(p, max_len, max_prefixes=1 << 15)
+    except WalkEnumerationOverflow:
+        assume(False)
+    want = eagerly_compiled_columns(p, table.rows, table.length)
+    compiled, compile_walks = [], WalkTable._compile
+
+    def spy(self, new):
+        compiled.extend((id(self), w) for w in new.tolist())
+        return compile_walks(self, new)
+
+    views = [(table, np.arange(len(table)))]  # each table, its walks' ids
+    with mock.patch.object(WalkTable, "_compile", spy):
+        for _ in range(data.draw(st.integers(1, 10))):
+            view, ids = data.draw(st.sampled_from(views))
+            n = len(view)
+            kind = data.draw(st.sampled_from(["subset", "upto", "ask", "row"]))
+            if kind == "subset":
+                keep = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                                   max_size=n)), bool)
+                views.append((view.subset(keep), ids[keep]))
+            elif kind == "upto":
+                depth = data.draw(st.integers(0, max_len))
+                views.append((view.upto(depth), ids[view.length <= depth]))
+            elif kind == "ask" and n:
+                asked = np.array(data.draw(st.lists(
+                    st.integers(0, n - 1), max_size=2 * n)), np.intp)
+                got = dict(zip(_ASKED[1:], view.pairs(asked)))
+                wanted = _asked_of(want, ids[asked])
+                del wanted["simple_minimal"]
+                _assert_columns(got, wanted)
+            elif kind == "row" and n:
+                i = data.draw(st.integers(0, n - 1))
+                k = view.length[i]
+                views.append((WalkTable(p, view.rows[i:i + 1, :k], [k]),
+                              ids[i:i + 1]))
+        for view, ids in views:
+            _assert_columns({name: getattr(view, name) for name in _ASKED},
+                            _asked_of(want, ids))
+            assert np.array_equal(view.ace, want["ace"][ids])
+    assert len(compiled) == len(set(compiled))
+
+
+def test_reference_tables_compile_as_the_eager_compile_does(
+        ensemble1_matrix, ensemble2_matrix):
+    # every column of each head, depths 2 to 16, asked in rising depth, so
+    # each head compiles only the walks it adds
+    for matrix in (ensemble1_matrix, ensemble2_matrix):
+        p = from_base_matrix(matrix)
+        table = enumerate_closed_walks(p, 16)
+        want = eagerly_compiled_columns(p, table.rows, table.length)
+        assert table.ace.tobytes() == want["ace"].tobytes()
+        for depth in range(2, 17, 2):
+            head = table.upto(depth)
+            n = len(head)
+            m = int(np.searchsorted(want["pair_walk"], n))
+            for name in _ASKED:
+                got = getattr(head, name)
+                column = want[name][:n if name == "simple_minimal" else m]
+                assert got.dtype == column.dtype, name
+                assert got.tobytes() == column.tobytes(), name
 
 
 @settings(max_examples=100, deadline=None)
